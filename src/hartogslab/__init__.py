@@ -8,16 +8,15 @@ base, mu = 1) has constant second expansion coefficient a2.
 
 __version__ = "1.0.0"
 
-from .jets import (BidegreeCap, Jet, MultiIndex, basis_exponents, extract_partial,
-                   jet_add, jet_constant, jet_det, jet_log, jet_mul,
-                   jet_real_power, jet_reciprocal, jet_sub, jet_variable)
+from .jets import (BidegreeCap, Jet, basis_exponents, jet_constant, jet_det,
+                   jet_log, jet_real_power, jet_reciprocal, jet_variable)
 from .domains import (DomainSpec, ExceptionalDomainError, contains,
                       dimension_genus, generic_norm_jet, generic_norm_value,
                       matrix_model, sample_interior, type1, type2, type3, type4,
                       exc5, exc6)
 from .geometry import (CurvatureReport, HartogsPoint, HartogsSpec, MetricData,
-                       a2_at, base_curvature_report, bergman_potential_jet,
-                       bergman_r2_at_origin, curvature_report,
+                       base_curvature_report, bergman_potential_jet,
+                       curvature_report,
                        curvature_report_from_potential, curvature_tensor,
                        hartogs_contains, hartogs_potential_jet,
                        laplacian_scalar_curvature, metric_at, ricci_and_scalar,

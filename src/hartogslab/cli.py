@@ -24,9 +24,10 @@ import numpy as np
 
 from . import __version__
 from .cases import classify_all
-from .domains import DomainSpec, type1, type2, type3, type4
+from .domains import DomainSpec, generic_norm_value, type1, type2, type3, type4
 from .geometry import (HartogsPoint, HartogsSpec, base_curvature_report,
-                       curvature_report, origin_fiber_points, sample_hartogs)
+                       curvature_report, origin_fiber_points, sample_hartogs,
+                       scalar_curvature_at)
 from .oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
                       appendix_R2_base, lap_k_formula, ric2_formula,
                       scalar_curvature_formula)
@@ -167,7 +168,6 @@ def cmd_report(cfg, include_tensors=False):
             for key, target in targets.items():
                 checks[key] = _rel_err(values[key], target)
         else:
-            from .domains import generic_norm_value
             n_mu = generic_norm_value(cfg.spec, pt.base) ** float(cfg.mu)
             inp = _oracle_inputs(cfg, t)
             checks["k"] = _rel_err(
@@ -214,9 +214,6 @@ def cmd_verify_lemmas(cfg, laplace_scale=1.0):
     _check_max_d(cfg)
     hspec = cfg.hartogs()
     results = {}
-
-    from .domains import generic_norm_value
-    from .geometry import scalar_curvature_at
 
     errs = []
     for pt in sample_hartogs(hspec, cfg.seed, cfg.samples):

@@ -18,9 +18,10 @@ Hartogs domains; any constant-factor mismatch is a bug, not a tunable):
 
 The canonical potential of the Hartogs domain over a base domain with generic
 norm N is Phi = -log(N^mu - |w|^2); the Bergman potential of the base alone is
--genus * log N. Delta k is evaluated through jet-valued intermediates (metric
-entry jets, a Newton-iterated inverse-metric jet, a Ricci jet) so that no
-finite-difference error enters.
+-genus * log N. Every tensor comes from one primitive, Jet.partials, which
+gathers all mixed partials of one order at the base point. Delta k is the
+closed form g^{a bbar} d_a dbar_b tr(g^{-1} Ric), expanded with
+d(g^{-1}) = -g^{-1} (dg) g^{-1}, so that no finite-difference error enters.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from .domains import DomainSpec, contains, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import BidegreeCap, Jet, jet_constant, jet_det, jet_log, \
-    jet_real_power, jet_variable
+from .jets import BidegreeCap, Jet, jet_det, jet_log, jet_real_power, \
+    jet_variable
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 
@@ -101,10 +102,6 @@ def _real(x: complex, tol: float, what: str) -> float:
     return x.real
 
 
-def _unit_tuples(m: int):
-    return [tuple(1 if t == i else 0 for t in range(m)) for i in range(m)]
-
-
 # -- potentials ---------------------------------------------------------------
 
 def bergman_potential_jet(spec: DomainSpec, p: Sequence, cap,
@@ -143,9 +140,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap) -> Jet:
 def metric_at(potential: Jet) -> MetricData:
     """Metric g_{i jbar} and its inverse from a potential jet (cap >= (1,1))."""
     m = potential.num_vars
-    ey = _unit_tuples(m)
-    g = np.array([[potential.partial(ey[i], ey[j]) for j in range(m)]
-                  for i in range(m)])
+    g = potential.partials(1, 1)
     scale = float(np.abs(g).max()) or 1.0
     if float(np.abs(g - g.conj().T).max()) > 1e-10 * scale:
         raise ValueError("metric matrix is not Hermitian")
@@ -163,38 +158,24 @@ def metric_at(potential: Jet) -> MetricData:
 
 def curvature_tensor(potential: Jet, metric: MetricData) -> np.ndarray:
     """R_{i jbar k lbar} from the potential jet (cap >= (2,2))."""
-    m = metric.dimension
-    ey = _unit_tuples(m)
-
-    def two(i, k):
-        return tuple(a + b for a, b in zip(ey[i], ey[k]))
-
-    T = np.array([[[potential.partial(two(i, k), ey[q]) for q in range(m)]
-                   for k in range(m)] for i in range(m)])
-    S = np.array([[[potential.partial(ey[p], two(j, l)) for l in range(m)]
-                   for j in range(m)] for p in range(m)])
-    # comprehension nesting yields index order [i, j, k, l] directly
-    P22 = np.array([[[[potential.partial(two(i, k), two(j, l)) for l in range(m)]
-                      for k in range(m)] for j in range(m)] for i in range(m)])
+    T = potential.partials(2, 1)  # [i, k, qbar]
+    S = potential.partials(1, 2)  # [p, jbar, lbar]
+    P22 = potential.partials(2, 2).transpose(0, 2, 1, 3)  # [i, jbar, k, lbar]
     # g^{p qbar} = g_inv[q, p]
     term2 = np.einsum("qp,ikq,pjl->ijkl", metric.g_inv, T, S)
     return -P22 + term2
 
 
-def _log_det_jets(potential: Jet):
-    """Metric-entry jets (one (1,1) shift down from the potential) and the jet
-    of log det g built from them."""
+def _log_det_jets(potential: Jet) -> Jet:
+    """Jet of log det g, built from the metric-entry jets (one (1,1) shift
+    down from the potential)."""
     m = potential.num_vars
     GJ = [[potential.derivative_jet(i, j) for j in range(m)] for i in range(m)]
-    LD = jet_log(jet_det(GJ))
-    return GJ, LD
+    return jet_log(jet_det(GJ))
 
 
 def _ricci_from_logdet(LD: Jet, metric: MetricData):
-    m = metric.dimension
-    ey = _unit_tuples(m)
-    ric = np.array([[-LD.partial(ey[i], ey[j]) for j in range(m)]
-                    for i in range(m)])
+    ric = -LD.partials(1, 1)
     ric = 0.5 * (ric + ric.conj().T)
     k = _real(np.einsum("ji,ij->", metric.g_inv, ric), 1e-8, "scalar curvature")
     return ric, k
@@ -203,8 +184,7 @@ def _ricci_from_logdet(LD: Jet, metric: MetricData):
 def ricci_and_scalar(potential: Jet, metric: MetricData):
     """Ricci tensor -d dbar log det g and scalar curvature k = g^{i jbar}
     Ric_{i jbar} (cap >= (2,2))."""
-    _, LD = _log_det_jets(potential)
-    return _ricci_from_logdet(LD, metric)
+    return _ricci_from_logdet(_log_det_jets(potential), metric)
 
 
 def tensor_norms(metric: MetricData, R: np.ndarray, Ric: np.ndarray):
@@ -217,32 +197,22 @@ def tensor_norms(metric: MetricData, R: np.ndarray, Ric: np.ndarray):
     return _real(r2, 1e-8, "|R|^2"), _real(ric2, 1e-8, "|Ric|^2")
 
 
-def _laplacian_from_parts(GJ, LD: Jet, metric: MetricData, k: float) -> float:
-    """Delta k via jet-valued intermediates, exact to truncation order."""
-    m = metric.dimension
-    cap11 = BidegreeCap(1, 1)
-    ricj = [[LD.derivative_jet(i, j).truncate(cap11) * (-1.0) for j in range(m)]
-            for i in range(m)]
-    gj1 = [[GJ[i][j].truncate(cap11) for j in range(m)] for i in range(m)]
-    gi = metric.g_inv
-    xj = [[jet_constant(gi[i, j], m, cap11) for j in range(m)] for i in range(m)]
-    zero = jet_constant(0.0, m, cap11)
-    for _ in range(2):  # two Newton steps saturate cap (1,1)
-        gx = [[sum((gj1[i][t] * xj[t][j] for t in range(m)), zero)
-               for j in range(m)] for i in range(m)]
-        e = [[(2.0 if i == j else 0.0) - gx[i][j] for j in range(m)]
-             for i in range(m)]
-        xj = [[sum((xj[i][t] * e[t][j] for t in range(m)), zero)
-               for j in range(m)] for i in range(m)]
-    kj = zero
-    for i in range(m):
-        for j in range(m):
-            kj = kj + xj[j][i] * ricj[i][j]
-    k0 = kj.constant_term
-    if abs(k0 - k) > 1e-8 * max(1.0, abs(k)):
-        raise ValueError("scalar-curvature jet disagrees with the pointwise value")
-    ey = _unit_tuples(m)
-    lap = sum(gi[j, i] * kj.partial(ey[i], ey[j]) for i in range(m) for j in range(m))
+def _laplacian_from_parts(potential: Jet, LD: Jet, metric: MetricData,
+                          ric: np.ndarray) -> float:
+    """Delta k = g^{a bbar} d_a dbar_b tr(X Ric), X = g^{-1}, with
+    d_a X = -A_a X and dbar_b X = -B_b X for A_a = X d_a g, B_b = X dbar_b g,
+    so d_a dbar_b X = (B_b A_a + A_a B_b) X - X (d_a dbar_b g) X. Ric and its
+    derivatives are -d dbar of LD."""
+    X = metric.g_inv
+    A = np.einsum("ij,jak->aik", X, potential.partials(2, 1))
+    B = np.einsum("ij,jkb->bik", X, potential.partials(1, 2))
+    Z = X @ ric
+    lap = (np.einsum("ba,bij,ajk,ki->", X, B, A, Z)
+           + np.einsum("ba,aij,bjk,ki->", X, A, B, Z)
+           - np.einsum("ba,ij,jakb,ki->", X, X, potential.partials(2, 2), Z)
+           + np.einsum("ba,aij,jk,kib->", X, A, X, LD.partials(1, 2))
+           + np.einsum("ba,bij,jk,kai->", X, B, X, LD.partials(2, 1))
+           - np.einsum("ba,ij,jaib->", X, X, LD.partials(2, 2)))
     return _real(lap, 1e-8, "Delta k")
 
 
@@ -250,9 +220,9 @@ def laplacian_scalar_curvature(spec: HartogsSpec, point: HartogsPoint) -> float:
     """Delta k at a Hartogs point (builds its own cap-(3,3) potential jet)."""
     P = hartogs_potential_jet(spec, point, FULL_CAP)
     metric = metric_at(P)
-    GJ, LD = _log_det_jets(P)
-    _, k = _ricci_from_logdet(LD, metric)
-    return _laplacian_from_parts(GJ, LD, metric, k)
+    LD = _log_det_jets(P)
+    ric, _ = _ricci_from_logdet(LD, metric)
+    return _laplacian_from_parts(P, LD, metric, ric)
 
 
 def scalar_curvature_at(spec: HartogsSpec, point: HartogsPoint) -> float:
@@ -273,18 +243,14 @@ def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
     """Build the full report from an arbitrary cap-(3,3) potential jet (used
     directly by the scaling-law checks)."""
     metric = metric_at(potential)
-    GJ, LD = _log_det_jets(potential)
+    LD = _log_det_jets(potential)
     ric, k = _ricci_from_logdet(LD, metric)
     R = curvature_tensor(potential, metric)
     r2, ric2 = tensor_norms(metric, R, ric)
-    lap = _laplacian_from_parts(GJ, LD, metric, k)
+    lap = _laplacian_from_parts(potential, LD, metric, ric)
     a2 = lap / 3.0 + r2 / 24.0 - ric2 / 6.0 + k * k / 8.0
     return CurvatureReport(metric=metric, R=R, Ric=ric, k=k, norm_R_sq=r2,
                            norm_Ric_sq=ric2, lap_k=lap, a0=1.0, a1=k / 2.0, a2=a2)
-
-
-def a2_at(spec: HartogsSpec, point: HartogsPoint) -> CurvatureReport:
-    return curvature_report(spec, point)
 
 
 def base_curvature_report(spec: DomainSpec, p: Sequence | None = None) -> dict:
@@ -299,10 +265,6 @@ def base_curvature_report(spec: DomainSpec, p: Sequence | None = None) -> dict:
     r2, ric2 = tensor_norms(metric, R, ric)
     return {"metric": metric, "R": R, "Ric": ric, "k": k,
             "norm_R_sq": r2, "norm_Ric_sq": ric2}
-
-
-def bergman_r2_at_origin(spec: DomainSpec) -> float:
-    return base_curvature_report(spec)["norm_R_sq"]
 
 
 # -- sampling -----------------------------------------------------------------

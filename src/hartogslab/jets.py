@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,11 +31,6 @@ MAX_DEGREE = 6  # engine hard limit on either character of the cap
 class BidegreeCap(NamedTuple):
     holo: int
     anti: int
-
-
-class MultiIndex(NamedTuple):
-    holo_exponents: tuple
-    anti_exponents: tuple
 
 
 def _as_cap(cap) -> BidegreeCap:
@@ -95,6 +90,21 @@ def _shift_table(m: int, degree: int, var: int):
         lifted = e[:var] + (e[var] + 1,) + e[var + 1:]
         src.append(index[lifted])
         fac.append(e[var] + 1)
+    return np.array(src, dtype=np.intp), np.array(fac, dtype=np.float64)
+
+
+@lru_cache(maxsize=None)
+def _gather_table(m: int, order: int):
+    """For every index tuple (i1..i_order), in C order: the basis index of the
+    monomial x_i1 ... x_i_order and the factorial factor turning its Taylor
+    coefficient into the partial derivative. The graded basis makes the index
+    valid at every degree >= order."""
+    index = _basis_index(m, order)
+    src, fac = [], []
+    for idx in product(range(m), repeat=order):
+        e = tuple(idx.count(v) for v in range(m))
+        src.append(index[e])
+        fac.append(math.prod(math.factorial(x) for x in e))
     return np.array(src, dtype=np.intp), np.array(fac, dtype=np.float64)
 
 
@@ -161,6 +171,16 @@ class Jet:
             f *= math.factorial(int(e))
         return complex(self.data[i, j]) * f
 
+    def partials(self, p: int, q: int) -> np.ndarray:
+        """Dense tensor of every order-(p, q) mixed partial at the base point,
+        indexed [i1..ip, j1..jq] (holomorphic indices first)."""
+        if not (0 <= p <= self.cap.holo and 0 <= q <= self.cap.anti):
+            raise ValueError(f"order ({p},{q}) exceeds cap {self.cap}")
+        hi, hf = _gather_table(self.num_vars, p)
+        ai, af = _gather_table(self.num_vars, q)
+        out = self.data[np.ix_(hi, ai)] * np.outer(hf, af)
+        return out.reshape((self.num_vars,) * (p + q))
+
     # -- ring operations ------------------------------------------------------
 
     def _check_compatible(self, other: "Jet"):
@@ -168,12 +188,6 @@ class Jet:
             raise ValueError(
                 f"jet mismatch: ({self.num_vars} vars, cap {self.cap}) vs "
                 f"({other.num_vars} vars, cap {other.cap})")
-
-    @staticmethod
-    def _as_scalar(x):
-        if isinstance(x, Jet):
-            return None
-        return complex(x)
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -289,26 +303,6 @@ def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
     j = _basis_index(num_vars, cap.anti)[e if anti else z]
     data[i, j] = 1.0
     return Jet(num_vars, cap, data)
-
-
-# -- spec-named functional aliases -------------------------------------------
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    return a - b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def extract_partial(a: Jet, idx) -> complex:
-    """Mixed partial derivative for a MultiIndex-like pair (holo, anti)."""
-    holo, anti = idx
-    return a.partial(holo, anti)
 
 
 # -- analytic operations ------------------------------------------------------

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import helpers
-from hartogslab.domains import type1, type2, type3, type4
-from hartogslab.geometry import (CurvatureReport, HartogsPoint, HartogsSpec,
-                                 a2_at, base_curvature_report,
-                                 bergman_potential_jet, bergman_r2_at_origin,
+from hartogslab.domains import generic_norm_jet, type1, type2, type3, type4
+from hartogslab.geometry import (HartogsPoint, HartogsSpec,
+                                 base_curvature_report, bergman_potential_jet,
                                  curvature_report,
                                  curvature_report_from_potential,
                                  curvature_tensor, hartogs_contains,
@@ -23,7 +22,8 @@ from hartogslab.geometry import (CurvatureReport, HartogsPoint, HartogsSpec,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at,
                                  tensor_norms)
-from hartogslab.jets import BidegreeCap, jet_constant, jet_variable
+from hartogslab.jets import (BidegreeCap, jet_constant, jet_real_power,
+                             jet_reciprocal, jet_variable)
 from hartogslab.oracles import appendix_R2_base
 
 DISK = HartogsSpec(type1(1, 1), 2.0)
@@ -109,7 +109,7 @@ def test_bergman_metric_frozen_at_origin():
                                   type2(4), type4(5)],
                          ids=lambda s: s.label())
 def test_bergman_r2_matches_catalog(spec):
-    got = bergman_r2_at_origin(spec)
+    got = base_curvature_report(spec)["norm_R_sq"]
     assert got == pytest.approx(float(appendix_R2_base(spec)), rel=1e-9)
 
 
@@ -231,6 +231,34 @@ def test_laplacian_matches_finite_differences():
     assert abs(lap.imag) < 1e-6
 
 
+def _scalar_curvature_identity_jet(spec, point):
+    """Cap-(1,1) jet of k = d c (1 - |w|^2 N^{-mu}) - (d+1)(d+2), the scalar
+    curvature identity, built without the curvature pipeline."""
+    d, mu = spec.base.d, float(spec.mu)
+    c = (mu * (d + 1) - spec.base.genus) / mu
+    cap = (1, 1)
+    N = generic_norm_jet(spec.base, point.base, cap, num_vars=d + 1)
+    w = jet_variable(d, d + 1, cap) + point.fiber
+    wb = jet_variable(d, d + 1, cap, anti=True) + point.fiber.conjugate()
+    tau = w * wb * jet_reciprocal(jet_real_power(N, mu))
+    return d * c * (1 - tau) - (d + 1) * (d + 2)
+
+
+@pytest.mark.parametrize("spec", [HartogsSpec(type1(2, 2), F(4, 5)),
+                                  HartogsSpec(type2(4), 1.25),
+                                  HartogsSpec(type3(3), 3.0)],
+                         ids=lambda s: s.base.label())
+def test_laplacian_off_slice_matches_identity_jet(spec):
+    for pt in sample_hartogs(spec, seed=0, count=4):
+        rep = curvature_report(spec, pt)
+        kj = _scalar_curvature_identity_jet(spec, pt)
+        assert kj.constant_term.real == pytest.approx(rep.k, rel=1e-9)
+        want = np.einsum("ji,ij->", rep.metric.g_inv, kj.partials(1, 1))
+        # c = 0 for type1(2,2) at mu = 4/5, so Delta k = 0 there: relative
+        # error with a floor of 1, as in the imaginary-residue guard
+        assert rep.lap_k == pytest.approx(want.real, rel=1e-9, abs=1e-9)
+
+
 def test_fd_helper_against_analytic_case():
     # phi = |z|^4 has d dbar phi = 4 |z|^2: validates the stencil itself,
     # including the quarter-Laplacian convention on the diagonal
@@ -293,10 +321,3 @@ def test_report_json_shape():
     full = rep.to_json_dict(include_tensors=True)
     assert np.asarray(full["R"]).shape == (2, 2, 2, 2, 2)  # trailing [re, im]
     assert full["g"][0][0] == [pytest.approx(2.0), pytest.approx(0.0)]
-
-
-def test_a2_at_is_the_full_report():
-    pt = _origin(DISK, 0.25)
-    a = a2_at(DISK, pt)
-    assert isinstance(a, CurvatureReport)
-    assert a.a2 == pytest.approx(curvature_report(DISK, pt).a2, rel=1e-12)
