@@ -192,7 +192,8 @@ def tensor_norms(metric: MetricData, R: np.ndarray, Ric: np.ndarray):
     imaginary residue above 1e-8 remains (a convention bug, not roundoff)."""
     X = metric.g_inv.T  # X[i, j] = g^{i jbar}
     Xc = X.conj()
-    r2 = np.einsum("abht,znxu,az,bn,hx,tu->", R, R.conj(), X, Xc, X, Xc)
+    r2 = np.einsum("abht,znxu,az,bn,hx,tu->", R, R.conj(), X, Xc, X, Xc,
+                   optimize=True)
     ric2 = np.einsum("ab,zn,az,bn->", Ric, Ric.conj(), X, Xc)
     return _real(r2, 1e-8, "|R|^2"), _real(ric2, 1e-8, "|Ric|^2")
 

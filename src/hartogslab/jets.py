@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -231,7 +231,8 @@ class Jet:
             return self._like(out)
         ha, hb, hc = ha[mh], hb[mh], hc[mh]
         aa, ab, ac = aa[ma], ab[ma], ac[ma]
-        prod = A[ha][:, aa] * B[hb][:, ab]
+        prod = A[ha][:, aa]
+        prod *= B[hb][:, ab]
         width = out.shape[1]
         dst = (hc[:, None] * width + ac[None, :]).ravel()
         size = out.size
@@ -364,58 +365,39 @@ def jet_real_power(a: Jet, mu: float) -> Jet:
     return _jet_exp(jet_log(a) * mu)
 
 
-def _perm_sign(p) -> int:
-    s = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                s = -s
-    return s
-
-
 def jet_det(rows: Sequence[Sequence[Jet]]) -> Jet:
-    """Determinant of a square jet matrix (n <= 8).
+    """Determinant of a square jet matrix G.
 
-    Leibniz expansion for n <= 4; for larger n, fraction-free Bareiss
-    elimination with constant-term-magnitude row pivoting. Bareiss divisions
-    are multiplications by jet reciprocals of earlier pivots, which is exact in
-    the truncated ring as long as the pivot constant terms are nonzero.
+    The constant-term matrix G0 = U S V^H goes to LAPACK's SVD, and
+    det G = det U * det V^H * det M with M = U^H G V, whose constant term is
+    diag(S), largest singular value first. Gaussian elimination on M needs no
+    pivoting: pivot k has constant term S[k], jet_reciprocal inverts it, and
+    det M is the product of the pivots. The smallest singular value is never
+    inverted, so a G0 with one small singular value (the generic norm at a
+    base point near the boundary) loses no digits; inverting G0 itself would
+    lose about cond(G0)^(p+q) ulps there. Raises ValueError when G0 is
+    numerically singular.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("jet_det requires a nonempty square matrix")
-    if n > 8:
-        raise ValueError("jet_det supports n <= 8")
     first = rows[0][0]
     for r in rows:
         for e in r:
             first._check_compatible(e)
-    if n == 1:
-        return rows[0][0]
-    if n <= 4:
-        acc = jet_constant(0.0, first.num_vars, first.cap)
-        for perm in permutations(range(n)):
-            term = rows[0][perm[0]]
-            for i in range(1, n):
-                term = term * rows[i][perm[i]]
-            acc = acc + (term if _perm_sign(perm) > 0 else -term)
-        return acc
-    work = [list(r) for r in rows]
-    sign = 1.0
-    prev_inv = None
-    prev = None
+    M = np.array([[e.data for e in r] for r in rows])
+    U, s, Vh = np.linalg.svd(M[:, :, 0, 0])
+    if s[-1] <= n * np.finfo(float).eps * s[0]:
+        raise ValueError("jet_det requires a nonsingular constant-term matrix")
+    M = np.einsum("ki,klab->ilab", U.conj(), M)
+    M = np.einsum("ilab,jl->ijab", M, Vh.conj())
+    work = [[first._like(M[i, j]) for j in range(n)] for i in range(n)]
+    det = work[0][0] * (np.linalg.det(U) * np.linalg.det(Vh))
     for k in range(n - 1):
-        piv = max(range(k, n), key=lambda r: abs(work[r][k].constant_term))
-        if abs(work[piv][k].constant_term) == 0.0:
-            raise ValueError("jet_det: all pivot candidates have zero constant term")
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
+        inv = jet_reciprocal(work[k][k])
         for i in range(k + 1, n):
+            f = work[i][k] * inv
             for j in range(k + 1, n):
-                t = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                work[i][j] = t * prev_inv if prev_inv is not None else t
-        prev = work[k][k]
-        prev_inv = jet_reciprocal(prev)
-    return work[n - 1][n - 1] * sign
+                work[i][j] = work[i][j] - f * work[k][j]
+        det = det * work[k + 1][k + 1]
+    return det

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import helpers
-from hartogslab.domains import generic_norm_jet, type1, type2, type3, type4
+from hartogslab.domains import generic_norm_jet, generic_norm_value, type1, \
+    type2, type3, type4
 from hartogslab.geometry import (HartogsPoint, HartogsSpec,
                                  base_curvature_report, bergman_potential_jet,
                                  curvature_report,
@@ -24,7 +25,8 @@ from hartogslab.geometry import (HartogsPoint, HartogsSpec,
                                  tensor_norms)
 from hartogslab.jets import (BidegreeCap, jet_constant, jet_real_power,
                              jet_reciprocal, jet_variable)
-from hartogslab.oracles import appendix_R2_base
+from hartogslab.oracles import OracleInputs, appendix_R2_base, \
+    scalar_curvature_formula
 
 DISK = HartogsSpec(type1(1, 1), 2.0)
 BALL2 = HartogsSpec(type1(1, 2), 3.0)
@@ -246,7 +248,8 @@ def _scalar_curvature_identity_jet(spec, point):
 
 @pytest.mark.parametrize("spec", [HartogsSpec(type1(2, 2), F(4, 5)),
                                   HartogsSpec(type2(4), 1.25),
-                                  HartogsSpec(type3(3), 3.0)],
+                                  HartogsSpec(type3(3), 3.0),
+                                  HartogsSpec(type4(5), 1.0)],
                          ids=lambda s: s.base.label())
 def test_laplacian_off_slice_matches_identity_jet(spec):
     for pt in sample_hartogs(spec, seed=0, count=4):
@@ -257,6 +260,43 @@ def test_laplacian_off_slice_matches_identity_jet(spec):
         # c = 0 for type1(2,2) at mu = 4/5, so Delta k = 0 there: relative
         # error with a floor of 1, as in the imaginary-residue guard
         assert rep.lap_k == pytest.approx(want.real, rel=1e-9, abs=1e-9)
+
+
+def _scalar_curvature_errors(spec, points):
+    base, mu = spec.base, float(spec.mu)
+    errs = []
+    for pt in points:
+        n_mu = generic_norm_value(base, pt.base) ** mu
+        want = float(scalar_curvature_formula(
+            OracleInputs(base.d, base.genus, mu, t=abs(pt.fiber) ** 2),
+            n_mu=n_mu))
+        errs.append(abs(scalar_curvature_at(spec, pt) - want) / max(1.0, abs(want)))
+    return errs
+
+
+def test_scalar_curvature_near_boundary():
+    # point 18 has cond(g) = 9.6e4; Leibniz cancellation in det g put k off
+    # by 2.8e-5 there. Perturbing the potential jet by one ulp (relative)
+    # moves k by up to 2e-7 whatever the determinant algorithm, so the bound
+    # sits above that float64 floor and far below the Leibniz error.
+    spec = HartogsSpec(type3(2), 1.0)
+    errs = _scalar_curvature_errors(spec, sample_hartogs(spec, seed=0, count=20))
+    assert max(errs) < 1e-6
+
+
+@pytest.mark.parametrize("base", [type1(2, 4), type4(8)],
+                         ids=lambda b: b.label())
+def test_scalar_curvature_beyond_d7(base):
+    # d + 1 = 9 metric rows: the determinant has no size ceiling
+    spec = HartogsSpec(base, 1.0)
+    points = [_origin(spec, 0.3)] + sample_hartogs(spec, seed=0, count=2)
+    assert max(_scalar_curvature_errors(spec, points)) < 1e-10
+
+
+def test_base_curvature_norm_beyond_d7():
+    spec = type1(3, 3)  # d = 9
+    got = base_curvature_report(spec)["norm_R_sq"]
+    assert got == pytest.approx(float(appendix_R2_base(spec)), rel=1e-10)
 
 
 def test_fd_helper_against_analytic_case():
