@@ -18,9 +18,9 @@ from .geometry import (CurvatureReport, HartogsPoint, HartogsSpec, MetricData,
                        base_curvature_report, bergman_potential_jet,
                        curvature_report,
                        curvature_report_from_potential, curvature_tensor,
-                       hartogs_contains, hartogs_potential_jet,
-                       laplacian_scalar_curvature, metric_at, ricci_and_scalar,
-                       sample_hartogs, scalar_curvature_at, tensor_norms)
+                       hartogs_contains, hartogs_potential_jet, metric_at,
+                       ricci_and_scalar, sample_hartogs, scalar_curvature_at,
+                       tensor_norms)
 from .oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
                       appendix_R2_base, lap_k_formula, ric2_formula,
                       scalar_curvature_formula)

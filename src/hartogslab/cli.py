@@ -100,25 +100,24 @@ def _rel_err(value, target):
     return abs(value - target) / scale
 
 
-def _emit(text, out_path):
-    if out_path is None:
+def _finish(cfg, obj, header, rows):
+    """Write obj as JSON, or header and rows as CSV, to --out or stdout; the
+    exit code is 0 when obj["status"] is "ok", else 1."""
+    if cfg.fmt == "json":
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(x) if isinstance(x, float) else str(x) for x in row])
+        text = buf.getvalue()
+    if cfg.out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _render_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _render_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(x) if isinstance(x, float) else str(x) for x in row])
-    return buf.getvalue()
+    return 0 if obj["status"] == "ok" else 1
 
 
 def _check_max_d(cfg):
@@ -191,19 +190,11 @@ def cmd_report(cfg, include_tensors=False):
             entry["tensors"] = rep.to_json_dict(include_tensors=True)
         entries.append(entry)
 
-    status = "ok" if worst <= cfg.tol else "fail"
-    if cfg.fmt == "json":
-        text = _render_json({"command": "report", "config": cfg.config_dict(),
-                             "points": entries, "max_rel_err": worst,
-                             "status": status})
-    else:
-        header = ["index", "point_kind", "t", "scalar_curvature",
-                  "laplacian_scalar", "norm_R_sq", "norm_Ric_sq", "a1", "a2",
-                  "max_rel_err"]
-        rows = [[e[h] for h in header] for e in entries]
-        text = _render_csv(header, rows)
-    _emit(text, cfg.out)
-    return 0 if status == "ok" else 1
+    obj = {"command": "report", "config": cfg.config_dict(), "points": entries,
+           "max_rel_err": worst, "status": "ok" if worst <= cfg.tol else "fail"}
+    header = ["index", "point_kind", "t", "scalar_curvature", "laplacian_scalar",
+              "norm_R_sq", "norm_Ric_sq", "a1", "a2", "max_rel_err"]
+    return _finish(cfg, obj, header, [[e[h] for h in header] for e in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +234,9 @@ def cmd_verify_lemmas(cfg, laplace_scale=1.0):
     status = "ok" if all(v["pass"] for v in table.values()) else "fail"
     obj = {"command": "verify-lemmas", "config": cfg.config_dict(),
            "laplace_scale": laplace_scale, "identities": table, "status": status}
-    if cfg.fmt == "json":
-        text = _render_json(obj)
-    else:
-        header = ["identity", "max_rel_err", "pass"]
-        rows = [[name, table[name]["max_rel_err"], table[name]["pass"]]
-                for name in sorted(table)]
-        text = _render_csv(header, rows)
-    _emit(text, cfg.out)
-    return 0 if status == "ok" else 1
+    rows = [[name, table[name]["max_rel_err"], table[name]["pass"]]
+            for name in sorted(table)]
+    return _finish(cfg, obj, ["identity", "max_rel_err", "pass"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +282,11 @@ def cmd_scan_a2(cfg):
         "fit_max_abs_err": fit_err,
         "status": "ok" if constant == hyperbolic else "fail",
     }
-    if cfg.fmt == "json":
-        text = _render_json(obj)
-    else:
-        header = ["a2_min", "a2_max", "spread", "constant_measured",
-                  "constant_expected", "fit_c0", "fit_c1", "fit_c2",
-                  "fit_max_abs_err"]
-        rows = [[obj["a2_min"], obj["a2_max"], spread, constant, hyperbolic,
-                 fit[0], fit[1], fit[2], fit_err]]
-        text = _render_csv(header, rows)
-    _emit(text, cfg.out)
-    return 0 if constant == hyperbolic else 1
+    header = ["a2_min", "a2_max", "spread", "constant_measured",
+              "constant_expected", "fit_c0", "fit_c1", "fit_c2", "fit_max_abs_err"]
+    rows = [[obj["a2_min"], obj["a2_max"], spread, constant, hyperbolic,
+             fit[0], fit[1], fit[2], fit_err]]
+    return _finish(cfg, obj, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +310,12 @@ def cmd_appendix_table(cfg):
         rows.append({"domain": spec.label(), "closed_form": str(closed),
                      "closed_form_float": float(closed), "ad_value": ad_value,
                      "abs_diff": abs(ad_value - float(closed)), "rel_err": err})
-    status = "ok" if worst <= cfg.tol else "fail"
-    if cfg.fmt == "json":
-        text = _render_json({"command": "appendix-table",
-                             "config": {"tol": cfg.tol, "version": __version__},
-                             "rows": rows, "max_rel_err": worst,
-                             "status": status})
-    else:
-        header = ["domain", "closed_form", "closed_form_float", "ad_value",
-                  "abs_diff", "rel_err"]
-        table = [[r[h] for h in header] for r in rows]
-        text = _render_csv(header, table)
-    _emit(text, cfg.out)
-    return 0 if status == "ok" else 1
+    obj = {"command": "appendix-table",
+           "config": {"tol": cfg.tol, "version": __version__}, "rows": rows,
+           "max_rel_err": worst, "status": "ok" if worst <= cfg.tol else "fail"}
+    header = ["domain", "closed_form", "closed_form_float", "ad_value",
+              "abs_diff", "rel_err"]
+    return _finish(cfg, obj, header, [[r[h] for h in header] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +336,15 @@ def cmd_case_analysis(cfg, n_max):
         "matches_expected": matches,
         "status": "ok" if matches else "fail",
     }
-    if cfg.fmt == "json":
-        text = _render_json(obj)
-    else:
-        header = ["case_id", "conclusion", "surviving_parameters"]
-        rows = [[v.case_id, v.conclusion,
-                 ";".join(str(p) for p in v.surviving_parameters)]
-                for v in result["verdicts"]]
-        text = _render_csv(header, rows)
-    _emit(text, cfg.out)
+    rows = [[v.case_id, v.conclusion,
+             ";".join(str(p) for p in v.surviving_parameters)]
+            for v in result["verdicts"]]
+    code = _finish(cfg, obj, ["case_id", "conclusion", "surviving_parameters"], rows)
     # the verdict line goes to the console; with JSON on stdout it is already
     # embedded, so the stream stays parseable
     if not (cfg.fmt == "json" and cfg.out is None):
         sys.stdout.write(line + "\n")
-    return 0 if matches else 1
+    return code
 
 
 # ---------------------------------------------------------------------------

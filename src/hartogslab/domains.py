@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import Jet, jet_constant, jet_det, jet_real_power, jet_variable
+from .jets import Jet, _as_cap, basis_exponents, jet_constant, jet_det, \
+    jet_real_power, jet_variable
 
 BasePoint = tuple  # tuple of complex coordinates, length spec.d
 
@@ -166,24 +167,14 @@ def matrix_model(spec: DomainSpec, z: Sequence) -> np.ndarray:
     v = _coords(spec, z)
     if spec.kind == "type1":
         return v.reshape(spec.m, spec.n)
-    n = spec.n
-    M = np.zeros((n, n), dtype=np.complex128)
-    k = 0
-    if spec.kind == "type2":
-        for r in range(n):
-            for c in range(r + 1, n):
-                M[r, c] = v[k]
-                M[c, r] = -v[k]
-                k += 1
-        return M
-    if spec.kind == "type3":
-        for r in range(n):
-            for c in range(r, n):
-                M[r, c] = v[k]
-                M[c, r] = v[k]
-                k += 1
-        return M
-    raise ValueError("type4 has no matrix model")
+    if spec.kind == "type4":
+        raise ValueError("type4 has no matrix model")
+    M = np.zeros((spec.n, spec.n), dtype=np.complex128)
+    skew = spec.kind == "type2"
+    r, c = np.triu_indices(spec.n, 1 if skew else 0)
+    M[r, c] = v
+    M[c, r] = -v if skew else v
+    return M
 
 
 def contains(spec: DomainSpec, z: Sequence) -> bool:
@@ -237,6 +228,12 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, num_vars: int | None = 
     The jet lives in num_vars holomorphic + antiholomorphic variables (default
     spec.d); extra trailing variables, used when the jet is embedded in a
     larger coordinate system such as a Hartogs fiber, simply never occur.
+
+    For types 1-3 the matrix model is affine in the offsets,
+    Z = Z0 + sum_k dz_k J_k with Z0 = matrix_model(p) and J_k =
+    matrix_model(e_k), so every entry of E = I - Z Z^H has bidegree at most
+    (1, 1): the constant E0, the holomorphic block -J_k Z0^H, the
+    antiholomorphic block -Z0 J_l^H and the mixed block -J_k J_l^H.
     """
     _require_classical(spec)
     v = _coords(spec, p)
@@ -246,11 +243,14 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, num_vars: int | None = 
     m_total = d if num_vars is None else int(num_vars)
     if m_total < d:
         raise ValueError("num_vars must be at least the domain dimension")
-    zs = [jet_variable(i, m_total, cap) + v[i] for i in range(d)]
-    zbs = [jet_variable(i, m_total, cap, anti=True) + complex(v[i]).conjugate()
-           for i in range(d)]
+    cap = _as_cap(cap)
+    if min(cap) < 1:
+        raise ValueError(f"the generic norm jet needs cap >= (1, 1), got {cap}")
 
     if spec.kind == "type4":
+        zs = [jet_variable(i, m_total, cap) + v[i] for i in range(d)]
+        zbs = [jet_variable(i, m_total, cap, anti=True) + complex(v[i]).conjugate()
+               for i in range(d)]
         zz = jet_constant(0.0, m_total, cap)
         zzt = jet_constant(0.0, m_total, cap)
         zbzbt = jet_constant(0.0, m_total, cap)
@@ -260,43 +260,24 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, num_vars: int | None = 
             zbzbt = zbzbt + zbs[i] * zbs[i]
         return 1.0 - 2.0 * zz + zzt * zbzbt
 
-    if spec.kind == "type1":
-        rows, cols = spec.m, spec.n
-        Z = [[zs[r * cols + c] for c in range(cols)] for r in range(rows)]
-        Zb = [[zbs[r * cols + c] for c in range(cols)] for r in range(rows)]
-        side = rows
-    else:
-        n = spec.n
-        side = n
-        Z = [[None] * n for _ in range(n)]
-        Zb = [[None] * n for _ in range(n)]
-        zero = jet_constant(0.0, m_total, cap)
-        k = 0
-        if spec.kind == "type2":
-            for r in range(n):
-                Z[r][r] = zero
-                Zb[r][r] = zero
-            for r in range(n):
-                for c in range(r + 1, n):
-                    Z[r][c], Z[c][r] = zs[k], -zs[k]
-                    Zb[r][c], Zb[c][r] = zbs[k], -zbs[k]
-                    k += 1
-        else:
-            for r in range(n):
-                for c in range(r, n):
-                    Z[r][c] = Z[c][r] = zs[k]
-                    Zb[r][c] = Zb[c][r] = zbs[k]
-                    k += 1
-        cols = n
-
-    E = [[None] * side for _ in range(side)]
-    for a in range(side):
-        for b in range(side):
-            acc = jet_constant(1.0 if a == b else 0.0, m_total, cap)
-            for c in range(cols):
-                acc = acc - Z[a][c] * Zb[b][c]
-            E[a][b] = acc
-    det = jet_det(E)
+    Z0 = matrix_model(spec, v)
+    J = np.stack([matrix_model(spec, e) for e in np.eye(d)])
+    side = Z0.shape[0]
+    # Subtract one column's outer product at a time: Z0 @ Z0^H rounds
+    # differently and moves near-boundary norms by ~1e-9.
+    E0 = np.eye(side, dtype=np.complex128)
+    for c in range(Z0.shape[1]):
+        E0 = E0 - np.outer(Z0[:, c], Z0[:, c].conj())
+    # basis position of z_k; the graded bases share the degree <= 1 prefix
+    lin = 1 + np.argmax(basis_exponents(m_total, 1)[1:], axis=0)[:d]
+    E = np.zeros((side, side, len(basis_exponents(m_total, cap.holo)),
+                  len(basis_exponents(m_total, cap.anti))), dtype=np.complex128)
+    E[:, :, 0, 0] = E0
+    E[:, :, lin, 0] = -np.einsum("kac,bc->abk", J, Z0.conj())
+    E[:, :, 0, lin] = -np.einsum("ac,lbc->abl", Z0, J.conj())
+    E[:, :, lin[:, None], lin] = -np.einsum("kac,lbc->abkl", J, J.conj())
+    det = jet_det([[Jet(m_total, cap, E[a, b]) for b in range(side)]
+                   for a in range(side)])
     if spec.kind == "type2":
         det = jet_real_power(det, 0.5)
     return det

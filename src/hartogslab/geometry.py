@@ -37,6 +37,7 @@ from .jets import BidegreeCap, Jet, jet_det, jet_log, jet_real_power, \
     jet_variable
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
+FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
 
 
 class HartogsSpec(NamedTuple):
@@ -104,11 +105,10 @@ def _real(x: complex, tol: float, what: str) -> float:
 
 # -- potentials ---------------------------------------------------------------
 
-def bergman_potential_jet(spec: DomainSpec, p: Sequence, cap,
-                          num_vars: int | None = None) -> Jet:
+def bergman_potential_jet(spec: DomainSpec, p: Sequence, cap) -> Jet:
     """Jet of -genus * log N at an interior base point; d dbar of it is the
     Bergman metric."""
-    return jet_log(generic_norm_jet(spec, p, cap, num_vars=num_vars)) * (-spec.genus)
+    return jet_log(generic_norm_jet(spec, p, cap)) * (-spec.genus)
 
 
 def hartogs_contains(spec: HartogsSpec, point: HartogsPoint) -> bool:
@@ -217,15 +217,6 @@ def _laplacian_from_parts(potential: Jet, LD: Jet, metric: MetricData,
     return _real(lap, 1e-8, "Delta k")
 
 
-def laplacian_scalar_curvature(spec: HartogsSpec, point: HartogsPoint) -> float:
-    """Delta k at a Hartogs point (builds its own cap-(3,3) potential jet)."""
-    P = hartogs_potential_jet(spec, point, FULL_CAP)
-    metric = metric_at(P)
-    LD = _log_det_jets(P)
-    ric, _ = _ricci_from_logdet(LD, metric)
-    return _laplacian_from_parts(P, LD, metric, ric)
-
-
 def scalar_curvature_at(spec: HartogsSpec, point: HartogsPoint) -> float:
     """Scalar curvature only, on the cheap cap-(2,2) path."""
     P = hartogs_potential_jet(spec, point, BidegreeCap(2, 2))
@@ -270,16 +261,15 @@ def base_curvature_report(spec: DomainSpec, p: Sequence | None = None) -> dict:
 
 # -- sampling -----------------------------------------------------------------
 
-def sample_hartogs(spec: HartogsSpec, seed: int, count: int,
-                   fiber_fill: float = 0.81) -> list:
+def sample_hartogs(spec: HartogsSpec, seed: int, count: int) -> list:
     """Deterministic interior Hartogs points; |w|^2 is uniform in
-    [0, fiber_fill * N(z)^mu) with uniform phase."""
+    [0, FIBER_FILL * N(z)^mu) with uniform phase."""
     zs = sample_interior(spec.base, seed, count)
     rng = np.random.default_rng(seed + 10007)
     mu = float(spec.mu)
     out = []
     for z in zs:
-        bound = fiber_fill * generic_norm_value(spec.base, z) ** mu
+        bound = FIBER_FILL * generic_norm_value(spec.base, z) ** mu
         t = rng.uniform(0.0, bound)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         out.append(HartogsPoint(z, complex(np.sqrt(t) * np.exp(1j * theta))))

@@ -115,8 +115,11 @@ def _space_size(m: int, degree: int) -> int:
 class Jet:
     """Immutable truncated Taylor expansion; see module docstring.
 
-    Do not call the constructor directly; use jet_constant / jet_variable and
-    the arithmetic operations.
+    Build jets with jet_constant / jet_variable and the arithmetic
+    operations, or wrap a complex128 array of shape (len(holo_basis()),
+    len(anti_basis())) whose [i, j] entry is the coefficient of the i-th
+    holomorphic times the j-th antiholomorphic basis monomial; cap must be a
+    BidegreeCap. The array is frozen, not copied.
     """
 
     __slots__ = ("num_vars", "cap", "data")

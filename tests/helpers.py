@@ -1,15 +1,40 @@
 """Shared helpers for the test suite.
 
-Everything here is an independent cross-check path: finite-difference
-stencils for Wirtinger derivatives, exact-rational regrouping of the
-fiber-slice identity polynomials, and a trace-form computation of the base
-curvature norm that bypasses the jet engine entirely.
+Everything here is an independent cross-check path: a Leibniz determinant of
+jet matrices, finite-difference stencils for Wirtinger derivatives,
+exact-rational regrouping of the fiber-slice identity polynomials, and a
+trace-form computation of the base curvature norm that bypasses the jet
+engine entirely.
 """
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import numpy as np
+
+from hartogslab.jets import jet_constant
+
+
+# -- Leibniz determinant of a jet matrix --------------------------------------
+
+def leibniz_det(rows):
+    """Determinant of a square jet matrix as the signed sum over permutations;
+    uses only jet products, never jet_det."""
+    n = len(rows)
+    acc = jet_constant(0.0, rows[0][0].num_vars, rows[0][0].cap)
+    for perm in permutations(range(n)):
+        sign = 1
+        p = list(perm)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if p[i] > p[j]:
+                    sign = -sign
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            term = term * rows[i][perm[i]]
+        acc = acc + (sign * term)
+    return acc
 
 
 # -- finite differences -------------------------------------------------------

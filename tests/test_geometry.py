@@ -18,8 +18,7 @@ from hartogslab.geometry import (HartogsPoint, HartogsSpec,
                                  curvature_report,
                                  curvature_report_from_potential,
                                  curvature_tensor, hartogs_contains,
-                                 hartogs_potential_jet,
-                                 laplacian_scalar_curvature, metric_at,
+                                 hartogs_potential_jet, metric_at,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at,
                                  tensor_norms)
@@ -308,13 +307,6 @@ def test_fd_helper_against_analytic_case():
     z0 = np.array([0.37 + 0.21j], dtype=complex)
     fd = helpers.fd_mixed_partial(phi, z0, 0, 0)
     assert fd == pytest.approx(4 * abs(z0[0]) ** 2, rel=1e-6)
-
-
-def test_laplacian_wrapper_matches_report():
-    for spec in (DISK, BALL2):
-        pt = sample_hartogs(spec, seed=3, count=1)[0]
-        assert laplacian_scalar_curvature(spec, pt) == pytest.approx(
-            curvature_report(spec, pt).lap_k, rel=1e-10)
 
 
 def test_cheap_scalar_path_matches_full_report():

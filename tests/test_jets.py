@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import helpers
 from hartogslab.jets import (MAX_DEGREE, BidegreeCap, basis_exponents,
                              jet_constant, jet_det, jet_log, jet_real_power,
                              jet_reciprocal, jet_variable)
@@ -239,23 +240,6 @@ def test_log_and_power_guards():
         jet_real_power(jet_constant(1.0, 1, cap), -1.0)
 
 
-def _leibniz_det(rows):
-    n = len(rows)
-    acc = jet_constant(0.0, rows[0][0].num_vars, rows[0][0].cap)
-    for perm in permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i] > p[j]:
-                    sign = -sign
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        acc = acc + (sign * term)
-    return acc
-
-
 def test_det_elimination_matches_leibniz_reference():
     rng = random.Random(17)
     cap = (2, 2)
@@ -263,7 +247,7 @@ def test_det_elimination_matches_leibniz_reference():
         rows = [[_random_unit_jet(rng, 2, cap) + rng.randint(1, 3) * 1.0
                  for _ in range(n)] for _ in range(n)]
         got = jet_det(rows)
-        want = _leibniz_det(rows)
+        want = helpers.leibniz_det(rows)
         scale = max(1.0, np.abs(want.data).max())
         assert np.allclose(got.data, want.data, atol=1e-9 * scale), n
 
@@ -289,7 +273,7 @@ def test_det_keeps_digits_with_one_small_singular_value():
             row.append(e)
         rows.append(row)
     got = jet_det(rows)
-    want = _leibniz_det(rows)
+    want = helpers.leibniz_det(rows)
     assert np.abs(got.data - want.data).max() < 1e-13 * np.abs(want.data).max()
 
 
