@@ -11,7 +11,7 @@ __version__ = "1.0.0"
 from .jets import (BidegreeCap, Jet, basis_exponents, jet_constant, jet_det,
                    jet_log, jet_real_power, jet_reciprocal, jet_variable)
 from .domains import (DomainSpec, ExceptionalDomainError, contains,
-                      dimension_genus, generic_norm_jet, generic_norm_value,
+                      generic_norm_jet, generic_norm_value,
                       matrix_model, sample_interior, type1, type2, type3, type4,
                       exc5, exc6)
 from .geometry import (CurvatureReport, HartogsPoint, HartogsSpec, MetricData,

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import Jet, _as_cap, basis_exponents, jet_constant, jet_det, \
-    jet_real_power, jet_variable
+    jet_linear_form, jet_real_power, _linear_positions
 
 BasePoint = tuple  # tuple of complex coordinates, length spec.d
 
@@ -142,10 +142,6 @@ def exc6() -> DomainSpec:
     return DomainSpec("exc6")
 
 
-def dimension_genus(spec: DomainSpec) -> tuple:
-    return spec.d, spec.genus
-
-
 def _require_classical(spec: DomainSpec):
     if not spec.is_classical:
         raise ExceptionalDomainError(
@@ -222,38 +218,40 @@ def sample_interior(spec: DomainSpec, seed: int, count: int) -> list:
     return out
 
 
-def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, num_vars: int | None = None) -> Jet:
-    """Jet of N(z, zb) centered at the interior point p.
+def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
+    """Jet of N(z, zb) centered at the interior point p, in the variables x
+    of z = p + jacobian @ x.
 
-    The jet lives in num_vars holomorphic + antiholomorphic variables (default
-    spec.d); extra trailing variables, used when the jet is embedded in a
-    larger coordinate system such as a Hartogs fiber, simply never occur.
+    jacobian is a (spec.d, num_vars) matrix, default the identity. A zero
+    column, such as the Hartogs fiber's variable, never occurs in the jet.
 
     For types 1-3 the matrix model is affine in the offsets,
-    Z = Z0 + sum_k dz_k J_k with Z0 = matrix_model(p) and J_k =
-    matrix_model(e_k), so every entry of E = I - Z Z^H has bidegree at most
-    (1, 1): the constant E0, the holomorphic block -J_k Z0^H, the
-    antiholomorphic block -Z0 J_l^H and the mixed block -J_k J_l^H.
+    Z = Z0 + sum_k x_k J_k with Z0 = matrix_model(p) and J_k =
+    sum_i jacobian[i, k] matrix_model(e_i), so every entry of E = I - Z Z^H
+    has bidegree at most (1, 1): the constant E0, the holomorphic block
+    -J_k Z0^H, the antiholomorphic block -Z0 J_l^H and the mixed block
+    -J_k J_l^H.
     """
     _require_classical(spec)
     v = _coords(spec, p)
     if not contains(spec, v):
         raise ValueError(f"base point is not interior to {spec.label()}")
     d = spec.d
-    m_total = d if num_vars is None else int(num_vars)
-    if m_total < d:
-        raise ValueError("num_vars must be at least the domain dimension")
+    jac = np.eye(d) if jacobian is None else np.asarray(jacobian, dtype=np.complex128)
+    if jac.ndim != 2 or jac.shape[0] != d:
+        raise ValueError(f"jacobian must have {d} rows, got shape {jac.shape}")
+    m = jac.shape[1]
     cap = _as_cap(cap)
     if min(cap) < 1:
         raise ValueError(f"the generic norm jet needs cap >= (1, 1), got {cap}")
 
     if spec.kind == "type4":
-        zs = [jet_variable(i, m_total, cap) + v[i] for i in range(d)]
-        zbs = [jet_variable(i, m_total, cap, anti=True) + complex(v[i]).conjugate()
+        zs = [jet_linear_form(v[i], jac[i], cap) for i in range(d)]
+        zbs = [jet_linear_form(v[i].conjugate(), jac[i].conj(), cap, anti=True)
                for i in range(d)]
-        zz = jet_constant(0.0, m_total, cap)
-        zzt = jet_constant(0.0, m_total, cap)
-        zbzbt = jet_constant(0.0, m_total, cap)
+        zz = jet_constant(0.0, m, cap)
+        zzt = jet_constant(0.0, m, cap)
+        zbzbt = jet_constant(0.0, m, cap)
         for i in range(d):
             zz = zz + zs[i] * zbs[i]
             zzt = zzt + zs[i] * zs[i]
@@ -261,22 +259,17 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, num_vars: int | None = 
         return 1.0 - 2.0 * zz + zzt * zbzbt
 
     Z0 = matrix_model(spec, v)
-    J = np.stack([matrix_model(spec, e) for e in np.eye(d)])
+    J = np.einsum("ik,iab->kab", jac,
+                  np.stack([matrix_model(spec, e) for e in np.eye(d)]))
     side = Z0.shape[0]
-    # Subtract one column's outer product at a time: Z0 @ Z0^H rounds
-    # differently and moves near-boundary norms by ~1e-9.
-    E0 = np.eye(side, dtype=np.complex128)
-    for c in range(Z0.shape[1]):
-        E0 = E0 - np.outer(Z0[:, c], Z0[:, c].conj())
-    # basis position of z_k; the graded bases share the degree <= 1 prefix
-    lin = 1 + np.argmax(basis_exponents(m_total, 1)[1:], axis=0)[:d]
-    E = np.zeros((side, side, len(basis_exponents(m_total, cap.holo)),
-                  len(basis_exponents(m_total, cap.anti))), dtype=np.complex128)
-    E[:, :, 0, 0] = E0
+    lin = _linear_positions(m)
+    E = np.zeros((side, side, len(basis_exponents(m, cap.holo)),
+                  len(basis_exponents(m, cap.anti))), dtype=np.complex128)
+    E[:, :, 0, 0] = np.eye(side) - Z0 @ Z0.conj().T
     E[:, :, lin, 0] = -np.einsum("kac,bc->abk", J, Z0.conj())
     E[:, :, 0, lin] = -np.einsum("ac,lbc->abl", Z0, J.conj())
     E[:, :, lin[:, None], lin] = -np.einsum("kac,lbc->abkl", J, J.conj())
-    det = jet_det([[Jet(m_total, cap, E[a, b]) for b in range(side)]
+    det = jet_det([[Jet(m, cap, E[a, b]) for b in range(side)]
                    for a in range(side)])
     if spec.kind == "type2":
         det = jet_real_power(det, 0.5)

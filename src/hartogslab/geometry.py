@@ -22,19 +22,26 @@ norm N is Phi = -log(N^mu - |w|^2); the Bergman potential of the base alone is
 gathers all mixed partials of one order at the base point. Delta k is the
 closed form g^{a bbar} d_a dbar_b tr(g^{-1} Ric), expanded with
 d(g^{-1}) = -g^{-1} (dg) g^{-1}, so that no finite-difference error enters.
+
+curvature_report and scalar_curvature_at differentiate in metric-normal
+coordinates x, (z, w) = (z0, w0) + A x with g = I at the point (see
+_normal_frame). Near the boundary g in (z, w) has condition numbers of 1e5
+and more, and one-ulp noise on a potential jet in (z, w) moved k by 1e-7
+there; in x every point is at roundoff. The report's tensors are pulled
+back to (z, w).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .domains import DomainSpec, contains, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import BidegreeCap, Jet, jet_det, jet_log, jet_real_power, \
-    jet_variable
+from .jets import BidegreeCap, Jet, jet_det, jet_linear_form, jet_log, \
+    jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
@@ -118,21 +125,36 @@ def hartogs_contains(spec: HartogsSpec, point: HartogsPoint) -> bool:
     return abs(w) ** 2 < generic_norm_value(spec.base, z) ** float(spec.mu)
 
 
-def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap) -> Jet:
-    """Jet of Phi = -log(N^mu - |w|^2) in d+1 holomorphic variables centered
-    at (z, w); the fiber w is the last coordinate."""
+def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
+                          frame=None) -> Jet:
+    """Jet of Phi = -log(N^mu - |w|^2) in the d+1 variables x of
+    (z, w) = (z0, w0) + frame @ x, centered at point = (z0, w0); frame
+    defaults to the identity, and the fiber w is the last coordinate."""
     d = spec.base.d
     mu = float(spec.mu)
-    z, w0 = point.base, complex(point.fiber)
-    N = generic_norm_jet(spec.base, z, cap, num_vars=d + 1)
+    frame = np.eye(d + 1) if frame is None else np.asarray(frame)
+    w0 = complex(point.fiber)
+    N = generic_norm_jet(spec.base, point.base, cap, jacobian=frame[:d])
     inner = jet_real_power(N, mu) if mu != 1.0 else N
-    wj = jet_variable(d, d + 1, cap) + w0
-    wbj = jet_variable(d, d + 1, cap, anti=True) + w0.conjugate()
+    wj = jet_linear_form(w0, frame[d], cap)
+    wbj = jet_linear_form(w0.conjugate(), frame[d].conj(), cap, anti=True)
     inner = inner - wj * wbj
     c0 = inner.constant_term
     if c0.real <= 0.0:
         raise ValueError("point lies outside the Hartogs domain: N^mu - |w|^2 <= 0")
     return -jet_log(inner)
+
+
+def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
+    """The frame A = U^{-T}, where g = U U^H is the metric at the point and U
+    is upper triangular (the Cholesky factor of g with its index order
+    reversed). In x, with (z, w) = (z0, w0) + A x, the metric at the point is
+    I, so no direction of a near-boundary point dwarfs the others. A is lower
+    triangular: the base coordinates never involve x_d, and the norm jet
+    keeps the zero rows and columns that the products skip."""
+    g = metric_at(hartogs_potential_jet(spec, point, BidegreeCap(1, 1))).g
+    U = np.linalg.cholesky(g[::-1, ::-1])[::-1, ::-1]
+    return np.linalg.inv(U).T
 
 
 # -- pointwise geometry -------------------------------------------------------
@@ -187,14 +209,21 @@ def ricci_and_scalar(potential: Jet, metric: MetricData):
     return _ricci_from_logdet(_log_det_jets(potential), metric)
 
 
+def _transform(T: np.ndarray, mats) -> np.ndarray:
+    """T with its k-th index contracted against the first index of mats[k]:
+    T'[i, j, ...] = sum T[a, b, ...] mats[0][a, i] mats[1][b, j] ..."""
+    for M in mats:  # contract the leading index; the new one goes last
+        T = (T.reshape(len(M), -1).T @ M).reshape(T.shape[1:] + M.shape[1:])
+    return T
+
+
 def tensor_norms(metric: MetricData, R: np.ndarray, Ric: np.ndarray):
     """(|R|^2, |Ric|^2) under the inverse-metric contractions; raises if an
     imaginary residue above 1e-8 remains (a convention bug, not roundoff)."""
     X = metric.g_inv.T  # X[i, j] = g^{i jbar}
     Xc = X.conj()
-    r2 = np.einsum("abht,znxu,az,bn,hx,tu->", R, R.conj(), X, Xc, X, Xc,
-                   optimize=True)
-    ric2 = np.einsum("ab,zn,az,bn->", Ric, Ric.conj(), X, Xc)
+    r2 = np.vdot(R, _transform(R, (X, Xc, X, Xc)))
+    ric2 = np.vdot(Ric, _transform(Ric, (X, Xc)))
     return _real(r2, 1e-8, "|R|^2"), _real(ric2, 1e-8, "|Ric|^2")
 
 
@@ -218,17 +247,29 @@ def _laplacian_from_parts(potential: Jet, LD: Jet, metric: MetricData,
 
 
 def scalar_curvature_at(spec: HartogsSpec, point: HartogsPoint) -> float:
-    """Scalar curvature only, on the cheap cap-(2,2) path."""
-    P = hartogs_potential_jet(spec, point, BidegreeCap(2, 2))
+    """Scalar curvature only, on the cheap cap-(2,2) path, in the
+    coordinates of _normal_frame."""
+    A = _normal_frame(spec, point)
+    P = hartogs_potential_jet(spec, point, BidegreeCap(2, 2), A)
     metric = metric_at(P)
     _, k = ricci_and_scalar(P, metric)
     return k
 
 
 def curvature_report(spec: HartogsSpec, point: HartogsPoint) -> CurvatureReport:
-    """Everything at one point: metric, R, Ric, k, norms, Delta k, a0, a1, a2."""
-    P = hartogs_potential_jet(spec, point, FULL_CAP)
-    return curvature_report_from_potential(P)
+    """Everything at one point: metric, R, Ric, k, norms, Delta k, a0, a1, a2.
+    The jets live in the coordinates x of _normal_frame; the scalars do not
+    depend on coordinates, and the tensors are pulled back to (z, w) with
+    B = A^{-1} on each index."""
+    A = _normal_frame(spec, point)
+    P = hartogs_potential_jet(spec, point, FULL_CAP, A)
+    rep = curvature_report_from_potential(P)
+    B = np.linalg.inv(A)
+    Bc = B.conj()
+    metric = MetricData(rep.metric.dimension, _transform(rep.metric.g, (B, Bc)),
+                        _transform(rep.metric.g_inv, (A.conj().T, A.T)))
+    return replace(rep, metric=metric, R=_transform(rep.R, (B, Bc, B, Bc)),
+                   Ric=_transform(rep.Ric, (B, Bc)))
 
 
 def curvature_report_from_potential(potential: Jet) -> CurvatureReport:

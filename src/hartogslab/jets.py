@@ -10,9 +10,15 @@ determinants computed on jets agree exactly with the truncation of the true
 series, coefficient by coefficient.
 
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
-over graded-lex monomial bases, with precomputed index tables driving the
-truncated Cauchy product. Jets are immutable after construction and all
-operations are pure.
+over graded-lex monomial bases. One kernel does all the arithmetic: the
+truncated Cauchy product over a table of every monomial pair whose product
+stays within the cap, restricted to the operands' nonzero rows and columns,
+sorted by the product monomial's total degree and then by its position, and
+summed per destination with np.add.reduceat. A product uses the whole table;
+reciprocal, log and real power fill their result one total degree at a time
+from the slice of the table that lands on that degree (graded Taylor
+recurrences; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+Jets are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ def _basis_index(m: int, degree: int) -> dict:
 @lru_cache(maxsize=None)
 def _pair_tables(m: int, degree: int):
     """Index tables (ia, ib, ic) of every ordered monomial pair whose product
-    stays within the degree bound; drives the truncated convolution."""
+    stays within the degree bound, sorted by the product's index ic."""
     exps = basis_exponents(m, degree)
     index = _basis_index(m, degree)
     degs = [sum(e) for e in exps]
@@ -77,8 +83,111 @@ def _pair_tables(m: int, degree: int):
             ia.append(i)
             ib.append(j)
             ic.append(index[tuple(x + y for x, y in zip(ei, ej))])
-    return (np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp),
-            np.array(ic, dtype=np.intp))
+    order = np.argsort(ic, kind="stable")
+    return tuple(np.array(t, dtype=np.intp)[order] for t in (ia, ib, ic))
+
+
+@lru_cache(maxsize=None)
+def _monomials(m: int, degree: int):
+    """Per basis monomial: which variables it contains, and its degree."""
+    exps = np.array(basis_exponents(m, degree))
+    return exps > 0, exps.sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _total_degrees(m: int, cap: BidegreeCap) -> np.ndarray:
+    """Total degree of each flat (holo, anti) coefficient position."""
+    degs = np.add.outer(_monomials(m, cap.holo)[1], _monomials(m, cap.anti)[1])
+    return degs.ravel().astype(np.int32)
+
+
+def _support(data: np.ndarray) -> bytes:
+    """Nonzero rows, then nonzero columns, as a hashable key."""
+    return data.any(axis=1).tobytes() + data.any(axis=0).tobytes()
+
+
+@lru_cache(maxsize=4096)
+def _closure(m: int, cap: BidegreeCap, support: bytes, bounded: bool) -> bytes:
+    """A coarser support that many jets share, so that few pair tables serve
+    them all. Per character: every monomial, or every monomial without the
+    last variable if support has none (the generic norm never involves the
+    Hartogs fiber's variable); if bounded and support's degrees are at most
+    1, only the monomials of degree up to theirs. Unbounded, it holds every
+    power series of a jet supported on support."""
+    out = b""
+    for degree in cap:
+        involves, degs = _monomials(m, degree)
+        mask = np.frombuffer(support[:degs.size], dtype=bool)
+        support = support[degs.size:]
+        keep = np.ones(degs.size, dtype=bool)
+        if not involves[mask, -1].any():
+            keep = ~involves[:, -1]
+        top = degs[mask].max(initial=0)
+        if bounded and top <= 1:
+            keep &= degs <= top
+        out += keep.tobytes()
+    return out
+
+
+class _Pairs(NamedTuple):
+    """Pair table for two operand supports, sorted by the destination's total
+    degree, then by its flat index, in chunks of whole destination segments
+    and about _CHUNK pairs, which bounds the temporaries of a large product.
+    A chunk is (left and right flat operand indices, the start of each
+    destination's segment, each segment's flat destination); by_degree holds
+    the chunks of each total degree."""
+    chunks: tuple
+    by_degree: tuple
+
+
+_CHUNK = 1 << 16
+
+
+@lru_cache(maxsize=64)
+def _pairs(m: int, cap: BidegreeCap, lsupport: bytes, rsupport: bytes) -> _Pairs:
+    ha, hb, hc = _pair_tables(m, cap.holo)
+    aa, ab, ac = _pair_tables(m, cap.anti)
+    height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
+    lsup = np.frombuffer(lsupport, dtype=bool)
+    rsup = np.frombuffer(rsupport, dtype=bool)
+    h = lsup[ha] & rsup[hb]
+    a = lsup[height + aa] & rsup[height + ab]
+    ha, hb, hc, aa, ab, ac = ha[h], hb[h], hc[h], aa[a], ab[a], ac[a]
+    # flat indices in the smallest dtype that holds them: the tables are
+    # the engine's largest cached arrays
+    index = np.min_scalar_type(height * width)
+    ha, hb, hc, aa, ab, ac = (t.astype(index) for t in (ha, hb, hc, aa, ab, ac))
+    dst = (hc[:, None] * width + ac).ravel()
+    tdeg = _total_degrees(m, cap)[dst]
+    # the factor tables are sorted by destination, so this merges sorted runs
+    order = np.argsort(tdeg * (height * width) + dst, kind="stable")
+    dst, tdeg = dst[order], tdeg[order]
+    left = (ha[:, None] * width + aa).ravel()[order]
+    right = (hb[:, None] * width + ab).ravel()[order]
+    del order
+    starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+    ends = np.r_[starts, dst.size]
+
+    def chunks(p0, p1):
+        cuts = ends[np.searchsorted(ends, np.arange(p0 + _CHUNK, p1, _CHUNK))]
+        edges = np.unique(np.r_[p0, cuts, p1])
+        out = []
+        for e0, e1 in zip(edges, edges[1:]):
+            s0, s1 = np.searchsorted(starts, (e0, e1))
+            out.append((left[e0:e1], right[e0:e1], starts[s0:s1] - e0,
+                        dst[starts[s0:s1]]))
+        return tuple(out)
+
+    bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
+    return _Pairs(chunks(0, dst.size),
+                  tuple(chunks(p0, p1) for p0, p1 in zip(bounds, bounds[1:])))
+
+
+def _convolve(a, b, left, right, starts):
+    """Sum of a[left] * b[right] over each destination segment."""
+    prod = a.take(left)
+    prod *= b.take(right)
+    return np.add.reduceat(prod, starts)
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +215,17 @@ def _gather_table(m: int, order: int):
         src.append(index[e])
         fac.append(math.prod(math.factorial(x) for x in e))
     return np.array(src, dtype=np.intp), np.array(fac, dtype=np.float64)
+
+
+@lru_cache(maxsize=None)
+def _linear_positions(m: int) -> np.ndarray:
+    """Basis index of each degree-1 monomial z_0 .. z_{m-1}; the graded bases
+    of every degree >= 1 share it."""
+    index = _basis_index(m, 1)
+    pos = np.array([index[tuple(int(t == k) for t in range(m))] for k in range(m)],
+                   dtype=np.intp)
+    pos.setflags(write=False)
+    return pos
 
 
 def _space_size(m: int, degree: int) -> int:
@@ -181,7 +301,7 @@ class Jet:
             raise ValueError(f"order ({p},{q}) exceeds cap {self.cap}")
         hi, hf = _gather_table(self.num_vars, p)
         ai, af = _gather_table(self.num_vars, q)
-        out = self.data[np.ix_(hi, ai)] * np.outer(hf, af)
+        out = self.data[hi[:, None], ai] * np.outer(hf, af)
         return out.reshape((self.num_vars,) * (p + q))
 
     # -- ring operations ------------------------------------------------------
@@ -218,45 +338,19 @@ class Jet:
         if not isinstance(other, Jet):
             return self._like(self.data * complex(other))
         self._check_compatible(other)
-        m, cap = self.num_vars, self.cap
-        ha, hb, hc = _pair_tables(m, cap.holo)
-        aa, ab, ac = _pair_tables(m, cap.anti)
         A, B = self.data, other.data
-        # restrict the tables to the nonzero support of both operands
-        arow = np.any(A != 0, axis=1)
-        brow = np.any(B != 0, axis=1)
-        mh = arow[ha] & brow[hb]
-        acol = np.any(A != 0, axis=0)
-        bcol = np.any(B != 0, axis=0)
-        ma = acol[aa] & bcol[ab]
-        out = self._zeros(m, cap)
-        if not (mh.any() and ma.any()):
-            return self._like(out)
-        ha, hb, hc = ha[mh], hb[mh], hc[mh]
-        aa, ab, ac = aa[ma], ab[ma], ac[ma]
-        prod = A[ha][:, aa]
-        prod *= B[hb][:, ab]
-        width = out.shape[1]
-        dst = (hc[:, None] * width + ac[None, :]).ravel()
-        size = out.size
-        re = np.bincount(dst, weights=prod.real.ravel(), minlength=size)
-        im = np.bincount(dst, weights=prod.imag.ravel(), minlength=size)
-        out = (re + 1j * im).reshape(out.shape)
-        return self._like(out)
+        m, cap = self.num_vars, self.cap
+        t = _pairs(m, cap, _closure(m, cap, _support(A), True),
+                   _closure(m, cap, _support(B), True))
+        a, b = A.ravel(), B.ravel()
+        out = np.zeros(a.size, dtype=np.complex128)
+        for left, right, starts, dst in t.chunks:
+            out[dst] = _convolve(a, b, left, right, starts)
+        return self._like(out.reshape(A.shape))
 
     __rmul__ = __mul__
 
     # -- structural operations ------------------------------------------------
-
-    def truncate(self, cap) -> "Jet":
-        """Discard monomials above a smaller (or equal) cap."""
-        cap = _as_cap(cap)
-        if cap.holo > self.cap.holo or cap.anti > self.cap.anti:
-            raise ValueError("truncate cannot raise the cap")
-        nh = _space_size(self.num_vars, cap.holo)
-        na = _space_size(self.num_vars, cap.anti)
-        # graded ordering makes the smaller basis a prefix of the larger one
-        return Jet(self.num_vars, cap, self.data[:nh, :na].copy())
 
     def derivative_jet(self, holo_index=None, anti_index=None) -> "Jet":
         """Jet of the derivative function d/dz_i (and/or d/dzb_j); the cap
@@ -295,77 +389,93 @@ def jet_constant(c, num_vars: int, cap) -> Jet:
 
 def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
     """The coordinate offset z_index (or zb_index if anti) from the base point."""
-    cap = _as_cap(cap)
     if not 0 <= index < num_vars:
         raise ValueError(f"variable index {index} out of range for {num_vars} vars")
+    return jet_linear_form(0.0, np.eye(num_vars)[index], cap, anti)
+
+
+def jet_linear_form(c, coeffs, cap, anti: bool = False) -> Jet:
+    """The affine form c + sum_k coeffs[k] z_k (or zb_k if anti) in
+    len(coeffs) variables."""
+    cap = _as_cap(cap)
     if (cap.anti if anti else cap.holo) < 1:
         raise ValueError("unit exponent exceeds the cap for this character")
-    data = Jet._zeros(num_vars, cap)
-    e = tuple(1 if t == index else 0 for t in range(num_vars))
-    z = (0,) * num_vars
-    i = _basis_index(num_vars, cap.holo)[z if anti else e]
-    j = _basis_index(num_vars, cap.anti)[e if anti else z]
-    data[i, j] = 1.0
-    return Jet(num_vars, cap, data)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    data = Jet._zeros(coeffs.size, cap)
+    data[0, 0] = c
+    if anti:
+        data[0, _linear_positions(coeffs.size)] = coeffs
+    else:
+        data[_linear_positions(coeffs.size), 0] = coeffs
+    return Jet(coeffs.size, cap, data)
 
 
 # -- analytic operations ------------------------------------------------------
 
-def _compose_series(a: Jet, coeffs) -> Jet:
-    """sum_k coeffs[k] * (a - a0)^k by Horner; exact once len(coeffs) exceeds
-    the total degree cap.holo + cap.anti (higher powers of a - a0 vanish)."""
-    u = a - a.constant_term
-    r = jet_constant(coeffs[-1], a.num_vars, a.cap)
-    for c in coeffs[-2::-1]:
-        r = r * u + c
-    return r
+def _graded_solve(a: Jet, b0: complex, weight: np.ndarray, init=None) -> Jet:
+    """The jet b with constant term b0 whose total-degree-n part, n >= 1, is
+    init_n + [a^(n) b]_n, where a^(n) is a - a_0 with its total-degree-j part
+    scaled by weight[n, j]. Only degrees below n of b enter that product, so
+    one pass over the degrees fills b; together the passes do the pair work
+    of one truncated product."""
+    m, cap = a.num_vars, a.cap
+    support = _support(a.data)
+    t = _pairs(m, cap, _closure(m, cap, support, True),
+               _closure(m, cap, support, False))
+    scaled = a.data.ravel() * weight[:, _total_degrees(m, cap)]
+    scaled[:, 0] = 0.0
+    b = np.zeros(a.data.size, dtype=np.complex128) if init is None else init.ravel()
+    b[0] = b0
+    for n in range(1, cap.holo + cap.anti + 1):
+        for left, right, starts, dst in t.by_degree[n]:
+            b[dst] += _convolve(scaled[n], b, left, right, starts)
+    return Jet(m, cap, b.reshape(a.data.shape))
 
 
-def _total_terms(a: Jet) -> int:
-    return a.cap.holo + a.cap.anti + 1
+def _degree_grid(a: Jet):
+    """Grids n (row; row 0 reads 1) and j (column) over the total degrees
+    0..cap.holo + cap.anti."""
+    j = np.arange(a.cap.holo + a.cap.anti + 1, dtype=np.float64)
+    return np.maximum(j, 1.0)[:, None], j[None, :]
 
 
 def jet_reciprocal(a: Jet) -> Jet:
+    """1 / a from a b = 1: b_n = -(1/a_0) sum_{j >= 1} a_j b_{n-j}."""
     c0 = a.constant_term
     if c0 == 0:
         raise ValueError("jet_reciprocal requires a nonzero constant term")
-    n = _total_terms(a)
-    coeffs = [(-1) ** k / c0 ** (k + 1) for k in range(n)]
-    return _compose_series(a, coeffs)
+    n, j = _degree_grid(a)
+    return _graded_solve(a, 1.0 / c0, np.full((n.size, j.size), -1.0 / c0))
 
 
 def jet_log(a: Jet) -> Jet:
     """Principal-branch log of the series; constant term must avoid 0 and the
-    negative real axis (all in-scope potentials keep it on the positive axis)."""
+    negative real axis (all in-scope potentials keep it on the positive axis).
+    From a E(b) = E(a), E the Euler operator (the total-degree-n part times
+    n): b_n = a_n / a_0 - (1/(n a_0)) sum_{j >= 1} (n - j) a_j b_{n-j}."""
     c0 = a.constant_term
     if c0 == 0:
         raise ValueError("jet_log requires a nonzero constant term")
     if c0.real < 0 and c0.imag == 0:
         raise ValueError("jet_log constant term lies on the branch cut")
-    n = _total_terms(a)
-    coeffs = [cmath.log(c0)]
-    coeffs += [(-1) ** (k + 1) / (k * c0 ** k) for k in range(1, n)]
-    return _compose_series(a, coeffs)
-
-
-def _jet_exp(a: Jet) -> Jet:
-    c0 = a.constant_term
-    n = _total_terms(a)
-    coeffs = [cmath.exp(c0) / math.factorial(k) for k in range(n)]
-    return _compose_series(a, coeffs)
+    n, j = _degree_grid(a)
+    return _graded_solve(a, cmath.log(c0), (j - n) / (n * c0), init=a.data / c0)
 
 
 def jet_real_power(a: Jet, mu: float) -> Jet:
-    """a**mu for real mu > 0 via exp(mu * log a); the constant term must be a
-    positive real (roundoff-level imaginary dust is tolerated and discarded)."""
+    """a**mu for real mu > 0; the constant term must be a positive real
+    (roundoff-level imaginary dust is tolerated and discarded). From
+    a E(b) = mu b E(a): b_n = (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n)
+    a_j b_{n-j}."""
     mu = float(mu)
     if mu <= 0:
         raise ValueError("jet_real_power requires mu > 0")
     c0 = a.constant_term
     if abs(c0.imag) > 1e-12 * max(1.0, abs(c0.real)) or c0.real <= 0:
         raise ValueError("jet_real_power requires a positive real constant term")
-    a = a + (c0.real - c0)  # snap constant term onto the real axis
-    return _jet_exp(jet_log(a) * mu)
+    c0 = c0.real
+    n, j = _degree_grid(a)
+    return _graded_solve(a, c0 ** mu, ((mu + 1.0) * j - n) / (n * c0))
 
 
 def jet_det(rows: Sequence[Sequence[Jet]]) -> Jet:

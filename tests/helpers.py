@@ -1,19 +1,23 @@
 """Shared helpers for the test suite.
 
 Everything here is an independent cross-check path: a Leibniz determinant of
-jet matrices, finite-difference stencils for Wirtinger derivatives,
+jet matrices, the generic norm and the Hartogs potential built from
+jet_variable in raw coordinates, the Horner composition of power series,
+finite-difference stencils for Wirtinger derivatives,
 exact-rational regrouping of the fiber-slice identity polynomials, and a
 trace-form computation of the base curvature norm that bypasses the jet
 engine entirely.
 """
 
+import cmath
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
 
 import numpy as np
 
-from hartogslab.jets import jet_constant
+from hartogslab.jets import jet_constant, jet_log, jet_real_power, jet_variable
 
 
 # -- Leibniz determinant of a jet matrix --------------------------------------
@@ -35,6 +39,122 @@ def leibniz_det(rows):
             term = term * rows[i][perm[i]]
         acc = acc + (sign * term)
     return acc
+
+
+# -- the generic norm in raw coordinates ----------------------------------------
+
+def raw_coordinates(p, cap, jacobian):
+    """Jets of z = p + jacobian @ x and of its conjugate, from jet_variable."""
+    d, num_vars = jacobian.shape
+    z, zb = [], []
+    for k in range(d):
+        zk = jet_constant(p[k], num_vars, cap)
+        zbk = jet_constant(complex(p[k]).conjugate(), num_vars, cap)
+        for j in range(num_vars):
+            if jacobian[k, j] != 0:
+                zk = zk + jacobian[k, j] * jet_variable(j, num_vars, cap)
+                zbk = zbk + np.conj(jacobian[k, j]) * jet_variable(
+                    j, num_vars, cap, anti=True)
+        z.append(zk)
+        zb.append(zbk)
+    return z, zb
+
+
+def reference_norm_matrix(spec, p, cap, jacobian):
+    """Rows of I - Z Zbar^t in the variables x of z = p + jacobian @ x, built
+    entrywise from jet_variable, with the coordinate layout written out
+    independently of matrix_model: type1 row-major, type2 the strict upper
+    triangle of a skew matrix, type3 the upper triangle of a symmetric one."""
+    num_vars = jacobian.shape[1]
+    z, zb = raw_coordinates(p, cap, jacobian)
+    if spec.kind == "type1":
+        rows, cols = spec.m, spec.n
+        slots = [(r, c) for r in range(rows) for c in range(cols)]
+    else:
+        rows = cols = spec.n
+        first = 1 if spec.kind == "type2" else 0
+        slots = [(r, c) for r in range(rows) for c in range(r + first, cols)]
+    zero = jet_constant(0.0, num_vars, cap)
+    Z = [[zero] * cols for _ in range(rows)]
+    Zb = [[zero] * cols for _ in range(rows)]
+    sign = -1.0 if spec.kind == "type2" else 1.0
+    for k, (r, c) in enumerate(slots):
+        Z[r][c], Zb[r][c] = z[k], zb[k]
+        if spec.kind != "type1":
+            Z[c][r], Zb[c][r] = sign * z[k], sign * zb[k]
+    E = []
+    for a in range(rows):
+        row = []
+        for b in range(rows):
+            acc = jet_constant(1.0 if a == b else 0.0, num_vars, cap)
+            for c in range(cols):
+                acc = acc - Z[a][c] * Zb[b][c]
+            row.append(acc)
+        E.append(row)
+    return E
+
+
+def reference_norm(spec, p, cap, jacobian):
+    """N in the variables x of z = p + jacobian @ x, from jet_variable only:
+    a Leibniz determinant of reference_norm_matrix for types 1-3 (for type 2
+    that is N^2), the polynomial 1 - 2 z zb^t + |z z^t|^2 for type 4."""
+    if spec.kind != "type4":
+        return leibniz_det(reference_norm_matrix(spec, p, cap, jacobian))
+    z, zb = raw_coordinates(p, cap, jacobian)
+    zero = jet_constant(0.0, jacobian.shape[1], cap)
+    zz = sum((a * b for a, b in zip(z, zb)), zero)
+    zzt = sum((a * a for a in z), zero)
+    zbzbt = sum((b * b for b in zb), zero)
+    return 1.0 - 2.0 * zz + zzt * zbzbt
+
+
+def raw_potential_jet(spec, point, cap=(3, 3)):
+    """Jet of -log(N^mu - |w|^2) in the coordinates (z, w) themselves, with N
+    from reference_norm: no generic_norm_jet or hartogs_potential_jet."""
+    base, mu = spec.base, float(spec.mu)
+    d = base.d
+    norm = reference_norm(base, point.base, cap, np.eye(d, d + 1))
+    n_mu = jet_real_power(norm, mu / 2 if base.kind == "type2" else mu)
+    w = jet_variable(d, d + 1, cap) + point.fiber
+    wb = jet_variable(d, d + 1, cap, anti=True) + complex(point.fiber).conjugate()
+    return -jet_log(n_mu - w * wb)
+
+
+# -- Horner composition of power series ---------------------------------------
+
+def horner_compose(a, coeffs):
+    """sum_k coeffs[k] * (a - a0)^k by Horner's rule, in jet products only;
+    exact once len(coeffs) exceeds the total degree cap.holo + cap.anti
+    (higher powers of a - a0 vanish)."""
+    u = a - a.constant_term
+    r = jet_constant(coeffs[-1], a.num_vars, a.cap)
+    for c in coeffs[-2::-1]:
+        r = r * u + c
+    return r
+
+
+def _series_terms(a):
+    return a.cap.holo + a.cap.anti + 1
+
+
+def horner_reciprocal(a):
+    c0 = a.constant_term
+    return horner_compose(a, [(-1) ** k / c0 ** (k + 1)
+                              for k in range(_series_terms(a))])
+
+
+def horner_log(a):
+    c0 = a.constant_term
+    return horner_compose(a, [cmath.log(c0)] + [(-1) ** (k + 1) / (k * c0 ** k)
+                                               for k in range(1, _series_terms(a))])
+
+
+def horner_real_power(a, mu):
+    """exp(mu log a), both by Horner."""
+    b = horner_log(a) * mu
+    c0 = b.constant_term
+    return horner_compose(b, [cmath.exp(c0) / math.factorial(k)
+                              for k in range(_series_terms(a))])
 
 
 # -- finite differences -------------------------------------------------------

@@ -2,10 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import helpers
 from hartogslab import __version__
 from hartogslab.cli import main
+from hartogslab.domains import type1, type2, type3, type4
+from hartogslab.geometry import (HartogsSpec, curvature_report_from_potential,
+                                 origin_fiber_points, sample_hartogs)
 
 DISK = ["--domain", "type1", "--m", "1", "--n", "1", "--mu", "2"]
 BALL2_HYP = ["--domain", "type1", "--m", "1", "--n", "2", "--mu", "1"]
@@ -45,6 +50,36 @@ def test_report_embeds_tensors_on_request(capsys):
     assert all("tensors" in p for p in obj["points"])
     t0 = obj["points"][0]["tensors"]
     assert {"g", "g_inv", "R", "Ric"} <= set(t0)
+
+
+TENSOR_CASES = [
+    (["--domain", "type1", "--m", "2", "--n", "2", "--mu", "4/5"],
+     HartogsSpec(type1(2, 2), 0.8)),
+    (["--domain", "type2", "--n", "4", "--mu", "1"], HartogsSpec(type2(4), 1.0)),
+    (["--domain", "type3", "--n", "3", "--mu", "1"], HartogsSpec(type3(3), 1.0)),
+    (["--domain", "type4", "--n", "5", "--mu", "3"], HartogsSpec(type4(5), 3.0)),
+]
+
+
+@pytest.mark.parametrize("args,spec", TENSOR_CASES,
+                         ids=[spec.base.label() for _, spec in TENSOR_CASES])
+def test_report_tensors_are_in_raw_coordinates(capsys, args, spec):
+    # reports differentiate in metric-normal coordinates and pull the tensors
+    # back; the reference differentiates in (z, w) themselves, which is
+    # accurate at these well-conditioned points
+    code, out, _ = run(capsys, ["report", *args, "--samples", "2", "--tensors"])
+    assert code == 0
+    entries = json.loads(out)["points"]
+    # the points report samples: 3 origin-fiber points, then 2 seed-0 points
+    points = origin_fiber_points(spec, [0.0, 0.35, 0.7]) + sample_hartogs(spec, 0, 2)
+    assert [e["t"] for e in entries] == [abs(p.fiber) ** 2 for p in points]
+    for entry, point in zip(entries, points):
+        want = curvature_report_from_potential(helpers.raw_potential_jet(spec, point))
+        for key, ref in (("g", want.metric.g), ("g_inv", want.metric.g_inv),
+                         ("R", want.R), ("Ric", want.Ric)):
+            pair = np.asarray(entry["tensors"][key])
+            got = pair[..., 0] + 1j * pair[..., 1]
+            assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max(), key
 
 
 def test_report_csv_layout(capsys):
@@ -227,3 +262,30 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip() == "hartogslab " + __version__
+
+
+SWEEP_BASES = [("type1", 1, 1), ("type1", 1, 2), ("type1", 1, 3), ("type1", 2, 2),
+               ("type1", 1, 5), ("type1", 2, 3), ("type2", None, 4),
+               ("type3", None, 2), ("type3", None, 3), ("type4", None, 5),
+               ("type4", None, 6)]
+SWEEP = [(command, base, mu) for base in SWEEP_BASES for mu in ("1", "4/5", "3")
+         for command in ("report", "verify-lemmas")]
+
+
+def _sweep_id(case):
+    command, (kind, m, n), mu = case
+    size = f"{m},{n}" if m else f"{n}"
+    return f"{command}-{kind}({size})-mu{mu.replace('/', '_')}"
+
+
+@pytest.mark.parametrize("command,base,mu", SWEEP, ids=[_sweep_id(c) for c in SWEEP])
+def test_classical_catalog_sweep_passes(capsys, command, base, mu):
+    # every classical base with d <= 6 (the default --max-d) at three mu,
+    # with the default seed and samples, including the near-boundary points
+    kind, m, n = base
+    argv = [command, "--domain", kind, "--n", str(n), "--mu", mu, "--tol", "1e-8"]
+    if m is not None:
+        argv += ["--m", str(m)]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err or out
+    assert json.loads(out)["status"] == "ok"

@@ -5,10 +5,9 @@ import pytest
 
 import helpers
 from hartogslab.domains import (DomainSpec, ExceptionalDomainError, contains,
-                                dimension_genus, exc5, exc6, generic_norm_jet,
+                                exc5, exc6, generic_norm_jet,
                                 generic_norm_value, matrix_model,
                                 sample_interior, type1, type2, type3, type4)
-from hartogslab.jets import jet_constant, jet_variable
 
 
 DIM_GENUS_TABLE = [
@@ -30,9 +29,7 @@ DIM_GENUS_TABLE = [
 @pytest.mark.parametrize("spec,d,genus", DIM_GENUS_TABLE,
                          ids=[s.label() for s, _, _ in DIM_GENUS_TABLE])
 def test_dimension_and_genus(spec, d, genus):
-    assert spec.d == d
-    assert spec.genus == genus
-    assert dimension_genus(spec) == (d, genus)
+    assert (spec.d, spec.genus) == (d, genus)
 
 
 def test_labels():
@@ -185,7 +182,7 @@ def test_norm_jet_first_order_matches_difference_quotient():
 
 def test_norm_jet_embedding_in_larger_variable_set():
     spec = type1(1, 2)
-    j = generic_norm_jet(spec, np.zeros(2), (2, 2), num_vars=3)
+    j = generic_norm_jet(spec, np.zeros(2), (2, 2), jacobian=np.eye(2, 3))
     assert j.num_vars == 3
     # the extra trailing variable never appears
     assert j.coefficient((0, 0, 1), (0, 0, 0)) == 0
@@ -194,61 +191,33 @@ def test_norm_jet_embedding_in_larger_variable_set():
     assert j.coefficient((1, 0, 0), (1, 0, 0)) == -1.0
     assert j.coefficient((0, 1, 0), (0, 1, 0)) == -1.0
     with pytest.raises(ValueError):
-        generic_norm_jet(spec, np.zeros(2), (2, 2), num_vars=1)
+        generic_norm_jet(spec, np.zeros(2), (2, 2), jacobian=np.eye(1, 3))
 
 
-def _reference_norm_matrix(spec, p, cap, num_vars):
-    """Rows of I - Z Zbar^t built entrywise from jet_variable, with the
-    coordinate layout written out independently of matrix_model: type1
-    row-major, type2 the strict upper triangle of a skew matrix, type3 the
-    upper triangle of a symmetric one."""
-    z = [jet_variable(k, num_vars, cap) + p[k] for k in range(spec.d)]
-    zb = [jet_variable(k, num_vars, cap, anti=True) + complex(p[k]).conjugate()
-          for k in range(spec.d)]
-    if spec.kind == "type1":
-        rows, cols = spec.m, spec.n
-        slots = [(r, c) for r in range(rows) for c in range(cols)]
-    else:
-        rows = cols = spec.n
-        first = 1 if spec.kind == "type2" else 0
-        slots = [(r, c) for r in range(rows) for c in range(r + first, cols)]
-    zero = jet_constant(0.0, num_vars, cap)
-    Z = [[zero] * cols for _ in range(rows)]
-    Zb = [[zero] * cols for _ in range(rows)]
-    sign = -1.0 if spec.kind == "type2" else 1.0
-    for k, (r, c) in enumerate(slots):
-        Z[r][c], Zb[r][c] = z[k], zb[k]
-        if spec.kind != "type1":
-            Z[c][r], Zb[c][r] = sign * z[k], sign * zb[k]
-    E = []
-    for a in range(rows):
-        row = []
-        for b in range(rows):
-            acc = jet_constant(1.0 if a == b else 0.0, num_vars, cap)
-            for c in range(cols):
-                acc = acc - Z[a][c] * Zb[b][c]
-            row.append(acc)
-        E.append(row)
-    return E
-
-
-# N itself for types 1 and 3; N * N = det(I - Z Zbar^t) for type 2, whose
+# N itself for types 1, 3 and 4; N * N = det(I - Z Zbar^t) for type 2, whose
 # base points all have paired singular values, so jet_det inverts the
 # second-smallest one and the looser bound applies.
 FULL_CAP_NORM_CASES = [(type1(2, 2), 1e-12), (type1(2, 3), 1e-12),
-                       (type3(2), 1e-12), (type3(3), 1e-12), (type2(4), 1e-9)]
+                       (type3(2), 1e-12), (type3(3), 1e-12), (type2(4), 1e-9),
+                       (type4(5), 1e-12)]
 
 
 @pytest.mark.parametrize("spec,bound", FULL_CAP_NORM_CASES,
                          ids=[s.label() for s, _ in FULL_CAP_NORM_CASES])
 def test_norm_jet_matches_leibniz_reference_at_full_cap(spec, bound):
+    # seed 0 embeds the base in d + 1 variables; seed 1 uses a lower
+    # triangular Jacobian whose last column is zero, like the metric-normal
+    # frame of a Hartogs point
     cap, num_vars = (3, 3), spec.d + 1
-    for seed in (0, 1):
+    rng = np.random.default_rng(2)
+    frame = np.tril(rng.normal(size=(num_vars, num_vars))
+                    + 1j * rng.normal(size=(num_vars, num_vars)))
+    for seed, jacobian in ((0, np.eye(spec.d, num_vars)), (1, frame[:spec.d])):
         for p in sample_interior(spec, seed=seed, count=6):
-            got = generic_norm_jet(spec, p, cap, num_vars=num_vars)
+            got = generic_norm_jet(spec, p, cap, jacobian=jacobian)
             if spec.kind == "type2":
                 got = got * got
-            want = helpers.leibniz_det(_reference_norm_matrix(spec, p, cap, num_vars))
+            want = helpers.reference_norm(spec, p, cap, jacobian)
             err = np.abs(got.data - want.data).max()
             assert err <= bound * np.abs(want.data).max(), (seed, p)
 

@@ -238,7 +238,7 @@ def _scalar_curvature_identity_jet(spec, point):
     d, mu = spec.base.d, float(spec.mu)
     c = (mu * (d + 1) - spec.base.genus) / mu
     cap = (1, 1)
-    N = generic_norm_jet(spec.base, point.base, cap, num_vars=d + 1)
+    N = generic_norm_jet(spec.base, point.base, cap, jacobian=np.eye(d, d + 1))
     w = jet_variable(d, d + 1, cap) + point.fiber
     wb = jet_variable(d, d + 1, cap, anti=True) + point.fiber.conjugate()
     tau = w * wb * jet_reciprocal(jet_real_power(N, mu))
@@ -274,13 +274,13 @@ def _scalar_curvature_errors(spec, points):
 
 
 def test_scalar_curvature_near_boundary():
-    # point 18 has cond(g) = 9.6e4; Leibniz cancellation in det g put k off
-    # by 2.8e-5 there. Perturbing the potential jet by one ulp (relative)
-    # moves k by up to 2e-7 whatever the determinant algorithm, so the bound
-    # sits above that float64 floor and far below the Leibniz error.
+    # point 18 has cond(g) = 9.6e4 in (z, w). There, one-ulp noise on a
+    # potential jet in (z, w) moves k by up to 2e-7; in the metric-normal
+    # coordinates of scalar_curvature_at, where g is I at the point, every
+    # point is at roundoff
     spec = HartogsSpec(type3(2), 1.0)
     errs = _scalar_curvature_errors(spec, sample_hartogs(spec, seed=0, count=20))
-    assert max(errs) < 1e-6
+    assert max(errs) < 1e-12
 
 
 @pytest.mark.parametrize("base", [type1(2, 4), type4(8)],

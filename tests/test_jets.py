@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import helpers
-from hartogslab.jets import (MAX_DEGREE, BidegreeCap, basis_exponents,
+from hartogslab import jets
+from hartogslab.jets import (MAX_DEGREE, BidegreeCap, Jet, basis_exponents,
                              jet_constant, jet_det, jet_log, jet_real_power,
                              jet_reciprocal, jet_variable)
 
@@ -102,21 +103,18 @@ def test_multiplication_matches_reference_convolution():
 
 
 def test_truncation_is_a_ring_quotient():
+    # the graded basis makes the smaller cap's coefficients a prefix block
     rng = random.Random(11)
     big = (3, 3)
+    nh, na = len(basis_exponents(2, 1)), len(basis_exponents(2, 2))
     small = BidegreeCap(1, 2)
     for _ in range(10):
         ja = jet_from_dict(random_dict(rng, 2, big), 2, big)
         jb = jet_from_dict(random_dict(rng, 2, big), 2, big)
-        lhs = (ja * jb).truncate(small)
-        rhs = ja.truncate(small) * jb.truncate(small)
-        assert np.array_equal(lhs.data, rhs.data)
-
-
-def test_truncate_cannot_raise_cap():
-    j = jet_constant(1.0, 1, (1, 1))
-    with pytest.raises(ValueError):
-        j.truncate((2, 1))
+        lhs = (ja * jb).data[:nh, :na]
+        rhs = Jet(2, small, ja.data[:nh, :na].copy()) * \
+            Jet(2, small, jb.data[:nh, :na].copy())
+        assert np.array_equal(lhs, rhs.data)
 
 
 def test_partial_includes_factorials():
@@ -219,6 +217,57 @@ def test_log_is_additive_and_power_consistent():
         assert np.allclose((sq * sq).data, a.data, atol=1e-11)
         assert np.allclose(jet_real_power(a, 2.0).data, (a * a).data, atol=1e-11)
         assert np.allclose(jet_real_power(a, 1.0).data, a.data, atol=1e-12)
+
+
+HORNER_CASES = [(m, cap) for m in (1, 2, 3, 7)
+                for cap in ((1, 1), (2, 1), (3, 1), (2, 2), (3, 3))]
+
+
+@pytest.mark.parametrize("m,cap", HORNER_CASES,
+                         ids=[f"m{m}-cap{p}{q}" for m, (p, q) in HORNER_CASES])
+@pytest.mark.parametrize("shape", ["dense", "no_last_variable"])
+def test_recurrences_match_horner_composition(m, cap, shape):
+    # no_last_variable zeroes every row and column whose monomial contains
+    # the last variable, as in the generic norm, which never involves the
+    # Hartogs fiber's variable
+    cap = BidegreeCap(*cap)
+    rng = np.random.default_rng(100 * m + 10 * cap.holo + cap.anti)
+    hb, ab = basis_exponents(m, cap.holo), basis_exponents(m, cap.anti)
+    data = 0.2 * (rng.normal(size=(len(hb), len(ab)))
+                  + 1j * rng.normal(size=(len(hb), len(ab))))
+    data[0, 0] = 2.0
+    if shape == "no_last_variable":
+        data[[e[-1] > 0 for e in hb], :] = 0.0
+        data[:, [e[-1] > 0 for e in ab]] = 0.0
+    a = Jet(m, cap, data)
+    pairs = [(jet_log(a), helpers.horner_log(a)),
+             (jet_reciprocal(a), helpers.horner_reciprocal(a))]
+    pairs += [(jet_real_power(a, mu), helpers.horner_real_power(a, mu))
+              for mu in (0.5, 0.8, 3.0)]
+    for got, want in pairs:
+        assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+
+def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
+    # a chunk ends only where a destination's segment does, so every
+    # coefficient is the same sum in the same order
+    rng = np.random.default_rng(4)
+    cap = BidegreeCap(3, 3)
+    data = rng.normal(size=(2, 20, 20)) + 1j * rng.normal(size=(2, 20, 20))
+    data[:, 0, 0] = 3.0
+    a, b = Jet(3, cap, data[0]), Jet(3, cap, data[1])
+
+    def results():
+        return [a * b, jet_log(a), jet_reciprocal(b), jet_real_power(a, 0.8)]
+
+    whole = results()
+    monkeypatch.setattr(jets, "_CHUNK", 7)
+    jets._pairs.cache_clear()
+    try:
+        for got, want in zip(results(), whole):
+            assert np.array_equal(got.data, want.data)
+    finally:
+        jets._pairs.cache_clear()
 
 
 def test_log_and_power_guards():
