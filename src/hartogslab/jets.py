@@ -12,9 +12,10 @@ series, coefficient by coefficient.
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
 over graded-lex monomial bases. One kernel does all the arithmetic: the
 truncated Cauchy product over a table of every monomial pair whose product
-stays within the cap, restricted to the operands' nonzero rows and columns,
-sorted by the product monomial's total degree and then by its position, and
-summed per destination with np.add.reduceat. A product uses the whole table;
+stays within the cap, restricted to rows and columns that hold the
+operands' nonzero ones (see _closure), sorted by the product monomial's
+total degree and then by its position, and summed per destination with
+np.add.reduceat. A product uses the whole table;
 reciprocal, log and real power fill their result one total degree at a time
 from the slice of the table that lands on that degree (graded Taylor
 recurrences; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
@@ -165,12 +166,12 @@ def _pairs(m: int, cap: BidegreeCap, lsupport: bytes, rsupport: bytes) -> _Pairs
     left = (ha[:, None] * width + aa).ravel()[order]
     right = (hb[:, None] * width + ab).ravel()[order]
     del order
-    starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-    ends = np.r_[starts, dst.size]
+    starts = np.flatnonzero(np.diff(dst, prepend=dst[:1] - 1))
+    ends = np.append(starts, dst.size)
 
     def chunks(p0, p1):
         cuts = ends[np.searchsorted(ends, np.arange(p0 + _CHUNK, p1, _CHUNK))]
-        edges = np.unique(np.r_[p0, cuts, p1])
+        edges = sorted({p0, p1, *cuts.tolist()})
         out = []
         for e0, e1 in zip(edges, edges[1:]):
             s0, s1 = np.searchsorted(starts, (e0, e1))
