@@ -269,8 +269,7 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     E[:, :, lin, 0] = -np.einsum("kac,bc->abk", J, Z0.conj())
     E[:, :, 0, lin] = -np.einsum("ac,lbc->abl", Z0, J.conj())
     E[:, :, lin[:, None], lin] = -np.einsum("kac,lbc->abkl", J, J.conj())
-    det = jet_det([[Jet(m, cap, E[a, b]) for b in range(side)]
-                   for a in range(side)])
+    det = jet_det(E, m, cap)
     if spec.kind == "type2":
         det = jet_real_power(det, 0.5)
     return det

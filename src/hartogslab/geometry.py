@@ -19,7 +19,11 @@ Hartogs domains; any constant-factor mismatch is a bug, not a tunable):
 The canonical potential of the Hartogs domain over a base domain with generic
 norm N is Phi = -log(N^mu - |w|^2); the Bergman potential of the base alone is
 -genus * log N. Every tensor comes from one primitive, Jet.partials, which
-gathers all mixed partials of one order at the base point. Delta k is the
+gathers all mixed partials of one order at the base point, up to order
+(3, 3). Ric = -d dbar log det g, its first derivatives and the double trace
+of its second derivatives are closed-form contractions of those partials
+with g^{-1} (the cycle expansion of the derivatives of log det g, see
+_log_det_jets); no jet of log det g or of det g is formed. Delta k is the
 closed form g^{a bbar} d_a dbar_b tr(g^{-1} Ric), expanded with
 d(g^{-1}) = -g^{-1} (dg) g^{-1}, so that no finite-difference error enters.
 
@@ -40,11 +44,12 @@ import numpy as np
 
 from .domains import DomainSpec, contains, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import BidegreeCap, Jet, jet_det, jet_linear_form, jet_log, \
-    jet_real_power
+from .jets import BidegreeCap, Jet, jet_linear_form, jet_log, jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
+_NOT_POSITIVE = ("metric is not positive definite "
+                 "(point outside the domain or bad potential)")
 
 
 class HartogsSpec(NamedTuple):
@@ -151,9 +156,15 @@ def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
     reversed). In x, with (z, w) = (z0, w0) + A x, the metric at the point is
     I, so no direction of a near-boundary point dwarfs the others. A is lower
     triangular: the base coordinates never involve x_d, and the norm jet
-    keeps the zero rows and columns that the products skip."""
-    g = metric_at(hartogs_potential_jet(spec, point, BidegreeCap(1, 1))).g
-    U = np.linalg.cholesky(g[::-1, ::-1])[::-1, ::-1]
+    keeps the zero rows and columns that the products skip. g is factored
+    once, from the symmetrized partials of a cap-(1,1) potential; metric_at
+    runs its checks on the potential taken in the frame."""
+    g = hartogs_potential_jet(spec, point, BidegreeCap(1, 1)).partials(1, 1)
+    g = 0.5 * (g + g.conj().T)
+    try:
+        U = np.linalg.cholesky(g[::-1, ::-1])[::-1, ::-1]
+    except np.linalg.LinAlgError:
+        raise ValueError(_NOT_POSITIVE) from None
     return np.linalg.inv(U).T
 
 
@@ -170,8 +181,7 @@ def metric_at(potential: Jet) -> MetricData:
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise ValueError("metric is not positive definite "
-                         "(point outside the domain or bad potential)") from None
+        raise ValueError(_NOT_POSITIVE) from None
     g_inv = np.linalg.inv(g)
     if float(np.abs(g @ g_inv - np.eye(m)).max()) > 1e-10:
         raise ValueError("metric inversion failed the identity check")
@@ -188,16 +198,119 @@ def curvature_tensor(potential: Jet, metric: MetricData) -> np.ndarray:
     return -P22 + term2
 
 
-def _log_det_jets(potential: Jet) -> Jet:
-    """Jet of log det g, built from the metric-entry jets (one (1,1) shift
-    down from the potential)."""
-    m = potential.num_vars
-    GJ = [[potential.derivative_jet(i, j) for j in range(m)] for i in range(m)]
-    return jet_log(jet_det(GJ))
+class LogDetParts(NamedTuple):
+    """Derivatives of log det g at the point, X = g^{-1}:
+    L11[a, b] = d_a dbar_b log det g, L21[a, c, b] = d_a d_c dbar_b log det g,
+    and trace22 = sum X[b, a] X[i, j] d_j d_a dbar_i dbar_b log det g, the
+    double trace that Delta k needs. L21 and trace22 are None below
+    cap (3, 3)."""
+    L11: np.ndarray
+    L21: np.ndarray | None
+    trace22: complex | None
 
 
-def _ricci_from_logdet(LD: Jet, metric: MetricData):
-    ric = -LD.partials(1, 1)
+def _raised(X: np.ndarray, P: np.ndarray, holo: int) -> np.ndarray:
+    """The matrices X g_B from a partials tensor P[i, B_holo, j, B_anti] of
+    the potential, g_B[i, j] = d_B g_{i jbar} (column j at axis holo),
+    indexed [B_holo, B_anti, p, q]."""
+    axes = (*range(1, holo), *range(holo + 1, P.ndim), 0, holo)
+    return _lift(X, P).transpose(axes)
+
+
+def _lift(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_h X[b, h] T[h, ...], indexed [b, ...]."""
+    return (X @ T.reshape(len(X), -1)).reshape(T.shape)
+
+
+def _traces(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """tr(S[s] T[t]) for every leading index s of S and t of T, indexed
+    [s..., t...]."""
+    n = S.shape[-1]
+    out = S.reshape(-1, n * n) @ T.swapaxes(-1, -2).reshape(-1, n * n).T
+    return out.reshape(S.shape[:-2] + T.shape[:-2])
+
+
+def _tr(S: np.ndarray, T: np.ndarray) -> complex:
+    """Sum over the shared leading indices s of tr(S[s] T[s])."""
+    return (S * T.swapaxes(-1, -2)).sum()
+
+
+def _products(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """S[s] T[t] for every leading index s of S and t of T, indexed
+    [s, t, p, q] (one leading index each)."""
+    return np.matmul(S[:, None], T[None])
+
+
+def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
+    """The derivatives of log det g in LogDetParts, as closed-form
+    contractions of the potential's partials (cap >= (2,2)). With
+    g_B = d_B g for a set B of derivative directions and X = g^{-1},
+
+      d_S log det g = sum over set partitions B_1..B_r of S, and over the
+      (r-1)! cyclic orders of the blocks, of
+      (-1)^(r-1) tr(X g_B1 X g_B2 ... X g_Br).
+
+    The holomorphic directions of trace22 are raised with X before the
+    traces are taken, so no term costs more than O(m^5) except the one-block
+    term, which contracts the order-(3,3) partials with three X."""
+    X = metric.g_inv
+    Za = _raised(X, potential.partials(2, 1), 2)  # X g_a, [a, p, q]
+    Zb = _raised(X, potential.partials(1, 2), 1)  # X g_bbar
+    Zab = _raised(X, potential.partials(2, 2), 2)  # X g_{a bbar}, [a, b, p, q]
+    L11 = np.trace(Zab, axis1=2, axis2=3) - _traces(Za, Zb)
+    if min(potential.cap) < 3:
+        return LogDetParts(L11, None, None)
+
+    # L21 = d_a d_c dbar_b: 1 + 3 + 2 terms
+    P32 = potential.partials(3, 2)
+    Zaa = _raised(X, potential.partials(3, 1), 3)  # X g_{ac}, [a, c, p, q]
+    abc = _traces(Zab, Za).transpose(0, 2, 1)  # tr(X g_{a bbar} X g_c)
+    acb = _traces(_products(Za, Za), Zb)  # tr(X g_a X g_c X g_bbar)
+    L21 = (np.einsum("ji,iacjb->acb", X, P32)
+           - _traces(Zaa, Zb)
+           - abc
+           - abc.transpose(1, 0, 2)
+           + acb
+           + acb.transpose(1, 0, 2))
+
+    # trace22: S = {h, h', b, b'} (h, h' holomorphic) with the weights
+    # X[b, h] X[b', h']. A weighted pair inside one block is traced out of
+    # it (K, Kaab, Kabb); a pair split between two blocks joins them through
+    # a raised form (Ua, Vb, R, Uaa). Swapping (h, b) with (h', b') maps
+    # each term to one of equal value, so those pairs of terms are written
+    # once, twice over. 1 + 7 + 12 + 6 terms.
+    Ua = _lift(X, Za)  # sum_h X[b, h] X g_h, [b, p, q]
+    Vb = _lift(X.T, Zb)  # sum_b X[b, h] X g_bbar, [h, p, q]
+    K = np.einsum("bh,hbpq->pq", X, Zab)  # sum X[b, h] X g_{h bbar}
+    R = _lift(X, Zab)  # sum_h X[b, h] X g_{h b'bar}, [b, b', p, q]
+    # the weighted pair (h, b) side by side, in both orders
+    M = np.einsum("bpr,brq->pq", Ua, Zb) + np.einsum("bpr,brq->pq", Zb, Ua)
+    Zbb = _raised(X, potential.partials(1, 3), 1)  # X g_{bbar b'bar}
+    Uaa = _lift(X, _lift(X, Zaa).swapaxes(0, 1)).swapaxes(0, 1)  # [b, b', p, q]
+    Kaab = _raised(X, np.einsum("bh,ihkjb->ikj", X, P32), 2)  # [h', p, q]
+    Kabb = _raised(X, np.einsum("bh,ihjbc->ijc", X, potential.partials(2, 3)),
+                   1)  # [b', p, q]
+    UU = _products(Ua, Ua)
+    one_block = np.einsum("hkbc,bh,ck->", np.einsum(
+        "ji,ihkjbc->hkbc", X, potential.partials(3, 3)), X, X)
+    trace22 = (one_block
+               - 2 * _tr(Kaab, Vb)  # {h h' b}{b'}, {h h' b'}{b}
+               - 2 * _tr(Kabb, Ua)  # {h b b'}{h'}, {h' b b'}{h}
+               - _tr(Uaa, Zbb)  # {h h'}{b b'}
+               - _tr(K, K)  # {h b}{h' b'}
+               - _tr(R, R.swapaxes(0, 1))  # {h b'}{h' b}
+               + 2 * _tr(Zaa, _products(Vb, Vb))  # {h h'}{b}{b'}, 2 orders
+               + 2 * _tr(Zbb, UU)  # {b b'}{h}{h'}
+               + 2 * _tr(K, M)  # {h b}{h'}{b'}, {h' b'}{h}{b}
+               + 2 * _tr(R, _products(Ua, Zb).swapaxes(0, 1))  # {h b'}{h'}{b}
+               + 2 * _tr(R, _products(Zb, Ua))  # its other order
+               - _tr(M, M)  # {h}{h'}{b}{b'}: the 4 orders with paired neighbours
+               - 2 * _tr(UU, _products(Zb, Zb)))  # (h h' b b'), (h b' b h')
+    return LogDetParts(L11, L21, trace22)
+
+
+def _ricci(L11: np.ndarray, metric: MetricData):
+    ric = -L11
     ric = 0.5 * (ric + ric.conj().T)
     k = _real(np.einsum("ji,ij->", metric.g_inv, ric), 1e-8, "scalar curvature")
     return ric, k
@@ -206,7 +319,7 @@ def _ricci_from_logdet(LD: Jet, metric: MetricData):
 def ricci_and_scalar(potential: Jet, metric: MetricData):
     """Ricci tensor -d dbar log det g and scalar curvature k = g^{i jbar}
     Ric_{i jbar} (cap >= (2,2))."""
-    return _ricci_from_logdet(_log_det_jets(potential), metric)
+    return _ricci(_log_det_jets(potential, metric).L11, metric)
 
 
 def _transform(T: np.ndarray, mats) -> np.ndarray:
@@ -227,22 +340,24 @@ def tensor_norms(metric: MetricData, R: np.ndarray, Ric: np.ndarray):
     return _real(r2, 1e-8, "|R|^2"), _real(ric2, 1e-8, "|Ric|^2")
 
 
-def _laplacian_from_parts(potential: Jet, LD: Jet, metric: MetricData,
+def _laplacian_from_parts(potential: Jet, LD: LogDetParts, metric: MetricData,
                           ric: np.ndarray) -> float:
     """Delta k = g^{a bbar} d_a dbar_b tr(X Ric), X = g^{-1}, with
     d_a X = -A_a X and dbar_b X = -B_b X for A_a = X d_a g, B_b = X dbar_b g,
-    so d_a dbar_b X = (B_b A_a + A_a B_b) X - X (d_a dbar_b g) X. Ric and its
-    derivatives are -d dbar of LD."""
+    so d_a dbar_b X = (B_b A_a + A_a B_b) X - X (d_a dbar_b g) X. Ric is
+    -d dbar log det g; its derivatives come from LD (L21, its conjugate
+    transpose L12, and the double trace trace22)."""
     X = metric.g_inv
     A = np.einsum("ij,jak->aik", X, potential.partials(2, 1))
     B = np.einsum("ij,jkb->bik", X, potential.partials(1, 2))
     Z = X @ ric
+    L12 = LD.L21.conj().transpose(2, 0, 1)
     lap = (np.einsum("ba,bij,ajk,ki->", X, B, A, Z)
            + np.einsum("ba,aij,bjk,ki->", X, A, B, Z)
            - np.einsum("ba,ij,jakb,ki->", X, X, potential.partials(2, 2), Z)
-           + np.einsum("ba,aij,jk,kib->", X, A, X, LD.partials(1, 2))
-           + np.einsum("ba,bij,jk,kai->", X, B, X, LD.partials(2, 1))
-           - np.einsum("ba,ij,jaib->", X, X, LD.partials(2, 2)))
+           + np.einsum("ba,aij,jk,kib->", X, A, X, L12)
+           + np.einsum("ba,bij,jk,kai->", X, B, X, LD.L21)
+           - LD.trace22)
     return _real(lap, 1e-8, "Delta k")
 
 
@@ -276,8 +391,8 @@ def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
     """Build the full report from an arbitrary cap-(3,3) potential jet (used
     directly by the scaling-law checks)."""
     metric = metric_at(potential)
-    LD = _log_det_jets(potential)
-    ric, k = _ricci_from_logdet(LD, metric)
+    LD = _log_det_jets(potential, metric)
+    ric, k = _ricci(LD.L11, metric)
     R = curvature_tensor(potential, metric)
     r2, ric2 = tensor_norms(metric, R, ric)
     lap = _laplacian_from_parts(potential, LD, metric, ric)

@@ -479,33 +479,47 @@ def jet_real_power(a: Jet, mu: float) -> Jet:
     return _graded_solve(a, c0 ** mu, ((mu + 1.0) * j - n) / (n * c0))
 
 
-def jet_det(rows: Sequence[Sequence[Jet]]) -> Jet:
-    """Determinant of a square jet matrix G.
+def jet_det(rows, num_vars: int | None = None, cap=None) -> Jet:
+    """Determinant of a square jet matrix G, given as rows of jets or as the
+    (n, n, H, W) array of their coefficient arrays together with num_vars
+    and cap (the array is read, not copied).
 
     The constant-term matrix G0 = U S V^H goes to LAPACK's SVD, and
-    det G = det U * det V^H * det M with M = U^H G V, whose constant term is
-    diag(S), largest singular value first. Gaussian elimination on M needs no
-    pivoting: pivot k has constant term S[k], jet_reciprocal inverts it, and
-    det M is the product of the pivots. The smallest singular value is never
-    inverted, so a G0 with one small singular value (the generic norm at a
-    base point near the boundary) loses no digits; inverting G0 itself would
-    lose about cond(G0)^(p+q) ulps there. Raises ValueError when G0 is
-    numerically singular.
+    det G = det U * det V^H * det M with M = U^H G V, one matrix product of
+    U^H (x) conj(V^H) with the coefficient positions that some entry holds;
+    the constant term of M is diag(S), largest singular value first.
+    Gaussian elimination on M needs no pivoting: pivot k has constant term
+    S[k], jet_reciprocal inverts it, and det M is the product of the pivots.
+    Each finished row and column is dropped, so the work matrix shrinks.
+    The smallest singular value is never inverted, so a G0 with one small
+    singular value (the generic norm at a base point near the boundary)
+    loses no digits; inverting G0 itself would lose about cond(G0)^(p+q)
+    ulps there. Raises ValueError when G0 is numerically singular.
     """
+    if not isinstance(rows, np.ndarray):
+        if len(rows) == 0 or any(len(r) != len(rows) for r in rows):
+            raise ValueError("jet_det requires a nonempty square matrix")
+        first = rows[0][0]
+        for r in rows:
+            for e in r:
+                first._check_compatible(e)
+        num_vars, cap = first.num_vars, first.cap
+        rows = np.array([[e.data for e in r] for r in rows])
     n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    if n == 0 or rows.ndim != 4 or rows.shape[1] != n:
         raise ValueError("jet_det requires a nonempty square matrix")
-    first = rows[0][0]
-    for r in rows:
-        for e in r:
-            first._check_compatible(e)
-    M = np.array([[e.data for e in r] for r in rows])
-    U, s, Vh = np.linalg.svd(M[:, :, 0, 0])
+    U, s, Vh = np.linalg.svd(rows[:, :, 0, 0])
     if s[-1] <= n * np.finfo(float).eps * s[0]:
         raise ValueError("jet_det requires a nonsingular constant-term matrix")
-    M = np.einsum("ki,klab->ilab", U.conj(), M)
-    M = np.einsum("ilab,jl->ijab", M, Vh.conj())
-    work = [[first._like(M[i, j]) for j in range(n)] for i in range(n)]
+    flat = rows.reshape(n * n, -1)
+    cols = np.flatnonzero(flat.any(axis=0))
+    M = np.einsum("ki,jl->ijkl", U.conj(), Vh.conj()).reshape(n * n, n * n) \
+        @ flat[:, cols]
+    work = [[None] * n for _ in range(n)]
+    for i, j in np.ndindex(n, n):
+        data = np.zeros(rows.shape[2:], dtype=np.complex128)
+        data.ravel()[cols] = M[i * n + j]
+        work[i][j] = Jet(num_vars, cap, data)
     det = work[0][0] * (np.linalg.det(U) * np.linalg.det(Vh))
     for k in range(n - 1):
         inv = jet_reciprocal(work[k][k])
@@ -513,5 +527,7 @@ def jet_det(rows: Sequence[Sequence[Jet]]) -> Jet:
             f = work[i][k] * inv
             for j in range(k + 1, n):
                 work[i][j] = work[i][j] - f * work[k][j]
+            work[i][k] = None
+        work[k] = None
         det = det * work[k + 1][k + 1]
     return det

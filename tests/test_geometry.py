@@ -5,15 +5,19 @@ closed-form fiber-slice identities; finite-difference cross-checks use the
 independent stencils in tests/helpers.py.
 """
 
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import helpers
+import hartogslab
+from hartogslab import domains, geometry, jets
 from hartogslab.domains import generic_norm_jet, generic_norm_value, type1, \
     type2, type3, type4
-from hartogslab.geometry import (HartogsPoint, HartogsSpec,
+from hartogslab.geometry import (FULL_CAP, HartogsPoint, HartogsSpec,
+                                 _log_det_jets, _normal_frame,
                                  base_curvature_report, bergman_potential_jet,
                                  curvature_report,
                                  curvature_report_from_potential,
@@ -22,8 +26,8 @@ from hartogslab.geometry import (HartogsPoint, HartogsSpec,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at,
                                  tensor_norms)
-from hartogslab.jets import (BidegreeCap, jet_constant, jet_real_power,
-                             jet_reciprocal, jet_variable)
+from hartogslab.jets import (BidegreeCap, jet_constant, jet_det, jet_log,
+                             jet_real_power, jet_reciprocal, jet_variable)
 from hartogslab.oracles import OracleInputs, appendix_R2_base, \
     scalar_curvature_formula
 
@@ -214,6 +218,86 @@ def test_ricci_matches_finite_differences():
         for j in range(2):
             fd = helpers.fd_mixed_partial(logdet, v0, i, j)
             assert -fd == pytest.approx(ric[i, j], rel=1e-5, abs=1e-6)
+
+
+def _log_det_errors(P):
+    """Errors of the closed-form log-det derivatives against jet_log of the
+    determinant of the metric-entry jets (Leibniz for m <= 4, jet_det
+    above): Ric, L21, L12 and the double trace relative to
+    max(1, |reference|), then the double trace relative to the sum of the
+    absolute values of its summands."""
+    metric = metric_at(P)
+    X = metric.g_inv
+    m = P.num_vars
+    G = [[P.derivative_jet(i, j) for j in range(m)] for i in range(m)]
+    LD = jet_log(helpers.leibniz_det(G) if m <= 4 else jet_det(G))
+    L22 = LD.partials(2, 2)
+    want = (-LD.partials(1, 1), LD.partials(2, 1), LD.partials(1, 2),
+            np.einsum("ba,ij,jaib->", X, X, L22))
+    got = _log_det_jets(P, metric)
+    got = (-got.L11, got.L21, got.L21.conj().transpose(2, 0, 1), got.trace22)
+    errs = [np.abs(a - b).max() / max(1.0, np.abs(b).max())
+            for a, b in zip(got, want)]
+    summands = np.einsum("ba,ij,jaib->", abs(X), abs(X), abs(L22))
+    return errs + [abs(got[3] - want[3]) / summands]
+
+
+@pytest.mark.parametrize("base", [type1(2, 2), type2(4), type3(3), type4(5)],
+                         ids=lambda b: b.label())
+def test_log_det_closed_form_matches_jet_log_of_det(base):
+    for mu in (1.0, F(4, 5), 3.0):
+        spec = HartogsSpec(base, mu)
+        pt = sample_hartogs(spec, seed=0, count=1)[0]
+        normal = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt))
+        assert max(_log_det_errors(normal)[:4]) < 1e-12
+        # in (z, w) the double trace cancels: its summands' absolute values
+        # add up to 50 to 7e4 times its value, and both paths lose those
+        # digits (2.9e-9 apart at type4(5), mu 3), so it is held relative
+        # to that sum
+        ric, l21, l12, _, trace = _log_det_errors(helpers.raw_potential_jet(spec, pt))
+        assert max(ric, l21, l12, trace) < 1e-12
+
+
+def test_log_det_closed_form_near_boundary():
+    # cond(g) is 9.6e4 and 1.6e5 in (z, w) here; the pipeline's normal
+    # frame has g = I at the point (m = 4 for type3(2): Leibniz reference)
+    for spec, count, index in [(HartogsSpec(type3(2), 1.0), 20, 18),
+                               (HartogsSpec(type4(6), 0.8), 5, 4)]:
+        pt = sample_hartogs(spec, seed=0, count=count)[index]
+        P = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt))
+        assert max(_log_det_errors(P)[:4]) < 1e-12
+
+
+def test_report_takes_determinants_only_of_the_generic_norm(monkeypatch):
+    real = jets.jet_det
+    callers = []
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    for module in (hartogslab, jets, domains, geometry):
+        if getattr(module, "jet_det", None) is real:
+            monkeypatch.setattr(module, "jet_det", spy)
+    spec = HartogsSpec(type1(2, 2), F(4, 5))
+    pt = sample_hartogs(spec, seed=0, count=1)[0]
+    curvature_report(spec, pt)
+    scalar_curvature_at(spec, pt)
+    base_curvature_report(type1(2, 2), pt.base)
+    assert callers and set(callers) == {"generic_norm_jet"}
+
+
+def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
+    # g = diag(1, -1): the frame raises what metric_at raises
+    z, w = (jet_variable(i, 2, (1, 1)) for i in range(2))
+    zb, wb = (jet_variable(i, 2, (1, 1), anti=True) for i in range(2))
+    bad = z * zb - w * wb
+    with pytest.raises(ValueError) as want:
+        metric_at(bad)
+    monkeypatch.setattr(geometry, "hartogs_potential_jet", lambda *a, **k: bad)
+    with pytest.raises(ValueError) as got:
+        scalar_curvature_at(DISK, _origin(DISK))
+    assert str(got.value) == str(want.value)
 
 
 def test_laplacian_matches_finite_differences():

@@ -301,6 +301,24 @@ def test_det_elimination_matches_leibniz_reference():
         assert np.allclose(got.data, want.data, atol=1e-9 * scale), n
 
 
+def test_det_of_stacked_coefficients_matches_rows():
+    # the generic norm passes its (n, n, H, W) coefficient array as is; it
+    # is read, not written
+    rng = random.Random(29)
+    cap = BidegreeCap(2, 2)
+    rows = [[_random_unit_jet(rng, 2, cap) + rng.randint(1, 3) * 1.0
+             for _ in range(3)] for _ in range(3)]
+    stacked = np.array([[e.data for e in r] for r in rows])
+    before = stacked.copy()
+    got = jet_det(stacked, 2, cap)
+    want = jet_det(rows)
+    assert got.num_vars == 2 and got.cap == cap
+    assert np.abs(got.data - want.data).max() < 1e-13 * np.abs(want.data).max()
+    assert np.array_equal(stacked, before)
+    with pytest.raises(ValueError):
+        jet_det(stacked[:2], 2, cap)
+
+
 def test_det_keeps_digits_with_one_small_singular_value():
     # bidegree-(1,1) polynomial entries, as in the generic norm
     # det(I - Z Zbar^t), around constant terms diag(1e-3, 1, 1): a base point
