@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import Jet, _as_cap, basis_exponents, jet_constant, jet_det, \
-    jet_linear_form, jet_real_power, _linear_positions
+from .jets import Jet, _as_cap, _gather_table, _linear_positions, _sesquilinear, \
+    _space_size, jet_det, jet_real_power
 
 BasePoint = tuple  # tuple of complex coordinates, length spec.d
 
@@ -225,12 +225,14 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     jacobian is a (spec.d, num_vars) matrix, default the identity. A zero
     column, such as the Hartogs fiber's variable, never occurs in the jet.
 
-    For types 1-3 the matrix model is affine in the offsets,
-    Z = Z0 + sum_k x_k J_k with Z0 = matrix_model(p) and J_k =
-    sum_i jacobian[i, k] matrix_model(e_i), so every entry of E = I - Z Z^H
-    has bidegree at most (1, 1): the constant E0, the holomorphic block
-    -J_k Z0^H, the antiholomorphic block -Z0 J_l^H and the mixed block
-    -J_k J_l^H.
+    With X = (1, x) and U = [p | jacobian], z = U X is affine in x, and N
+    is built from sesquilinear forms in X. Types 1-3: the matrix model is
+    linear, so Z = sum_h Y[..., h] X_h with Y[..., h] = sum_i U[i, h]
+    matrix_model(e_i), and every entry of E = I - Z Z^H is
+    I - sum_c (Y[a, c] X) conj(Y[b, c] X), of bidegree (1, 1); N = det E
+    (its square root for type 2). Type 4: z zb^t = X^T U^T conj(U X), and
+    z z^t = X^T U^T U X is a holomorphic quadratic q(x), so |z z^t|^2 is the
+    outer product of q's coefficients with their conjugates.
     """
     _require_classical(spec)
     v = _coords(spec, p)
@@ -245,30 +247,23 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     if min(cap) < 1:
         raise ValueError(f"the generic norm jet needs cap >= (1, 1), got {cap}")
 
+    U = np.column_stack((v, jac))  # z = U @ (1, x)
     if spec.kind == "type4":
-        zs = [jet_linear_form(v[i], jac[i], cap) for i in range(d)]
-        zbs = [jet_linear_form(v[i].conjugate(), jac[i].conj(), cap, anti=True)
-               for i in range(d)]
-        zz = jet_constant(0.0, m, cap)
-        zzt = jet_constant(0.0, m, cap)
-        zbzbt = jet_constant(0.0, m, cap)
-        for i in range(d):
-            zz = zz + zs[i] * zbs[i]
-            zzt = zzt + zs[i] * zs[i]
-            zbzbt = zbzbt + zbs[i] * zbs[i]
-        return 1.0 - 2.0 * zz + zzt * zbzbt
+        Q = U.T @ U
+        H, W = _space_size(m, cap.holo), _space_size(m, cap.anti)
+        q = np.zeros(max(H, W, _space_size(m, 2)), dtype=np.complex128)
+        q[0] = Q[0, 0]
+        q[_linear_positions(m)] = 2.0 * Q[0, 1:]
+        np.add.at(q, _gather_table(m, 2)[0], Q[1:, 1:].ravel())
+        N = np.outer(q[:H], q[:W].conj())
+        N -= 2.0 * _sesquilinear(U.T @ U.conj(), m, cap)
+        N[0, 0] += 1.0
+        return Jet(m, cap, N)
 
-    Z0 = matrix_model(spec, v)
-    J = np.einsum("ik,iab->kab", jac,
-                  np.stack([matrix_model(spec, e) for e in np.eye(d)]))
-    side = Z0.shape[0]
-    lin = _linear_positions(m)
-    E = np.zeros((side, side, len(basis_exponents(m, cap.holo)),
-                  len(basis_exponents(m, cap.anti))), dtype=np.complex128)
-    E[:, :, 0, 0] = np.eye(side) - Z0 @ Z0.conj().T
-    E[:, :, lin, 0] = -np.einsum("kac,bc->abk", J, Z0.conj())
-    E[:, :, 0, lin] = -np.einsum("ac,lbc->abl", Z0, J.conj())
-    E[:, :, lin[:, None], lin] = -np.einsum("kac,lbc->abkl", J, J.conj())
+    models = np.stack([matrix_model(spec, e) for e in np.eye(d)])
+    Y = np.einsum("iac,ih->ach", models, U)
+    E = -_sesquilinear(np.einsum("ach,bcl->abhl", Y, Y.conj()), m, cap)
+    E[:, :, 0, 0] += np.eye(len(Y))
     det = jet_det(E, m, cap)
     if spec.kind == "type2":
         det = jet_real_power(det, 0.5)

@@ -44,10 +44,11 @@ import numpy as np
 
 from .domains import DomainSpec, contains, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import BidegreeCap, Jet, jet_linear_form, jet_log, jet_real_power
+from .jets import BidegreeCap, Jet, _sesquilinear, jet_log, jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
+_REAL_TOL = 1e-8  # relative imaginary residue that _real accepts
 _NOT_POSITIVE = ("metric is not positive definite "
                  "(point outside the domain or bad potential)")
 
@@ -108,9 +109,9 @@ def _complex_nested(arr: np.ndarray):
     return [_complex_nested(a) for a in arr]
 
 
-def _real(x: complex, tol: float, what: str) -> float:
+def _real(x: complex, what: str) -> float:
     x = complex(x)
-    if abs(x.imag) > tol * max(1.0, abs(x.real)):
+    if abs(x.imag) > _REAL_TOL * max(1.0, abs(x.real)):
         raise ValueError(f"{what} has imaginary residue {x.imag:.3e}")
     return x.real
 
@@ -141,9 +142,9 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     w0 = complex(point.fiber)
     N = generic_norm_jet(spec.base, point.base, cap, jacobian=frame[:d])
     inner = jet_real_power(N, mu) if mu != 1.0 else N
-    wj = jet_linear_form(w0, frame[d], cap)
-    wbj = jet_linear_form(w0.conjugate(), frame[d].conj(), cap, anti=True)
-    inner = inner - wj * wbj
+    m, cap = N.num_vars, N.cap
+    u = np.append(w0, frame[d])  # w = u @ (1, x)
+    inner = inner - Jet(m, cap, _sesquilinear(np.outer(u, u.conj()), m, cap))
     c0 = inner.constant_term
     if c0.real <= 0.0:
         raise ValueError("point lies outside the Hartogs domain: N^mu - |w|^2 <= 0")
@@ -203,10 +204,14 @@ class LogDetParts(NamedTuple):
     L11[a, b] = d_a dbar_b log det g, L21[a, c, b] = d_a d_c dbar_b log det g,
     and trace22 = sum X[b, a] X[i, j] d_j d_a dbar_i dbar_b log det g, the
     double trace that Delta k needs. L21 and trace22 are None below
-    cap (3, 3)."""
+    cap (3, 3). The raised forms Za = X g_a, Zb = X g_bbar and
+    Zab = X g_{a bbar} (see _raised) go along for Delta k."""
     L11: np.ndarray
     L21: np.ndarray | None
     trace22: complex | None
+    Za: np.ndarray
+    Zb: np.ndarray
+    Zab: np.ndarray
 
 
 def _raised(X: np.ndarray, P: np.ndarray, holo: int) -> np.ndarray:
@@ -259,7 +264,7 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     Zab = _raised(X, potential.partials(2, 2), 2)  # X g_{a bbar}, [a, b, p, q]
     L11 = np.trace(Zab, axis1=2, axis2=3) - _traces(Za, Zb)
     if min(potential.cap) < 3:
-        return LogDetParts(L11, None, None)
+        return LogDetParts(L11, None, None, Za, Zb, Zab)
 
     # L21 = d_a d_c dbar_b: 1 + 3 + 2 terms
     P32 = potential.partials(3, 2)
@@ -306,13 +311,13 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
                + 2 * _tr(R, _products(Zb, Ua))  # its other order
                - _tr(M, M)  # {h}{h'}{b}{b'}: the 4 orders with paired neighbours
                - 2 * _tr(UU, _products(Zb, Zb)))  # (h h' b b'), (h b' b h')
-    return LogDetParts(L11, L21, trace22)
+    return LogDetParts(L11, L21, trace22, Za, Zb, Zab)
 
 
 def _ricci(L11: np.ndarray, metric: MetricData):
     ric = -L11
     ric = 0.5 * (ric + ric.conj().T)
-    k = _real(np.einsum("ji,ij->", metric.g_inv, ric), 1e-8, "scalar curvature")
+    k = _real(np.einsum("ji,ij->", metric.g_inv, ric), "scalar curvature")
     return ric, k
 
 
@@ -337,28 +342,26 @@ def tensor_norms(metric: MetricData, R: np.ndarray, Ric: np.ndarray):
     Xc = X.conj()
     r2 = np.vdot(R, _transform(R, (X, Xc, X, Xc)))
     ric2 = np.vdot(Ric, _transform(Ric, (X, Xc)))
-    return _real(r2, 1e-8, "|R|^2"), _real(ric2, 1e-8, "|Ric|^2")
+    return _real(r2, "|R|^2"), _real(ric2, "|Ric|^2")
 
 
-def _laplacian_from_parts(potential: Jet, LD: LogDetParts, metric: MetricData,
+def _laplacian_from_parts(LD: LogDetParts, metric: MetricData,
                           ric: np.ndarray) -> float:
     """Delta k = g^{a bbar} d_a dbar_b tr(X Ric), X = g^{-1}, with
-    d_a X = -A_a X and dbar_b X = -B_b X for A_a = X d_a g, B_b = X dbar_b g,
-    so d_a dbar_b X = (B_b A_a + A_a B_b) X - X (d_a dbar_b g) X. Ric is
-    -d dbar log det g; its derivatives come from LD (L21, its conjugate
-    transpose L12, and the double trace trace22)."""
-    X = metric.g_inv
-    A = np.einsum("ij,jak->aik", X, potential.partials(2, 1))
-    B = np.einsum("ij,jkb->bik", X, potential.partials(1, 2))
+    d_a X = -A_a X and dbar_b X = -B_b X for A_a = X d_a g = LD.Za[a] and
+    B_b = X dbar_b g = LD.Zb[b], so d_a dbar_b X = (B_b A_a + A_a B_b) X -
+    LD.Zab[a, b] X. Ric is -d dbar log det g; its derivatives come from LD
+    (L21, its conjugate transpose L12, and the double trace trace22)."""
+    X, A, B = metric.g_inv, LD.Za, LD.Zb
     Z = X @ ric
     L12 = LD.L21.conj().transpose(2, 0, 1)
     lap = (np.einsum("ba,bij,ajk,ki->", X, B, A, Z)
            + np.einsum("ba,aij,bjk,ki->", X, A, B, Z)
-           - np.einsum("ba,ij,jakb,ki->", X, X, potential.partials(2, 2), Z)
+           - np.einsum("ba,abij,ji->", X, LD.Zab, Z)
            + np.einsum("ba,aij,jk,kib->", X, A, X, L12)
            + np.einsum("ba,bij,jk,kai->", X, B, X, LD.L21)
            - LD.trace22)
-    return _real(lap, 1e-8, "Delta k")
+    return _real(lap, "Delta k")
 
 
 def scalar_curvature_at(spec: HartogsSpec, point: HartogsPoint) -> float:
@@ -395,7 +398,7 @@ def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
     ric, k = _ricci(LD.L11, metric)
     R = curvature_tensor(potential, metric)
     r2, ric2 = tensor_norms(metric, R, ric)
-    lap = _laplacian_from_parts(potential, LD, metric, ric)
+    lap = _laplacian_from_parts(LD, metric, ric)
     a2 = lap / 3.0 + r2 / 24.0 - ric2 / 6.0 + k * k / 8.0
     return CurvatureReport(metric=metric, R=R, Ric=ric, k=k, norm_R_sq=r2,
                            norm_Ric_sq=ric2, lap_k=lap, a0=1.0, a1=k / 2.0, a2=a2)

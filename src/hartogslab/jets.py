@@ -392,23 +392,25 @@ def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
     """The coordinate offset z_index (or zb_index if anti) from the base point."""
     if not 0 <= index < num_vars:
         raise ValueError(f"variable index {index} out of range for {num_vars} vars")
-    return jet_linear_form(0.0, np.eye(num_vars)[index], cap, anti)
-
-
-def jet_linear_form(c, coeffs, cap, anti: bool = False) -> Jet:
-    """The affine form c + sum_k coeffs[k] z_k (or zb_k if anti) in
-    len(coeffs) variables."""
     cap = _as_cap(cap)
     if (cap.anti if anti else cap.holo) < 1:
         raise ValueError("unit exponent exceeds the cap for this character")
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    data = Jet._zeros(coeffs.size, cap)
-    data[0, 0] = c
-    if anti:
-        data[0, _linear_positions(coeffs.size)] = coeffs
-    else:
-        data[_linear_positions(coeffs.size), 0] = coeffs
-    return Jet(coeffs.size, cap, data)
+    data = Jet._zeros(num_vars, cap)
+    pos = _linear_positions(num_vars)[index]
+    data[(0, pos) if anti else (pos, 0)] = 1.0
+    return Jet(num_vars, cap, data)
+
+
+def _sesquilinear(B: np.ndarray, num_vars: int, cap: BidegreeCap) -> np.ndarray:
+    """The (..., H, W) coefficient arrays of sum_{h,a} B[..., h, a] X_h
+    conj(X_a), X = (1, x_1, .., x_m): a holomorphic affine form times an
+    antiholomorphic one, at cap >= (1, 1)."""
+    pos = np.append(0, _linear_positions(num_vars))
+    out = np.zeros(B.shape[:-2] + (_space_size(num_vars, cap.holo),
+                                   _space_size(num_vars, cap.anti)),
+                   dtype=np.complex128)
+    out[..., pos[:, None], pos] = B
+    return out
 
 
 # -- analytic operations ------------------------------------------------------
@@ -479,10 +481,9 @@ def jet_real_power(a: Jet, mu: float) -> Jet:
     return _graded_solve(a, c0 ** mu, ((mu + 1.0) * j - n) / (n * c0))
 
 
-def jet_det(rows, num_vars: int | None = None, cap=None) -> Jet:
-    """Determinant of a square jet matrix G, given as rows of jets or as the
-    (n, n, H, W) array of their coefficient arrays together with num_vars
-    and cap (the array is read, not copied).
+def jet_det(G: np.ndarray, num_vars: int, cap) -> Jet:
+    """Determinant of a square jet matrix, given as the (n, n, H, W) array G
+    of its entries' coefficient arrays (read, not copied).
 
     The constant-term matrix G0 = U S V^H goes to LAPACK's SVD, and
     det G = det U * det V^H * det M with M = U^H G V, one matrix product of
@@ -496,28 +497,20 @@ def jet_det(rows, num_vars: int | None = None, cap=None) -> Jet:
     loses no digits; inverting G0 itself would lose about cond(G0)^(p+q)
     ulps there. Raises ValueError when G0 is numerically singular.
     """
-    if not isinstance(rows, np.ndarray):
-        if len(rows) == 0 or any(len(r) != len(rows) for r in rows):
-            raise ValueError("jet_det requires a nonempty square matrix")
-        first = rows[0][0]
-        for r in rows:
-            for e in r:
-                first._check_compatible(e)
-        num_vars, cap = first.num_vars, first.cap
-        rows = np.array([[e.data for e in r] for r in rows])
-    n = len(rows)
-    if n == 0 or rows.ndim != 4 or rows.shape[1] != n:
+    cap = _as_cap(cap)
+    n = len(G)
+    if n == 0 or G.ndim != 4 or G.shape[1] != n:
         raise ValueError("jet_det requires a nonempty square matrix")
-    U, s, Vh = np.linalg.svd(rows[:, :, 0, 0])
+    U, s, Vh = np.linalg.svd(G[:, :, 0, 0])
     if s[-1] <= n * np.finfo(float).eps * s[0]:
         raise ValueError("jet_det requires a nonsingular constant-term matrix")
-    flat = rows.reshape(n * n, -1)
+    flat = G.reshape(n * n, -1)
     cols = np.flatnonzero(flat.any(axis=0))
     M = np.einsum("ki,jl->ijkl", U.conj(), Vh.conj()).reshape(n * n, n * n) \
         @ flat[:, cols]
     work = [[None] * n for _ in range(n)]
     for i, j in np.ndindex(n, n):
-        data = np.zeros(rows.shape[2:], dtype=np.complex128)
+        data = np.zeros(G.shape[2:], dtype=np.complex128)
         data.ravel()[cols] = M[i * n + j]
         work[i][j] = Jet(num_vars, cap, data)
     det = work[0][0] * (np.linalg.det(U) * np.linalg.det(Vh))

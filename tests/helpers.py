@@ -41,6 +41,13 @@ def leibniz_det(rows):
     return acc
 
 
+def stacked(rows):
+    """A square jet matrix as jet_det's arguments: the (n, n, H, W) array of
+    its entries' coefficients, num_vars and cap."""
+    first = rows[0][0]
+    return np.array([[e.data for e in r] for r in rows]), first.num_vars, first.cap
+
+
 # -- the generic norm in raw coordinates ----------------------------------------
 
 def raw_coordinates(p, cap, jacobian):

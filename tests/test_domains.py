@@ -207,19 +207,22 @@ FULL_CAP_NORM_CASES = [(type1(2, 2), 1e-12), (type1(2, 3), 1e-12),
 def test_norm_jet_matches_leibniz_reference_at_full_cap(spec, bound):
     # seed 0 embeds the base in d + 1 variables; seed 1 uses a lower
     # triangular Jacobian whose last column is zero, like the metric-normal
-    # frame of a Hartogs point
-    cap, num_vars = (3, 3), spec.d + 1
+    # frame of a Hartogs point. Besides the full cap (3, 3), the caps below
+    # it truncate the holomorphic and antiholomorphic characters apart
+    # (type 4's quadratic z z^t at degree 1, say), down to the frame's (1, 1).
+    num_vars = spec.d + 1
     rng = np.random.default_rng(2)
     frame = np.tril(rng.normal(size=(num_vars, num_vars))
                     + 1j * rng.normal(size=(num_vars, num_vars)))
-    for seed, jacobian in ((0, np.eye(spec.d, num_vars)), (1, frame[:spec.d])):
-        for p in sample_interior(spec, seed=seed, count=6):
-            got = generic_norm_jet(spec, p, cap, jacobian=jacobian)
-            if spec.kind == "type2":
-                got = got * got
-            want = helpers.reference_norm(spec, p, cap, jacobian)
-            err = np.abs(got.data - want.data).max()
-            assert err <= bound * np.abs(want.data).max(), (seed, p)
+    for cap in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 3)):
+        for seed, jacobian in ((0, np.eye(spec.d, num_vars)), (1, frame[:spec.d])):
+            for p in sample_interior(spec, seed=seed, count=6):
+                got = generic_norm_jet(spec, p, cap, jacobian=jacobian)
+                if spec.kind == "type2":
+                    got = got * got
+                want = helpers.reference_norm(spec, p, cap, jacobian)
+                err = np.abs(got.data - want.data).max()
+                assert err <= bound * np.abs(want.data).max(), (cap, seed, p)
 
 
 @pytest.mark.parametrize("spec", [type1(2, 2), type2(4), type4(5)],

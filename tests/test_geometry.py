@@ -230,7 +230,8 @@ def _log_det_errors(P):
     X = metric.g_inv
     m = P.num_vars
     G = [[P.derivative_jet(i, j) for j in range(m)] for i in range(m)]
-    LD = jet_log(helpers.leibniz_det(G) if m <= 4 else jet_det(G))
+    det = helpers.leibniz_det(G) if m <= 4 else jet_det(*helpers.stacked(G))
+    LD = jet_log(det)
     L22 = LD.partials(2, 2)
     want = (-LD.partials(1, 1), LD.partials(2, 1), LD.partials(1, 2),
             np.einsum("ba,ij,jaib->", X, X, L22))
@@ -285,6 +286,20 @@ def test_report_takes_determinants_only_of_the_generic_norm(monkeypatch):
     scalar_curvature_at(spec, pt)
     base_curvature_report(type1(2, 2), pt.base)
     assert callers and set(callers) == {"generic_norm_jet"}
+    # type 4's norm and the fiber term |w|^2 are coefficient arrays in closed
+    # form, so a type 4 report multiplies no jets
+    products = []
+    mul = jets.Jet.__mul__
+
+    def mul_spy(self, other):
+        products.append(type(other).__name__)
+        return mul(self, other)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", mul_spy)
+    monkeypatch.setattr(jets.Jet, "__rmul__", mul_spy)
+    spec = HartogsSpec(type4(5), F(4, 5))
+    curvature_report(spec, sample_hartogs(spec, seed=0, count=1)[0])
+    assert products == []
 
 
 def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):

@@ -291,32 +291,19 @@ def test_log_and_power_guards():
 
 def test_det_elimination_matches_leibniz_reference():
     rng = random.Random(17)
-    cap = (2, 2)
+    cap = BidegreeCap(2, 2)
     for n in range(1, 7):
         rows = [[_random_unit_jet(rng, 2, cap) + rng.randint(1, 3) * 1.0
                  for _ in range(n)] for _ in range(n)]
-        got = jet_det(rows)
+        G = helpers.stacked(rows)[0]
+        before = G.copy()
+        got = jet_det(G, 2, cap)
         want = helpers.leibniz_det(rows)
+        assert got.num_vars == 2 and got.cap == cap
         scale = max(1.0, np.abs(want.data).max())
         assert np.allclose(got.data, want.data, atol=1e-9 * scale), n
-
-
-def test_det_of_stacked_coefficients_matches_rows():
-    # the generic norm passes its (n, n, H, W) coefficient array as is; it
-    # is read, not written
-    rng = random.Random(29)
-    cap = BidegreeCap(2, 2)
-    rows = [[_random_unit_jet(rng, 2, cap) + rng.randint(1, 3) * 1.0
-             for _ in range(3)] for _ in range(3)]
-    stacked = np.array([[e.data for e in r] for r in rows])
-    before = stacked.copy()
-    got = jet_det(stacked, 2, cap)
-    want = jet_det(rows)
-    assert got.num_vars == 2 and got.cap == cap
-    assert np.abs(got.data - want.data).max() < 1e-13 * np.abs(want.data).max()
-    assert np.array_equal(stacked, before)
-    with pytest.raises(ValueError):
-        jet_det(stacked[:2], 2, cap)
+        # the coefficient array is read, not written
+        assert np.array_equal(G, before)
 
 
 def test_det_keeps_digits_with_one_small_singular_value():
@@ -339,7 +326,7 @@ def test_det_keeps_digits_with_one_small_singular_value():
                 e = e + a[v] * z[v] + b[v] * zb[v] + c[v] * z[v] * zb[v]
             row.append(e)
         rows.append(row)
-    got = jet_det(rows)
+    got = jet_det(*helpers.stacked(rows))
     want = helpers.leibniz_det(rows)
     assert np.abs(got.data - want.data).max() < 1e-13 * np.abs(want.data).max()
 
@@ -355,21 +342,24 @@ def test_det_on_constants_matches_numpy():
     assert np.linalg.cond(mats[-1]) == pytest.approx(1e5)
     for M in mats:
         n = len(M)
-        rows = [[jet_constant(M[i, j], 1, (1, 1)) for j in range(n)]
-                for i in range(n)]
-        got = jet_det(rows).constant_term
+        G = np.zeros((n, n, 2, 2), dtype=complex)
+        G[:, :, 0, 0] = M
+        got = jet_det(G, 1, (1, 1)).constant_term
         want = np.linalg.det(M)
         assert abs(got - want) < 1e-9 * abs(want)
 
 
 def test_det_guards():
-    j = jet_constant(1.0, 1, (1, 1))
+    G = np.zeros((2, 3, 2, 2), dtype=complex)
+    G[:, :, 0, 0] = np.eye(2, 3)
     with pytest.raises(ValueError):
-        jet_det([[j, j]])
+        jet_det(G, 1, (1, 1))  # not square
+    with pytest.raises(ValueError):
+        jet_det(G[:, :, 0, 0], 1, (1, 1))  # not an array of coefficient arrays
     z = jet_variable(0, 1, (1, 1))
-    rows = [[z * 1.0 for _ in range(5)] for _ in range(5)]
     with pytest.raises(ValueError):
-        jet_det(rows)  # the constant-term matrix is zero
+        # the constant-term matrix is zero
+        jet_det(*helpers.stacked([[z] * 5 for _ in range(5)]))
 
 
 def test_scalar_mixed_arithmetic():
