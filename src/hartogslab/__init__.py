@@ -8,7 +8,7 @@ base, mu = 1) has constant second expansion coefficient a2.
 
 __version__ = "1.0.0"
 
-from .jets import (BidegreeCap, Jet, basis_exponents, jet_constant, jet_det,
+from .jets import (BidegreeCap, Jet, basis_exponents, jet_constant,
                    jet_log, jet_real_power, jet_reciprocal, jet_variable)
 from .domains import (DomainSpec, ExceptionalDomainError, contains,
                       generic_norm_jet, generic_norm_value,

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .jets import Jet, _as_cap, _gather_table, _linear_positions, _sesquilinear, \
-    _space_size, jet_det, jet_real_power
+from .jets import Jet, _as_cap, _polynomials
 
 BasePoint = tuple  # tuple of complex coordinates, length spec.d
 
@@ -160,12 +161,17 @@ def matrix_model(spec: DomainSpec, z: Sequence) -> np.ndarray:
     """Assemble the matrix realization from independent coordinates
     (skew-symmetric completion for type2, symmetric for type3)."""
     _require_classical(spec)
-    v = _coords(spec, z)
+    return _matrix_model(spec, _coords(spec, z))
+
+
+def _matrix_model(spec: DomainSpec, v: np.ndarray) -> np.ndarray:
+    """matrix_model of each column of the (spec.d, ...) array v, indexed
+    [row, column, ...]."""
     if spec.kind == "type1":
-        return v.reshape(spec.m, spec.n)
+        return v.reshape((spec.m, spec.n) + v.shape[1:])
     if spec.kind == "type4":
         raise ValueError("type4 has no matrix model")
-    M = np.zeros((spec.n, spec.n), dtype=np.complex128)
+    M = np.zeros((spec.n, spec.n) + v.shape[1:], dtype=np.complex128)
     skew = spec.kind == "type2"
     r, c = np.triu_indices(spec.n, 1 if skew else 0)
     M[r, c] = v
@@ -218,6 +224,22 @@ def sample_interior(spec: DomainSpec, seed: int, count: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _levi_civita(k: int) -> np.ndarray:
+    """eps[i1, .., ik] = det(e_i1, .., e_ik), exactly: 0 or a permutation's sign."""
+    units = np.eye(k)[np.indices((k,) * k).reshape(k, -1).T]
+    return np.linalg.det(units).reshape((k,) * k)
+
+
+def _alternating(k: int, factors) -> np.ndarray:
+    """sum_s sgn(s) prod_f B_f[.., s[slots_f], h_f] over the permutations s of
+    range(k), for factors (B_f, slots_f): an order-len(factors) tensor in h."""
+    args = [_levi_civita(k), list(range(k))]
+    for f, (B, slots) in enumerate(factors):
+        args += [B, [..., *slots, k + f]]
+    return np.einsum(*args, [..., *range(k, k + len(factors))])
+
+
 def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     """Jet of N(z, zb) centered at the interior point p, in the variables x
     of z = p + jacobian @ x.
@@ -225,14 +247,16 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     jacobian is a (spec.d, num_vars) matrix, default the identity. A zero
     column, such as the Hartogs fiber's variable, never occurs in the jet.
 
-    With X = (1, x) and U = [p | jacobian], z = U X is affine in x, and N
-    is built from sesquilinear forms in X. Types 1-3: the matrix model is
-    linear, so Z = sum_h Y[..., h] X_h with Y[..., h] = sum_i U[i, h]
-    matrix_model(e_i), and every entry of E = I - Z Z^H is
-    I - sum_c (Y[a, c] X) conj(Y[b, c] X), of bidegree (1, 1); N = det E
-    (its square root for type 2). Type 4: z zb^t = X^T U^T conj(U X), and
-    z z^t = X^T U^T U X is a holomorphic quadratic q(x), so |z z^t|^2 is the
-    outer product of q's coefficients with their conjugates.
+    Every N is a signed sum of squares sum_j s_j |p_j(z)|^2 of holomorphic
+    polynomials. With X = (1, x) and U = [p | jacobian], z = U X, so each
+    p_j is a homogeneous tensor in X, and the jet's coefficient array is
+    sum_j s_j P_j conj(P_j)^T over the p_j's coefficient rows P_j. Types 1
+    and 3: the matrix model is linear, so Z = Y X with Y[..., h] the matrix
+    model of U[:, h], and by Cauchy-Binet det(I - Z Z^H) is the sum over
+    k >= 0 of (-1)^k |M|^2 over the k x k minors M of Z. Type 2: N
+    itself is the sum over k >= 0 of (-1)^k |Pf|^2 over the principal
+    Pfaffians of Z of order 2k. Type 4: the terms are 1, z_i with weight -2,
+    and z z^t = X^T U^T U X.
     """
     _require_classical(spec)
     v = _coords(spec, p)
@@ -248,23 +272,32 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
         raise ValueError(f"the generic norm jet needs cap >= (1, 1), got {cap}")
 
     U = np.column_stack((v, jac))  # z = U @ (1, x)
+    terms = []  # (sign, tensors in X); the term 1 is added last
     if spec.kind == "type4":
-        Q = U.T @ U
-        H, W = _space_size(m, cap.holo), _space_size(m, cap.anti)
-        q = np.zeros(max(H, W, _space_size(m, 2)), dtype=np.complex128)
-        q[0] = Q[0, 0]
-        q[_linear_positions(m)] = 2.0 * Q[0, 1:]
-        np.add.at(q, _gather_table(m, 2)[0], Q[1:, 1:].ravel())
-        N = np.outer(q[:H], q[:W].conj())
-        N -= 2.0 * _sesquilinear(U.T @ U.conj(), m, cap)
-        N[0, 0] += 1.0
-        return Jet(m, cap, N)
-
-    models = np.stack([matrix_model(spec, e) for e in np.eye(d)])
-    Y = np.einsum("iac,ih->ach", models, U)
-    E = -_sesquilinear(np.einsum("ach,bcl->abhl", Y, Y.conj()), m, cap)
-    E[:, :, 0, 0] += np.eye(len(Y))
-    det = jet_det(E, m, cap)
-    if spec.kind == "type2":
-        det = jet_real_power(det, 0.5)
-    return det
+        terms = [(-2.0, U), (1.0, (U.T @ U)[None])]
+    else:
+        Y = _matrix_model(spec, U)  # Z = Y @ (1, x), linear in X
+        rows, cols = Y.shape[:2]
+        if spec.kind == "type2":
+            # Pf = sum_s sgn(s) prod_f Z[s_2f, s_2f+1] / (2^k k!), f < k
+            for k in range(1, rows // 2 + 1):
+                S = np.array(list(combinations(range(rows), 2 * k)))
+                B = Y[S[:, :, None], S[:, None, :]]
+                pf = _alternating(2 * k, [(B, (2 * f, 2 * f + 1)) for f in range(k)])
+                terms.append(((-1.0) ** k, pf / (2 ** k * math.factorial(k))))
+        else:
+            # det = sum_s sgn(s) prod_i Z[i, s_i], i < k
+            for k in range(1, rows + 1):
+                R = np.array(list(combinations(range(rows), k)))
+                C = np.array(list(combinations(range(cols), k)))
+                B = Y[R[:, None, :, None], C[None, :, None, :]].reshape(-1, k, k, m + 1)
+                minor = _alternating(k, [(B[:, i], (i,)) for i in range(k)])
+                terms.append(((-1.0) ** k, minor))
+    N = Jet._zeros(m, cap)
+    N[0, 0] = 1.0
+    for sign, T in terms:
+        # order-k tensors fill only the monomials of degree <= k
+        P = _polynomials(T, min(T.ndim - 1, max(cap)))
+        H, W = min(P.shape[1], N.shape[0]), min(P.shape[1], N.shape[1])
+        N[:H, :W] += (sign * P[:, :H].T) @ P[:, :W].conj()
+    return Jet(m, cap, N)

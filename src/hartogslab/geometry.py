@@ -44,7 +44,7 @@ import numpy as np
 
 from .domains import DomainSpec, contains, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import BidegreeCap, Jet, _sesquilinear, jet_log, jet_real_power
+from .jets import BidegreeCap, Jet, _polynomials, jet_log, jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
@@ -143,8 +143,9 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     N = generic_norm_jet(spec.base, point.base, cap, jacobian=frame[:d])
     inner = jet_real_power(N, mu) if mu != 1.0 else N
     m, cap = N.num_vars, N.cap
-    u = np.append(w0, frame[d])  # w = u @ (1, x)
-    inner = inner - Jet(m, cap, _sesquilinear(np.outer(u, u.conj()), m, cap))
+    H, W = N.data.shape
+    w = _polynomials(np.append(w0, frame[d])[None], max(cap))[0]  # w = u @ (1, x)
+    inner = inner - Jet(m, cap, np.outer(w[:H], w[:W].conj()))
     c0 = inner.constant_term
     if c0.real <= 0.0:
         raise ValueError("point lies outside the Hartogs domain: N^mu - |w|^2 <= 0")

@@ -5,9 +5,11 @@ treated as 2m independent formal variables (Wirtinger calculus). A jet stores
 every mixed Taylor coefficient whose holomorphic total degree is <= cap.holo
 and whose antiholomorphic total degree is <= cap.anti, centered at a base
 point. That retained monomial box is the complement of an ideal, so truncation
-is a ring quotient map: sums, products, reciprocals, logs, powers and
-determinants computed on jets agree exactly with the truncation of the true
-series, coefficient by coefficient.
+is a ring quotient map: sums, products, reciprocals, logs and powers
+computed on jets agree exactly with the truncation of the true series,
+coefficient by coefficient. Polynomials in X = (1, x), with x the offset
+from the base point, come in as homogeneous tensors in X; _polynomials
+gathers a tensor's entries onto the monomial basis.
 
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
 over graded-lex monomial bases. One kernel does all the arithmetic: the
@@ -219,14 +221,34 @@ def _gather_table(m: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _linear_positions(m: int) -> np.ndarray:
-    """Basis index of each degree-1 monomial z_0 .. z_{m-1}; the graded bases
-    of every degree >= 1 share it."""
-    index = _basis_index(m, 1)
-    pos = np.array([index[tuple(int(t == k) for t in range(m))] for k in range(m)],
+def _tuple_runs(m: int, order: int, degree: int):
+    """The index tuples (i1..i_order) in range(m + 1)^order, as flat C-order
+    indices, whose monomial X_i1 .. X_i_order in X = (1, x_1, .., x_m) has
+    degree <= degree in x, grouped by that monomial: the tuples sorted by
+    the monomial's basis index, where each run of them starts, and each
+    run's basis index."""
+    tuples = np.indices((m + 1,) * order).reshape(order, (m + 1) ** order)
+    exps = (tuples[..., None] == np.arange(1, m + 1)).sum(axis=0)
+    keep = np.flatnonzero(exps.sum(axis=1) <= degree)
+    index = _basis_index(m, degree)
+    dst = np.array([index[e] for e in map(tuple, exps[keep].tolist())],
                    dtype=np.intp)
-    pos.setflags(write=False)
-    return pos
+    sort = np.argsort(dst, kind="stable")
+    src, dst = keep[sort], dst[sort]
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    return src, starts, dst[starts]
+
+
+def _polynomials(T: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients over the graded basis of degree <= degree of the
+    polynomials sum T[j, i1, .., ik] X_i1 .. X_ik in x, one row per j, where
+    X = (1, x_1, .., x_m) and T has shape (J, m + 1, .., m + 1); terms above
+    degree are dropped."""
+    m, order = T.shape[-1] - 1, T.ndim - 1
+    src, starts, dst = _tuple_runs(m, order, degree)
+    out = np.zeros((len(T), _space_size(m, degree)), dtype=np.complex128)
+    out[:, dst] = np.add.reduceat(T.reshape(len(T), -1)[:, src], starts, axis=1)
+    return out
 
 
 def _space_size(m: int, degree: int) -> int:
@@ -396,21 +418,9 @@ def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
     if (cap.anti if anti else cap.holo) < 1:
         raise ValueError("unit exponent exceeds the cap for this character")
     data = Jet._zeros(num_vars, cap)
-    pos = _linear_positions(num_vars)[index]
+    pos = _basis_index(num_vars, 1)[tuple(int(t == index) for t in range(num_vars))]
     data[(0, pos) if anti else (pos, 0)] = 1.0
     return Jet(num_vars, cap, data)
-
-
-def _sesquilinear(B: np.ndarray, num_vars: int, cap: BidegreeCap) -> np.ndarray:
-    """The (..., H, W) coefficient arrays of sum_{h,a} B[..., h, a] X_h
-    conj(X_a), X = (1, x_1, .., x_m): a holomorphic affine form times an
-    antiholomorphic one, at cap >= (1, 1)."""
-    pos = np.append(0, _linear_positions(num_vars))
-    out = np.zeros(B.shape[:-2] + (_space_size(num_vars, cap.holo),
-                                   _space_size(num_vars, cap.anti)),
-                   dtype=np.complex128)
-    out[..., pos[:, None], pos] = B
-    return out
 
 
 # -- analytic operations ------------------------------------------------------
@@ -479,48 +489,3 @@ def jet_real_power(a: Jet, mu: float) -> Jet:
     c0 = c0.real
     n, j = _degree_grid(a)
     return _graded_solve(a, c0 ** mu, ((mu + 1.0) * j - n) / (n * c0))
-
-
-def jet_det(G: np.ndarray, num_vars: int, cap) -> Jet:
-    """Determinant of a square jet matrix, given as the (n, n, H, W) array G
-    of its entries' coefficient arrays (read, not copied).
-
-    The constant-term matrix G0 = U S V^H goes to LAPACK's SVD, and
-    det G = det U * det V^H * det M with M = U^H G V, one matrix product of
-    U^H (x) conj(V^H) with the coefficient positions that some entry holds;
-    the constant term of M is diag(S), largest singular value first.
-    Gaussian elimination on M needs no pivoting: pivot k has constant term
-    S[k], jet_reciprocal inverts it, and det M is the product of the pivots.
-    Each finished row and column is dropped, so the work matrix shrinks.
-    The smallest singular value is never inverted, so a G0 with one small
-    singular value (the generic norm at a base point near the boundary)
-    loses no digits; inverting G0 itself would lose about cond(G0)^(p+q)
-    ulps there. Raises ValueError when G0 is numerically singular.
-    """
-    cap = _as_cap(cap)
-    n = len(G)
-    if n == 0 or G.ndim != 4 or G.shape[1] != n:
-        raise ValueError("jet_det requires a nonempty square matrix")
-    U, s, Vh = np.linalg.svd(G[:, :, 0, 0])
-    if s[-1] <= n * np.finfo(float).eps * s[0]:
-        raise ValueError("jet_det requires a nonsingular constant-term matrix")
-    flat = G.reshape(n * n, -1)
-    cols = np.flatnonzero(flat.any(axis=0))
-    M = np.einsum("ki,jl->ijkl", U.conj(), Vh.conj()).reshape(n * n, n * n) \
-        @ flat[:, cols]
-    work = [[None] * n for _ in range(n)]
-    for i, j in np.ndindex(n, n):
-        data = np.zeros(G.shape[2:], dtype=np.complex128)
-        data.ravel()[cols] = M[i * n + j]
-        work[i][j] = Jet(num_vars, cap, data)
-    det = work[0][0] * (np.linalg.det(U) * np.linalg.det(Vh))
-    for k in range(n - 1):
-        inv = jet_reciprocal(work[k][k])
-        for i in range(k + 1, n):
-            f = work[i][k] * inv
-            for j in range(k + 1, n):
-                work[i][j] = work[i][j] - f * work[k][j]
-            work[i][k] = None
-        work[k] = None
-        det = det * work[k + 1][k + 1]
-    return det

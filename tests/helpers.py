@@ -1,7 +1,7 @@
 """Shared helpers for the test suite.
 
-Everything here is an independent cross-check path: a Leibniz determinant of
-jet matrices, the generic norm and the Hartogs potential built from
+Everything here is an independent cross-check path: a cofactor determinant
+of jet matrices, the generic norm and the Hartogs potential built from
 jet_variable in raw coordinates, the Horner composition of power series,
 finite-difference stencils for Wirtinger derivatives,
 exact-rational regrouping of the fiber-slice identity polynomials, and a
@@ -13,39 +13,34 @@ import cmath
 import math
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from functools import lru_cache
 
 import numpy as np
 
 from hartogslab.jets import jet_constant, jet_log, jet_real_power, jet_variable
 
 
-# -- Leibniz determinant of a jet matrix --------------------------------------
+# -- cofactor determinant of a jet matrix ---------------------------------------
 
-def leibniz_det(rows):
-    """Determinant of a square jet matrix as the signed sum over permutations;
-    uses only jet products, never jet_det."""
+def cofactor_det(rows):
+    """Determinant of a square jet matrix by cofactor expansion along its
+    rows, memoized over the set of columns left free; uses only jet products
+    and sums, no division."""
     n = len(rows)
-    acc = jet_constant(0.0, rows[0][0].num_vars, rows[0][0].cap)
-    for perm in permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i] > p[j]:
-                    sign = -sign
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        acc = acc + (sign * term)
-    return acc
 
+    @lru_cache(maxsize=None)
+    def minor(cols):
+        # the determinant of the last len(cols) rows on the columns cols
+        row = rows[n - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        acc = row[cols[0]] * minor(cols[1:])
+        for k in range(1, len(cols)):
+            term = row[cols[k]] * minor(cols[:k] + cols[k + 1:])
+            acc = acc - term if k % 2 else acc + term
+        return acc
 
-def stacked(rows):
-    """A square jet matrix as jet_det's arguments: the (n, n, H, W) array of
-    its entries' coefficients, num_vars and cap."""
-    first = rows[0][0]
-    return np.array([[e.data for e in r] for r in rows]), first.num_vars, first.cap
+    return minor(tuple(range(n)))
 
 
 # -- the generic norm in raw coordinates ----------------------------------------
@@ -103,10 +98,10 @@ def reference_norm_matrix(spec, p, cap, jacobian):
 
 def reference_norm(spec, p, cap, jacobian):
     """N in the variables x of z = p + jacobian @ x, from jet_variable only:
-    a Leibniz determinant of reference_norm_matrix for types 1-3 (for type 2
+    a cofactor determinant of reference_norm_matrix for types 1-3 (for type 2
     that is N^2), the polynomial 1 - 2 z zb^t + |z z^t|^2 for type 4."""
     if spec.kind != "type4":
-        return leibniz_det(reference_norm_matrix(spec, p, cap, jacobian))
+        return cofactor_det(reference_norm_matrix(spec, p, cap, jacobian))
     z, zb = raw_coordinates(p, cap, jacobian)
     zero = jet_constant(0.0, jacobian.shape[1], cap)
     zz = sum((a * b for a, b in zip(z, zb)), zero)

@@ -194,17 +194,20 @@ def test_norm_jet_embedding_in_larger_variable_set():
         generic_norm_jet(spec, np.zeros(2), (2, 2), jacobian=np.eye(1, 3))
 
 
-# N itself for types 1, 3 and 4; N * N = det(I - Z Zbar^t) for type 2, whose
-# base points all have paired singular values, so jet_det inverts the
-# second-smallest one and the looser bound applies.
-FULL_CAP_NORM_CASES = [(type1(2, 2), 1e-12), (type1(2, 3), 1e-12),
-                       (type3(2), 1e-12), (type3(3), 1e-12), (type2(4), 1e-9),
-                       (type4(5), 1e-12)]
+# N itself for types 1, 3 and 4; N * N = det(I - Z Zbar^t) for type 2. The
+# fixed points lie near the boundary, where I - Z Zbar^t has two small
+# singular values.
+FULL_CAP_NORM_CASES = [
+    ("type1(2,2)", type1(2, 2), None), ("type1(2,3)", type1(2, 3), None),
+    ("type3(2)", type3(2), None), ("type3(3)", type3(3), None),
+    ("type2(4)", type2(4), None), ("type4(5)", type4(5), None),
+    ("type1(2,2)-near-boundary", type1(2, 2), (0.99, 0, 0, 0.99)),
+    ("type3(3)-near-boundary", type3(3), (0.99, 0, 0, 0, 0, 0.99))]
 
 
-@pytest.mark.parametrize("spec,bound", FULL_CAP_NORM_CASES,
-                         ids=[s.label() for s, _ in FULL_CAP_NORM_CASES])
-def test_norm_jet_matches_leibniz_reference_at_full_cap(spec, bound):
+@pytest.mark.parametrize("spec,point", [c[1:] for c in FULL_CAP_NORM_CASES],
+                         ids=[c[0] for c in FULL_CAP_NORM_CASES])
+def test_norm_jet_matches_leibniz_reference_at_full_cap(spec, point):
     # seed 0 embeds the base in d + 1 variables; seed 1 uses a lower
     # triangular Jacobian whose last column is zero, like the metric-normal
     # frame of a Hartogs point. Besides the full cap (3, 3), the caps below
@@ -216,13 +219,14 @@ def test_norm_jet_matches_leibniz_reference_at_full_cap(spec, bound):
                     + 1j * rng.normal(size=(num_vars, num_vars)))
     for cap in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 3)):
         for seed, jacobian in ((0, np.eye(spec.d, num_vars)), (1, frame[:spec.d])):
-            for p in sample_interior(spec, seed=seed, count=6):
+            points = [point] if point else sample_interior(spec, seed=seed, count=6)
+            for p in points:
                 got = generic_norm_jet(spec, p, cap, jacobian=jacobian)
                 if spec.kind == "type2":
                     got = got * got
                 want = helpers.reference_norm(spec, p, cap, jacobian)
                 err = np.abs(got.data - want.data).max()
-                assert err <= bound * np.abs(want.data).max(), (cap, seed, p)
+                assert err <= 1e-12 * np.abs(want.data).max(), (cap, seed, p)
 
 
 @pytest.mark.parametrize("spec", [type1(2, 2), type2(4), type4(5)],

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import helpers
-import hartogslab
-from hartogslab import domains, geometry, jets
+from hartogslab import geometry, jets
 from hartogslab.domains import generic_norm_jet, generic_norm_value, type1, \
     type2, type3, type4
 from hartogslab.geometry import (FULL_CAP, HartogsPoint, HartogsSpec,
@@ -26,7 +25,7 @@ from hartogslab.geometry import (FULL_CAP, HartogsPoint, HartogsSpec,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at,
                                  tensor_norms)
-from hartogslab.jets import (BidegreeCap, jet_constant, jet_det, jet_log,
+from hartogslab.jets import (BidegreeCap, Jet, jet_log,
                              jet_real_power, jet_reciprocal, jet_variable)
 from hartogslab.oracles import OracleInputs, appendix_R2_base, \
     scalar_curvature_formula
@@ -222,16 +221,23 @@ def test_ricci_matches_finite_differences():
 
 def _log_det_errors(P):
     """Errors of the closed-form log-det derivatives against jet_log of the
-    determinant of the metric-entry jets (Leibniz for m <= 4, jet_det
-    above): Ric, L21, L12 and the double trace relative to
-    max(1, |reference|), then the double trace relative to the sum of the
-    absolute values of its summands."""
+    cofactor determinant of the metric-entry jets: Ric, L21, L12 and the
+    double trace relative to max(1, |reference|), then the double trace
+    relative to the sum of the absolute values of its summands.
+
+    The determinant is taken of L^{-1} G L^{-H}, g = L L^H, whose constant
+    term is I: constant factors leave every derivative of log det alone,
+    and the expansion of G itself in (z, w) cancels (it is 5e-12 off at
+    type4(5), mu 3, where this is 7e-14 from the closed form)."""
     metric = metric_at(P)
     X = metric.g_inv
     m = P.num_vars
     G = [[P.derivative_jet(i, j) for j in range(m)] for i in range(m)]
-    det = helpers.leibniz_det(G) if m <= 4 else jet_det(*helpers.stacked(G))
-    LD = jet_log(det)
+    Linv = np.linalg.inv(np.linalg.cholesky(metric.g))
+    D = np.einsum("ai,ijhw,bj->abhw", Linv,
+                  np.array([[e.data for e in row] for row in G]), Linv.conj())
+    cap = G[0][0].cap
+    LD = jet_log(helpers.cofactor_det([[Jet(m, cap, e) for e in row] for row in D]))
     L22 = LD.partials(2, 2)
     want = (-LD.partials(1, 1), LD.partials(2, 1), LD.partials(1, 2),
             np.einsum("ba,ij,jaib->", X, X, L22))
@@ -261,7 +267,7 @@ def test_log_det_closed_form_matches_jet_log_of_det(base):
 
 def test_log_det_closed_form_near_boundary():
     # cond(g) is 9.6e4 and 1.6e5 in (z, w) here; the pipeline's normal
-    # frame has g = I at the point (m = 4 for type3(2): Leibniz reference)
+    # frame has g = I at the point
     for spec, count, index in [(HartogsSpec(type3(2), 1.0), 20, 18),
                                (HartogsSpec(type4(6), 0.8), 5, 4)]:
         pt = sample_hartogs(spec, seed=0, count=count)[index]
@@ -269,37 +275,27 @@ def test_log_det_closed_form_near_boundary():
         assert max(_log_det_errors(P)[:4]) < 1e-12
 
 
-def test_report_takes_determinants_only_of_the_generic_norm(monkeypatch):
-    real = jets.jet_det
-    callers = []
-
-    def spy(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(*args, **kwargs)
-
-    for module in (hartogslab, jets, domains, geometry):
-        if getattr(module, "jet_det", None) is real:
-            monkeypatch.setattr(module, "jet_det", spy)
-    spec = HartogsSpec(type1(2, 2), F(4, 5))
-    pt = sample_hartogs(spec, seed=0, count=1)[0]
-    curvature_report(spec, pt)
-    scalar_curvature_at(spec, pt)
-    base_curvature_report(type1(2, 2), pt.base)
-    assert callers and set(callers) == {"generic_norm_jet"}
-    # type 4's norm and the fiber term |w|^2 are coefficient arrays in closed
-    # form, so a type 4 report multiplies no jets
+def test_reports_make_no_jet_products(monkeypatch):
+    # every generic norm and the fiber term |w|^2 are coefficient arrays in
+    # closed form, so no report multiplies two jets (scaling by a number is
+    # not a product)
     products = []
     mul = jets.Jet.__mul__
 
     def mul_spy(self, other):
-        products.append(type(other).__name__)
+        if isinstance(other, jets.Jet):
+            products.append(sys._getframe(1).f_code.co_name)
         return mul(self, other)
 
     monkeypatch.setattr(jets.Jet, "__mul__", mul_spy)
     monkeypatch.setattr(jets.Jet, "__rmul__", mul_spy)
-    spec = HartogsSpec(type4(5), F(4, 5))
-    curvature_report(spec, sample_hartogs(spec, seed=0, count=1)[0])
-    assert products == []
+    for base in (type1(2, 2), type2(4), type3(2), type4(5)):
+        spec = HartogsSpec(base, F(4, 5))
+        pt = sample_hartogs(spec, seed=0, count=1)[0]
+        curvature_report(spec, pt)
+        scalar_curvature_at(spec, pt)
+        base_curvature_report(base, pt.base)
+        assert products == [], base.label()
 
 
 def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 import helpers
 from hartogslab import jets
 from hartogslab.jets import (MAX_DEGREE, BidegreeCap, Jet, basis_exponents,
-                             jet_constant, jet_det, jet_log, jet_real_power,
+                             jet_constant, jet_log, jet_real_power,
                              jet_reciprocal, jet_variable)
 
 
@@ -289,77 +289,16 @@ def test_log_and_power_guards():
         jet_real_power(jet_constant(1.0, 1, cap), -1.0)
 
 
-def test_det_elimination_matches_leibniz_reference():
-    rng = random.Random(17)
-    cap = BidegreeCap(2, 2)
-    for n in range(1, 7):
-        rows = [[_random_unit_jet(rng, 2, cap) + rng.randint(1, 3) * 1.0
-                 for _ in range(n)] for _ in range(n)]
-        G = helpers.stacked(rows)[0]
-        before = G.copy()
-        got = jet_det(G, 2, cap)
-        want = helpers.leibniz_det(rows)
-        assert got.num_vars == 2 and got.cap == cap
-        scale = max(1.0, np.abs(want.data).max())
-        assert np.allclose(got.data, want.data, atol=1e-9 * scale), n
-        # the coefficient array is read, not written
-        assert np.array_equal(G, before)
-
-
-def test_det_keeps_digits_with_one_small_singular_value():
-    # bidegree-(1,1) polynomial entries, as in the generic norm
-    # det(I - Z Zbar^t), around constant terms diag(1e-3, 1, 1): a base point
-    # near the boundary. Leibniz is exact up to rounding here; inverting the
-    # constant terms would scale row 0 by 1e3 and lose about 1e3^(p+q) ulps.
-    m, cap, n = 2, (2, 2), 3
-    rng = np.random.default_rng(5)
-    z = [jet_variable(i, m, cap) for i in range(m)]
-    zb = [jet_variable(i, m, cap, anti=True) for i in range(m)]
-    const = np.diag([1e-3, 1.0, 1.0])
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a, b, c = rng.normal(size=(3, m)) + 1j * rng.normal(size=(3, m))
-            e = jet_constant(const[i, j], m, cap)
-            for v in range(m):
-                e = e + a[v] * z[v] + b[v] * zb[v] + c[v] * z[v] * zb[v]
-            row.append(e)
-        rows.append(row)
-    got = jet_det(*helpers.stacked(rows))
-    want = helpers.leibniz_det(rows)
-    assert np.abs(got.data - want.data).max() < 1e-13 * np.abs(want.data).max()
-
-
-def test_det_on_constants_matches_numpy():
+def test_cofactor_det_on_constants_matches_numpy():
+    # the tests' reference determinant, on constant jets
     rng = np.random.default_rng(23)
-    mats = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3 * np.eye(n)
-            for n in (2, 3, 5, 6, 9)]
-    # cond = 1e5: singular values 1 .. 1e-5 between random unitary factors
-    U = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
-    V = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
-    mats.append(U @ np.diag(np.logspace(0, -5, 5)) @ V.conj().T)
-    assert np.linalg.cond(mats[-1]) == pytest.approx(1e5)
-    for M in mats:
-        n = len(M)
-        G = np.zeros((n, n, 2, 2), dtype=complex)
-        G[:, :, 0, 0] = M
-        got = jet_det(G, 1, (1, 1)).constant_term
+    for n in range(1, 8):
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rows = [[jet_constant(x, 1, (1, 1)) for x in row] for row in M]
+        got = helpers.cofactor_det(rows)
         want = np.linalg.det(M)
-        assert abs(got - want) < 1e-9 * abs(want)
-
-
-def test_det_guards():
-    G = np.zeros((2, 3, 2, 2), dtype=complex)
-    G[:, :, 0, 0] = np.eye(2, 3)
-    with pytest.raises(ValueError):
-        jet_det(G, 1, (1, 1))  # not square
-    with pytest.raises(ValueError):
-        jet_det(G[:, :, 0, 0], 1, (1, 1))  # not an array of coefficient arrays
-    z = jet_variable(0, 1, (1, 1))
-    with pytest.raises(ValueError):
-        # the constant-term matrix is zero
-        jet_det(*helpers.stacked([[z] * 5 for _ in range(5)]))
+        assert abs(got.constant_term - want) < 1e-13 * abs(want), n
+        assert not got.data.ravel()[1:].any()
 
 
 def test_scalar_mixed_arithmetic():
