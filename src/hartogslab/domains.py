@@ -164,6 +164,23 @@ def matrix_model(spec: DomainSpec, z: Sequence) -> np.ndarray:
     return _matrix_model(spec, _coords(spec, z))
 
 
+@lru_cache(maxsize=None)
+def _triu(n: int, k: int):
+    """np.triu_indices(n, k), read-only."""
+    out = np.triu_indices(n, k)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in lexicographic order, one per row."""
+    out = np.array(list(combinations(range(n), k)))
+    out.setflags(write=False)
+    return out
+
+
 def _matrix_model(spec: DomainSpec, v: np.ndarray) -> np.ndarray:
     """matrix_model of each column of the (spec.d, ...) array v, indexed
     [row, column, ...]."""
@@ -173,7 +190,7 @@ def _matrix_model(spec: DomainSpec, v: np.ndarray) -> np.ndarray:
         raise ValueError("type4 has no matrix model")
     M = np.zeros((spec.n, spec.n) + v.shape[1:], dtype=np.complex128)
     skew = spec.kind == "type2"
-    r, c = np.triu_indices(spec.n, 1 if skew else 0)
+    r, c = _triu(spec.n, 1 if skew else 0)
     M[r, c] = v
     M[c, r] = -v if skew else v
     return M
@@ -281,15 +298,14 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
         if spec.kind == "type2":
             # Pf = sum_s sgn(s) prod_f Z[s_2f, s_2f+1] / (2^k k!), f < k
             for k in range(1, rows // 2 + 1):
-                S = np.array(list(combinations(range(rows), 2 * k)))
+                S = _subsets(rows, 2 * k)
                 B = Y[S[:, :, None], S[:, None, :]]
                 pf = _alternating(2 * k, [(B, (2 * f, 2 * f + 1)) for f in range(k)])
                 terms.append(((-1.0) ** k, pf / (2 ** k * math.factorial(k))))
         else:
             # det = sum_s sgn(s) prod_i Z[i, s_i], i < k
             for k in range(1, rows + 1):
-                R = np.array(list(combinations(range(rows), k)))
-                C = np.array(list(combinations(range(cols), k)))
+                R, C = _subsets(rows, k), _subsets(cols, k)
                 B = Y[R[:, None, :, None], C[None, :, None, :]].reshape(-1, k, k, m + 1)
                 minor = _alternating(k, [(B[:, i], (i,)) for i in range(k)])
                 terms.append(((-1.0) ** k, minor))

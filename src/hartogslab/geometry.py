@@ -20,12 +20,17 @@ The canonical potential of the Hartogs domain over a base domain with generic
 norm N is Phi = -log(N^mu - |w|^2); the Bergman potential of the base alone is
 -genus * log N. Every tensor comes from one primitive, Jet.partials, which
 gathers all mixed partials of one order at the base point, up to order
-(3, 3). Ric = -d dbar log det g, its first derivatives and the double trace
-of its second derivatives are closed-form contractions of those partials
-with g^{-1} (the cycle expansion of the derivatives of log det g, see
-_log_det_jets); no jet of log det g or of det g is formed. Delta k is the
-closed form g^{a bbar} d_a dbar_b tr(g^{-1} Ric), expanded with
-d(g^{-1}) = -g^{-1} (dg) g^{-1}, so that no finite-difference error enters.
+(3, 2) and (2, 3); the order-(3, 3) term is read from the Taylor
+coefficients (see _one_block). Ric = -d dbar log det g, its first
+derivatives and the double trace of its second derivatives are closed-form
+contractions of those partials with g^{-1} (the cycle expansion of the
+derivatives of log det g, see _log_det_jets); no jet of log det g or of
+det g is formed. Delta k is the closed form g^{a bbar} d_a dbar_b
+tr(g^{-1} Ric), expanded with d(g^{-1}) = -g^{-1} (dg) g^{-1}, so that no
+finite-difference error enters. Every contraction is a matrix product or a
+sum of traces of products: after the potential jet, a report in m = d + 1
+variables costs O(m^5) arithmetic plus one pass over the roughly (m^3/6)^2
+Taylor coefficients of bidegree (3, 3).
 
 curvature_report and scalar_curvature_at differentiate in metric-normal
 coordinates x, (z, w) = (z0, w0) + A x with g = I at the point (see
@@ -38,13 +43,15 @@ back to (z, w).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .domains import DomainSpec, contains, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import BidegreeCap, Jet, _polynomials, jet_log, jet_real_power
+from .jets import BidegreeCap, Jet, _polynomials, _space_size, basis_exponents, \
+    jet_log, jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
@@ -194,10 +201,11 @@ def curvature_tensor(potential: Jet, metric: MetricData) -> np.ndarray:
     """R_{i jbar k lbar} from the potential jet (cap >= (2,2))."""
     T = potential.partials(2, 1)  # [i, k, qbar]
     S = potential.partials(1, 2)  # [p, jbar, lbar]
-    P22 = potential.partials(2, 2).transpose(0, 2, 1, 3)  # [i, jbar, k, lbar]
-    # g^{p qbar} = g_inv[q, p]
-    term2 = np.einsum("qp,ikq,pjl->ijkl", metric.g_inv, T, S)
-    return -P22 + term2
+    P22 = potential.partials(2, 2)  # [i, k, jbar, lbar]
+    m = metric.dimension
+    # sum_{p, q} g^{p qbar} T[i, k, q] S[p, j, l], g^{p qbar} = g_inv[q, p]
+    term2 = (T.reshape(m * m, m) @ metric.g_inv) @ S.reshape(m, m * m)
+    return (term2.reshape(P22.shape) - P22).transpose(0, 2, 1, 3)
 
 
 class LogDetParts(NamedTuple):
@@ -247,6 +255,38 @@ def _products(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.matmul(S[:, None], T[None])
 
 
+@lru_cache(maxsize=None)
+def _permanent_index(m: int) -> np.ndarray:
+    """Flat indices into an m x m matrix X of the 3 x 3 matrices X[b, a]
+    with entries X[b_s, a_t], for the variables a_t of each degree-3
+    monomial a and b_s of each b, listed with multiplicity: indexed
+    [s, t, a, b] over the graded basis of degree 3."""
+    exps = np.array(basis_exponents(m, 3)[_space_size(m, 2):])
+    var = np.repeat(np.tile(np.arange(m), len(exps)), exps.ravel()).reshape(-1, 3)
+    index = var.T[:, None, None, :] * m + var.T[None, :, :, None]
+    index.setflags(write=False)
+    return index
+
+
+def _one_block(potential: Jet, X: np.ndarray) -> complex:
+    """sum X[j, i] X[b, h] X[c, k] d_i d_h d_k dbar_j dbar_b dbar_c Phi over
+    all six indices. Both triples are symmetric, so this is 6 sum C[a, b]
+    per(X[b, a]) over degree-3 monomials a, b, where C is the Taylor
+    coefficient block and per the 3 x 3 permanent of _permanent_index's
+    matrices, expanded by the first row: one pass over the C(m + 2, 3)^2
+    coefficients (fewer than m^5 up to m = 29) in place of the m^6
+    partials."""
+    m = len(X)
+    lo, hi = _space_size(m, 2), _space_size(m, 3)
+    C = potential.data[lo:hi, lo:hi]
+    (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = X.ravel().take(
+        _permanent_index(m))
+    per = (x00 * (x11 * x22 + x12 * x21)
+           + x01 * (x10 * x22 + x12 * x20)
+           + x02 * (x10 * x21 + x11 * x20))
+    return 6 * (C * per).sum()
+
+
 def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     """The derivatives of log det g in LogDetParts, as closed-form
     contractions of the potential's partials (cap >= (2,2)). With
@@ -257,8 +297,9 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
       (-1)^(r-1) tr(X g_B1 X g_B2 ... X g_Br).
 
     The holomorphic directions of trace22 are raised with X before the
-    traces are taken, so no term costs more than O(m^5) except the one-block
-    term, which contracts the order-(3,3) partials with three X."""
+    traces are taken, and its one-block term is a sum of permanents over
+    the degree-3 Taylor coefficients (see _one_block), so no term costs
+    more than O(m^5) or one pass over those coefficients."""
     X = metric.g_inv
     Za = _raised(X, potential.partials(2, 1), 2)  # X g_a, [a, p, q]
     Zb = _raised(X, potential.partials(1, 2), 1)  # X g_bbar
@@ -297,9 +338,7 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     Kabb = _raised(X, np.einsum("bh,ihjbc->ijc", X, potential.partials(2, 3)),
                    1)  # [b', p, q]
     UU = _products(Ua, Ua)
-    one_block = np.einsum("hkbc,bh,ck->", np.einsum(
-        "ji,ihkjbc->hkbc", X, potential.partials(3, 3)), X, X)
-    trace22 = (one_block
+    trace22 = (_one_block(potential, X)
                - 2 * _tr(Kaab, Vb)  # {h h' b}{b'}, {h h' b'}{b}
                - 2 * _tr(Kabb, Ua)  # {h b b'}{h'}, {h' b b'}{h}
                - _tr(Uaa, Zbb)  # {h h'}{b b'}
@@ -355,12 +394,18 @@ def _laplacian_from_parts(LD: LogDetParts, metric: MetricData,
     (L21, its conjugate transpose L12, and the double trace trace22)."""
     X, A, B = metric.g_inv, LD.Za, LD.Zb
     Z = X @ ric
-    L12 = LD.L21.conj().transpose(2, 0, 1)
-    lap = (np.einsum("ba,bij,ajk,ki->", X, B, A, Z)
-           + np.einsum("ba,aij,bjk,ki->", X, A, B, Z)
-           - np.einsum("ba,abij,ji->", X, LD.Zab, Z)
-           + np.einsum("ba,aij,jk,kib->", X, A, X, L12)
-           + np.einsum("ba,bij,jk,kai->", X, B, X, LD.L21)
+    m = len(X)
+    K = (X.T.ravel() @ LD.Zab.reshape(m * m, m * m)).reshape(m, m)
+    # each term is sum_{a, b} X[b, a] tr(...), with K = sum X[b, a] Zab[a, b]
+    # and the matrices L12[b][c, a] = d_c dbar_a dbar_b log det g and
+    # L21[a][c, b] = d_c d_a dbar_b log det g
+    L12 = LD.L21.conj().transpose(1, 2, 0)
+    L21 = LD.L21.swapaxes(0, 1)
+    lap = ((X * _traces(B, A @ Z)).sum()  # tr(B_b A_a Z)
+           + (X.T * _traces(A, B @ Z)).sum()  # tr(A_a B_b Z)
+           - _tr(K, Z)  # tr(Zab[a, b] Z)
+           + (X * _traces(L12, A @ X)).sum()  # tr(A_a X L12[b])
+           + (X.T * _traces(L21, B @ X)).sum()  # tr(B_b X L21[a])
            - LD.trace22)
     return _real(lap, "Delta k")
 

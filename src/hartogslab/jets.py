@@ -221,6 +221,21 @@ def _gather_table(m: int, order: int):
 
 
 @lru_cache(maxsize=None)
+def _partials_table(m: int, anti: int, p: int, q: int):
+    """Flat indices into a coefficient array with anti-degree cap anti of
+    every order-(p, q) partial, and the factorial weights, both shaped like
+    Jet.partials."""
+    hi, hf = _gather_table(m, p)
+    ai, af = _gather_table(m, q)
+    shape = (m,) * (p + q)
+    index = (hi[:, None] * _space_size(m, anti) + ai).reshape(shape)
+    weight = np.outer(hf, af).reshape(shape)
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
+
+
+@lru_cache(maxsize=None)
 def _tuple_runs(m: int, order: int, degree: int):
     """The index tuples (i1..i_order) in range(m + 1)^order, as flat C-order
     indices, whose monomial X_i1 .. X_i_order in X = (1, x_1, .., x_m) has
@@ -322,10 +337,8 @@ class Jet:
         indexed [i1..ip, j1..jq] (holomorphic indices first)."""
         if not (0 <= p <= self.cap.holo and 0 <= q <= self.cap.anti):
             raise ValueError(f"order ({p},{q}) exceeds cap {self.cap}")
-        hi, hf = _gather_table(self.num_vars, p)
-        ai, af = _gather_table(self.num_vars, q)
-        out = self.data[hi[:, None], ai] * np.outer(hf, af)
-        return out.reshape((self.num_vars,) * (p + q))
+        index, weight = _partials_table(self.num_vars, self.cap.anti, p, q)
+        return self.data.take(index) * weight
 
     # -- ring operations ------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Everything here is an independent cross-check path: a cofactor determinant
 of jet matrices, the generic norm and the Hartogs potential built from
 jet_variable in raw coordinates, the Horner composition of power series,
-finite-difference stencils for Wirtinger derivatives,
+the einsum forms of the curvature contractions, finite-difference
+stencils for Wirtinger derivatives,
 exact-rational regrouping of the fiber-slice identity polynomials, and a
 trace-form computation of the base curvature norm that bypasses the jet
 engine entirely.
@@ -120,6 +121,42 @@ def raw_potential_jet(spec, point, cap=(3, 3)):
     w = jet_variable(d, d + 1, cap) + point.fiber
     wb = jet_variable(d, d + 1, cap, anti=True) + complex(point.fiber).conjugate()
     return -jet_log(n_mu - w * wb)
+
+
+# -- einsum forms of the curvature contractions ------------------------------
+
+def curvature_terms(potential, X):
+    """R_{i jbar k lbar} = -Phi_{ik jbar lbar} + sum g^{p qbar} Phi_{ik qbar}
+    Phi_{p jbar lbar}, X = g^{-1}, as signed einsum terms (see einsum_sum)."""
+    return [(-1, "ikjl->ijkl", (potential.partials(2, 2),)),
+            (1, "qp,ikq,pjl->ijkl",
+             (X, potential.partials(2, 1), potential.partials(1, 2)))]
+
+
+def one_block_terms(potential, X):
+    """The one-block term of the double trace of d d dbar dbar log det g:
+    sum X[j, i] X[b, h] X[c, k] d_i d_h d_k dbar_j dbar_b dbar_c Phi."""
+    return [(1, "ji,ihkjbc,bh,ck->", (X, potential.partials(3, 3), X, X))]
+
+
+def laplacian_terms(LD, X, ric):
+    """Delta k + trace22 in the terms of geometry._laplacian_from_parts, each
+    sum_{a, b} X[b, a] of a trace, written out index by index."""
+    A, B, Z = LD.Za, LD.Zb, X @ ric
+    L12 = LD.L21.conj().transpose(2, 0, 1)
+    return [(1, "ba,bij,ajk,ki->", (X, B, A, Z)),
+            (1, "ba,aij,bjk,ki->", (X, A, B, Z)),
+            (-1, "ba,abij,ji->", (X, LD.Zab, Z)),
+            (1, "ba,aij,jk,kib->", (X, A, X, L12)),
+            (1, "ba,bij,jk,kai->", (X, B, X, LD.L21))]
+
+
+def einsum_sum(terms, absolute=False):
+    """The sum of the signed einsum terms; if absolute, the sum of their
+    summands' absolute values (every operand and sign made nonnegative)."""
+    if absolute:
+        return sum(np.einsum(spec, *map(np.abs, ops)) for _, spec, ops in terms)
+    return sum(sign * np.einsum(spec, *ops) for sign, spec, ops in terms)
 
 
 # -- Horner composition of power series ---------------------------------------

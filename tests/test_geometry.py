@@ -275,6 +275,45 @@ def test_log_det_closed_form_near_boundary():
         assert max(_log_det_errors(P)[:4]) < 1e-12
 
 
+def _contraction_errors(P):
+    """Errors of R, the one-block term and Delta k against their einsum forms
+    in helpers: each relative to max(1, |reference|), then each relative to
+    the sum of its summands' absolute values, entry by entry."""
+    metric = metric_at(P)
+    X = metric.g_inv
+    LD = _log_det_jets(P, metric)
+    ric, _ = geometry._ricci(LD.L11, metric)
+    cases = [(curvature_tensor(P, metric), helpers.curvature_terms(P, X), 0),
+             (geometry._one_block(P, X), helpers.one_block_terms(P, X), 0),
+             (geometry._laplacian_from_parts(LD, metric, ric),
+              helpers.laplacian_terms(LD, X, ric), LD.trace22)]
+    scaled, summed = [], []
+    for got, terms, rest in cases:
+        want = helpers.einsum_sum(terms) - rest
+        if np.ndim(got) == 0 and np.isrealobj(got):
+            want = want.real
+        err = np.abs(got - want)
+        scaled.append(err.max() / max(1.0, np.abs(want).max()))
+        magnitude = helpers.einsum_sum(terms, absolute=True) + abs(rest)
+        summed.append((err / np.where(magnitude > 0, magnitude, 1.0)).max())
+    return scaled, summed
+
+
+@pytest.mark.parametrize("base", [type1(2, 2), type2(4), type3(3), type4(5)],
+                         ids=lambda b: b.label())
+def test_contractions_match_einsum_forms(base):
+    # in the normal frame X = g^{-1} is I at the point, which hides a
+    # transposed X; in (z, w) X is Hermitian but not symmetric, and there
+    # the double trace cancels, so it is held to its summands' sum
+    for mu in (1.0, F(4, 5), 3.0):
+        spec = HartogsSpec(base, mu)
+        pt = sample_hartogs(spec, seed=0, count=1)[0]
+        normal = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt))
+        assert max(_contraction_errors(normal)[0]) < 1e-12
+        raw = _contraction_errors(helpers.raw_potential_jet(spec, pt))[1]
+        assert max(raw) < 1e-12
+
+
 def test_reports_make_no_jet_products(monkeypatch):
     # every generic norm and the fiber term |w|^2 are coefficient arrays in
     # closed form, so no report multiplies two jets (scaling by a number is
