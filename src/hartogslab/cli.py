@@ -43,6 +43,9 @@ class RunConfig:
         self.spec = _domain_from_args(args)
         self.mu = _parse_mu(getattr(args, "mu", "1"))
         self.samples = getattr(args, "samples", 0)
+        least = 1 if args.command == "verify-lemmas" else 0
+        if self.samples < least:
+            raise _UsageError("--samples must be at least %d" % least)
         self.seed = getattr(args, "seed", 0)
         self.tol = getattr(args, "tol", 1e-8)
         self.fit_tol = getattr(args, "fit_tol", 1e-7)

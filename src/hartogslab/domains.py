@@ -261,8 +261,7 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     """Jet of N(z, zb) centered at the interior point p, in the variables x
     of z = p + jacobian @ x.
 
-    jacobian is a (spec.d, num_vars) matrix, default the identity. A zero
-    column, such as the Hartogs fiber's variable, never occurs in the jet.
+    jacobian is a (spec.d, num_vars) matrix, default the identity.
 
     Every N is a signed sum of squares sum_j s_j |p_j(z)|^2 of holomorphic
     polynomials. With X = (1, x) and U = [p | jacobian], z = U X, so each

@@ -14,10 +14,10 @@ gathers a tensor's entries onto the monomial basis.
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
 over graded-lex monomial bases. One kernel does all the arithmetic: the
 truncated Cauchy product over a table of every monomial pair whose product
-stays within the cap, restricted to rows and columns that hold the
-operands' nonzero ones (see _closure), sorted by the product monomial's
-total degree and then by its position, and summed per destination with
-np.add.reduceat. A product uses the whole table;
+stays within the cap and whose factors stay within the highest degree, per
+character, that their operands hold (see _pairs), sorted by the product
+monomial's total degree and then by its position, and summed per
+destination with np.add.reduceat. A product uses the whole table;
 reciprocal, log and real power fill their result one total degree at a time
 from the slice of the table that lands on that degree (graded Taylor
 recurrences; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
@@ -91,75 +91,48 @@ def _pair_tables(m: int, degree: int):
 
 
 @lru_cache(maxsize=None)
-def _monomials(m: int, degree: int):
-    """Per basis monomial: which variables it contains, and its degree."""
-    exps = np.array(basis_exponents(m, degree))
-    return exps > 0, exps.sum(axis=1)
+def _degrees(m: int, degree: int) -> np.ndarray:
+    """Total degree of each basis monomial."""
+    return np.array(basis_exponents(m, degree)).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
 def _total_degrees(m: int, cap: BidegreeCap) -> np.ndarray:
     """Total degree of each flat (holo, anti) coefficient position."""
-    degs = np.add.outer(_monomials(m, cap.holo)[1], _monomials(m, cap.anti)[1])
+    degs = np.add.outer(_degrees(m, cap.holo), _degrees(m, cap.anti))
     return degs.ravel().astype(np.int32)
 
 
-def _support(data: np.ndarray) -> bytes:
-    """Nonzero rows, then nonzero columns, as a hashable key."""
-    return data.any(axis=1).tobytes() + data.any(axis=0).tobytes()
-
-
-@lru_cache(maxsize=4096)
-def _closure(m: int, cap: BidegreeCap, support: bytes, bounded: bool) -> bytes:
-    """A coarser support that many jets share, so that few pair tables serve
-    them all. Per character: every monomial, or every monomial without the
-    last variable if support has none (the generic norm never involves the
-    Hartogs fiber's variable); if bounded and support's degrees are at most
-    1, only the monomials of degree up to theirs. Unbounded, it holds every
-    power series of a jet supported on support."""
-    out = b""
-    for degree in cap:
-        involves, degs = _monomials(m, degree)
-        mask = np.frombuffer(support[:degs.size], dtype=bool)
-        support = support[degs.size:]
-        keep = np.ones(degs.size, dtype=bool)
-        if not involves[mask, -1].any():
-            keep = ~involves[:, -1]
-        top = degs[mask].max(initial=0)
-        if bounded and top <= 1:
-            keep &= degs <= top
-        out += keep.tobytes()
-    return out
-
-
-class _Pairs(NamedTuple):
-    """Pair table for two operand supports, sorted by the destination's total
-    degree, then by its flat index, in chunks of whole destination segments
-    and about _CHUNK pairs, which bounds the temporaries of a large product.
-    A chunk is (left and right flat operand indices, the start of each
-    destination's segment, each segment's flat destination); by_degree holds
-    the chunks of each total degree."""
-    chunks: tuple
-    by_degree: tuple
+def _top(a: "Jet") -> tuple:
+    """The highest holomorphic and antiholomorphic degree that a holds."""
+    data, m, cap = a.data, a.num_vars, a.cap
+    return (int(_degrees(m, cap.holo)[data.any(axis=1)].max(initial=0)),
+            int(_degrees(m, cap.anti)[data.any(axis=0)].max(initial=0)))
 
 
 _CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=64)
-def _pairs(m: int, cap: BidegreeCap, lsupport: bytes, rsupport: bytes) -> _Pairs:
-    ha, hb, hc = _pair_tables(m, cap.holo)
-    aa, ab, ac = _pair_tables(m, cap.anti)
+def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple) -> tuple:
+    """Pair table of the monomials of degree at most ltop (left operand) and
+    rtop (right operand) per character, sorted by the destination's total
+    degree, then by its flat index. Per total degree, a tuple of chunks of
+    whole destination segments and about _CHUNK pairs, which bounds the
+    temporaries of a large product; a chunk is (left and right flat operand
+    indices, the start of each destination's segment, each segment's flat
+    destination)."""
     height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
-    lsup = np.frombuffer(lsupport, dtype=bool)
-    rsup = np.frombuffer(rsupport, dtype=bool)
-    h = lsup[ha] & rsup[hb]
-    a = lsup[height + aa] & rsup[height + ab]
-    ha, hb, hc, aa, ab, ac = ha[h], hb[h], hc[h], aa[a], ab[a], ac[a]
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
     index = np.min_scalar_type(height * width)
-    ha, hb, hc, aa, ab, ac = (t.astype(index) for t in (ha, hb, hc, aa, ab, ac))
+    factors = []
+    for degree, lt, rt in zip(cap, ltop, rtop):
+        ia, ib, ic = _pair_tables(m, degree)
+        degs = _degrees(m, degree)
+        keep = (degs[ia] <= lt) & (degs[ib] <= rt)
+        factors.append([t[keep].astype(index) for t in (ia, ib, ic)])
+    (ha, hb, hc), (aa, ab, ac) = factors
     dst = (hc[:, None] * width + ac).ravel()
     tdeg = _total_degrees(m, cap)[dst]
     # the factor tables are sorted by destination, so this merges sorted runs
@@ -182,8 +155,7 @@ def _pairs(m: int, cap: BidegreeCap, lsupport: bytes, rsupport: bytes) -> _Pairs
         return tuple(out)
 
     bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
-    return _Pairs(chunks(0, dst.size),
-                  tuple(chunks(p0, p1) for p0, p1 in zip(bounds, bounds[1:])))
+    return tuple(chunks(p0, p1) for p0, p1 in zip(bounds, bounds[1:]))
 
 
 def _convolve(a, b, left, right, starts):
@@ -376,12 +348,11 @@ class Jet:
         self._check_compatible(other)
         A, B = self.data, other.data
         m, cap = self.num_vars, self.cap
-        t = _pairs(m, cap, _closure(m, cap, _support(A), True),
-                   _closure(m, cap, _support(B), True))
         a, b = A.ravel(), B.ravel()
         out = np.zeros(a.size, dtype=np.complex128)
-        for left, right, starts, dst in t.chunks:
-            out[dst] = _convolve(a, b, left, right, starts)
+        for chunks in _pairs(m, cap, _top(self), _top(other)):
+            for left, right, starts, dst in chunks:
+                out[dst] = _convolve(a, b, left, right, starts)
         return self._like(out.reshape(A.shape))
 
     __rmul__ = __mul__
@@ -445,15 +416,13 @@ def _graded_solve(a: Jet, b0: complex, weight: np.ndarray, init=None) -> Jet:
     one pass over the degrees fills b; together the passes do the pair work
     of one truncated product."""
     m, cap = a.num_vars, a.cap
-    support = _support(a.data)
-    t = _pairs(m, cap, _closure(m, cap, support, True),
-               _closure(m, cap, support, False))
+    t = _pairs(m, cap, _top(a), cap)
     scaled = a.data.ravel() * weight[:, _total_degrees(m, cap)]
     scaled[:, 0] = 0.0
     b = np.zeros(a.data.size, dtype=np.complex128) if init is None else init.ravel()
     b[0] = b0
     for n in range(1, cap.holo + cap.anti + 1):
-        for left, right, starts, dst in t.by_degree[n]:
+        for left, right, starts, dst in t[n]:
             b[dst] += _convolve(scaled[n], b, left, right, starts)
     return Jet(m, cap, b.reshape(a.data.shape))
 

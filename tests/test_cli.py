@@ -244,11 +244,26 @@ def test_case_analysis_out_still_prints_line(tmp_path, capsys):
     ["case-analysis", "--n-max", "3"],
     ["report", "--domain", "nosuch", "--n", "2"],
     ["nosuch-command"],
+    ["report", *DISK, "--samples", "-3"],
+    ["scan-a2", *DISK, "--samples", "-1"],
+    ["verify-lemmas", *DISK, "--samples", "-1"],
+    ["verify-lemmas", *DISK, "--samples", "0"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code = main(argv)
     capsys.readouterr()
     assert code == 2
+
+
+def test_samples_bounds(capsys):
+    # verify-lemmas needs a sampled point; report runs on its origin-fiber
+    # grid alone
+    code, out, err = run(capsys, ["verify-lemmas", *DISK, "--samples", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: --samples must be at least 1\n"
+    code, out, _ = run(capsys, ["report", *DISK, "--samples", "0"])
+    assert code == 0
+    assert json.loads(out)["config"]["samples"] == 0
 
 
 def test_domain_validation_errors_exit_1(capsys):

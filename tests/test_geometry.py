@@ -468,6 +468,30 @@ def test_outside_point_rejected():
         hartogs_potential_jet(DISK, HartogsPoint((0.0,), 1.0), (2, 2))
 
 
+@pytest.mark.parametrize("base", [type1(1, 2), type4(5)], ids=lambda b: b.label())
+def test_potential_in_a_frame_matches_the_reference(base):
+    # N^mu is taken in the base's d variables and placed among the d + 1,
+    # so it is checked against N built in all d + 1 from jet_variable, at
+    # a lower-triangular frame and an unequal cap
+    spec = HartogsSpec(base, 0.8)
+    pt = sample_hartogs(spec, seed=0, count=1)[0]
+    d, cap = base.d, (3, 2)
+    frame = np.tril(np.random.default_rng(6).normal(size=(d + 1, d + 1))) \
+        + 2 * np.eye(d + 1)
+    norm = helpers.reference_norm(base, pt.base, cap, frame[:d])
+    w = sum((c * jet_variable(j, d + 1, cap) for j, c in enumerate(frame[d])),
+            pt.fiber)
+    wb = sum((c * jet_variable(j, d + 1, cap, anti=True)
+              for j, c in enumerate(frame[d])), complex(pt.fiber).conjugate())
+    want = -jet_log(jet_real_power(norm, 0.8) - w * wb)
+    got = hartogs_potential_jet(spec, pt, cap, frame)
+    assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+    # a frame whose base coordinates involve the fiber's variable is refused
+    frame[0, d] = 1e-3
+    with pytest.raises(ValueError, match="fiber's variable"):
+        hartogs_potential_jet(spec, pt, cap, frame)
+
+
 def test_bergman_potential_constant_term():
     spec = type1(1, 2)
     p = (0.3, 0.2j)

@@ -1,7 +1,7 @@
 """Unit tests for the truncated-jet arithmetic core."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -100,6 +100,16 @@ def test_multiplication_matches_reference_convolution():
         got_int = {k: complex(v) for k, v in got.items()}
         want_c = {k: complex(v) for k, v in want.items()}
         assert got_int == want_c
+    # the pair tables are keyed by the highest degree per character that
+    # each operand holds: in 3 variables at cap (3, 3), operands of every
+    # such degree from 0 to 3 meet
+    cap = (3, 3)
+    tops = [(p, q) for p in range(4) for q in range(4)]
+    for ltop, rtop in product(tops, repeat=2):
+        A = random_dict(rng, 3, ltop, terms=4)
+        B = random_dict(rng, 3, rtop, terms=4)
+        got = dict_from_jet(jet_from_dict(A, 3, cap) * jet_from_dict(B, 3, cap))
+        assert got == {k: complex(v) for k, v in ref_mul(A, B, cap).items()}
 
 
 def test_truncation_is_a_ring_quotient():
@@ -225,11 +235,12 @@ HORNER_CASES = [(m, cap) for m in (1, 2, 3, 7)
 
 @pytest.mark.parametrize("m,cap", HORNER_CASES,
                          ids=[f"m{m}-cap{p}{q}" for m, (p, q) in HORNER_CASES])
-@pytest.mark.parametrize("shape", ["dense", "no_last_variable"])
+@pytest.mark.parametrize("shape", ["dense", "no_last_variable", "degree_two"])
 def test_recurrences_match_horner_composition(m, cap, shape):
     # no_last_variable zeroes every row and column whose monomial contains
     # the last variable, as in the generic norm, which never involves the
-    # Hartogs fiber's variable
+    # Hartogs fiber's variable; degree_two zeroes every row and column of
+    # degree above 2, as in type 4's generic norm
     cap = BidegreeCap(*cap)
     rng = np.random.default_rng(100 * m + 10 * cap.holo + cap.anti)
     hb, ab = basis_exponents(m, cap.holo), basis_exponents(m, cap.anti)
@@ -239,6 +250,9 @@ def test_recurrences_match_horner_composition(m, cap, shape):
     if shape == "no_last_variable":
         data[[e[-1] > 0 for e in hb], :] = 0.0
         data[:, [e[-1] > 0 for e in ab]] = 0.0
+    if shape == "degree_two":
+        data[[sum(e) > 2 for e in hb], :] = 0.0
+        data[:, [sum(e) > 2 for e in ab]] = 0.0
     a = Jet(m, cap, data)
     pairs = [(jet_log(a), helpers.horner_log(a)),
              (jet_reciprocal(a), helpers.horner_reciprocal(a))]
