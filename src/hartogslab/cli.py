@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .cases import classify_all
+from .cases import CASE1_N_MAX, classify_all
 from .domains import DomainSpec, generic_norm_value, type1, type2, type3, type4
 from .geometry import (HartogsPoint, HartogsSpec, base_curvature_report,
                        curvature_report, origin_fiber_points, sample_hartogs,
@@ -413,7 +413,8 @@ def build_parser():
     p_case = sub.add_parser("case-analysis",
                             help="exact classification of constant-a2 domains")
     p_case.add_argument("--n-max", type=int, default=1000,
-                        help="scan bound for the catalog parameters (>= 5)")
+                        help="scan bound for the catalog parameters "
+                             f"(5 to {CASE1_N_MAX})")
     p_case.add_argument("--format", choices=["json", "csv"], default="json")
     p_case.add_argument("--out")
     return parser
@@ -436,8 +437,8 @@ def main(argv=None):
         if args.command == "appendix-table":
             return cmd_appendix_table(cfg)
         if args.command == "case-analysis":
-            if args.n_max < 5:
-                raise _UsageError("--n-max must be at least 5")
+            if not 5 <= args.n_max <= CASE1_N_MAX:
+                raise _UsageError(f"--n-max must be between 5 and {CASE1_N_MAX}")
             return cmd_case_analysis(cfg, args.n_max)
         raise _UsageError("unknown command %r" % (args.command,))
     except _UsageError as exc:

@@ -114,14 +114,16 @@ _CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=64)
-def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple) -> tuple:
+def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
+           graded: bool = True) -> tuple:
     """Pair table of the monomials of degree at most ltop (left operand) and
     rtop (right operand) per character, sorted by the destination's total
-    degree, then by its flat index. Per total degree, a tuple of chunks of
-    whole destination segments and about _CHUNK pairs, which bounds the
-    temporaries of a large product; a chunk is (left and right flat operand
-    indices, the start of each destination's segment, each segment's flat
-    destination)."""
+    degree, then by its flat index. Per total degree if graded (the form the
+    recurrences read), else for the whole table at once (a product's form),
+    a tuple of chunks of whole destination segments and about _CHUNK pairs,
+    which bounds the temporaries of a large product; a chunk is (left and
+    right flat operand indices, the start of each destination's segment,
+    each segment's flat destination)."""
     height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
@@ -154,7 +156,8 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple) -> tuple:
                         dst[starts[s0:s1]]))
         return tuple(out)
 
-    bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
+    bounds = (np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
+              if graded else (0, dst.size))
     return tuple(chunks(p0, p1) for p0, p1 in zip(bounds, bounds[1:]))
 
 
@@ -350,7 +353,7 @@ class Jet:
         m, cap = self.num_vars, self.cap
         a, b = A.ravel(), B.ravel()
         out = np.zeros(a.size, dtype=np.complex128)
-        for chunks in _pairs(m, cap, _top(self), _top(other)):
+        for chunks in _pairs(m, cap, _top(self), _top(other), False):
             for left, right, starts, dst in chunks:
                 out[dst] = _convolve(a, b, left, right, starts)
         return self._like(out.reshape(A.shape))

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hartogslab.cases import (CaseVerdict, classify_all, constancy_constraints,
-                              exceptional_integrality, integer_root_scan)
+from hartogslab.cases import (CASE1_N_MAX, CaseVerdict, _case1, classify_all,
+                              constancy_constraints, exceptional_integrality,
+                              integer_root_scan)
 from hartogslab.domains import exc5, exc6, type1, type3
 from hartogslab.oracles import OracleInputs, a2_quadratic_coeffs
 
@@ -136,6 +137,37 @@ def test_classify_all():
         assert v.surviving_parameters == []
     with pytest.raises(ValueError):
         classify_all(4)
+    # beyond the exact int64 scan: raised before any row is scanned
+    with pytest.raises(ValueError, match="at most 55108"):
+        classify_all(CASE1_N_MAX + 1)
+
+
+def _reference_case1(n_max):
+    """The case-1 scan as a pure-Python double loop over Python integers."""
+    survivors, checked = [], 0
+    for m in range(1, n_max + 1):
+        for n in range(m, n_max + 1):
+            checked += 1
+            if (m * n + 1) ** 2 == (m + n) ** 2:
+                survivors.append([m, n])
+    return survivors, checked
+
+
+@pytest.mark.parametrize("n_max", [5, 6, 37, 200])
+def test_case1_array_scan_matches_double_loop(n_max):
+    survivors, checked = _reference_case1(n_max)
+    v = _case1(n_max)
+    assert v.surviving_parameters == survivors
+    assert v.evidence["non_ball_survivors"] == [p for p in survivors if p[0] != 1]
+    assert v.evidence["pairs_checked"] == checked == n_max * (n_max + 1) // 2
+
+
+def test_case1_int64_bound():
+    # (b^2 + 1)^2, the largest square the scan forms, fits in int64 at
+    # b = CASE1_N_MAX and not one step further
+    b = CASE1_N_MAX
+    assert b == 55108
+    assert (b * b + 1) ** 2 < 2 ** 63 <= ((b + 1) ** 2 + 1) ** 2
 
 
 def test_verdict_json_shape():

@@ -248,6 +248,7 @@ def test_case_analysis_out_still_prints_line(tmp_path, capsys):
     ["scan-a2", *DISK, "--samples", "-1"],
     ["verify-lemmas", *DISK, "--samples", "-1"],
     ["verify-lemmas", *DISK, "--samples", "0"],
+    ["case-analysis", "--n-max", "55109"],  # beyond the exact int64 scan
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code = main(argv)
