@@ -1,11 +1,15 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import helpers
+import hartogslab
 from hartogslab import __version__
 from hartogslab.cli import main
 from hartogslab.domains import type1, type2, type3, type4
@@ -174,6 +178,17 @@ def test_scan_a2_forced_classification_mismatch(capsys):
     assert obj["status"] == "fail"
 
 
+def test_scan_a2_csv_fields_are_plain_numbers(capsys):
+    code, out, _ = run(capsys, ["scan-a2", *BALL2_HYP, "--samples", "2",
+                                "--format", "csv"])
+    assert code == 0
+    header, row = out.splitlines()
+    assert header.split(",")[5:] == ["fit_c0", "fit_c1", "fit_c2",
+                                     "fit_max_abs_err"]
+    for field in row.split(","):
+        assert field in ("True", "False") or np.isfinite(float(field)), field
+
+
 def test_appendix_table(capsys):
     code, out, _ = run(capsys, ["appendix-table"])
     assert code == 0
@@ -249,11 +264,63 @@ def test_case_analysis_out_still_prints_line(tmp_path, capsys):
     ["verify-lemmas", *DISK, "--samples", "-1"],
     ["verify-lemmas", *DISK, "--samples", "0"],
     ["case-analysis", "--n-max", "55109"],  # beyond the exact int64 scan
+    ["report", "--domain", "type1", "--m", "0", "--n", "2"],
+    ["report", "--domain", "type3", "--n", "1"],
+    ["report", "--domain", "type4", "--n", "3"],
+    ["report", *DISK, "--seed", "-1"],
+    ["report", *DISK[:-2], "--mu", "1e400"],  # overflows a float
+    ["report", *DISK[:-2], "--mu", "1e-400"],  # underflows to 0.0
 ])
 def test_usage_errors_exit_2(capsys, argv):
-    code = main(argv)
-    capsys.readouterr()
+    code, out, err = run(capsys, argv)
     assert code == 2
+    assert out == ""
+    assert "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["report", "--domain", "type1", "--m", "0", "--n", "2"], "--domain type1"),
+    (["report", "--domain", "type4", "--n", "3"], "--domain type4"),
+    (["scan-a2", *DISK, "--seed", "-1"], "--seed"),
+    (["verify-lemmas", *DISK[:-2], "--mu", "1e400"], "--mu"),
+], ids=["domain", "domain-type4", "seed", "mu"])
+def test_out_of_range_values_name_the_option(capsys, argv, option):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option in err
+
+
+@pytest.mark.parametrize("argv", [["report", *DISK, "--samples", "1"],
+                                  ["case-analysis", "--n-max", "5"]],
+                         ids=["report", "case-analysis"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, [*argv, "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", *DISK, "--samples", "1"],
+    ["verify-lemmas", *DISK, "--samples", "1"],
+    ["scan-a2", *DISK, "--samples", "1", "--format", "csv"],
+    ["appendix-table", "--max-d", "2"],
+    ["case-analysis", "--n-max", "5"],
+], ids=["report", "verify-lemmas", "scan-a2", "appendix-table", "case-analysis"])
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, argv)
+    target = tmp_path / "out.txt"
+    code_out, rest, _ = run(capsys, [*argv, "--out", str(target)])
+    assert code_out == code == 0
+    with open(target, encoding="utf-8", newline="") as fh:
+        written = fh.read()
+    if argv[0] == "case-analysis":
+        # the JSON goes to the file, the verdict line stays on the console
+        assert (written, rest) == (out, "survivors: ball family, mu = 1\n")
+    else:
+        assert (written, rest) == (out, "")
 
 
 def test_samples_bounds(capsys):
@@ -267,17 +334,23 @@ def test_samples_bounds(capsys):
     assert json.loads(out)["config"]["samples"] == 0
 
 
-def test_domain_validation_errors_exit_1(capsys):
-    code = main(["report", "--domain", "type3", "--n", "1"])
-    capsys.readouterr()
-    assert code == 1
-
-
 def test_version_flag(capsys):
     code = main(["--version"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip() == "hartogslab " + __version__
+
+
+def test_module_entry_exit_codes():
+    # python -m runs main_entry, whose sys.exit the in-process tests skip
+    src = os.path.dirname(os.path.dirname(hartogslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, expected in ((["--version"], 0), (["report", "--domain", "type2"], 2),
+                           (["verify-lemmas", *DISK, "--samples", "1",
+                             "--debug-laplace-scale", "1.07"], 1)):
+        proc = subprocess.run([sys.executable, "-m", "hartogslab.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == expected, (argv, proc.stderr)
 
 
 SWEEP_BASES = [("type1", 1, 1), ("type1", 1, 2), ("type1", 1, 3), ("type1", 2, 2),
