@@ -23,6 +23,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -269,11 +270,14 @@ APPENDIX_ROWS = [type1(1, 2), type1(1, 3), type1(2, 2), type2(4), type3(2),
 
 
 def cmd_appendix_table(args):
+    specs = [spec for spec in APPENDIX_ROWS if spec.d <= args.max_d]
+    if not specs:
+        raise _UsageError("--max-d %d skips every appendix-table row (the "
+                          "smallest has d=%d)"
+                          % (args.max_d, min(s.d for s in APPENDIX_ROWS)))
     rows = []
     worst = 0.0
-    for spec in APPENDIX_ROWS:
-        if spec.d > args.max_d:
-            continue
+    for spec in specs:
         closed = appendix_R2_base(spec)
         ad_value = base_curvature_report(spec)["norm_R_sq"]
         err = _rel_err(ad_value, float(closed))
@@ -385,9 +389,16 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser of this process, built on first use: parse_args leaves it
+    unchanged and returns a fresh namespace on each call."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

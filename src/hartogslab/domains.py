@@ -315,4 +315,9 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
         P = _polynomials(T, min(T.ndim - 1, max(cap)))
         H, W = min(P.shape[1], N.shape[0]), min(P.shape[1], N.shape[1])
         N[:H, :W] += (sign * P[:, :H].T) @ P[:, :W].conj()
+    if cap.holo == cap.anti:
+        # N is real, but the matrix products round its mirrored entries
+        # differently; make the array exactly Hermitian, as the real
+        # recurrences of jets._graded_solve need
+        N = 0.5 * (N + N.conj().T)
     return Jet(m, cap, N)

@@ -58,6 +58,7 @@ FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
 _REAL_TOL = 1e-8  # relative imaginary residue that _real accepts
 _NOT_POSITIVE = ("metric is not positive definite "
                  "(point outside the domain or bad potential)")
+_OUTSIDE = "point lies outside the Hartogs domain: N^mu - |w|^2 <= 0"
 
 
 class HartogsSpec(NamedTuple):
@@ -172,8 +173,38 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     inner = -np.outer(w[:H], w[:W].conj())
     inner.reshape(-1)[_base_positions(d, cap)] += power.data.ravel()
     if inner[0, 0].real <= 0.0:
-        raise ValueError("point lies outside the Hartogs domain: N^mu - |w|^2 <= 0")
+        raise ValueError(_OUTSIDE)
+    if cap.holo == cap.anti:
+        # I is real, but the complex products of -w conj(w)^T leave its
+        # mirrored entries and its constant term off by an ulp; made exactly
+        # Hermitian, its log takes the real recurrence
+        inner = 0.5 * (inner + inner.conj().T)
     return -jet_log(Jet(d + 1, cap, inner))
+
+
+def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
+    """g_{i jbar} at the point in (z, w), in closed form from the cap-(1,1)
+    norm jet N: with I = N^mu - |w|^2 and Phi = -log I,
+
+      I_i = mu N^(mu-1) N_i,                         I_w = -conj(w0),
+      I_{i jbar} = mu N^(mu-1) (N_{i jbar} + (mu-1) N_i N_jbar / N),
+      I_{w wbar} = -1,  I_{i wbar} = 0,
+      g = I_i I_jbar / I^2 - I_{i jbar} / I."""
+    d, mu = spec.base.d, float(spec.mu)
+    w0 = complex(point.fiber)
+    N = generic_norm_jet(spec.base, point.base, BidegreeCap(1, 1))
+    n0 = N.constant_term.real
+    I0 = n0 ** mu - abs(w0) ** 2
+    if I0 <= 0.0:
+        raise ValueError(_OUTSIDE)
+    scale = mu * n0 ** (mu - 1.0)
+    Nz, Nzb = N.partials(1, 0), N.partials(0, 1)
+    Iz = np.append(scale * Nz, -w0.conjugate())
+    Izb = np.append(scale * Nzb, -w0)
+    Izzb = np.zeros((d + 1, d + 1), dtype=np.complex128)
+    Izzb[:d, :d] = scale * (N.partials(1, 1) + (mu - 1.0) * np.outer(Nz, Nzb) / n0)
+    Izzb[d, d] = -1.0
+    return np.outer(Iz, Izb) / I0 ** 2 - Izzb / I0
 
 
 def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
@@ -182,10 +213,11 @@ def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
     reversed). In x, with (z, w) = (z0, w0) + A x, the metric at the point is
     I, so no direction of a near-boundary point dwarfs the others. A is lower
     triangular, so the base coordinates do not involve x_d, as
-    hartogs_potential_jet requires. g is factored once, from the symmetrized
-    partials of a cap-(1,1) potential; metric_at runs its checks on the
-    potential taken in the frame."""
-    g = hartogs_potential_jet(spec, point, BidegreeCap(1, 1)).partials(1, 1)
+    hartogs_potential_jet requires. g is factored once, symmetrized, from the
+    closed form of _frame_metric, which needs only the cap-(1,1) norm jet
+    and no potential jet; metric_at runs its checks on the potential taken
+    in the frame."""
+    g = _frame_metric(spec, point)
     g = 0.5 * (g + g.conj().T)
     try:
         U = np.linalg.cholesky(g[::-1, ::-1])[::-1, ::-1]

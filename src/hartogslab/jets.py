@@ -21,6 +21,11 @@ destination with np.add.reduceat. A product uses the whole table;
 reciprocal, log and real power fill their result one total degree at a time
 from the slice of the table that lands on that degree (graded Taylor
 recurrences; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+The jet of a real function has a Hermitian coefficient array, c[h, k] =
+conj(c[k, h]); on an exactly Hermitian input with real coefficients a
+recurrence reads a table of the destinations on or above the diagonal only,
+about half the pairs, and mirrors the rest (see _graded_solve). Every norm
+and potential the geometry takes a log or power of is such a jet.
 Jets are immutable after construction and all operations are pure.
 """
 
@@ -115,7 +120,7 @@ _CHUNK = 1 << 16
 
 @lru_cache(maxsize=64)
 def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
-           graded: bool = True) -> tuple:
+           graded: bool = True, upper: bool = False) -> tuple:
     """Pair table of the monomials of degree at most ltop (left operand) and
     rtop (right operand) per character, sorted by the destination's total
     degree, then by its flat index. Per total degree if graded (the form the
@@ -123,7 +128,9 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
     a tuple of chunks of whole destination segments and about _CHUNK pairs,
     which bounds the temporaries of a large product; a chunk is (left and
     right flat operand indices, the start of each destination's segment,
-    each segment's flat destination)."""
+    each segment's flat destination). If upper (square caps only), the
+    table holds only the destinations (h, k) with h <= k, on or above the
+    diagonal, and each chunk also carries their mirrors (k, h)."""
     height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
@@ -135,13 +142,21 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
         keep = (degs[ia] <= lt) & (degs[ib] <= rt)
         factors.append([t[keep].astype(index) for t in (ia, ib, ic)])
     (ha, hb, hc), (aa, ab, ac) = factors
-    dst = (hc[:, None] * width + ac).ravel()
+    # row i of the table is holomorphic pair i with the antiholomorphic
+    # pairs first[i]..: all of them, or those landing on or above the
+    # diagonal (ac >= hc[i], a suffix, as ac is sorted)
+    first = np.searchsorted(ac, hc) if upper else np.zeros(len(hc), np.intp)
+    count = len(ac) - first
+    row = np.repeat(np.arange(len(hc)), count)
+    col = np.arange(row.size) - np.repeat(np.cumsum(count) - count - first, count)
+    dst = hc[row] * width + ac[col]
+    left = ha[row] * width + aa[col]
+    right = hb[row] * width + ab[col]
+    del row, col
     tdeg = _total_degrees(m, cap)[dst]
     # the factor tables are sorted by destination, so this merges sorted runs
     order = np.argsort(tdeg * (height * width) + dst, kind="stable")
-    dst, tdeg = dst[order], tdeg[order]
-    left = (ha[:, None] * width + aa).ravel()[order]
-    right = (hb[:, None] * width + ab).ravel()[order]
+    dst, tdeg, left, right = dst[order], tdeg[order], left[order], right[order]
     del order
     starts = np.flatnonzero(np.diff(dst, prepend=dst[:1] - 1))
     ends = np.append(starts, dst.size)
@@ -152,8 +167,10 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
         out = []
         for e0, e1 in zip(edges, edges[1:]):
             s0, s1 = np.searchsorted(starts, (e0, e1))
-            out.append((left[e0:e1], right[e0:e1], starts[s0:s1] - e0,
-                        dst[starts[s0:s1]]))
+            seg = dst[starts[s0:s1]]
+            mirror = (seg % width * width + seg // width,) if upper else ()
+            out.append((left[e0:e1], right[e0:e1], starts[s0:s1] - e0, seg)
+                       + mirror)
         return tuple(out)
 
     bounds = (np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
@@ -412,21 +429,39 @@ def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
 
 # -- analytic operations ------------------------------------------------------
 
-def _graded_solve(a: Jet, b0: complex, weight: np.ndarray, init=None) -> Jet:
+def _graded_solve(a: Jet, b0: complex, weight: np.ndarray,
+                  init: complex = 0.0) -> Jet:
     """The jet b with constant term b0 whose total-degree-n part, n >= 1, is
-    init_n + [a^(n) b]_n, where a^(n) is a - a_0 with its total-degree-j part
-    scaled by weight[n, j]. Only degrees below n of b enter that product, so
-    one pass over the degrees fills b; together the passes do the pair work
-    of one truncated product."""
+    init a_n + [a^(n) b]_n, where a^(n) is a - a_0 with its total-degree-j
+    part scaled by weight[n, j]. Only degrees below n of b enter that
+    product, so one pass over the degrees fills b; together the passes do
+    the pair work of one truncated product.
+
+    A real function has a Hermitian coefficient array, c[h, k] =
+    conj(c[k, h]). If a's is exactly Hermitian at a square cap and b0, init
+    and the weights are real, so is b's: then the pass runs only the pairs
+    that land on or above the diagonal, about half of them, and writes the
+    conjugates of each degree's new entries below the diagonal before the
+    next degree reads them; at the end the diagonal's roundoff imaginary
+    part is dropped. Any other input takes every pair, which makes the
+    general pass the independent check of this one."""
     m, cap = a.num_vars, a.cap
-    t = _pairs(m, cap, _top(a), cap)
+    hermitian = (cap.holo == cap.anti and complex(b0).imag == 0
+                 and complex(init).imag == 0 and not weight.imag.any()
+                 and np.array_equal(a.data, a.data.conj().T))
+    t = _pairs(m, cap, _top(a), cap, True, hermitian)
     scaled = a.data.ravel() * weight[:, _total_degrees(m, cap)]
     scaled[:, 0] = 0.0
-    b = np.zeros(a.data.size, dtype=np.complex128) if init is None else init.ravel()
+    b = a.data.ravel() * init
     b[0] = b0
     for n in range(1, cap.holo + cap.anti + 1):
-        for left, right, starts, dst in t[n]:
-            b[dst] += _convolve(scaled[n], b, left, right, starts)
+        for left, right, starts, dst, *mirror in t[n]:
+            value = b[dst] + _convolve(scaled[n], b, left, right, starts)
+            b[dst] = value
+            if hermitian:
+                b[mirror[0]] = value.conj()
+    if hermitian:  # the mirror conjugated the diagonal's roundoff
+        b[::a.data.shape[1] + 1].imag = 0.0
     return Jet(m, cap, b.reshape(a.data.shape))
 
 
@@ -457,7 +492,7 @@ def jet_log(a: Jet) -> Jet:
     if c0.real < 0 and c0.imag == 0:
         raise ValueError("jet_log constant term lies on the branch cut")
     n, j = _degree_grid(a)
-    return _graded_solve(a, cmath.log(c0), (j - n) / (n * c0), init=a.data / c0)
+    return _graded_solve(a, cmath.log(c0), (j - n) / (n * c0), init=1.0 / c0)
 
 
 def jet_real_power(a: Jet, mu: float) -> Jet:

@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 import hartogslab
-from hartogslab import __version__
+from hartogslab import __version__, cli
 from hartogslab.cli import main
 from hartogslab.domains import type1, type2, type3, type4
 from hartogslab.geometry import (HartogsSpec, curvature_report_from_potential,
@@ -212,6 +212,27 @@ def test_appendix_table_respects_max_d(capsys):
     assert len(domains) == 5
 
 
+def test_main_builds_one_parser_and_fresh_namespaces(capsys, monkeypatch):
+    # main parses with one parser per process; each call still gets its own
+    # namespace, so an option given once does not carry over
+    builds, namespaces = [], []
+    build, appendix = cli.build_parser, cli.cmd_appendix_table
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "cmd_appendix_table",
+                        lambda args: namespaces.append(args) or appendix(args))
+    cli._parser.cache_clear()
+    try:
+        for argv in (["appendix-table", "--max-d", "2", "--format", "csv"],
+                     ["appendix-table", "--max-d", "2"]):
+            assert run(capsys, argv)[0] == 0
+    finally:
+        cli._parser.cache_clear()  # its handler is the spy
+    assert len(builds) == 1
+    first, second = namespaces
+    assert first is not second
+    assert (first.format, second.format) == ("csv", "json")
+
+
 def test_appendix_table_csv(capsys):
     code, out, _ = run(capsys, ["appendix-table", "--format", "csv"])
     assert code == 0
@@ -270,6 +291,8 @@ def test_case_analysis_out_still_prints_line(tmp_path, capsys):
     ["report", *DISK, "--seed", "-1"],
     ["report", *DISK[:-2], "--mu", "1e400"],  # overflows a float
     ["report", *DISK[:-2], "--mu", "1e-400"],  # underflows to 0.0
+    ["appendix-table", "--max-d", "0"],  # skips every row
+    ["appendix-table", "--max-d", "1"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -283,7 +306,8 @@ def test_usage_errors_exit_2(capsys, argv):
     (["report", "--domain", "type4", "--n", "3"], "--domain type4"),
     (["scan-a2", *DISK, "--seed", "-1"], "--seed"),
     (["verify-lemmas", *DISK[:-2], "--mu", "1e400"], "--mu"),
-], ids=["domain", "domain-type4", "seed", "mu"])
+    (["appendix-table", "--max-d", "1"], "--max-d"),
+], ids=["domain", "domain-type4", "seed", "mu", "max-d"])
 def test_out_of_range_values_name_the_option(capsys, argv, option):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")

@@ -337,14 +337,62 @@ def test_reports_make_no_jet_products(monkeypatch):
         assert products == [], base.label()
 
 
+def test_reports_run_only_real_recurrences(monkeypatch):
+    # every norm and potential a report takes a log or power of is real,
+    # and made exactly Hermitian, so each recurrence takes the
+    # upper-triangle path; a silent fallback to the general path fails here
+    runs = []
+    solve = jets._graded_solve
+
+    def solve_spy(a, b0, weight, init=0.0):
+        runs.append(a.cap.holo == a.cap.anti
+                    and np.array_equal(a.data, a.data.conj().T)
+                    and complex(b0).imag == 0 and complex(init).imag == 0
+                    and not np.imag(weight).any())
+        return solve(a, b0, weight, init)
+
+    monkeypatch.setattr(jets, "_graded_solve", solve_spy)
+    for base in (type1(2, 2), type2(4), type3(2), type4(5)):
+        spec = HartogsSpec(base, F(4, 5))
+        pt = sample_hartogs(spec, seed=0, count=1)[0]
+        runs.clear()
+        curvature_report(spec, pt)
+        scalar_curvature_at(spec, pt)
+        base_curvature_report(base, pt.base)
+        assert len(runs) == 5 and all(runs), (base.label(), runs)
+
+
+BASES_UP_TO_D6 = [type1(1, 1), type1(1, 2), type1(1, 3), type1(2, 2),
+                  type1(1, 5), type1(2, 3), type2(4), type3(2), type3(3),
+                  type4(5), type4(6)]
+
+
+@pytest.mark.parametrize("base", BASES_UP_TO_D6, ids=lambda b: b.label())
+def test_frame_metric_matches_the_potential(base):
+    # the frame's closed-form g against d dbar of the cap-(1,1) potential jet
+    for mu in (1, F(4, 5), 3):
+        spec = HartogsSpec(base, mu)
+        for pt in sample_hartogs(spec, seed=0, count=4):
+            got = geometry._frame_metric(spec, pt)
+            want = hartogs_potential_jet(spec, pt, (1, 1)).partials(1, 1)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), mu
+
+
 def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
-    # g = diag(1, -1): the frame raises what metric_at raises
+    # N = 1 + 2|z|^2 on the disk makes g_{z zbar} = -4 at the origin
+    # (mu = 2): the frame's own Cholesky factorization raises what
+    # metric_at raises, before any potential jet is built
     z, w = (jet_variable(i, 2, (1, 1)) for i in range(2))
     zb, wb = (jet_variable(i, 2, (1, 1), anti=True) for i in range(2))
-    bad = z * zb - w * wb
     with pytest.raises(ValueError) as want:
-        metric_at(bad)
-    monkeypatch.setattr(geometry, "hartogs_potential_jet", lambda *a, **k: bad)
+        metric_at(z * zb - w * wb)
+    convex = Jet(1, BidegreeCap(1, 1), np.array([[1.0, 0.0], [0.0, 2.0]], complex))
+    monkeypatch.setattr(geometry, "generic_norm_jet", lambda *a, **k: convex)
+
+    def no_potential(*args, **kwargs):
+        raise AssertionError("the frame accepted an indefinite metric")
+
+    monkeypatch.setattr(geometry, "hartogs_potential_jet", no_potential)
     with pytest.raises(ValueError) as got:
         scalar_curvature_at(DISK, _origin(DISK))
     assert str(got.value) == str(want.value)

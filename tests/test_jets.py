@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import helpers
-from hartogslab import jets
+from hartogslab import geometry, jets
+from hartogslab.domains import generic_norm_jet, type1, type3
+from hartogslab.geometry import HartogsSpec, sample_hartogs
 from hartogslab.jets import (MAX_DEGREE, BidegreeCap, Jet, basis_exponents,
                              jet_constant, jet_log, jet_real_power,
                              jet_reciprocal, jet_variable)
@@ -253,13 +255,66 @@ def test_recurrences_match_horner_composition(m, cap, shape):
     if shape == "degree_two":
         data[[sum(e) > 2 for e in hb], :] = 0.0
         data[:, [sum(e) > 2 for e in ab]] = 0.0
-    a = Jet(m, cap, data)
+    _assert_recurrences_match_horner(Jet(m, cap, data))
+
+
+def _assert_recurrences_match_horner(a, hermitian=False):
+    """log, reciprocal and three real powers of a against their Horner
+    compositions; if hermitian, each result must be exactly Hermitian."""
     pairs = [(jet_log(a), helpers.horner_log(a)),
              (jet_reciprocal(a), helpers.horner_reciprocal(a))]
     pairs += [(jet_real_power(a, mu), helpers.horner_real_power(a, mu))
               for mu in (0.5, 0.8, 3.0)]
     for got, want in pairs:
+        assert not hermitian or _hermitian(got.data)
         assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+
+def _hermitian(data):
+    return np.array_equal(data, data.conj().T)
+
+
+def _random_hermitian_jet(m, c):
+    rng = np.random.default_rng(10 * m + c)
+    size = len(basis_exponents(m, c))
+    X = 0.2 * (rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    data = X + X.conj().T  # exactly Hermitian: the sum commutes
+    data[0, 0] = 2.0
+    return Jet(m, BidegreeCap(c, c), data)
+
+
+def _sampled_norm_and_potential_jets(base, monkeypatch):
+    """N and I = N^mu - |w|^2 at a sampled point, as a report builds them:
+    in its metric-normal frame, at cap (3, 3), mu = 4/5."""
+    spec = HartogsSpec(base, 0.8)
+    point = sample_hartogs(spec, seed=0, count=1)[0]
+    frame = geometry._normal_frame(spec, point)
+    d = base.d
+    N = generic_norm_jet(base, point.base, (3, 3), jacobian=frame[:d, :d])
+    logs = []
+    monkeypatch.setattr(geometry, "jet_log", lambda a: logs.append(a) or jet_log(a))
+    geometry.hartogs_potential_jet(spec, point, (3, 3), frame)
+    return N, logs[0]
+
+
+HERMITIAN_CASES = [("random", (m, c)) for m in range(1, 5) for c in (1, 2, 3)]
+HERMITIAN_CASES += [(which, base) for base in (type1(1, 2), type3(2))
+                    for which in ("N", "I")]
+
+
+@pytest.mark.parametrize("kind,arg", HERMITIAN_CASES, ids=[
+    f"random-m{arg[0]}-cap{arg[1]}{arg[1]}" if kind == "random"
+    else f"{kind}-{arg.label()}" for kind, arg in HERMITIAN_CASES])
+def test_hermitian_recurrences_match_horner_composition(kind, arg, monkeypatch):
+    # an exactly Hermitian jet (a real function) takes the upper-triangle
+    # recurrences, whose output is exactly Hermitian
+    if kind == "random":
+        a = _random_hermitian_jet(*arg)
+    else:
+        N, I = _sampled_norm_and_potential_jets(arg, monkeypatch)
+        a = N if kind == "N" else I
+    assert _hermitian(a.data)
+    _assert_recurrences_match_horner(a, hermitian=True)
 
 
 def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
@@ -270,9 +325,11 @@ def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
     data = rng.normal(size=(2, 20, 20)) + 1j * rng.normal(size=(2, 20, 20))
     data[:, 0, 0] = 3.0
     a, b = Jet(3, cap, data[0]), Jet(3, cap, data[1])
+    h = _random_hermitian_jet(3, 3)  # the upper-triangle tables
 
     def results():
-        return [a * b, jet_log(a), jet_reciprocal(b), jet_real_power(a, 0.8)]
+        return [a * b, jet_log(a), jet_reciprocal(b), jet_real_power(a, 0.8),
+                jet_log(h), jet_real_power(h, 0.8)]
 
     whole = results()
     monkeypatch.setattr(jets, "_CHUNK", 7)
