@@ -21,6 +21,8 @@ destination with np.add.reduceat. A product uses the whole table;
 reciprocal, log and real power fill their result one total degree at a time
 from the slice of the table that lands on that degree (graded Taylor
 recurrences; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+A recurrence's table has no pair with a constant factor, whose term
+_graded_solve folds into the start value of each degree.
 The jet of a real function has a Hermitian coefficient array, c[h, k] =
 conj(c[k, h]); on an exactly Hermitian input with real coefficients a
 recurrence reads a table of the destinations on or above the diagonal only,
@@ -105,7 +107,7 @@ def _degrees(m: int, degree: int) -> np.ndarray:
 def _total_degrees(m: int, cap: BidegreeCap) -> np.ndarray:
     """Total degree of each flat (holo, anti) coefficient position."""
     degs = np.add.outer(_degrees(m, cap.holo), _degrees(m, cap.anti))
-    return degs.ravel().astype(np.int32)
+    return degs.ravel().astype(np.intp)
 
 
 def _top(a: "Jet") -> tuple:
@@ -125,11 +127,14 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
     rtop (right operand) per character, sorted by the destination's total
     degree, then by its flat index. Per total degree if graded (the form the
     recurrences read), else for the whole table at once (a product's form),
-    a tuple of chunks of whole destination segments and about _CHUNK pairs,
-    which bounds the temporaries of a large product; a chunk is (left and
-    right flat operand indices, the start of each destination's segment,
-    each segment's flat destination). If upper (square caps only), the
-    table holds only the destinations (h, k) with h <= k, on or above the
+    a tuple of chunks of whole destination segments and about _CHUNK pairs
+    (not one, unless the degree holds one), which bounds the temporaries of
+    a large product; a chunk is (left and right flat operand indices, the
+    start of each destination's segment, each segment's flat destination).
+    A graded table, cached apart from the product's, drops the pairs with a
+    constant factor (flat index 0 on either side), whose terms the
+    recurrences fold into init. If upper (square caps only), the table
+    holds only the destinations (h, k) with h <= k, on or above the
     diagonal, and each chunk also carries their mirrors (k, h)."""
     height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
     # flat indices in the smallest dtype that holds them: the tables are
@@ -153,7 +158,10 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
     left = ha[row] * width + aa[col]
     right = hb[row] * width + ab[col]
     del row, col
-    tdeg = _total_degrees(m, cap)[dst]
+    if graded:  # a constant factor's term is in the recurrence's init
+        keep = (left != 0) & (right != 0)
+        dst, left, right = dst[keep], left[keep], right[keep]
+    tdeg = _total_degrees(m, cap).astype(np.int32)[dst]  # a small sort key
     # the factor tables are sorted by destination, so this merges sorted runs
     order = np.argsort(tdeg * (height * width) + dst, kind="stable")
     dst, tdeg, left, right = dst[order], tdeg[order], left[order], right[order]
@@ -164,6 +172,11 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
     def chunks(p0, p1):
         cuts = ends[np.searchsorted(ends, np.arange(p0 + _CHUNK, p1, _CHUNK))]
         edges = sorted({p0, p1, *cuts.tolist()})
+        # numpy rounds a length-1 complex product unlike its vector loop, so
+        # a one-pair chunk joins the next (the last, the one before it)
+        last = len(edges) - 1
+        edges = [e for i, e in enumerate(edges) if i in (0, last) or
+                 e - edges[i - 1] > 1 and (i < last - 1 or edges[-1] - e > 1)]
         out = []
         for e0, e1 in zip(edges, edges[1:]):
             s0, s1 = np.searchsorted(starts, (e0, e1))
@@ -434,8 +447,10 @@ def _graded_solve(a: Jet, b0: complex, weight: np.ndarray,
     """The jet b with constant term b0 whose total-degree-n part, n >= 1, is
     init a_n + [a^(n) b]_n, where a^(n) is a - a_0 with its total-degree-j
     part scaled by weight[n, j]. Only degrees below n of b enter that
-    product, so one pass over the degrees fills b; together the passes do
-    the pair work of one truncated product.
+    product, so one pass over the degrees fills b. Its term of b's constant,
+    weight[n, n] b0 a_n, is in the start value a_n (init + weight[n, n] b0)
+    of b's degree-n part, so the passes run only the pairs of two
+    non-constant factors, fewer than one product's, and skip degrees 0, 1.
 
     A real function has a Hermitian coefficient array, c[h, k] =
     conj(c[k, h]). If a's is exactly Hermitian at a square cap and b0, init
@@ -450,13 +465,13 @@ def _graded_solve(a: Jet, b0: complex, weight: np.ndarray,
                  and complex(init).imag == 0 and not weight.imag.any()
                  and np.array_equal(a.data, a.data.conj().T))
     t = _pairs(m, cap, _top(a), cap, True, hermitian)
-    scaled = a.data.ravel() * weight[:, _total_degrees(m, cap)]
-    scaled[:, 0] = 0.0
-    b = a.data.ravel() * init
+    flat, tdeg = a.data.ravel(), _total_degrees(m, cap)
+    b = flat * (init + weight.diagonal() * b0).take(tdeg)
     b[0] = b0
-    for n in range(1, cap.holo + cap.anti + 1):
+    for n in (n for n in range(len(t)) if t[n]):  # the degrees with pairs
+        scaled = flat * weight[n].take(tdeg)
         for left, right, starts, dst, *mirror in t[n]:
-            value = b[dst] + _convolve(scaled[n], b, left, right, starts)
+            value = b[dst] + _convolve(scaled, b, left, right, starts)
             b[dst] = value
             if hermitian:
                 b[mirror[0]] = value.conj()

@@ -318,27 +318,86 @@ def test_hermitian_recurrences_match_horner_composition(kind, arg, monkeypatch):
 
 
 def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
-    # a chunk ends only where a destination's segment does, so every
-    # coefficient is the same sum in the same order
-    rng = np.random.default_rng(4)
+    # a chunk ends only where a destination's segment does, and no chunk is
+    # a single pair, so every coefficient is the same sum in the same order
     cap = BidegreeCap(3, 3)
-    data = rng.normal(size=(2, 20, 20)) + 1j * rng.normal(size=(2, 20, 20))
-    data[:, 0, 0] = 3.0
-    a, b = Jet(3, cap, data[0]), Jet(3, cap, data[1])
-    h = _random_hermitian_jet(3, 3)  # the upper-triangle tables
+    cases = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(3, 20, 20)) + 1j * rng.normal(size=(3, 20, 20))
+        data[:, 0, 0] = 3.0
+        data[2] += data[2].conj().T  # exactly Hermitian: the upper tables
+        cases.append([Jet(3, cap, x) for x in data])
 
     def results():
-        return [a * b, jet_log(a), jet_reciprocal(b), jet_real_power(a, 0.8),
-                jet_log(h), jet_real_power(h, 0.8)]
+        return [[a * b, jet_log(a), jet_reciprocal(b), jet_real_power(a, 0.8),
+                 jet_log(h), jet_real_power(h, 0.8)] for a, b, h in cases]
 
     whole = results()
     monkeypatch.setattr(jets, "_CHUNK", 7)
     jets._pairs.cache_clear()
     try:
         for got, want in zip(results(), whole):
-            assert np.array_equal(got.data, want.data)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.data, w.data)
+        for upper in (False, True):
+            for chunks in jets._pairs(3, cap, cap, cap, True, upper):
+                assert len(chunks) <= 1 or min(len(c[0]) for c in chunks) > 1
     finally:
         jets._pairs.cache_clear()
+
+
+def _table_pairs(table):
+    return sum(len(chunk[0]) for chunks in table for chunk in chunks)
+
+
+UPPER_TABLES = [(7, (3, 3), (3, 3), 218_827), (2, (3, 3), (3, 3), 577),
+                (7, (2, 2), (2, 2), 6_083), (6, (3, 3), (1, 1), 28_554)]
+
+
+@pytest.mark.parametrize("m,cap,top,count", UPPER_TABLES)
+def test_graded_tables_hold_no_constant_factor_pairs(m, cap, top, count):
+    # a recurrence takes a constant factor's term into its init, so its
+    # table pairs only non-constant factors; a product's table keeps them
+    cap = BidegreeCap(*cap)
+    graded = jets._pairs(m, cap, top, cap, True, True)
+    assert _table_pairs(graded) == count
+    assert not graded[0] and not graded[1]
+    for chunks in graded:
+        for left, right, *_ in chunks:
+            assert left.all() and right.all()
+    (product,) = jets._pairs(m, cap, top, top, False)
+    for side in (0, 1):
+        assert not np.concatenate([c[side] for c in product]).all()
+
+
+def test_report_pair_budget(monkeypatch):
+    # the recurrence pairs of one report at d+1 = 7, mu = 4/5: the power of
+    # N in the 6 base variables and the log of I in all 7, both Hermitian
+    spec = HartogsSpec(type1(2, 3), 0.8)
+    point = sample_hartogs(spec, seed=0, count=1)[0]
+    tables = []
+    pairs = jets._pairs
+    monkeypatch.setattr(jets, "_pairs", lambda *args: tables.append(pairs(*args))
+                        or tables[-1])
+    geometry.curvature_report(spec, point)
+    assert _table_pairs(sum(tables, ())) == 76_677 + 218_827
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_recurrences_on_rank_one_jets_match_horner(m, hermitian):
+    # c0 plus a bidegree-(1,1) part only, as the mu = 1 norms of rank-1
+    # bases: no pair lands on a degree-1 destination
+    rng = np.random.default_rng(m)
+    size = len(basis_exponents(m, 3))
+    data = np.zeros((size, size), dtype=np.complex128)
+    block = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    data[1:m + 1, 1:m + 1] = 0.2 * (block + block.conj().T if hermitian else block)
+    data[0, 0] = 2.0
+    a = Jet(m, BidegreeCap(3, 3), data)
+    assert jets._top(a) == (1, 1)
+    _assert_recurrences_match_horner(a, hermitian)
 
 
 def test_log_and_power_guards():
