@@ -9,7 +9,7 @@ base, mu = 1) has constant second expansion coefficient a2.
 __version__ = "1.0.0"
 
 from .jets import (BidegreeCap, Jet, basis_exponents, jet_constant,
-                   jet_log, jet_real_power, jet_reciprocal, jet_variable)
+                   jet_log, jet_real_power, jet_variable)
 from .domains import (DomainSpec, ExceptionalDomainError, contains,
                       generic_norm_jet, generic_norm_value,
                       matrix_model, sample_interior, type1, type2, type3, type4,
@@ -18,7 +18,7 @@ from .geometry import (CurvatureReport, HartogsPoint, HartogsSpec, MetricData,
                        base_curvature_report, bergman_potential_jet,
                        curvature_report,
                        curvature_report_from_potential, curvature_tensor,
-                       hartogs_contains, hartogs_potential_jet, metric_at,
+                       hartogs_potential_jet, metric_at,
                        ricci_and_scalar, sample_hartogs, scalar_curvature_at,
                        tensor_norms)
 from .oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,

@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .domains import DomainSpec, contains, generic_norm_jet, generic_norm_value, \
+from .domains import DomainSpec, generic_norm_jet, generic_norm_value, \
     sample_interior
 from .jets import BidegreeCap, Jet, _polynomials, _space_size, basis_exponents, \
     jet_log, jet_real_power
@@ -117,10 +117,14 @@ def _complex_nested(arr: np.ndarray):
     return [_complex_nested(a) for a in arr]
 
 
-def _real(x: complex, what: str) -> float:
+def _real(x: complex, what: str, metric: MetricData) -> float:
+    """x.real, or a ValueError that names cond(g) of the metric x was
+    contracted with: an ill-conditioned g is where such residues come from
+    (see curvature_report_from_potential)."""
     x = complex(x)
     if abs(x.imag) > _REAL_TOL * max(1.0, abs(x.real)):
-        raise ValueError(f"{what} has imaginary residue {x.imag:.3e}")
+        raise ValueError(f"{what} has imaginary residue {x.imag:.3e} "
+                         f"(cond(g) = {np.linalg.cond(metric.g):.1e})")
     return x.real
 
 
@@ -130,13 +134,6 @@ def bergman_potential_jet(spec: DomainSpec, p: Sequence, cap) -> Jet:
     """Jet of -genus * log N at an interior base point; d dbar of it is the
     Bergman metric."""
     return jet_log(generic_norm_jet(spec, p, cap)) * (-spec.genus)
-
-
-def hartogs_contains(spec: HartogsSpec, point: HartogsPoint) -> bool:
-    z, w = point.base, complex(point.fiber)
-    if not contains(spec.base, z):
-        return False
-    return abs(w) ** 2 < generic_norm_value(spec.base, z) ** float(spec.mu)
 
 
 @lru_cache(maxsize=None)
@@ -406,7 +403,8 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
 def _ricci(L11: np.ndarray, metric: MetricData):
     ric = -L11
     ric = 0.5 * (ric + ric.conj().T)
-    k = _real(np.einsum("ji,ij->", metric.g_inv, ric), "scalar curvature")
+    k = _real(np.einsum("ji,ij->", metric.g_inv, ric), "scalar curvature",
+              metric)
     return ric, k
 
 
@@ -431,7 +429,7 @@ def tensor_norms(metric: MetricData, R: np.ndarray, Ric: np.ndarray):
     Xc = X.conj()
     r2 = np.vdot(R, _transform(R, (X, Xc, X, Xc)))
     ric2 = np.vdot(Ric, _transform(Ric, (X, Xc)))
-    return _real(r2, "|R|^2"), _real(ric2, "|Ric|^2")
+    return _real(r2, "|R|^2", metric), _real(ric2, "|Ric|^2", metric)
 
 
 def _laplacian_from_parts(LD: LogDetParts, metric: MetricData,
@@ -456,7 +454,7 @@ def _laplacian_from_parts(LD: LogDetParts, metric: MetricData,
            + (X * _traces(L12, A @ X)).sum()  # tr(A_a X L12[b])
            + (X.T * _traces(L21, B @ X)).sum()  # tr(B_b X L21[a])
            - LD.trace22)
-    return _real(lap, "Delta k")
+    return _real(lap, "Delta k", metric)
 
 
 def scalar_curvature_at(spec: HartogsSpec, point: HartogsPoint) -> float:
@@ -491,7 +489,8 @@ def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
     (g = I at the point), as curvature_report's is. Raw (z, w) potentials
     lose the digits of Delta k while the jet is built: at 6 of 132 sampled
     points (4 per classical base with d <= 6, at mu = 1, 4/5 and 3) its
-    imaginary residue of 3e-5 to 6e-4 makes the report raise."""
+    imaginary residue of 3e-5 to 6e-4 makes the report raise, with an
+    error that names cond(g)."""
     metric = metric_at(potential)
     LD = _log_det_jets(potential, metric)
     ric, k = _ricci(LD.L11, metric)

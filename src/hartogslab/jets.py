@@ -5,24 +5,22 @@ treated as 2m independent formal variables (Wirtinger calculus). A jet stores
 every mixed Taylor coefficient whose holomorphic total degree is <= cap.holo
 and whose antiholomorphic total degree is <= cap.anti, centered at a base
 point. That retained monomial box is the complement of an ideal, so truncation
-is a ring quotient map: sums, products, reciprocals, logs and powers
-computed on jets agree exactly with the truncation of the true series,
-coefficient by coefficient. Polynomials in X = (1, x), with x the offset
-from the base point, come in as homogeneous tensors in X; _polynomials
-gathers a tensor's entries onto the monomial basis.
+is a ring quotient map: sums, logs and powers computed on jets agree exactly
+with the truncation of the true series, coefficient by coefficient. Jets
+scale by numbers; there is no jet-by-jet product, which no report needs.
+Polynomials in X = (1, x), with x the offset from the base point, come in as
+homogeneous tensors in X; _polynomials gathers a tensor's entries onto the
+monomial basis.
 
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
-over graded-lex monomial bases. One kernel does all the arithmetic: the
-truncated Cauchy product over a table of every monomial pair whose product
-stays within the cap and whose factors stay within the highest degree, per
-character, that their operands hold (see _pairs), sorted by the product
-monomial's total degree and then by its position, and summed per
-destination with np.add.reduceat. A product uses the whole table;
-reciprocal, log and real power fill their result one total degree at a time
-from the slice of the table that lands on that degree (graded Taylor
-recurrences; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
-A recurrence's table has no pair with a constant factor, whose term
-_graded_solve folds into the start value of each degree.
+over graded-lex monomial bases. Log and real power fill their result one
+total degree at a time (graded Taylor recurrences; Griewank & Walther,
+Evaluating Derivatives, 2nd ed., ch. 13) by a truncated Cauchy product over
+a table of the monomial pairs that land on that degree, whose left factors
+stay within the highest degree, per character, that the operand holds (see
+_pairs), summed per destination with np.add.reduceat. The table has no pair
+with a constant factor, whose term _graded_solve folds into the start value
+of each degree.
 The jet of a real function has a Hermitian coefficient array, c[h, k] =
 conj(c[k, h]); on an exactly Hermitian input with real coefficients a
 recurrence reads a table of the destinations on or above the diagonal only,
@@ -37,7 +35,7 @@ import cmath
 import math
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,30 +119,26 @@ _CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=64)
-def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
-           graded: bool = True, upper: bool = False) -> tuple:
-    """Pair table of the monomials of degree at most ltop (left operand) and
-    rtop (right operand) per character, sorted by the destination's total
-    degree, then by its flat index. Per total degree if graded (the form the
-    recurrences read), else for the whole table at once (a product's form),
+def _pairs(m: int, cap: BidegreeCap, ltop: tuple, upper: bool = False) -> tuple:
+    """Pair table of a graded recurrence: the pairs of non-constant monomials
+    (flat index 0 on neither side; the recurrences fold a constant factor's
+    term into init) whose product stays within cap and whose left factor has
+    degree at most ltop per character. Per total degree of the destination,
     a tuple of chunks of whole destination segments and about _CHUNK pairs
     (not one, unless the degree holds one), which bounds the temporaries of
-    a large product; a chunk is (left and right flat operand indices, the
-    start of each destination's segment, each segment's flat destination).
-    A graded table, cached apart from the product's, drops the pairs with a
-    constant factor (flat index 0 on either side), whose terms the
-    recurrences fold into init. If upper (square caps only), the table
-    holds only the destinations (h, k) with h <= k, on or above the
+    one _convolve call; a chunk is (left and right flat operand indices, the
+    start of each destination's segment, each segment's flat destination),
+    sorted by the destination's flat index. If upper (square caps only), the
+    table holds only the destinations (h, k) with h <= k, on or above the
     diagonal, and each chunk also carries their mirrors (k, h)."""
     height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
     index = np.min_scalar_type(height * width)
     factors = []
-    for degree, lt, rt in zip(cap, ltop, rtop):
+    for degree, lt in zip(cap, ltop):
         ia, ib, ic = _pair_tables(m, degree)
-        degs = _degrees(m, degree)
-        keep = (degs[ia] <= lt) & (degs[ib] <= rt)
+        keep = _degrees(m, degree)[ia] <= lt
         factors.append([t[keep].astype(index) for t in (ia, ib, ic)])
     (ha, hb, hc), (aa, ab, ac) = factors
     # row i of the table is holomorphic pair i with the antiholomorphic
@@ -158,9 +152,8 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
     left = ha[row] * width + aa[col]
     right = hb[row] * width + ab[col]
     del row, col
-    if graded:  # a constant factor's term is in the recurrence's init
-        keep = (left != 0) & (right != 0)
-        dst, left, right = dst[keep], left[keep], right[keep]
+    keep = (left != 0) & (right != 0)
+    dst, left, right = dst[keep], left[keep], right[keep]
     tdeg = _total_degrees(m, cap).astype(np.int32)[dst]  # a small sort key
     # the factor tables are sorted by destination, so this merges sorted runs
     order = np.argsort(tdeg * (height * width) + dst, kind="stable")
@@ -186,8 +179,7 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, rtop: tuple,
                        + mirror)
         return tuple(out)
 
-    bounds = (np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
-              if graded else (0, dst.size))
+    bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
     return tuple(chunks(p0, p1) for p0, p1 in zip(bounds, bounds[1:]))
 
 
@@ -196,18 +188,6 @@ def _convolve(a, b, left, right, starts):
     prod = a.take(left)
     prod *= b.take(right)
     return np.add.reduceat(prod, starts)
-
-
-@lru_cache(maxsize=None)
-def _shift_table(m: int, degree: int, var: int):
-    """For d/dx_var: (source index, factor) per monomial of degree <= degree-1."""
-    index = _basis_index(m, degree)
-    src, fac = [], []
-    for e in basis_exponents(m, degree - 1):
-        lifted = e[:var] + (e[var] + 1,) + e[var + 1:]
-        src.append(index[lifted])
-        fac.append(e[var] + 1)
-    return np.array(src, dtype=np.intp), np.array(fac, dtype=np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -278,9 +258,10 @@ def _space_size(m: int, degree: int) -> int:
 class Jet:
     """Immutable truncated Taylor expansion; see module docstring.
 
-    Build jets with jet_constant / jet_variable and the arithmetic
-    operations, or wrap a complex128 array of shape (len(holo_basis()),
-    len(anti_basis())) whose [i, j] entry is the coefficient of the i-th
+    Build jets with jet_constant / jet_variable, sums and scalar multiples,
+    jet_log and jet_real_power, or wrap a complex128 array of shape
+    (len(basis_exponents(num_vars, cap.holo)), len(basis_exponents(num_vars,
+    cap.anti))) whose [i, j] entry is the coefficient of the i-th
     holomorphic times the j-th antiholomorphic basis monomial; cap must be a
     BidegreeCap. The array is frozen, not copied.
     """
@@ -308,34 +289,6 @@ class Jet:
     @property
     def constant_term(self) -> complex:
         return complex(self.data[0, 0])
-
-    def holo_basis(self) -> tuple:
-        return basis_exponents(self.num_vars, self.cap.holo)
-
-    def anti_basis(self) -> tuple:
-        return basis_exponents(self.num_vars, self.cap.anti)
-
-    def _indices(self, holo_exps, anti_exps):
-        h = tuple(int(x) for x in holo_exps)
-        a = tuple(int(x) for x in anti_exps)
-        if len(h) != self.num_vars or len(a) != self.num_vars:
-            raise ValueError("multi-index length does not match num_vars")
-        if sum(h) > self.cap.holo or sum(a) > self.cap.anti:
-            raise ValueError(f"multi-index ({h},{a}) exceeds cap {self.cap}")
-        return _basis_index(self.num_vars, self.cap.holo)[h], \
-            _basis_index(self.num_vars, self.cap.anti)[a]
-
-    def coefficient(self, holo_exps: Sequence[int], anti_exps: Sequence[int]) -> complex:
-        i, j = self._indices(holo_exps, anti_exps)
-        return complex(self.data[i, j])
-
-    def partial(self, holo_exps: Sequence[int], anti_exps: Sequence[int]) -> complex:
-        """Mixed partial d^{|a|}/dz^a dbar^{|b|}/dzb^b at the base point."""
-        i, j = self._indices(holo_exps, anti_exps)
-        f = 1
-        for e in tuple(holo_exps) + tuple(anti_exps):
-            f *= math.factorial(int(e))
-        return complex(self.data[i, j]) * f
 
     def partials(self, p: int, q: int) -> np.ndarray:
         """Dense tensor of every order-(p, q) mixed partial at the base point,
@@ -376,42 +329,11 @@ class Jet:
         return (-self) + complex(other)
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return self._like(self.data * complex(other))
-        self._check_compatible(other)
-        A, B = self.data, other.data
-        m, cap = self.num_vars, self.cap
-        a, b = A.ravel(), B.ravel()
-        out = np.zeros(a.size, dtype=np.complex128)
-        for chunks in _pairs(m, cap, _top(self), _top(other), False):
-            for left, right, starts, dst in chunks:
-                out[dst] = _convolve(a, b, left, right, starts)
-        return self._like(out.reshape(A.shape))
+        if isinstance(other, Jet):  # jets scale by numbers only
+            return NotImplemented
+        return self._like(self.data * complex(other))
 
     __rmul__ = __mul__
-
-    # -- structural operations ------------------------------------------------
-
-    def derivative_jet(self, holo_index=None, anti_index=None) -> "Jet":
-        """Jet of the derivative function d/dz_i (and/or d/dzb_j); the cap
-        shrinks by one on each differentiated character."""
-        if holo_index is None and anti_index is None:
-            return self
-        p, q = self.cap
-        if holo_index is not None and p == 0:
-            raise ValueError("cannot take a holomorphic derivative at cap 0")
-        if anti_index is not None and q == 0:
-            raise ValueError("cannot take an antiholomorphic derivative at cap 0")
-        data = self.data
-        if holo_index is not None:
-            src, fac = _shift_table(self.num_vars, p, int(holo_index))
-            data = data[src, :] * fac[:, None]
-            p -= 1
-        if anti_index is not None:
-            src, fac = _shift_table(self.num_vars, q, int(anti_index))
-            data = data[:, src] * fac[None, :]
-            q -= 1
-        return Jet(self.num_vars, BidegreeCap(p, q), np.ascontiguousarray(data))
 
     def __repr__(self):
         nz = int(np.count_nonzero(self.data))
@@ -450,7 +372,7 @@ def _graded_solve(a: Jet, b0: complex, weight: np.ndarray,
     product, so one pass over the degrees fills b. Its term of b's constant,
     weight[n, n] b0 a_n, is in the start value a_n (init + weight[n, n] b0)
     of b's degree-n part, so the passes run only the pairs of two
-    non-constant factors, fewer than one product's, and skip degrees 0, 1.
+    non-constant factors and skip degrees 0, 1.
 
     A real function has a Hermitian coefficient array, c[h, k] =
     conj(c[k, h]). If a's is exactly Hermitian at a square cap and b0, init
@@ -464,7 +386,7 @@ def _graded_solve(a: Jet, b0: complex, weight: np.ndarray,
     hermitian = (cap.holo == cap.anti and complex(b0).imag == 0
                  and complex(init).imag == 0 and not weight.imag.any()
                  and np.array_equal(a.data, a.data.conj().T))
-    t = _pairs(m, cap, _top(a), cap, True, hermitian)
+    t = _pairs(m, cap, _top(a), hermitian)
     flat, tdeg = a.data.ravel(), _total_degrees(m, cap)
     b = flat * (init + weight.diagonal() * b0).take(tdeg)
     b[0] = b0
@@ -485,15 +407,6 @@ def _degree_grid(a: Jet):
     0..cap.holo + cap.anti."""
     j = np.arange(a.cap.holo + a.cap.anti + 1, dtype=np.float64)
     return np.maximum(j, 1.0)[:, None], j[None, :]
-
-
-def jet_reciprocal(a: Jet) -> Jet:
-    """1 / a from a b = 1: b_n = -(1/a_0) sum_{j >= 1} a_j b_{n-j}."""
-    c0 = a.constant_term
-    if c0 == 0:
-        raise ValueError("jet_reciprocal requires a nonzero constant term")
-    n, j = _degree_grid(a)
-    return _graded_solve(a, 1.0 / c0, np.full((n.size, j.size), -1.0 / c0))
 
 
 def jet_log(a: Jet) -> Jet:

@@ -1,13 +1,14 @@
 """Shared helpers for the test suite.
 
-Everything here is an independent cross-check path: a cofactor determinant
-of jet matrices, the generic norm and the Hartogs potential built from
+Everything here is an independent cross-check path: the reference jet
+product and derivative jet (the engine multiplies jets only by numbers and
+fills logs and powers by graded recurrences), a cofactor determinant of jet
+matrices, the generic norm and the Hartogs potential built from
 jet_variable in raw coordinates, the Horner composition of power series,
-the einsum forms of the curvature contractions, finite-difference
-stencils for Wirtinger derivatives,
-exact-rational regrouping of the fiber-slice identity polynomials, and a
-trace-form computation of the base curvature norm that bypasses the jet
-engine entirely.
+the einsum forms of the curvature contractions, finite-difference stencils
+for Wirtinger derivatives, exact-rational regrouping of the fiber-slice
+identity polynomials, and a trace-form computation of the base curvature
+norm that bypasses the jet engine entirely.
 """
 
 import cmath
@@ -18,15 +19,94 @@ from functools import lru_cache
 
 import numpy as np
 
-from hartogslab.jets import jet_constant, jet_log, jet_real_power, jet_variable
+from hartogslab.jets import (BidegreeCap, Jet, _pair_tables, basis_exponents,
+                             jet_constant, jet_log, jet_real_power, jet_variable)
+
+
+# -- the reference jet product and derivative jet -----------------------------
+
+@lru_cache(maxsize=None)
+def _basis_degrees(m, degree):
+    return np.array([sum(e) for e in basis_exponents(m, degree)])
+
+
+def _operand_top(data, m, degree, axis):
+    """The highest degree of a row (axis 1) or column (axis 0) of data that
+    holds a nonzero coefficient; 0 for a zero array."""
+    return _basis_degrees(m, degree)[data.any(axis=axis)].max(initial=0)
+
+
+@lru_cache(maxsize=None)
+def _factor_pairs(m, degree, ltop, rtop):
+    """One character's monomial pairs (i, j) with deg i <= ltop, deg j <=
+    rtop and deg i + deg j <= degree, grouped by their product k: left and
+    right indices, where each group starts, and each group's k."""
+    ia, ib, ic = _pair_tables(m, degree)
+    degs = _basis_degrees(m, degree)
+    keep = (degs[ia] <= ltop) & (degs[ib] <= rtop)
+    ia, ib, ic = ia[keep], ib[keep], ic[keep]
+    starts = np.flatnonzero(np.diff(ic, prepend=-1))
+    return ia, ib, starts, ic[starts]
+
+
+def _product(a, b):
+    if (b.num_vars, b.cap) != (a.num_vars, a.cap):
+        raise ValueError(f"jet mismatch: {a!r} vs {b!r}")
+    m, cap, A, B = a.num_vars, a.cap, a.data, b.data
+    (ha, hb, hs, hc), (aa, ab, as_, ac) = (
+        _factor_pairs(m, degree, _operand_top(A, m, degree, axis),
+                      _operand_top(B, m, degree, axis))
+        for degree, axis in zip(cap, (1, 0)))
+    terms = A[ha][:, aa] * B[hb][:, ab]
+    out = np.zeros_like(A)
+    out[np.ix_(hc, ac)] = np.add.reduceat(np.add.reduceat(terms, hs, axis=0),
+                                          as_, axis=1)
+    return Jet(m, cap, out)
+
+
+def mul(a, *factors):
+    """The truncated product a b ... of jets of one shape: every holomorphic
+    pair times every antiholomorphic pair of two factors' monomials, summed
+    per destination along each axis. Only monomials up to the highest
+    degree that each factor holds, per character, are paired."""
+    for b in factors:
+        a = _product(a, b)
+    return a
+
+
+def coefficient(j, h, a):
+    """The Taylor coefficient of z^h zb^a in j, read at the basis index of
+    each exponent tuple."""
+    return j.data[basis_exponents(j.num_vars, j.cap.holo).index(tuple(h)),
+                  basis_exponents(j.num_vars, j.cap.anti).index(tuple(a))]
+
+
+@lru_cache(maxsize=None)
+def _shift(m, degree, var):
+    """For d/dx_var: the basis index of x_var e and the factor e_var + 1,
+    for every monomial e of degree <= degree - 1."""
+    index = {e: i for i, e in enumerate(basis_exponents(m, degree))}
+    lifted = [(index[e[:var] + (e[var] + 1,) + e[var + 1:]], e[var] + 1)
+              for e in basis_exponents(m, degree - 1)]
+    rows, factors = zip(*lifted)
+    return np.array(rows), np.array(factors, dtype=float)
+
+
+def derivative_jet(a, holo, anti):
+    """Jet of d/dz_holo dbar/dzb_anti of a; the cap shrinks by one on each
+    character."""
+    rows, row_factors = _shift(a.num_vars, a.cap.holo, holo)
+    cols, col_factors = _shift(a.num_vars, a.cap.anti, anti)
+    data = a.data[np.ix_(rows, cols)] * np.outer(row_factors, col_factors)
+    return Jet(a.num_vars, BidegreeCap(a.cap.holo - 1, a.cap.anti - 1), data)
 
 
 # -- cofactor determinant of a jet matrix ---------------------------------------
 
 def cofactor_det(rows):
     """Determinant of a square jet matrix by cofactor expansion along its
-    rows, memoized over the set of columns left free; uses only jet products
-    and sums, no division."""
+    rows, memoized over the set of columns left free; uses only mul and
+    sums, no division."""
     n = len(rows)
 
     @lru_cache(maxsize=None)
@@ -35,9 +115,9 @@ def cofactor_det(rows):
         row = rows[n - len(cols)]
         if len(cols) == 1:
             return row[cols[0]]
-        acc = row[cols[0]] * minor(cols[1:])
+        acc = mul(row[cols[0]], minor(cols[1:]))
         for k in range(1, len(cols)):
-            term = row[cols[k]] * minor(cols[:k] + cols[k + 1:])
+            term = mul(row[cols[k]], minor(cols[:k] + cols[k + 1:]))
             acc = acc - term if k % 2 else acc + term
         return acc
 
@@ -91,7 +171,7 @@ def reference_norm_matrix(spec, p, cap, jacobian):
         for b in range(rows):
             acc = jet_constant(1.0 if a == b else 0.0, num_vars, cap)
             for c in range(cols):
-                acc = acc - Z[a][c] * Zb[b][c]
+                acc = acc - mul(Z[a][c], Zb[b][c])
             row.append(acc)
         E.append(row)
     return E
@@ -105,10 +185,10 @@ def reference_norm(spec, p, cap, jacobian):
         return cofactor_det(reference_norm_matrix(spec, p, cap, jacobian))
     z, zb = raw_coordinates(p, cap, jacobian)
     zero = jet_constant(0.0, jacobian.shape[1], cap)
-    zz = sum((a * b for a, b in zip(z, zb)), zero)
-    zzt = sum((a * a for a in z), zero)
-    zbzbt = sum((b * b for b in zb), zero)
-    return 1.0 - 2.0 * zz + zzt * zbzbt
+    zz = sum((mul(a, b) for a, b in zip(z, zb)), zero)
+    zzt = sum((mul(a, a) for a in z), zero)
+    zbzbt = sum((mul(b, b) for b in zb), zero)
+    return 1.0 - 2.0 * zz + mul(zzt, zbzbt)
 
 
 def raw_potential_jet(spec, point, cap=(3, 3)):
@@ -120,7 +200,7 @@ def raw_potential_jet(spec, point, cap=(3, 3)):
     n_mu = jet_real_power(norm, mu / 2 if base.kind == "type2" else mu)
     w = jet_variable(d, d + 1, cap) + point.fiber
     wb = jet_variable(d, d + 1, cap, anti=True) + complex(point.fiber).conjugate()
-    return -jet_log(n_mu - w * wb)
+    return -jet_log(n_mu - mul(w, wb))
 
 
 # -- einsum forms of the curvature contractions ------------------------------
@@ -162,13 +242,13 @@ def einsum_sum(terms, absolute=False):
 # -- Horner composition of power series ---------------------------------------
 
 def horner_compose(a, coeffs):
-    """sum_k coeffs[k] * (a - a0)^k by Horner's rule, in jet products only;
+    """sum_k coeffs[k] * (a - a0)^k by Horner's rule, in mul only;
     exact once len(coeffs) exceeds the total degree cap.holo + cap.anti
     (higher powers of a - a0 vanish)."""
     u = a - a.constant_term
     r = jet_constant(coeffs[-1], a.num_vars, a.cap)
     for c in coeffs[-2::-1]:
-        r = r * u + c
+        r = mul(r, u) + c
     return r
 
 

@@ -377,10 +377,10 @@ def test_module_entry_exit_codes():
         assert proc.returncode == expected, (argv, proc.stderr)
 
 
-SWEEP_BASES = [("type1", 1, 1), ("type1", 1, 2), ("type1", 1, 3), ("type1", 2, 2),
-               ("type1", 1, 5), ("type1", 2, 3), ("type2", None, 4),
-               ("type3", None, 2), ("type3", None, 3), ("type4", None, 5),
-               ("type4", None, 6)]
+SWEEP_BASES = [("type1", 1, 1), ("type1", 1, 2), ("type1", 1, 3), ("type1", 1, 4),
+               ("type1", 2, 2), ("type1", 1, 5), ("type1", 1, 6), ("type1", 2, 3),
+               ("type2", None, 4), ("type3", None, 2), ("type3", None, 3),
+               ("type4", None, 5), ("type4", None, 6)]
 SWEEP = [(command, base, mu) for base in SWEEP_BASES for mu in ("1", "4/5", "3")
          for command in ("report", "verify-lemmas")]
 
