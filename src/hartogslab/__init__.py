@@ -16,11 +16,11 @@ from .domains import (DomainSpec, ExceptionalDomainError, contains,
                       exc5, exc6)
 from .geometry import (CurvatureReport, HartogsPoint, HartogsSpec, MetricData,
                        base_curvature_report, bergman_potential_jet,
-                       curvature_report,
+                       curvature_report, curvature_reports,
                        curvature_report_from_potential, curvature_tensor,
                        hartogs_potential_jet, metric_at,
                        ricci_and_scalar, sample_hartogs, scalar_curvature_at,
-                       tensor_norms)
+                       scalar_curvatures, tensor_norms)
 from .oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
                       appendix_R2_base, lap_k_formula, ric2_formula,
                       scalar_curvature_formula)

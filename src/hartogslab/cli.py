@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .cases import CASE1_N_MAX, classify_all, constancy_constraints
 from .domains import DomainSpec, generic_norm_value, type1, type2, type3, type4
-from .geometry import (HartogsSpec, base_curvature_report, curvature_report,
-                       origin_fiber_points, sample_hartogs, scalar_curvature_at)
+from .geometry import (HartogsSpec, base_curvature_report, curvature_reports,
+                       origin_fiber_points, sample_hartogs, scalar_curvatures)
 from .oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
                       appendix_R2_base, lap_k_formula, ric2_formula,
                       scalar_curvature_formula)
@@ -102,12 +102,13 @@ def _fiber_targets(spec, mu, t):
     }
 
 
-def _generic_k_target(hspec, pt):
-    """Closed-form scalar curvature at any interior point."""
-    n_mu = generic_norm_value(hspec.base, pt.base) ** hspec.mu
-    inp = OracleInputs(d=hspec.base.d, genus=hspec.base.genus, mu=hspec.mu,
-                       t=abs(pt.fiber) ** 2)
-    return float(scalar_curvature_formula(inp, n_mu=n_mu))
+def _generic_k_targets(hspec, points):
+    """Closed-form scalar curvature at each interior point."""
+    norms = generic_norm_value(hspec.base, [pt.base for pt in points]).tolist()
+    return [float(scalar_curvature_formula(
+        OracleInputs(d=hspec.base.d, genus=hspec.base.genus, mu=hspec.mu,
+                     t=abs(pt.fiber) ** 2), n_mu=norm ** hspec.mu))
+            for pt, norm in zip(points, norms)]
 
 
 def _rel_err(value, target):
@@ -146,21 +147,21 @@ def cmd_report(args):
     hspec = _hartogs_spec(args)
     n_grid = max(3, args.samples // 2)
     ts = [0.7 * i / (n_grid - 1) for i in range(n_grid)]
-    points = origin_fiber_points(hspec, ts)
-    points += sample_hartogs(hspec, args.seed, args.samples)
+    samples = sample_hartogs(hspec, args.seed, args.samples)
+    points = origin_fiber_points(hspec, ts) + samples
+    k_targets = iter(_generic_k_targets(hspec, samples))
 
     entries = []
     worst = 0.0
-    for idx, pt in enumerate(points):
-        rep = curvature_report(hspec, pt)
-        at_origin = all(abs(z) < 1e-15 for z in pt.base)
+    for idx, (pt, rep) in enumerate(zip(points, curvature_reports(hspec, points))):
+        at_origin = idx < n_grid  # the origin-fiber points come first
         t = abs(pt.fiber) ** 2
         if at_origin:
             targets = _fiber_targets(hspec.base, hspec.mu, t)
             checks = {key: _rel_err(getattr(rep, key), target)
                       for key, target in targets.items()}
         else:
-            checks = {"k": _rel_err(rep.k, _generic_k_target(hspec, pt))}
+            checks = {"k": _rel_err(rep.k, next(k_targets))}
         max_err = max(checks.values())
         worst = max(worst, max_err)
         entry = {
@@ -194,13 +195,14 @@ def cmd_report(args):
 def cmd_verify_lemmas(args):
     hspec = _hartogs_spec(args, min_samples=1)
 
-    errs = [_rel_err(scalar_curvature_at(hspec, pt), _generic_k_target(hspec, pt))
-            for pt in sample_hartogs(hspec, args.seed, args.samples)]
+    samples = sample_hartogs(hspec, args.seed, args.samples)
+    errs = [_rel_err(k, target) for k, target in
+            zip(scalar_curvatures(hspec, samples), _generic_k_targets(hspec, samples))]
     results = {"scalar_curvature_identity": max(errs)}
 
-    fiber = [(curvature_report(hspec, pt),
-              _fiber_targets(hspec.base, hspec.mu, abs(pt.fiber) ** 2))
-             for pt in origin_fiber_points(hspec, [0.0, 0.12, 0.25, 0.4, 0.55, 0.7])]
+    points = origin_fiber_points(hspec, [0.0, 0.12, 0.25, 0.4, 0.55, 0.7])
+    fiber = [(rep, _fiber_targets(hspec.base, hspec.mu, abs(pt.fiber) ** 2))
+             for pt, rep in zip(points, curvature_reports(hspec, points))]
     for name, key, scale in (("curvature_norm_identity", "norm_R_sq", 1.0),
                              ("laplacian_identity", "lap_k", args.debug_laplace_scale),
                              ("ricci_norm_identity", "norm_Ric_sq", 1.0)):
@@ -226,9 +228,10 @@ def cmd_scan_a2(args):
     hspec = _hartogs_spec(args)
     base = hspec.base
     ts = [0.7 * i / 7 for i in range(8)]
-    a2_grid = [curvature_report(hspec, pt).a2 for pt in origin_fiber_points(hspec, ts)]
-    values = a2_grid + [curvature_report(hspec, pt).a2
-                        for pt in sample_hartogs(hspec, args.seed, args.samples)]
+    points = origin_fiber_points(hspec, ts) + sample_hartogs(hspec, args.seed,
+                                                             args.samples)
+    values = [rep.a2 for rep in curvature_reports(hspec, points)]
+    a2_grid = values[:len(ts)]
     spread = max(values) - min(values)
     constant = spread < args.fit_tol
 

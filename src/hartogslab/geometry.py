@@ -32,17 +32,19 @@ sum of traces of products: after the potential jet, a report in m = d + 1
 variables costs O(m^5) arithmetic plus one pass over the roughly (m^3/6)^2
 Taylor coefficients of bidegree (3, 3).
 
-curvature_report and scalar_curvature_at differentiate in metric-normal
+curvature_reports and scalar_curvatures differentiate in metric-normal
 coordinates x, (z, w) = (z0, w0) + A x with g = I at the point (see
 _normal_frame). Near the boundary g in (z, w) has condition numbers of 1e5
 and more, and one-ulp noise on a potential jet in (z, w) moved k by 1e-7
 there; in x every point is at roundoff. The report's tensors are pulled
-back to (z, w).
+back to (z, w). Every stage takes a stack of points, a HartogsPoint of
+arrays (jets and tensors put the point axes first), and a ValueError names
+the stage and the first failing point's index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -50,8 +52,8 @@ import numpy as np
 
 from .domains import DomainSpec, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import BidegreeCap, Jet, _polynomials, _space_size, basis_exponents, \
-    jet_log, jet_real_power
+from .jets import _CHUNK, BidegreeCap, Jet, _polynomials, _raise_where, \
+    _space_size, basis_exponents, jet_log, jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
@@ -67,6 +69,7 @@ class HartogsSpec(NamedTuple):
 
 
 class HartogsPoint(NamedTuple):
+    """One point (z, w), or a stack of them: base (..., d), fiber (...)."""
     base: tuple
     fiber: complex
 
@@ -102,30 +105,22 @@ class CurvatureReport:
             "a1": self.a1,
             "a2": self.a2,
         }
-        if include_tensors:
-            out["g"] = _complex_nested(self.metric.g)
-            out["g_inv"] = _complex_nested(self.metric.g_inv)
-            out["R"] = _complex_nested(self.R)
-            out["Ric"] = _complex_nested(self.Ric)
+        if include_tensors:  # nested lists with [re, im] leaves
+            for key, arr in (("g", self.metric.g), ("g_inv", self.metric.g_inv),
+                             ("R", self.R), ("Ric", self.Ric)):
+                out[key] = np.stack((arr.real, arr.imag), axis=-1).tolist()
         return out
 
 
-def _complex_nested(arr: np.ndarray):
-    if arr.ndim == 0:
-        c = complex(arr)
-        return [c.real, c.imag]
-    return [_complex_nested(a) for a in arr]
-
-
-def _real(x: complex, what: str, metric: MetricData) -> float:
-    """x.real, or a ValueError that names cond(g) of the metric x was
-    contracted with: an ill-conditioned g is where such residues come from
-    (see curvature_report_from_potential)."""
-    x = complex(x)
-    if abs(x.imag) > _REAL_TOL * max(1.0, abs(x.real)):
-        raise ValueError(f"{what} has imaginary residue {x.imag:.3e} "
-                         f"(cond(g) = {np.linalg.cond(metric.g):.1e})")
-    return x.real
+def _real(x, what: str, metric: MetricData):
+    """x.real (one per point), or a ValueError that names cond(g) of the
+    metric x was contracted with: an ill-conditioned g is where such
+    residues come from (see curvature_report_from_potential)."""
+    values, g = x.ravel().tolist(), metric.g  # Python numbers: cheaper for a few
+    _raise_where([abs(v.imag) > _REAL_TOL * max(1.0, abs(v.real)) for v in values],
+                 what, lambda i: "imaginary residue %.3e (cond(g) = %.1e)" % (
+                     values[i].imag, np.linalg.cond(g.reshape(-1, *g.shape[-2:])[i])))
+    return x.real if x.ndim else float(x.real)
 
 
 # -- potentials ---------------------------------------------------------------
@@ -158,24 +153,29 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     d = spec.base.d
     mu = float(spec.mu)
     frame = np.eye(d + 1) if frame is None else np.asarray(frame)
-    if frame[:d, d].any():
-        raise ValueError("frame: the base coordinates must not involve the "
-                         "fiber's variable (frame[:d, d] must be 0)")
-    w0 = complex(point.fiber)
-    N = generic_norm_jet(spec.base, point.base, cap, jacobian=frame[:d, :d])
-    cap = N.cap
-    power = jet_real_power(N, mu) if mu != 1.0 else N
-    w = _polynomials(np.append(w0, frame[d])[None], max(cap))[0]  # w = u @ (1, x)
+    _raise_where(frame[..., :d, d].any(axis=-1), "potential",
+                 "frame: the base coordinates must not involve the "
+                 "fiber's variable (frame[:d, d] must be 0)")
+    power = generic_norm_jet(spec.base, point.base, cap, jacobian=frame[..., :d, :d])
+    if mu != 1.0:
+        power = jet_real_power(power, mu)
+    cap, batch = power.cap, power.data.shape[:-2]
+    u = np.empty(batch + (1, d + 2), dtype=np.complex128)  # w = u @ (1, x)
+    u[..., 0, 0] = point.fiber
+    u[..., 0, 1:] = frame[..., d, :]
+    w = _polynomials(u, 1, max(cap))[..., 0, :]
     H, W = _space_size(d + 1, cap.holo), _space_size(d + 1, cap.anti)
-    inner = -np.outer(w[:H], w[:W].conj())
-    inner.reshape(-1)[_base_positions(d, cap)] += power.data.ravel()
-    if inner[0, 0].real <= 0.0:
-        raise ValueError(_OUTSIDE)
+    inner = np.negative(w[..., :H, None] * w[..., None, :W].conj())
+    inner.reshape(batch + (-1,))[..., _base_positions(d, cap)] += \
+        power.data.reshape(batch + (-1,))
+    del power  # N^mu is in inner: free it before the log
+    _raise_where(inner[..., 0, 0].real <= 0.0, "potential", _OUTSIDE)
     if cap.holo == cap.anti:
         # I is real, but the complex products of -w conj(w)^T leave its
         # mirrored entries and its constant term off by an ulp; made exactly
         # Hermitian, its log takes the real recurrence
-        inner = 0.5 * (inner + inner.conj().T)
+        inner += inner.conj().swapaxes(-1, -2)
+        inner *= 0.5
     return -jet_log(Jet(d + 1, cap, inner))
 
 
@@ -188,20 +188,36 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
       I_{w wbar} = -1,  I_{i wbar} = 0,
       g = I_i I_jbar / I^2 - I_{i jbar} / I."""
     d, mu = spec.base.d, float(spec.mu)
-    w0 = complex(point.fiber)
     N = generic_norm_jet(spec.base, point.base, BidegreeCap(1, 1))
-    n0 = N.constant_term.real
-    I0 = n0 ** mu - abs(w0) ** 2
-    if I0 <= 0.0:
-        raise ValueError(_OUTSIDE)
+    n0 = N.data[..., :1, :1].real  # scalars as 1 x 1 blocks, per point
+    w0 = np.asarray(point.fiber, dtype=np.complex128)[..., None, None]
+    I0 = n0 ** mu - np.abs(w0) ** 2
+    _raise_where(I0[..., 0, 0] <= 0.0, "frame", _OUTSIDE)
     scale = mu * n0 ** (mu - 1.0)
-    Nz, Nzb = N.partials(1, 0), N.partials(0, 1)
-    Iz = np.append(scale * Nz, -w0.conjugate())
-    Izb = np.append(scale * Nzb, -w0)
-    Izzb = np.zeros((d + 1, d + 1), dtype=np.complex128)
-    Izzb[:d, :d] = scale * (N.partials(1, 1) + (mu - 1.0) * np.outer(Nz, Nzb) / n0)
-    Izzb[d, d] = -1.0
-    return np.outer(Iz, Izb) / I0 ** 2 - Izzb / I0
+    Nz, Nzb = N.partials(1, 0)[..., :, None], N.partials(0, 1)[..., None, :]
+    Iz = np.concatenate((scale * Nz, -w0.conj()), axis=-2)  # a column
+    Izb = np.concatenate((scale * Nzb, -w0), axis=-1)  # a row
+    Izzb = np.zeros(n0.shape[:-2] + (d + 1, d + 1), dtype=np.complex128)
+    Izzb[..., :d, :d] = scale * (N.partials(1, 1) + (mu - 1.0) * (Nz * Nzb) / n0)
+    Izzb[..., d, d] = -1.0
+    return Iz * Izb / I0 ** 2 - Izzb / I0
+
+
+def _cholesky(g: np.ndarray, stage: str) -> np.ndarray:
+    """Cholesky factors of g, or a ValueError naming its least positive matrix."""
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(g).min(axis=-1)
+        _raise_where(low == low.min(), stage, _NOT_POSITIVE)
+
+
+def _normal_potential(spec: HartogsSpec, points: Sequence[HartogsPoint], cap):
+    """The frame of _normal_frame at each point, and the potential jets in it."""
+    point = HartogsPoint(np.array([p.base for p in points], dtype=np.complex128),
+                         np.array([p.fiber for p in points], dtype=np.complex128))
+    A = _normal_frame(spec, point)
+    return A, hartogs_potential_jet(spec, point, cap, A)
 
 
 def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
@@ -215,12 +231,9 @@ def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
     and no potential jet; metric_at runs its checks on the potential taken
     in the frame."""
     g = _frame_metric(spec, point)
-    g = 0.5 * (g + g.conj().T)
-    try:
-        U = np.linalg.cholesky(g[::-1, ::-1])[::-1, ::-1]
-    except np.linalg.LinAlgError:
-        raise ValueError(_NOT_POSITIVE) from None
-    return np.linalg.inv(U).T
+    g = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    U = _cholesky(g[..., ::-1, ::-1], "frame")[..., ::-1, ::-1]
+    return np.linalg.inv(U).swapaxes(-1, -2)
 
 
 # -- pointwise geometry -------------------------------------------------------
@@ -229,17 +242,14 @@ def metric_at(potential: Jet) -> MetricData:
     """Metric g_{i jbar} and its inverse from a potential jet (cap >= (1,1))."""
     m = potential.num_vars
     g = potential.partials(1, 1)
-    scale = float(np.abs(g).max()) or 1.0
-    if float(np.abs(g - g.conj().T).max()) > 1e-10 * scale:
-        raise ValueError("metric matrix is not Hermitian")
-    g = 0.5 * (g + g.conj().T)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise ValueError(_NOT_POSITIVE) from None
+    gh, axes = g.conj().swapaxes(-1, -2), (-2, -1)
+    _raise_where(np.abs(g - gh).max(axes) > 1e-10 * np.abs(g).max(axes), "metric",
+                 "metric matrix is not Hermitian")
+    g = 0.5 * (g + gh)
+    _cholesky(g, "metric")
     g_inv = np.linalg.inv(g)
-    if float(np.abs(g @ g_inv - np.eye(m)).max()) > 1e-10:
-        raise ValueError("metric inversion failed the identity check")
+    _raise_where(np.abs(g @ g_inv - np.eye(m)).max(axes) > 1e-10, "metric",
+                 "metric inversion failed the identity check")
     return MetricData(m, g, g_inv)
 
 
@@ -248,57 +258,61 @@ def curvature_tensor(potential: Jet, metric: MetricData) -> np.ndarray:
     T = potential.partials(2, 1)  # [i, k, qbar]
     S = potential.partials(1, 2)  # [p, jbar, lbar]
     P22 = potential.partials(2, 2)  # [i, k, jbar, lbar]
-    m = metric.dimension
+    m, batch = metric.dimension, P22.shape[:-4]
     # sum_{p, q} g^{p qbar} T[i, k, q] S[p, j, l], g^{p qbar} = g_inv[q, p]
-    term2 = (T.reshape(m * m, m) @ metric.g_inv) @ S.reshape(m, m * m)
-    return (term2.reshape(P22.shape) - P22).transpose(0, 2, 1, 3)
+    term2 = (T.reshape(batch + (m * m, m)) @ metric.g_inv) @ S.reshape(
+        batch + (m, m * m))
+    return (term2.reshape(P22.shape) - P22).swapaxes(-3, -2)
 
 
 class LogDetParts(NamedTuple):
     """Derivatives of log det g at the point, X = g^{-1}:
     L11[a, b] = d_a dbar_b log det g, L21[a, c, b] = d_a d_c dbar_b log det g,
     and trace22 = sum X[b, a] X[i, j] d_j d_a dbar_i dbar_b log det g, the
-    double trace that Delta k needs. L21 and trace22 are None below
-    cap (3, 3). The raised forms Za = X g_a, Zb = X g_bbar and
-    Zab = X g_{a bbar} (see _raised) go along for Delta k."""
+    double trace that Delta k needs. L21, trace22 and K are None below cap
+    (3, 3). The raised forms Za = X g_a, Zb = X g_bbar, Zab = X g_{a bbar}
+    (see _raised) and K = sum X[b, a] Zab[a, b] go along for Delta k."""
     L11: np.ndarray
     L21: np.ndarray | None
     trace22: complex | None
     Za: np.ndarray
     Zb: np.ndarray
     Zab: np.ndarray
+    K: np.ndarray | None = None
 
 
 def _raised(X: np.ndarray, P: np.ndarray, holo: int) -> np.ndarray:
     """The matrices X g_B from a partials tensor P[i, B_holo, j, B_anti] of
     the potential, g_B[i, j] = d_B g_{i jbar} (column j at axis holo),
     indexed [B_holo, B_anti, p, q]."""
-    axes = (*range(1, holo), *range(holo + 1, P.ndim), 0, holo)
-    return _lift(X, P).transpose(axes)
+    b = X.ndim - 2  # batch axes
+    return _lift(X, P).transpose(*range(b), *range(b + 1, b + holo),
+                                 *range(b + holo + 1, P.ndim), b, b + holo)
 
 
 def _lift(X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """sum_h X[b, h] T[h, ...], indexed [b, ...]."""
-    return (X @ T.reshape(len(X), -1)).reshape(T.shape)
+    return (X @ T.reshape(X.shape[:-1] + (-1,))).reshape(T.shape)
 
 
 def _traces(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """tr(S[s] T[t]) for every leading index s of S and t of T, indexed
-    [s..., t...]."""
-    n = S.shape[-1]
-    out = S.reshape(-1, n * n) @ T.swapaxes(-1, -2).reshape(-1, n * n).T
-    return out.reshape(S.shape[:-2] + T.shape[:-2])
+    """tr(S[s] T[t]) for every leading index s of S and the one t of T,
+    indexed [s..., t]; indices count after the batch axes."""
+    batch, n = T.shape[:-3], T.shape[-1]
+    out = S.reshape(batch + (-1, n * n)) @ T.swapaxes(-1, -2).reshape(
+        batch + (-1, n * n)).swapaxes(-1, -2)
+    return out.reshape(S.shape[:-2] + T.shape[-3:-2])
 
 
-def _tr(S: np.ndarray, T: np.ndarray) -> complex:
+def _tr(S: np.ndarray, T: np.ndarray, batch: tuple):
     """Sum over the shared leading indices s of tr(S[s] T[s])."""
-    return (S * T.swapaxes(-1, -2)).sum()
+    return (S * T.swapaxes(-1, -2)).reshape(batch + (-1,)).sum(axis=-1)
 
 
 def _products(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """S[s] T[t] for every leading index s of S and t of T, indexed
     [s, t, p, q] (one leading index each)."""
-    return np.matmul(S[:, None], T[None])
+    return np.matmul(S[..., :, None, :, :], T[..., None, :, :, :])
 
 
 @lru_cache(maxsize=None)
@@ -314,23 +328,28 @@ def _permanent_index(m: int) -> np.ndarray:
     return index
 
 
-def _one_block(potential: Jet, X: np.ndarray) -> complex:
+def _one_block(potential: Jet, X: np.ndarray):
     """sum X[j, i] X[b, h] X[c, k] d_i d_h d_k dbar_j dbar_b dbar_c Phi over
     all six indices. Both triples are symmetric, so this is 6 sum C[a, b]
     per(X[b, a]) over degree-3 monomials a, b, where C is the Taylor
     coefficient block and per the 3 x 3 permanent of _permanent_index's
     matrices, expanded by the first row: one pass over the C(m + 2, 3)^2
     coefficients (fewer than m^5 up to m = 29) in place of the m^6
-    partials."""
-    m = len(X)
+    partials, for as many points at a time as keep the 9 C(m + 2, 3)^2
+    permanent entries per point near _CHUNK elements."""
+    m, batch, index = X.shape[-1], X.shape[:-2], _permanent_index(X.shape[-1])
     lo, hi = _space_size(m, 2), _space_size(m, 3)
-    C = potential.data[lo:hi, lo:hi]
-    (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = X.ravel().take(
-        _permanent_index(m))
-    per = (x00 * (x11 * x22 + x12 * x21)
-           + x01 * (x10 * x22 + x12 * x20)
-           + x02 * (x10 * x21 + x11 * x20))
-    return 6 * (C * per).sum()
+    C = potential.data[..., lo:hi, lo:hi].reshape(-1, hi - lo, hi - lo)
+    X = X.reshape(-1, m * m)
+    out, step = np.empty(len(X), dtype=np.complex128), max(1, _CHUNK // index.size)
+    for p in range(0, len(X), step):
+        (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = X[p:p + step].take(
+            index, axis=1).transpose(1, 2, 0, 3, 4)
+        per = (x00 * (x11 * x22 + x12 * x21)
+               + x01 * (x10 * x22 + x12 * x20)
+               + x02 * (x10 * x21 + x11 * x20))
+        out[p:p + step] = (C[p:p + step] * per).reshape(len(per), -1).sum(axis=1)
+    return 6 * out.reshape(batch)
 
 
 def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
@@ -347,24 +366,31 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     the degree-3 Taylor coefficients (see _one_block), so no term costs
     more than O(m^5) or one pass over those coefficients."""
     X = metric.g_inv
+    batch, m = X.shape[:-2], X.shape[-1]
     Za = _raised(X, potential.partials(2, 1), 2)  # X g_a, [a, p, q]
     Zb = _raised(X, potential.partials(1, 2), 1)  # X g_bbar
     Zab = _raised(X, potential.partials(2, 2), 2)  # X g_{a bbar}, [a, b, p, q]
-    L11 = np.trace(Zab, axis1=2, axis2=3) - _traces(Za, Zb)
+    L11 = np.trace(Zab, axis1=-2, axis2=-1) - _traces(Za, Zb)
     if min(potential.cap) < 3:
         return LogDetParts(L11, None, None, Za, Zb, Zab)
 
+    # partials are symmetric within each kind of index, so a holomorphic and
+    # an antiholomorphic one side by side contract with X[j, i] as x @
+    x = X.swapaxes(-1, -2).reshape(batch + (1, 1, m * m))
+    # sum X[j, i] d_i d_a d_c dbar_j dbar_b Phi, [a, c, b]
+    XP32 = (x @ potential.partials(3, 2).reshape(batch + (m * m, m * m, m))
+            ).reshape(batch + (m, m, m))
+
     # L21 = d_a d_c dbar_b: 1 + 3 + 2 terms
-    P32 = potential.partials(3, 2)
     Zaa = _raised(X, potential.partials(3, 1), 3)  # X g_{ac}, [a, c, p, q]
-    abc = _traces(Zab, Za).transpose(0, 2, 1)  # tr(X g_{a bbar} X g_c)
+    abc = _traces(Zab, Za).swapaxes(-1, -2)  # tr(X g_{a bbar} X g_c)
     acb = _traces(_products(Za, Za), Zb)  # tr(X g_a X g_c X g_bbar)
-    L21 = (np.einsum("ji,iacjb->acb", X, P32)
+    L21 = (XP32
            - _traces(Zaa, Zb)
            - abc
-           - abc.transpose(1, 0, 2)
+           - abc.swapaxes(-3, -2)
            + acb
-           + acb.transpose(1, 0, 2))
+           + acb.swapaxes(-3, -2))
 
     # trace22: S = {h, h', b, b'} (h, h' holomorphic) with the weights
     # X[b, h] X[b', h']. A weighted pair inside one block is traced out of
@@ -373,38 +399,39 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     # each term to one of equal value, so those pairs of terms are written
     # once, twice over. 1 + 7 + 12 + 6 terms.
     Ua = _lift(X, Za)  # sum_h X[b, h] X g_h, [b, p, q]
-    Vb = _lift(X.T, Zb)  # sum_b X[b, h] X g_bbar, [h, p, q]
-    K = np.einsum("bh,hbpq->pq", X, Zab)  # sum X[b, h] X g_{h bbar}
+    Vb = _lift(X.swapaxes(-1, -2), Zb)  # sum_b X[b, h] X g_bbar, [h, p, q]
+    K = (x[..., 0, :, :] @ Zab.reshape(batch + (m * m, m * m))).reshape(
+        batch + (m, m))  # sum X[b, h] X g_{h bbar}; Delta k reuses it
     R = _lift(X, Zab)  # sum_h X[b, h] X g_{h b'bar}, [b, b', p, q]
     # the weighted pair (h, b) side by side, in both orders
-    M = np.einsum("bpr,brq->pq", Ua, Zb) + np.einsum("bpr,brq->pq", Zb, Ua)
+    M = (Ua @ Zb + Zb @ Ua).sum(axis=-3)
     Zbb = _raised(X, potential.partials(1, 3), 1)  # X g_{bbar b'bar}
-    Uaa = _lift(X, _lift(X, Zaa).swapaxes(0, 1)).swapaxes(0, 1)  # [b, b', p, q]
-    Kaab = _raised(X, np.einsum("bh,ihkjb->ikj", X, P32), 2)  # [h', p, q]
-    Kabb = _raised(X, np.einsum("bh,ihjbc->ijc", X, potential.partials(2, 3)),
-                   1)  # [b', p, q]
+    Uaa = _lift(X, _lift(X, Zaa).swapaxes(-4, -3)).swapaxes(-4, -3)  # [b, b', p, q]
+    Kaab = _raised(X, XP32, 2)  # [h', p, q]
+    # sum X[b, h] d_i d_h dbar_j dbar_b dbar_c Phi, [i, j, c], raised
+    Kabb = _raised(X, (x @ potential.partials(2, 3).reshape(
+        batch + (m, m * m, m * m))).reshape(batch + (m, m, m)), 1)  # [b', p, q]
     UU = _products(Ua, Ua)
     trace22 = (_one_block(potential, X)
-               - 2 * _tr(Kaab, Vb)  # {h h' b}{b'}, {h h' b'}{b}
-               - 2 * _tr(Kabb, Ua)  # {h b b'}{h'}, {h' b b'}{h}
-               - _tr(Uaa, Zbb)  # {h h'}{b b'}
-               - _tr(K, K)  # {h b}{h' b'}
-               - _tr(R, R.swapaxes(0, 1))  # {h b'}{h' b}
-               + 2 * _tr(Zaa, _products(Vb, Vb))  # {h h'}{b}{b'}, 2 orders
-               + 2 * _tr(Zbb, UU)  # {b b'}{h}{h'}
-               + 2 * _tr(K, M)  # {h b}{h'}{b'}, {h' b'}{h}{b}
-               + 2 * _tr(R, _products(Ua, Zb).swapaxes(0, 1))  # {h b'}{h'}{b}
-               + 2 * _tr(R, _products(Zb, Ua))  # its other order
-               - _tr(M, M)  # {h}{h'}{b}{b'}: the 4 orders with paired neighbours
-               - 2 * _tr(UU, _products(Zb, Zb)))  # (h h' b b'), (h b' b h')
-    return LogDetParts(L11, L21, trace22, Za, Zb, Zab)
+               - 2 * _tr(Kaab, Vb, batch)  # {h h' b}{b'}, {h h' b'}{b}
+               - 2 * _tr(Kabb, Ua, batch)  # {h b b'}{h'}, {h' b b'}{h}
+               - _tr(Uaa, Zbb, batch)  # {h h'}{b b'}
+               - _tr(K, K, batch)  # {h b}{h' b'}
+               - _tr(R, R.swapaxes(-4, -3), batch)  # {h b'}{h' b}
+               + 2 * _tr(Zaa, _products(Vb, Vb), batch)  # {h h'}{b}{b'}, 2 orders
+               + 2 * _tr(Zbb, UU, batch)  # {b b'}{h}{h'}
+               + 2 * _tr(K, M, batch)  # {h b}{h'}{b'}, {h' b'}{h}{b}
+               + 2 * _tr(R, _products(Ua, Zb).swapaxes(-4, -3), batch)  # {h b'}{h'}{b}
+               + 2 * _tr(R, _products(Zb, Ua), batch)  # its other order
+               - _tr(M, M, batch)  # {h}{h'}{b}{b'}: 4 orders, paired neighbours
+               - 2 * _tr(UU, _products(Zb, Zb), batch))  # (h h' b b'), (h b' b h')
+    return LogDetParts(L11, L21, trace22, Za, Zb, Zab, K)
 
 
 def _ricci(L11: np.ndarray, metric: MetricData):
     ric = -L11
-    ric = 0.5 * (ric + ric.conj().T)
-    k = _real(np.einsum("ji,ij->", metric.g_inv, ric), "scalar curvature",
-              metric)
+    ric = 0.5 * (ric + ric.conj().swapaxes(-1, -2))
+    k = _real(_tr(metric.g_inv, ric, ric.shape[:-2]), "k", metric)
     return ric, k
 
 
@@ -417,76 +444,93 @@ def ricci_and_scalar(potential: Jet, metric: MetricData):
 def _transform(T: np.ndarray, mats) -> np.ndarray:
     """T with its k-th index contracted against the first index of mats[k]:
     T'[i, j, ...] = sum T[a, b, ...] mats[0][a, i] mats[1][b, j] ..."""
+    batch = mats[0].shape[:-2]
     for M in mats:  # contract the leading index; the new one goes last
-        T = (T.reshape(len(M), -1).T @ M).reshape(T.shape[1:] + M.shape[1:])
+        rest = T.shape[len(batch) + 1:]
+        T = (T.reshape(batch + (M.shape[-2], -1)).swapaxes(-1, -2) @ M).reshape(
+            batch + rest + M.shape[-1:])
     return T
 
 
 def tensor_norms(metric: MetricData, R: np.ndarray, Ric: np.ndarray):
     """(|R|^2, |Ric|^2) under the inverse-metric contractions; raises if an
     imaginary residue above 1e-8 remains (a convention bug, not roundoff)."""
-    X = metric.g_inv.T  # X[i, j] = g^{i jbar}
+    X = metric.g_inv.swapaxes(-1, -2)  # X[i, j] = g^{i jbar}
     Xc = X.conj()
-    r2 = np.vdot(R, _transform(R, (X, Xc, X, Xc)))
-    ric2 = np.vdot(Ric, _transform(Ric, (X, Xc)))
+    flat = X.shape[:-2] + (-1,)
+    r2 = np.vecdot(R.reshape(flat), _transform(R, (X, Xc, X, Xc)).reshape(flat))
+    ric2 = np.vecdot(Ric.reshape(flat), _transform(Ric, (X, Xc)).reshape(flat))
     return _real(r2, "|R|^2", metric), _real(ric2, "|Ric|^2", metric)
 
 
 def _laplacian_from_parts(LD: LogDetParts, metric: MetricData,
-                          ric: np.ndarray) -> float:
+                          ric: np.ndarray):
     """Delta k = g^{a bbar} d_a dbar_b tr(X Ric), X = g^{-1}, with
     d_a X = -A_a X and dbar_b X = -B_b X for A_a = X d_a g = LD.Za[a] and
     B_b = X dbar_b g = LD.Zb[b], so d_a dbar_b X = (B_b A_a + A_a B_b) X -
     LD.Zab[a, b] X. Ric is -d dbar log det g; its derivatives come from LD
     (L21, its conjugate transpose L12, and the double trace trace22)."""
     X, A, B = metric.g_inv, LD.Za, LD.Zb
-    Z = X @ ric
-    m = len(X)
-    K = (X.T.ravel() @ LD.Zab.reshape(m * m, m * m)).reshape(m, m)
+    batch, Z = X.shape[:-2], X @ ric
     # each term is sum_{a, b} X[b, a] tr(...), with K = sum X[b, a] Zab[a, b]
     # and the matrices L12[b][c, a] = d_c dbar_a dbar_b log det g and
     # L21[a][c, b] = d_c d_a dbar_b log det g
-    L12 = LD.L21.conj().transpose(1, 2, 0)
-    L21 = LD.L21.swapaxes(0, 1)
-    lap = ((X * _traces(B, A @ Z)).sum()  # tr(B_b A_a Z)
-           + (X.T * _traces(A, B @ Z)).sum()  # tr(A_a B_b Z)
-           - _tr(K, Z)  # tr(Zab[a, b] Z)
-           + (X * _traces(L12, A @ X)).sum()  # tr(A_a X L12[b])
-           + (X.T * _traces(L21, B @ X)).sum()  # tr(B_b X L21[a])
+    L12 = LD.L21.conj().swapaxes(-3, -2).swapaxes(-2, -1)
+    L21 = LD.L21.swapaxes(-3, -2)
+    Z1, X1 = Z[..., None, :, :], X[..., None, :, :]
+    lap = ((X * (_traces(B, A @ Z1)  # tr(B_b A_a Z)
+                 + _traces(L12, A @ X1))  # tr(A_a X L12[b])
+            + X.swapaxes(-1, -2) * (_traces(A, B @ Z1)  # tr(A_a B_b Z)
+                                    + _traces(L21, B @ X1))  # tr(B_b X L21[a])
+            ).reshape(batch + (-1,)).sum(axis=-1)
+           - _tr(LD.K, Z, batch)  # tr(Zab[a, b] Z)
            - LD.trace22)
     return _real(lap, "Delta k", metric)
 
 
+def scalar_curvatures(spec: HartogsSpec, points: Sequence[HartogsPoint]) -> list:
+    """Scalar curvature only, on the cheap cap-(2,2) path, at each point,
+    in the coordinates of _normal_frame."""
+    P = _normal_potential(spec, points, BidegreeCap(2, 2))[1]
+    return ricci_and_scalar(P, metric_at(P))[1].tolist()
+
+
 def scalar_curvature_at(spec: HartogsSpec, point: HartogsPoint) -> float:
-    """Scalar curvature only, on the cheap cap-(2,2) path, in the
-    coordinates of _normal_frame."""
-    A = _normal_frame(spec, point)
-    P = hartogs_potential_jet(spec, point, BidegreeCap(2, 2), A)
-    metric = metric_at(P)
-    _, k = ricci_and_scalar(P, metric)
-    return k
+    """scalar_curvatures' batch of one."""
+    return scalar_curvatures(spec, [point])[0]
 
 
-def curvature_report(spec: HartogsSpec, point: HartogsPoint) -> CurvatureReport:
-    """Everything at one point: metric, R, Ric, k, norms, Delta k, a0, a1, a2.
-    The jets live in the coordinates x of _normal_frame; the scalars do not
-    depend on coordinates, and the tensors are pulled back to (z, w) with
-    B = A^{-1} on each index."""
-    A = _normal_frame(spec, point)
-    P = hartogs_potential_jet(spec, point, FULL_CAP, A)
+def curvature_reports(spec: HartogsSpec,
+                      points: Sequence[HartogsPoint]) -> list:
+    """Everything at each point: metric, R, Ric, k, norms, Delta k, a0, a1,
+    a2. The jets live in the coordinates x of _normal_frame; the scalars do
+    not depend on coordinates, and the tensors are pulled back to (z, w)
+    with B = A^{-1} on each index."""
+    A, P = _normal_potential(spec, points, FULL_CAP)
     rep = curvature_report_from_potential(P)
     B = np.linalg.inv(A)
     Bc = B.conj()
-    metric = MetricData(rep.metric.dimension, _transform(rep.metric.g, (B, Bc)),
-                        _transform(rep.metric.g_inv, (A.conj().T, A.T)))
-    return replace(rep, metric=metric, R=_transform(rep.R, (B, Bc, B, Bc)),
-                   Ric=_transform(rep.Ric, (B, Bc)))
+    g = _transform(rep.metric.g, (B, Bc))
+    g_inv = _transform(rep.metric.g_inv, (A.conj().swapaxes(-1, -2),
+                                          A.swapaxes(-1, -2)))
+    R, Ric = _transform(rep.R, (B, Bc, B, Bc)), _transform(rep.Ric, (B, Bc))
+    scalars = (x.tolist() for x in (rep.k, rep.norm_R_sq, rep.norm_Ric_sq,
+                                    rep.lap_k, rep.a1, rep.a2))
+    return [CurvatureReport(MetricData(rep.metric.dimension, g[i], g_inv[i]),
+                            R[i], Ric[i], *values[:4], 1.0, *values[4:])
+            for i, values in enumerate(zip(*scalars))]
+
+
+def curvature_report(spec: HartogsSpec, point: HartogsPoint) -> CurvatureReport:
+    """curvature_reports' batch of one."""
+    return curvature_reports(spec, [point])[0]
 
 
 def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
     """Build the full report from a cap-(3,3) potential jet (used directly by
-    the scaling-law checks). The jet should be in metric-normal coordinates
-    (g = I at the point), as curvature_report's is. Raw (z, w) potentials
+    the scaling-law checks), with per-point fields for a batch. The jet
+    should be in metric-normal coordinates (g = I at the point), as
+    curvature_reports' is. Raw (z, w) potentials
     lose the digits of Delta k while the jet is built: at 6 of 132 sampled
     points (4 per classical base with d <= 6, at mu = 1, 4/5 and 3) its
     imaginary residue of 3e-5 to 6e-4 makes the report raise, with an
@@ -525,8 +569,8 @@ def sample_hartogs(spec: HartogsSpec, seed: int, count: int) -> list:
     rng = np.random.default_rng(seed + 10007)
     mu = float(spec.mu)
     out = []
-    for z in zs:
-        bound = FIBER_FILL * generic_norm_value(spec.base, z) ** mu
+    for z, norm in zip(zs, generic_norm_value(spec.base, zs).tolist()):
+        bound = FIBER_FILL * norm ** mu
         t = rng.uniform(0.0, bound)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         out.append(HartogsPoint(z, complex(np.sqrt(t) * np.exp(1j * theta))))

@@ -13,14 +13,15 @@ homogeneous tensors in X; _polynomials gathers a tensor's entries onto the
 monomial basis.
 
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
-over graded-lex monomial bases. Log and real power fill their result one
-total degree at a time (graded Taylor recurrences; Griewank & Walther,
-Evaluating Derivatives, 2nd ed., ch. 13) by a truncated Cauchy product over
-a table of the monomial pairs that land on that degree, whose left factors
-stay within the highest degree, per character, that the operand holds (see
-_pairs), summed per destination with np.add.reduceat. The table has no pair
-with a constant factor, whose term _graded_solve folds into the start value
-of each degree.
+over graded-lex monomial bases, with leading batch axes, one jet per point:
+(*batch, H, W); a one-point jet has batch shape (). Log and real power fill
+their result one total degree at a time (graded Taylor recurrences; Griewank
+& Walther, Evaluating Derivatives, 2nd ed., ch. 13) by a truncated Cauchy
+product over a table of the monomial pairs that land on that degree, whose
+left factors stay within the highest degree, per character, that the
+operand holds (see _pairs), summed per destination with np.add.reduceat.
+The table has no pair with a constant factor, whose term _graded_solve
+folds into the start value of each degree. One table serves a whole batch.
 The jet of a real function has a Hermitian coefficient array, c[h, k] =
 conj(c[k, h]); on an exactly Hermitian input with real coefficients a
 recurrence reads a table of the destinations on or above the diagonal only,
@@ -31,7 +32,6 @@ Jets are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from itertools import product
@@ -110,9 +110,18 @@ def _total_degrees(m: int, cap: BidegreeCap) -> np.ndarray:
 
 def _top(a: "Jet") -> tuple:
     """The highest holomorphic and antiholomorphic degree that a holds."""
-    data, m, cap = a.data, a.num_vars, a.cap
-    return (int(_degrees(m, cap.holo)[data.any(axis=1)].max(initial=0)),
-            int(_degrees(m, cap.anti)[data.any(axis=0)].max(initial=0)))
+    m, cap, data = a.num_vars, a.cap, a.data
+    return (int((_degrees(m, cap.holo) * data.any(axis=-1)).max()),
+            int((_degrees(m, cap.anti) * data.any(axis=-2)).max()))
+
+
+def _raise_where(bad, stage: str, text) -> None:
+    """A ValueError naming the stage and the first point i where bad (one
+    bool per point) holds; text is a string or a function of i."""
+    bad = bad if isinstance(bad, list) else bad.ravel().tolist()
+    if True in bad:
+        i = bad.index(True)
+        raise ValueError(f"{stage} at point {i}: {text(i) if callable(text) else text}")
 
 
 _CHUNK = 1 << 16
@@ -130,7 +139,7 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, upper: bool = False) -> tuple:
     start of each destination's segment, each segment's flat destination),
     sorted by the destination's flat index. If upper (square caps only), the
     table holds only the destinations (h, k) with h <= k, on or above the
-    diagonal, and each chunk also carries their mirrors (k, h)."""
+    diagonal, and each chunk also carries their mirrors (k, h) (else None)."""
     height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
@@ -174,9 +183,9 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, upper: bool = False) -> tuple:
         for e0, e1 in zip(edges, edges[1:]):
             s0, s1 = np.searchsorted(starts, (e0, e1))
             seg = dst[starts[s0:s1]]
-            mirror = (seg % width * width + seg // width,) if upper else ()
-            out.append((left[e0:e1], right[e0:e1], starts[s0:s1] - e0, seg)
-                       + mirror)
+            mirror = seg % width * width + seg // width if upper else None
+            out.append((left[e0:e1], right[e0:e1], starts[s0:s1] - e0, seg,
+                        mirror))
         return tuple(out)
 
     bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
@@ -184,10 +193,10 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, upper: bool = False) -> tuple:
 
 
 def _convolve(a, b, left, right, starts):
-    """Sum of a[left] * b[right] over each destination segment."""
-    prod = a.take(left)
-    prod *= b.take(right)
-    return np.add.reduceat(prod, starts)
+    """Sum of a[:, left] * b[:, right] over each destination segment."""
+    prod = a.take(left, axis=1)
+    prod *= b.take(right, axis=1)
+    return np.add.reduceat(prod, starts, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -239,15 +248,15 @@ def _tuple_runs(m: int, order: int, degree: int):
     return src, starts, dst[starts]
 
 
-def _polynomials(T: np.ndarray, degree: int) -> np.ndarray:
+def _polynomials(T: np.ndarray, order: int, degree: int) -> np.ndarray:
     """Coefficients over the graded basis of degree <= degree of the
-    polynomials sum T[j, i1, .., ik] X_i1 .. X_ik in x, one row per j, where
-    X = (1, x_1, .., x_m) and T has shape (J, m + 1, .., m + 1); terms above
-    degree are dropped."""
-    m, order = T.shape[-1] - 1, T.ndim - 1
+    polynomials sum T[..., j, i1, .., ik] X_i1 .. X_ik in x, one row per j,
+    where X = (1, x_1, .., x_m) and T is (..., J) + (m + 1,) * order; terms
+    above degree are dropped."""
+    m, lead = T.shape[-1] - 1, T.shape[:-order]
     src, starts, dst = _tuple_runs(m, order, degree)
-    out = np.zeros((len(T), _space_size(m, degree)), dtype=np.complex128)
-    out[:, dst] = np.add.reduceat(T.reshape(len(T), -1)[:, src], starts, axis=1)
+    out = np.zeros(lead + (_space_size(m, degree),), dtype=np.complex128)
+    out[..., dst] = np.add.reduceat(T.reshape(lead + (-1,))[..., src], starts, axis=-1)
     return out
 
 
@@ -260,10 +269,10 @@ class Jet:
 
     Build jets with jet_constant / jet_variable, sums and scalar multiples,
     jet_log and jet_real_power, or wrap a complex128 array of shape
-    (len(basis_exponents(num_vars, cap.holo)), len(basis_exponents(num_vars,
-    cap.anti))) whose [i, j] entry is the coefficient of the i-th
-    holomorphic times the j-th antiholomorphic basis monomial; cap must be a
-    BidegreeCap. The array is frozen, not copied.
+    (*batch, len(basis_exponents(num_vars, cap.holo)),
+    len(basis_exponents(num_vars, cap.anti))) whose [..., i, j] entry is the
+    coefficient of the i-th holomorphic times the j-th antiholomorphic basis
+    monomial; cap must be a BidegreeCap. The array is frozen, not copied.
     """
 
     __slots__ = ("num_vars", "cap", "data")
@@ -277,9 +286,10 @@ class Jet:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _zeros(num_vars, cap):
-        return np.zeros((_space_size(num_vars, cap.holo),
-                         _space_size(num_vars, cap.anti)), dtype=np.complex128)
+    def _zeros(num_vars, cap, batch=()):
+        return np.zeros(batch + (_space_size(num_vars, cap.holo),
+                                 _space_size(num_vars, cap.anti)),
+                        dtype=np.complex128)
 
     def _like(self, data):
         return Jet(self.num_vars, self.cap, data)
@@ -287,16 +297,18 @@ class Jet:
     # -- basic queries --------------------------------------------------------
 
     @property
-    def constant_term(self) -> complex:
-        return complex(self.data[0, 0])
+    def constant_term(self):
+        return self.data[..., 0, 0][()]
 
     def partials(self, p: int, q: int) -> np.ndarray:
         """Dense tensor of every order-(p, q) mixed partial at the base point,
-        indexed [i1..ip, j1..jq] (holomorphic indices first)."""
+        indexed [..., i1..ip, j1..jq] (holomorphic indices first)."""
         if not (0 <= p <= self.cap.holo and 0 <= q <= self.cap.anti):
             raise ValueError(f"order ({p},{q}) exceeds cap {self.cap}")
         index, weight = _partials_table(self.num_vars, self.cap.anti, p, q)
-        return self.data.take(index) * weight
+        out = self.data.reshape(self.data.shape[:-2] + (-1,)).take(index, axis=-1)
+        out *= weight
+        return out
 
     # -- ring operations ------------------------------------------------------
 
@@ -311,7 +323,7 @@ class Jet:
             self._check_compatible(other)
             return self._like(self.data + other.data)
         d = self.data.copy()
-        d[0, 0] += complex(other)
+        d[..., 0, 0] += complex(other)
         return self._like(d)
 
     __radd__ = __add__
@@ -364,15 +376,16 @@ def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
 
 # -- analytic operations ------------------------------------------------------
 
-def _graded_solve(a: Jet, b0: complex, weight: np.ndarray,
-                  init: complex = 0.0) -> Jet:
+def _graded_solve(a: Jet, b0, weight: np.ndarray, init=0.0) -> Jet:
     """The jet b with constant term b0 whose total-degree-n part, n >= 1, is
     init a_n + [a^(n) b]_n, where a^(n) is a - a_0 with its total-degree-j
     part scaled by weight[n, j]. Only degrees below n of b enter that
     product, so one pass over the degrees fills b. Its term of b's constant,
     weight[n, n] b0 a_n, is in the start value a_n (init + weight[n, n] b0)
     of b's degree-n part, so the passes run only the pairs of two
-    non-constant factors and skip degrees 0, 1.
+    non-constant factors and skip degrees 0, 1. b0, init and weight hold one
+    value or matrix per point of a batch; each pass takes as many points as
+    keep the _convolve temporaries near _CHUNK elements, as one point's.
 
     A real function has a Hermitian coefficient array, c[h, k] =
     conj(c[k, h]). If a's is exactly Hermitian at a square cap and b0, init
@@ -380,26 +393,35 @@ def _graded_solve(a: Jet, b0: complex, weight: np.ndarray,
     that land on or above the diagonal, about half of them, and writes the
     conjugates of each degree's new entries below the diagonal before the
     next degree reads them; at the end the diagonal's roundoff imaginary
-    part is dropped. Any other input takes every pair, which makes the
-    general pass the independent check of this one."""
-    m, cap = a.num_vars, a.cap
-    hermitian = (cap.holo == cap.anti and complex(b0).imag == 0
-                 and complex(init).imag == 0 and not weight.imag.any()
-                 and np.array_equal(a.data, a.data.conj().T))
+    part is dropped. Any other input, or batch with one, takes every pair,
+    which makes the general pass the independent check of this one."""
+    m, cap, shape = a.num_vars, a.cap, a.data.shape
+    b0, init = np.asarray(b0).reshape(-1, 1), np.asarray(init).reshape(-1, 1)
+    hermitian = (cap.holo == cap.anti
+                 and not any(np.count_nonzero(x.imag) for x in (b0, init, weight))
+                 and bool((a.data == a.data.conj().swapaxes(-1, -2)).all()))
     t = _pairs(m, cap, _top(a), hermitian)
-    flat, tdeg = a.data.ravel(), _total_degrees(m, cap)
-    b = flat * (init + weight.diagonal() * b0).take(tdeg)
-    b[0] = b0
-    for n in (n for n in range(len(t)) if t[n]):  # the degrees with pairs
-        scaled = flat * weight[n].take(tdeg)
-        for left, right, starts, dst, *mirror in t[n]:
-            value = b[dst] + _convolve(scaled, b, left, right, starts)
-            b[dst] = value
-            if hermitian:
-                b[mirror[0]] = value.conj()
+    flat, tdeg = a.data.reshape(-1, shape[-2] * shape[-1]), _total_degrees(m, cap)
+    weight = weight.reshape((-1,) + weight.shape[-2:]).astype(complex)
+    b = (init + weight.diagonal(axis1=1, axis2=2) * b0).take(tdeg, axis=1)
+    np.multiply(flat, b, out=b)
+    b[:, :1] = b0
+    degrees = [n for n in range(len(t)) if t[n]]  # the degrees with pairs
+    step = max(1, _CHUNK // max((len(c[0]) for n in degrees for c in t[n]),
+                                default=_CHUNK))  # points per pass
+    for p in range(0, len(b), step):
+        bp, fp, wp = b[p:p + step], flat[p:p + step], weight[p:p + step]
+        for n in degrees:
+            scaled = fp * wp[:, n].take(tdeg, axis=1)
+            for left, right, starts, dst, mirror in t[n]:
+                value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
+                                                         starts)
+                bp[:, dst] = value
+                if hermitian:
+                    bp[:, mirror] = value.conj()
     if hermitian:  # the mirror conjugated the diagonal's roundoff
-        b[::a.data.shape[1] + 1].imag = 0.0
-    return Jet(m, cap, b.reshape(a.data.shape))
+        b[:, ::shape[-1] + 1].imag = 0.0
+    return Jet(m, cap, b.reshape(shape))
 
 
 def _degree_grid(a: Jet):
@@ -414,13 +436,11 @@ def jet_log(a: Jet) -> Jet:
     negative real axis (all in-scope potentials keep it on the positive axis).
     From a E(b) = E(a), E the Euler operator (the total-degree-n part times
     n): b_n = a_n / a_0 - (1/(n a_0)) sum_{j >= 1} (n - j) a_j b_{n-j}."""
-    c0 = a.constant_term
-    if c0 == 0:
-        raise ValueError("jet_log requires a nonzero constant term")
-    if c0.real < 0 and c0.imag == 0:
-        raise ValueError("jet_log constant term lies on the branch cut")
+    c0 = a.data[..., :1, :1]  # one 1 x 1 block per point
+    _raise_where([c == 0 or c.real < 0 and c.imag == 0 for c in c0.ravel().tolist()],
+                 "jet_log", "the constant term must be nonzero and off the branch cut")
     n, j = _degree_grid(a)
-    return _graded_solve(a, cmath.log(c0), (j - n) / (n * c0), init=1.0 / c0)
+    return _graded_solve(a, np.log(c0), (j - n) / (n * c0), init=1.0 / c0)
 
 
 def jet_real_power(a: Jet, mu: float) -> Jet:
@@ -431,9 +451,10 @@ def jet_real_power(a: Jet, mu: float) -> Jet:
     mu = float(mu)
     if mu <= 0:
         raise ValueError("jet_real_power requires mu > 0")
-    c0 = a.constant_term
-    if abs(c0.imag) > 1e-12 * max(1.0, abs(c0.real)) or c0.real <= 0:
-        raise ValueError("jet_real_power requires a positive real constant term")
+    c0 = a.data[..., :1, :1]  # one 1 x 1 block per point
+    _raise_where([abs(c.imag) > 1e-12 * max(1.0, abs(c.real)) or c.real <= 0
+                  for c in c0.ravel().tolist()], "jet_real_power",
+                 "requires a positive real constant term")
     c0 = c0.real
     n, j = _degree_grid(a)
     return _graded_solve(a, c0 ** mu, ((mu + 1.0) * j - n) / (n * c0))

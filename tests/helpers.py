@@ -7,8 +7,9 @@ matrices, the generic norm and the Hartogs potential built from
 jet_variable in raw coordinates, the Horner composition of power series,
 the einsum forms of the curvature contractions, finite-difference stencils
 for Wirtinger derivatives, exact-rational regrouping of the fiber-slice
-identity polynomials, and a trace-form computation of the base curvature
-norm that bypasses the jet engine entirely.
+identity polynomials, a trace-form computation of the base curvature
+norm that bypasses the jet engine entirely, and the per-candidate sampler
+that the library's block sampler must reproduce.
 """
 
 import cmath
@@ -19,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from hartogslab.domains import contains, generic_norm_value
+from hartogslab.geometry import FIBER_FILL
 from hartogslab.jets import (BidegreeCap, Jet, _pair_tables, basis_exponents,
                              jet_constant, jet_log, jet_real_power, jet_variable)
 
@@ -444,3 +447,32 @@ def trace_form_r2(spec):
     R = -geff * (T4 + T4.transpose(0, 3, 2, 1))
     inv = 1.0 / g
     return float(np.einsum("abcd,abcd,a,b,c,d->", R, R, inv, inv, inv, inv))
+
+
+# -- the per-candidate sampler ------------------------------------------------
+
+def sample_interior_reference(spec, seed, count):
+    """domains.sample_interior one candidate at a time: 2d uniform doubles
+    per candidate, kept if contains accepts that one point."""
+    rng = np.random.default_rng(seed)
+    r = 1.0 / math.sqrt(spec.d)
+    out = []
+    while len(out) < count:
+        raw = rng.uniform(-r, r, size=2 * spec.d)
+        p = raw[0::2] + 1j * raw[1::2]
+        if contains(spec, p):
+            out.append(tuple(complex(x) for x in p))
+    return out
+
+
+def sample_hartogs_fibers_reference(spec, seed, zs):
+    """The fibers geometry.sample_hartogs draws over the base points zs,
+    with one generic_norm_value call per point."""
+    rng = np.random.default_rng(seed + 10007)
+    out = []
+    for z in zs:
+        bound = FIBER_FILL * float(generic_norm_value(spec.base, z)) ** float(spec.mu)
+        t = rng.uniform(0.0, bound)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        out.append(complex(np.sqrt(t) * np.exp(1j * theta)))
+    return out

@@ -10,10 +10,11 @@ import pytest
 
 import helpers
 import hartogslab
-from hartogslab import __version__, cli
+from hartogslab import __version__, cli, geometry
 from hartogslab.cli import main
 from hartogslab.domains import type1, type2, type3, type4
-from hartogslab.geometry import (HartogsSpec, curvature_report_from_potential,
+from hartogslab.geometry import (HartogsPoint, HartogsSpec,
+                                 curvature_report_from_potential,
                                  origin_fiber_points, sample_hartogs)
 
 DISK = ["--domain", "type1", "--m", "1", "--n", "1", "--mu", "2"]
@@ -402,3 +403,52 @@ def test_classical_catalog_sweep_passes(capsys, command, base, mu):
     code, out, err = run(capsys, argv)
     assert code == 0, err or out
     assert json.loads(out)["status"] == "ok"
+
+
+# the 25 commands of one pass of the benchmark's catalog workload
+CATALOG_BASES = [("type1", 1, 1), ("type1", 1, 2), ("type1", 1, 3), ("type1", 2, 2),
+                 ("type1", 1, 5), ("type1", 2, 3), ("type2", None, 4),
+                 ("type3", None, 2), ("type3", None, 3), ("type4", None, 5),
+                 ("type4", None, 6)]
+CATALOG = [[command, "--domain", kind, "--n", str(n), "--mu", ("1", "4/5", "3")[i % 3]]
+           + (["--m", str(m)] if m else [])
+           for i, (kind, m, n) in enumerate(CATALOG_BASES)
+           for command in ("report", "verify-lemmas")]
+CATALOG += [["scan-a2", *BALL2_HYP], ["appendix-table"], ["case-analysis"]]
+
+
+def test_one_pipeline_call_per_command(capsys, monkeypatch):
+    # every command evaluates its points in one call per cap, not one per
+    # point: 9 points in report, 20 + 6 in verify-lemmas, 20 in scan-a2
+    caps, logs = [], []
+    potential, log = geometry.hartogs_potential_jet, geometry.jet_log
+    monkeypatch.setattr(geometry, "hartogs_potential_jet", lambda *args: (
+        caps.append((len(args[1].fiber), tuple(args[2]))) or potential(*args)))
+    monkeypatch.setattr(geometry, "jet_log", lambda a: logs.append(a) or log(a))
+    for command, calls in (("report", [(9, (3, 3))]),
+                           ("verify-lemmas", [(20, (2, 2)), (6, (3, 3))]),
+                           ("scan-a2", [(20, (3, 3))])):
+        caps.clear()
+        assert run(capsys, [command, *BALL2_HYP])[0] == 0
+        assert caps == calls, command
+    logs.clear()
+    for argv in CATALOG:
+        assert run(capsys, argv)[0] == 0, argv
+    # one per batch (report, and verify-lemmas' two caps, on 11 bases, and
+    # scan-a2) and one per appendix-table row
+    assert len(logs) == 11 + 22 + 1 + 7
+
+
+def test_failing_point_is_named_by_its_index(capsys, monkeypatch):
+    # the exit-1 line names the stage and the point's index in the
+    # command's batch: report's 3 origin-fiber points come first
+    sample = cli.sample_hartogs
+
+    def one_outside(spec, seed, count):
+        points = sample(spec, seed, count)
+        return points[:1] + [HartogsPoint((0.9, 0.9), 0.1)] + points[2:]
+
+    monkeypatch.setattr(cli, "sample_hartogs", one_outside)
+    code, out, err = run(capsys, ["report", *BALL2_HYP])
+    assert code == 1 and out == ""
+    assert err.startswith("error: norm at point 4: base point is not interior")

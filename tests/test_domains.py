@@ -255,3 +255,44 @@ def test_exceptional_domains_are_constants_only():
             sample_interior(spec, seed=0, count=1)
         with pytest.raises(ExceptionalDomainError):
             matrix_model(spec, np.zeros(spec.d))
+
+
+CLASSICAL_UP_TO_D6 = [type1(1, 1), type1(1, 2), type1(1, 3), type1(1, 4),
+                      type1(2, 2), type1(1, 5), type1(1, 6), type1(2, 3),
+                      type2(4), type3(2), type3(3), type4(5), type4(6)]
+
+
+@pytest.mark.parametrize("spec", CLASSICAL_UP_TO_D6, ids=lambda s: s.label())
+def test_block_sampler_matches_the_per_candidate_sampler(spec):
+    # candidates are drawn in blocks and tested with one stacked contains;
+    # the generator draws the same doubles in the same order, so the
+    # accepted points are the per-candidate sampler's
+    for seed in range(4):
+        for count in (1, 6, 20):
+            assert sample_interior(spec, seed, count) == \
+                helpers.sample_interior_reference(spec, seed, count)
+
+
+@pytest.mark.parametrize("spec", CLASSICAL_UP_TO_D6, ids=lambda s: s.label())
+def test_stacked_points_match_single_point_calls(spec):
+    # contains, generic_norm_value and generic_norm_jet answer per point of
+    # a stack (..., d), to the bit of one-point calls
+    inside = sample_interior(spec, seed=1, count=4)
+    stack = np.array(inside + [(2.0,) * spec.d], dtype=complex)
+    assert contains(spec, stack).tolist() == [True] * 4 + [False]
+    assert contains(spec, stack.reshape(5, 1, spec.d)).shape == (5, 1)
+    assert generic_norm_value(spec, stack[:4]).tolist() == \
+        [generic_norm_value(spec, p) for p in inside]
+    rng = np.random.default_rng(spec.d)
+    jac = rng.normal(size=(4, spec.d, spec.d + 1)) \
+        + 1j * rng.normal(size=(4, spec.d, spec.d + 1))
+    got = generic_norm_jet(spec, stack[:4], (3, 3), jacobian=0.3 * jac)
+    assert got.data.shape[0] == 4
+    for i, p in enumerate(inside):
+        want = generic_norm_jet(spec, p, (3, 3), jacobian=0.3 * jac[i])
+        assert np.array_equal(got.data[i], want.data)
+    with pytest.raises(ValueError, match="^norm at point 4: base point is not "
+                                         "interior"):
+        generic_norm_jet(spec, stack, (1, 1))
+    assert contains(spec, []).shape == (0,)
+    assert generic_norm_value(spec, []).shape == (0,)

@@ -18,12 +18,12 @@ from hartogslab.domains import contains, generic_norm_jet, generic_norm_value, \
 from hartogslab.geometry import (FULL_CAP, HartogsPoint, HartogsSpec,
                                  _log_det_jets, _normal_frame,
                                  base_curvature_report, bergman_potential_jet,
-                                 curvature_report,
+                                 curvature_report, curvature_reports,
                                  curvature_report_from_potential,
                                  curvature_tensor, hartogs_potential_jet, metric_at,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at,
-                                 tensor_norms)
+                                 scalar_curvatures, tensor_norms)
 from hartogslab.jets import (BidegreeCap, Jet, jet_log, jet_real_power,
                              jet_variable)
 from hartogslab.oracles import OracleInputs, appendix_R2_base, \
@@ -336,10 +336,11 @@ def test_reports_run_only_real_recurrences(monkeypatch):
     solve = jets._graded_solve
 
     def solve_spy(a, b0, weight, init=0.0):
+        # b0, init and weight may hold one value per point of a batch
         runs.append(a.cap.holo == a.cap.anti
-                    and np.array_equal(a.data, a.data.conj().T)
-                    and complex(b0).imag == 0 and complex(init).imag == 0
-                    and not np.imag(weight).any())
+                    and np.array_equal(a.data, a.data.conj().swapaxes(-1, -2))
+                    and not np.any(np.imag(b0)) and not np.any(np.imag(init))
+                    and not np.any(np.imag(weight)))
         return solve(a, b0, weight, init)
 
     monkeypatch.setattr(jets, "_graded_solve", solve_spy)
@@ -372,12 +373,15 @@ def test_frame_metric_matches_the_potential(base):
 def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
     # N = 1 + 2|z|^2 on the disk makes g_{z zbar} = -4 at the origin
     # (mu = 2): the frame's own Cholesky factorization raises what
-    # metric_at raises, before any potential jet is built
+    # metric_at raises, before any potential jet is built, and names its
+    # stage and the point (scalar_curvature_at is a batch of one)
     z, w = (jet_variable(i, 2, (1, 1)) for i in range(2))
     zb, wb = (jet_variable(i, 2, (1, 1), anti=True) for i in range(2))
     with pytest.raises(ValueError) as want:
         metric_at(helpers.mul(z, zb) - helpers.mul(w, wb))
-    convex = Jet(1, BidegreeCap(1, 1), np.array([[1.0, 0.0], [0.0, 2.0]], complex))
+    assert str(want.value) == "metric at point 0: " + geometry._NOT_POSITIVE
+    convex = Jet(1, BidegreeCap(1, 1),
+                 np.array([[[1.0, 0.0], [0.0, 2.0]]], complex))  # one point
     monkeypatch.setattr(geometry, "generic_norm_jet", lambda *a, **k: convex)
 
     def no_potential(*args, **kwargs):
@@ -386,7 +390,7 @@ def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
     monkeypatch.setattr(geometry, "hartogs_potential_jet", no_potential)
     with pytest.raises(ValueError) as got:
         scalar_curvature_at(DISK, _origin(DISK))
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == "frame at point 0: " + geometry._NOT_POSITIVE
 
 
 def test_laplacian_matches_finite_differences():
@@ -555,3 +559,75 @@ def test_report_json_shape():
     full = rep.to_json_dict(include_tensors=True)
     assert np.asarray(full["R"]).shape == (2, 2, 2, 2, 2)  # trailing [re, im]
     assert full["g"][0][0] == [pytest.approx(2.0), pytest.approx(0.0)]
+
+
+@pytest.mark.parametrize("base", BASES_UP_TO_D6, ids=lambda b: b.label())
+def test_batched_reports_equal_their_batch_of_one(base):
+    # the 132-point set (4 seed-0 points per base, at mu = 1, 4/5 and 3),
+    # one batch per base and mu: a batch keeps each point's summation
+    # order, so every entry is its batch-of-one result to the bit
+    for mu in (1, F(4, 5), 3):
+        spec = HartogsSpec(base, mu)
+        points = sample_hartogs(spec, 0, 4)
+        for pt, rep, k in zip(points, curvature_reports(spec, points),
+                              scalar_curvatures(spec, points)):
+            one = curvature_report(spec, pt)
+            for key in ("k", "norm_R_sq", "norm_Ric_sq", "lap_k", "a1", "a2"):
+                assert getattr(rep, key) == getattr(one, key), (key, mu)
+            for got, want in ((rep.metric.g, one.metric.g),
+                              (rep.metric.g_inv, one.metric.g_inv),
+                              (rep.R, one.R), (rep.Ric, one.Ric)):
+                assert np.array_equal(got, want), mu
+            assert k == scalar_curvature_at(spec, pt)
+
+
+@pytest.mark.parametrize("base", BASES_UP_TO_D6 + [type1(1, 4), type1(1, 6)],
+                         ids=lambda b: b.label())
+def test_sample_hartogs_matches_the_per_point_fibers(base):
+    # one stacked generic_norm_value call draws the fibers of one call per
+    # point
+    for mu in (1, F(4, 5), 3):
+        spec = HartogsSpec(base, mu)
+        points = sample_hartogs(spec, 0, 20)
+        assert [p.fiber for p in points] == helpers.sample_hartogs_fibers_reference(
+            spec, 0, [p.base for p in points])
+
+
+def _stack(points):
+    """The points as one HartogsPoint of arrays with a leading point axis."""
+    return HartogsPoint(np.array([p.base for p in points], dtype=complex),
+                        np.array([p.fiber for p in points], dtype=complex))
+
+
+def test_batch_errors_name_the_point_and_the_stage():
+    spec = HartogsSpec(type1(1, 2), 1.0)
+    points = sample_hartogs(spec, 0, 3)
+    outside = points[:2] + [HartogsPoint((0.9, 0.9), 0.1)] + points[2:]
+    for run in (curvature_reports, scalar_curvatures):
+        with pytest.raises(ValueError, match="^norm at point 2: base point is "
+                                             "not interior to type1"):
+            run(spec, outside)
+    beyond = [points[0], HartogsPoint(points[1].base, 0.999)]
+    with pytest.raises(ValueError, match="^frame at point 1: point lies outside"):
+        curvature_reports(spec, beyond)
+    # one point of a stack, at the identity frame: the potential names it
+    with pytest.raises(ValueError, match="^potential at point 1: point lies "
+                                         "outside"):
+        hartogs_potential_jet(spec, _stack(beyond), (2, 2))
+
+
+def test_imaginary_residue_in_a_batch_names_the_point_and_cond_g():
+    # in (z, w), with the identity frame, point 1 of these keeps an
+    # imaginary residue of 4e-5 in Delta k: the error names its index in the
+    # batch and its cond(g)
+    spec = HartogsSpec(type3(2), 1.0)
+    P = hartogs_potential_jet(spec, _stack(sample_hartogs(spec, 0, 4)),
+                              FULL_CAP)
+    with pytest.raises(ValueError, match=r"^Delta k at point 1: imaginary "
+                                         r"residue") as err:
+        curvature_report_from_potential(P)
+    match = re.search(r"\(cond\(g\) = (\S+)\)", str(err.value))
+    assert match, str(err.value)
+    cond = np.linalg.cond(metric_at(P).g[1])
+    assert cond > 1e3
+    assert float(match.group(1)) == pytest.approx(cond, rel=0.05)

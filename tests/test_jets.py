@@ -437,3 +437,74 @@ def test_scalar_mixed_arithmetic():
     k = 1.0 - j
     assert coefficient(k, (1,), (0,)) == -1.5
     assert not (j - j).data.any()
+
+
+def _hermitian_stack(m, count):
+    """count exactly Hermitian cap-(3, 3) coefficient arrays with full
+    degree tops and distinct constant terms."""
+    rng = np.random.default_rng(m)
+    size = len(basis_exponents(m, 3))
+    X = 0.2 * (rng.normal(size=(count, size, size))
+               + 1j * rng.normal(size=(count, size, size)))
+    data = X + X.conj().swapaxes(-1, -2)  # exactly Hermitian: the sum commutes
+    data[:, 0, 0] = 2.0 + np.arange(count)
+    return data
+
+
+STACK_RECURRENCES = [jet_log, lambda a: jet_real_power(a, 0.8),
+                     lambda a: jet_real_power(a, 3.0)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_recurrences_match_per_jet_calls(m, monkeypatch):
+    # one table, one pass per _CHUNK of pairs times points, and one
+    # Hermitian test for the whole stack: every point keeps its own sums
+    cap, uppers = BidegreeCap(3, 3), []
+    pairs = jets._pairs
+    monkeypatch.setattr(jets, "_pairs",
+                        lambda *args: uppers.append(args[3]) or pairs(*args))
+    stack = _hermitian_stack(m, 3)
+    # one point off by 1e-3 from Hermitian: the whole stack takes every pair
+    mixed = stack.copy()
+    mixed[1, 1, 2] += 1e-3
+    for f in STACK_RECURRENCES:
+        uppers.clear()
+        got = f(Jet(m, cap, stack.copy()))
+        assert uppers == [True]
+        for i in range(3):
+            assert np.array_equal(got.data[i], f(Jet(m, cap, stack[i].copy())).data)
+        uppers.clear()
+        got = f(Jet(m, cap, mixed.copy()))
+        assert uppers[0] is False
+        assert np.array_equal(got.data[1], f(Jet(m, cap, mixed[1].copy())).data)
+        for i in (0, 2):
+            want = f(Jet(m, cap, mixed[i].copy())).data  # the Hermitian path
+            assert np.abs(got.data[i] - want).max() <= 1e-14 * np.abs(want).max()
+    # one point per pass gives the same bits
+    whole = [f(Jet(m, cap, stack.copy())).data for f in STACK_RECURRENCES]
+    monkeypatch.setattr(jets, "_CHUNK", 7)
+    pairs.cache_clear()
+    try:
+        for f, want in zip(STACK_RECURRENCES, whole):
+            assert np.array_equal(f(Jet(m, cap, stack.copy())).data, want)
+    finally:
+        pairs.cache_clear()
+
+
+def test_stacked_jets_keep_their_batch_axes():
+    data = _hermitian_stack(2, 6).reshape(2, 3, 10, 10)
+    a = Jet(2, BidegreeCap(3, 3), data)
+    assert a.constant_term.tolist() == [[2.0, 3.0, 4.0], [5.0, 6.0, 7.0]]
+    assert a.partials(2, 1).shape == (2, 3, 2, 2, 2)
+    assert np.array_equal(a.partials(1, 1)[1, 2],
+                          Jet(2, BidegreeCap(3, 3), data[1, 2].copy()).partials(1, 1))
+    assert jet_log(a).data.shape == data.shape
+    assert np.array_equal(jet_log(a).data[1, 0], jet_log(Jet(2, a.cap, data[1, 0].copy())).data)
+    b = a + 1.0
+    assert b.constant_term.tolist() == [[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]
+    bad = data.copy()
+    bad[1, 1, 0, 0] = -1.0
+    with pytest.raises(ValueError, match="^jet_log at point 4: "):
+        jet_log(Jet(2, a.cap, bad))
+    with pytest.raises(ValueError, match="^jet_real_power at point 4: "):
+        jet_real_power(Jet(2, a.cap, bad), 0.8)
