@@ -281,10 +281,22 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     (-1)^k |Pf|^2 over the principal Pfaffians of Z of order 2k. Type 4:
     the terms are 1, z_i with weight -2, and z z^t = X^T U^T U X.
     """
+    _require_interior(spec, p)
+    return _norm_jet(spec, p, cap, jacobian)
+
+
+def _require_interior(spec: DomainSpec, p: Sequence) -> None:
+    """A ValueError naming the first point of the stack p that is not
+    interior to spec."""
+    _raise_where(~contains(spec, p), "norm",
+                 lambda i: f"base point is not interior to {spec.label()}")
+
+
+def _norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
+    """generic_norm_jet without its membership check, for a caller that
+    checks the points itself."""
     _require_classical(spec)
     v = _coords(spec, p)
-    _raise_where(~contains(spec, v), "norm",
-                 lambda i: f"base point is not interior to {spec.label()}")
     d = spec.d
     jac = np.eye(d) if jacobian is None else np.asarray(jacobian, dtype=np.complex128)
     if jac.ndim < 2 or jac.shape[-2] != d:

@@ -50,8 +50,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .domains import DomainSpec, generic_norm_jet, generic_norm_value, \
-    sample_interior
+from .domains import DomainSpec, _norm_jet, _require_interior, generic_norm_jet, \
+    generic_norm_value, sample_interior
 from .jets import _CHUNK, BidegreeCap, Jet, _polynomials, _raise_where, \
     _space_size, basis_exponents, jet_log, jet_real_power
 
@@ -188,8 +188,9 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
       I_{w wbar} = -1,  I_{i wbar} = 0,
       g = I_i I_jbar / I^2 - I_{i jbar} / I."""
     d, mu = spec.base.d, float(spec.mu)
-    N = generic_norm_jet(spec.base, point.base, BidegreeCap(1, 1))
+    N = _norm_jet(spec.base, point.base, BidegreeCap(1, 1))  # see _normal_frame
     n0 = N.data[..., :1, :1].real  # scalars as 1 x 1 blocks, per point
+    _raise_where(n0[..., 0, 0] <= 0.0, "frame", _OUTSIDE)  # N > 0 on the domain
     w0 = np.asarray(point.fiber, dtype=np.complex128)[..., None, None]
     I0 = n0 ** mu - np.abs(w0) ** 2
     _raise_where(I0[..., 0, 0] <= 0.0, "frame", _OUTSIDE)
@@ -229,10 +230,17 @@ def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
     hartogs_potential_jet requires. g is factored once, symmetrized, from the
     closed form of _frame_metric, which needs only the cap-(1,1) norm jet
     and no potential jet; metric_at runs its checks on the potential taken
-    in the frame."""
-    g = _frame_metric(spec, point)
-    g = 0.5 * (g + g.conj().swapaxes(-1, -2))
-    U = _cholesky(g[..., ::-1, ::-1], "frame")[..., ::-1, ::-1]
+    in the frame. The frame's norm skips the membership check of
+    generic_norm_jet, which hartogs_potential_jet runs on the same base
+    points: where the frame fails, a base point outside the base domain is
+    named as that check names it."""
+    try:
+        g = _frame_metric(spec, point)
+        g = 0.5 * (g + g.conj().swapaxes(-1, -2))
+        U = _cholesky(g[..., ::-1, ::-1], "frame")[..., ::-1, ::-1]
+    except ValueError:
+        _require_interior(spec.base, point.base)
+        raise
     return np.linalg.inv(U).swapaxes(-1, -2)
 
 

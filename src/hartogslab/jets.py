@@ -18,10 +18,12 @@ over graded-lex monomial bases, with leading batch axes, one jet per point:
 their result one total degree at a time (graded Taylor recurrences; Griewank
 & Walther, Evaluating Derivatives, 2nd ed., ch. 13) by a truncated Cauchy
 product over a table of the monomial pairs that land on that degree, whose
-left factors stay within the highest degree, per character, that the
-operand holds (see _pairs), summed per destination with np.add.reduceat.
-The table has no pair with a constant factor, whose term _graded_solve
-folds into the start value of each degree. One table serves a whole batch.
+left factors are coefficients that the operand holds (its nonzero pattern,
+see _pairs), summed per destination with np.add.reduceat. The table has no
+pair with a constant factor, whose term _graded_solve folds into the start
+value of each degree. The points of a batch that share a pattern share a
+table: at z = 0 the norms hold a few of their coefficients, and generic
+points hold nearly all of them.
 The jet of a real function has a Hermitian coefficient array, c[h, k] =
 conj(c[k, h]); on an exactly Hermitian input with real coefficients a
 recurrence reads a table of the destinations on or above the diagonal only,
@@ -108,11 +110,10 @@ def _total_degrees(m: int, cap: BidegreeCap) -> np.ndarray:
     return degs.ravel().astype(np.intp)
 
 
-def _top(a: "Jet") -> tuple:
-    """The highest holomorphic and antiholomorphic degree that a holds."""
-    m, cap, data = a.num_vars, a.cap, a.data
-    return (int((_degrees(m, cap.holo) * data.any(axis=-1)).max()),
-            int((_degrees(m, cap.anti) * data.any(axis=-2)).max()))
+def _patterns(flat: np.ndarray) -> list:
+    """The nonzero pattern of each row of flat (one point's coefficients),
+    packed into bytes: the key of its pair table (see _pairs)."""
+    return [row.tobytes() for row in np.packbits(flat != 0, axis=-1)]
 
 
 def _raise_where(bad, stage: str, text) -> None:
@@ -127,27 +128,34 @@ def _raise_where(bad, stage: str, text) -> None:
 _CHUNK = 1 << 16
 
 
-@lru_cache(maxsize=64)
-def _pairs(m: int, cap: BidegreeCap, ltop: tuple, upper: bool = False) -> tuple:
-    """Pair table of a graded recurrence: the pairs of non-constant monomials
+@lru_cache(maxsize=256)
+def _pairs(m: int, cap: BidegreeCap, key: bytes, upper: bool = False) -> tuple:
+    """Pair table of a graded recurrence on an operand whose nonzero pattern
+    is key (as _patterns packs it): the pairs of non-constant monomials
     (flat index 0 on neither side; the recurrences fold a constant factor's
-    term into init) whose product stays within cap and whose left factor has
-    degree at most ltop per character. Per total degree of the destination,
-    a tuple of chunks of whole destination segments and about _CHUNK pairs
-    (not one, unless the degree holds one), which bounds the temporaries of
-    one _convolve call; a chunk is (left and right flat operand indices, the
-    start of each destination's segment, each segment's flat destination),
-    sorted by the destination's flat index. If upper (square caps only), the
-    table holds only the destinations (h, k) with h <= k, on or above the
-    diagonal, and each chunk also carries their mirrors (k, h) (else None)."""
+    term into init) whose product stays within cap and whose left factor is
+    a coefficient that the operand holds, as a term with an exactly zero
+    factor adds nothing. Returns the flat positions of the pattern's
+    non-constant coefficients (its support) and, per total degree of the
+    destination, a tuple of chunks of whole destination segments and about
+    _CHUNK pairs (not one, unless the degree holds one), which bounds the
+    temporaries of one _convolve call; a chunk is (left factor indices into
+    the support, right flat operand indices, the start of each
+    destination's segment, each segment's flat destination), sorted by the
+    destination's flat index. If upper (square caps only), the table holds
+    only the destinations (h, k) with h <= k, on or above the diagonal, and
+    each chunk also carries their mirrors (k, h) (else None)."""
     height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
+    held = np.unpackbits(np.frombuffer(key, np.uint8), count=height * width).astype(bool)
+    held[0] = False  # a constant factor's term is in init
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
     index = np.min_scalar_type(height * width)
     factors = []
-    for degree, lt in zip(cap, ltop):
+    lines = held.reshape(height, width)
+    for degree, kept in zip(cap, (lines.any(axis=1), lines.any(axis=0))):
         ia, ib, ic = _pair_tables(m, degree)
-        keep = _degrees(m, degree)[ia] <= lt
+        keep = kept[ia]  # left factors in the pattern's rows and columns
         factors.append([t[keep].astype(index) for t in (ia, ib, ic)])
     (ha, hb, hc), (aa, ab, ac) = factors
     # row i of the table is holomorphic pair i with the antiholomorphic
@@ -155,14 +163,19 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, upper: bool = False) -> tuple:
     # diagonal (ac >= hc[i], a suffix, as ac is sorted)
     first = np.searchsorted(ac, hc) if upper else np.zeros(len(hc), np.intp)
     count = len(ac) - first
-    row = np.repeat(np.arange(len(hc)), count)
-    col = np.arange(row.size) - np.repeat(np.cumsum(count) - count - first, count)
+    # int32 positions: the expansion is the largest transient of a build
+    row = np.repeat(np.arange(len(hc), dtype=np.int32), count)
+    col = np.arange(row.size, dtype=np.int32)
+    col -= np.repeat((np.cumsum(count) - count - first).astype(np.int32), count)
     dst = hc[row] * width + ac[col]
     left = ha[row] * width + aa[col]
     right = hb[row] * width + ab[col]
     del row, col
-    keep = (left != 0) & (right != 0)
+    keep = held[left] & (right != 0)
     dst, left, right = dst[keep], left[keep], right[keep]
+    support = np.flatnonzero(held)
+    # each held position's index in the support (read at held positions only)
+    left = (np.cumsum(held) - 1).astype(np.min_scalar_type(support.size))[left]
     tdeg = _total_degrees(m, cap).astype(np.int32)[dst]  # a small sort key
     # the factor tables are sorted by destination, so this merges sorted runs
     order = np.argsort(tdeg * (height * width) + dst, kind="stable")
@@ -189,7 +202,7 @@ def _pairs(m: int, cap: BidegreeCap, ltop: tuple, upper: bool = False) -> tuple:
         return tuple(out)
 
     bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
-    return tuple(chunks(p0, p1) for p0, p1 in zip(bounds, bounds[1:]))
+    return support, tuple(chunks(p0, p1) for p0, p1 in zip(bounds, bounds[1:]))
 
 
 def _convolve(a, b, left, right, starts):
@@ -384,8 +397,11 @@ def _graded_solve(a: Jet, b0, weight: np.ndarray, init=0.0) -> Jet:
     weight[n, n] b0 a_n, is in the start value a_n (init + weight[n, n] b0)
     of b's degree-n part, so the passes run only the pairs of two
     non-constant factors and skip degrees 0, 1. b0, init and weight hold one
-    value or matrix per point of a batch; each pass takes as many points as
-    keep the _convolve temporaries near _CHUNK elements, as one point's.
+    value or matrix per point of a batch. The points are grouped by their
+    nonzero pattern, and each group reads the pair table of its pattern
+    (see _pairs), so a point's sums are the same in any batch; each pass of
+    a group takes as many points as keep the _convolve temporaries near
+    _CHUNK elements, as one point's.
 
     A real function has a Hermitian coefficient array, c[h, k] =
     conj(c[k, h]). If a's is exactly Hermitian at a square cap and b0, init
@@ -400,25 +416,32 @@ def _graded_solve(a: Jet, b0, weight: np.ndarray, init=0.0) -> Jet:
     hermitian = (cap.holo == cap.anti
                  and not any(np.count_nonzero(x.imag) for x in (b0, init, weight))
                  and bool((a.data == a.data.conj().swapaxes(-1, -2)).all()))
-    t = _pairs(m, cap, _top(a), hermitian)
     flat, tdeg = a.data.reshape(-1, shape[-2] * shape[-1]), _total_degrees(m, cap)
     weight = weight.reshape((-1,) + weight.shape[-2:]).astype(complex)
     b = (init + weight.diagonal(axis1=1, axis2=2) * b0).take(tdeg, axis=1)
     np.multiply(flat, b, out=b)
     b[:, :1] = b0
-    degrees = [n for n in range(len(t)) if t[n]]  # the degrees with pairs
-    step = max(1, _CHUNK // max((len(c[0]) for n in degrees for c in t[n]),
-                                default=_CHUNK))  # points per pass
-    for p in range(0, len(b), step):
-        bp, fp, wp = b[p:p + step], flat[p:p + step], weight[p:p + step]
-        for n in degrees:
-            scaled = fp * wp[:, n].take(tdeg, axis=1)
-            for left, right, starts, dst, mirror in t[n]:
-                value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
-                                                         starts)
-                bp[:, dst] = value
-                if hermitian:
-                    bp[:, mirror] = value.conj()
+    groups = {}
+    for i, key in enumerate(_patterns(flat)):
+        groups.setdefault(key, []).append(i)
+    for key, rows in groups.items():
+        support, table = _pairs(m, cap, key, hermitian)
+        sdeg = tdeg[support]
+        degrees = [n for n in range(len(table)) if table[n]]  # the degrees with pairs
+        step = max(1, _CHUNK // max((len(c[0]) for n in degrees for c in table[n]),
+                                    default=_CHUNK))  # points per pass
+        for p in range(0, len(rows), step):
+            at = rows[p:p + step]  # copies of the pass's rows, written back
+            bp, wp, held = b[at], weight[at], flat[at].take(support, axis=1)
+            for n in degrees:
+                scaled = held * wp[:, n].take(sdeg, axis=1)
+                for left, right, starts, dst, mirror in table[n]:
+                    value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
+                                                             starts)
+                    bp[:, dst] = value
+                    if hermitian:
+                        bp[:, mirror] = value.conj()
+            b[at] = bp
     if hermitian:  # the mirror conjugated the diagonal's roundoff
         b[:, ::shape[-1] + 1].imag = 0.0
     return Jet(m, cap, b.reshape(shape))

@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 import hartogslab
-from hartogslab import __version__, cli, geometry
+from hartogslab import __version__, cli, geometry, jets
 from hartogslab.cli import main
 from hartogslab.domains import type1, type2, type3, type4
 from hartogslab.geometry import (HartogsPoint, HartogsSpec,
@@ -432,11 +432,17 @@ def test_one_pipeline_call_per_command(capsys, monkeypatch):
         assert run(capsys, [command, *BALL2_HYP])[0] == 0
         assert caps == calls, command
     logs.clear()
+    jets._pairs.cache_clear()
     for argv in CATALOG:
         assert run(capsys, argv)[0] == 0, argv
     # one per batch (report, and verify-lemmas' two caps, on 11 bases, and
     # scan-a2) and one per appendix-table row
     assert len(logs) == 11 + 22 + 1 + 7
+    # the recurrences' pair tables are cached per operand pattern: the
+    # cache holds every table of the catalog, so none is evicted and built
+    # again in a later pass
+    info = jets._pairs.cache_info()
+    assert info.misses == info.currsize < info.maxsize
 
 
 def test_failing_point_is_named_by_its_index(capsys, monkeypatch):

@@ -382,7 +382,7 @@ def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
     assert str(want.value) == "metric at point 0: " + geometry._NOT_POSITIVE
     convex = Jet(1, BidegreeCap(1, 1),
                  np.array([[[1.0, 0.0], [0.0, 2.0]]], complex))  # one point
-    monkeypatch.setattr(geometry, "generic_norm_jet", lambda *a, **k: convex)
+    monkeypatch.setattr(geometry, "_norm_jet", lambda *a, **k: convex)
 
     def no_potential(*args, **kwargs):
         raise AssertionError("the frame accepted an indefinite metric")
@@ -564,21 +564,30 @@ def test_report_json_shape():
 @pytest.mark.parametrize("base", BASES_UP_TO_D6, ids=lambda b: b.label())
 def test_batched_reports_equal_their_batch_of_one(base):
     # the 132-point set (4 seed-0 points per base, at mu = 1, 4/5 and 3),
-    # one batch per base and mu: a batch keeps each point's summation
-    # order, so every entry is its batch-of-one result to the bit
+    # one batch per base and mu, and the mixed batches of the CLI: report's
+    # and scan-a2's origin-fiber points (t = 0 first) before the samples,
+    # and verify-lemmas' origin-fiber points alone. Their recurrence
+    # operands hold different nonzero patterns, so a batch reads several
+    # pair tables; a batch keeps each point's summation order, so every
+    # entry is its batch-of-one result to the bit
     for mu in (1, F(4, 5), 3):
         spec = HartogsSpec(base, mu)
-        points = sample_hartogs(spec, 0, 4)
-        for pt, rep, k in zip(points, curvature_reports(spec, points),
-                              scalar_curvatures(spec, points)):
-            one = curvature_report(spec, pt)
-            for key in ("k", "norm_R_sq", "norm_Ric_sq", "lap_k", "a1", "a2"):
-                assert getattr(rep, key) == getattr(one, key), (key, mu)
-            for got, want in ((rep.metric.g, one.metric.g),
-                              (rep.metric.g_inv, one.metric.g_inv),
-                              (rep.R, one.R), (rep.Ric, one.Ric)):
-                assert np.array_equal(got, want), mu
-            assert k == scalar_curvature_at(spec, pt)
+        samples, singles = sample_hartogs(spec, 0, 4), {}
+        for points in (samples,
+                       origin_fiber_points(spec, [0.0, 0.35, 0.7]) + samples,
+                       origin_fiber_points(spec, [0.0, 0.12, 0.25, 0.4, 0.55, 0.7])):
+            for pt, rep, k in zip(points, curvature_reports(spec, points),
+                                  scalar_curvatures(spec, points)):
+                if pt not in singles:
+                    singles[pt] = curvature_report(spec, pt)
+                one = singles[pt]
+                for key in ("k", "norm_R_sq", "norm_Ric_sq", "lap_k", "a1", "a2"):
+                    assert getattr(rep, key) == getattr(one, key), (key, mu)
+                for got, want in ((rep.metric.g, one.metric.g),
+                                  (rep.metric.g_inv, one.metric.g_inv),
+                                  (rep.R, one.R), (rep.Ric, one.Ric)):
+                    assert np.array_equal(got, want), mu
+                assert k == scalar_curvature_at(spec, pt)
 
 
 @pytest.mark.parametrize("base", BASES_UP_TO_D6 + [type1(1, 4), type1(1, 6)],
@@ -614,6 +623,23 @@ def test_batch_errors_name_the_point_and_the_stage():
     with pytest.raises(ValueError, match="^potential at point 1: point lies "
                                          "outside"):
         hartogs_potential_jet(spec, _stack(beyond), (2, 2))
+
+
+def test_outside_base_points_are_named_by_the_norm_check(recwarn):
+    # the frame reads the norm unchecked, and hartogs_potential_jet checks
+    # the base points once; a base point outside the domain is still named
+    # by the norm check: where N < 0 (no warning from N^mu at mu = 4/5), and
+    # where N > 0 (type1(2,2) at z = 1.5 I, two singular values above 1)
+    for base, bad in ((type1(1, 2), (0.9, 0.9)), (type1(2, 2), (1.5, 0, 0, 1.5))):
+        spec = HartogsSpec(base, F(4, 5))
+        points = sample_hartogs(spec, 0, 3)
+        assert (generic_norm_value(base, bad) > 0) == (base.d == 4)
+        outside = points[:1] + [HartogsPoint(bad, 0.1)] + points[1:]
+        for run in (curvature_reports, scalar_curvatures):
+            with pytest.raises(ValueError, match="^norm at point 1: base point "
+                                                 "is not interior to type1"):
+                run(spec, outside)
+    assert not recwarn.list
 
 
 def test_imaginary_residue_in_a_batch_names_the_point_and_cond_g():

@@ -285,18 +285,23 @@ def _random_hermitian_jet(m, c):
     return Jet(m, BidegreeCap(c, c), data)
 
 
-def _sampled_norm_and_potential_jets(base, monkeypatch):
-    """N and I = N^mu - |w|^2 at a sampled point, as a report builds them:
-    in its metric-normal frame, at cap (3, 3), mu = 4/5."""
-    spec = HartogsSpec(base, 0.8)
-    point = sample_hartogs(spec, seed=0, count=1)[0]
+def _norm_and_potential_jets(spec, point, monkeypatch):
+    """N and I = N^mu - |w|^2 at point, as a report builds them: in its
+    metric-normal frame, at cap (3, 3)."""
     frame = geometry._normal_frame(spec, point)
-    d = base.d
-    N = generic_norm_jet(base, point.base, (3, 3), jacobian=frame[:d, :d])
+    d = spec.base.d
+    N = generic_norm_jet(spec.base, point.base, (3, 3), jacobian=frame[:d, :d])
     logs = []
     monkeypatch.setattr(geometry, "jet_log", lambda a: logs.append(a) or jet_log(a))
     geometry.hartogs_potential_jet(spec, point, (3, 3), frame)
     return N, logs[0]
+
+
+def _sampled_norm_and_potential_jets(base, monkeypatch):
+    """N and I at a sampled point, mu = 4/5."""
+    spec = HartogsSpec(base, 0.8)
+    point = sample_hartogs(spec, seed=0, count=1)[0]
+    return _norm_and_potential_jets(spec, point, monkeypatch)
 
 
 HERMITIAN_CASES = [("random", (m, c)) for m in range(1, 5) for c in (1, 2, 3)]
@@ -317,6 +322,40 @@ def test_hermitian_recurrences_match_horner_composition(kind, arg, monkeypatch):
         a = N if kind == "N" else I
     assert _hermitian(a.data)
     _assert_recurrences_match_horner(a, hermitian=True)
+
+
+ZERO_CASES = [(base, t) for base in (type1(1, 2), type3(2)) for t in (0.0, 0.3)]
+ZERO_CASES += [(None, None)]
+
+
+@pytest.mark.parametrize("base,t", ZERO_CASES, ids=[
+    "generic-accidental-zero" if base is None else f"{base.label()}-origin-t{t}"
+    for base, t in ZERO_CASES])
+def test_recurrences_on_operands_with_exact_zeros_match_horner(base, t, monkeypatch):
+    # a pair table pairs only the coefficients that its operand holds: at
+    # z = 0 the metric-normal frame is diagonal, so N and I hold few of the
+    # coefficients in their rows and columns (at t = 0, I also lacks the
+    # terms linear in the fiber's variable), and a generic jet may hold an
+    # accidental exact zero. Each runs as built, on the Hermitian path, and
+    # with the same pattern and non-Hermitian values, on the general path
+    if base is None:
+        data = _random_hermitian_jet(3, 3).data.copy()
+        data[2, 5] = data[5, 2] = 0.0
+        operands = [Jet(3, BidegreeCap(3, 3), data)]
+    else:
+        spec = HartogsSpec(base, 0.8)
+        point = geometry.origin_fiber_points(spec, [t])[0]
+        operands = _norm_and_potential_jets(spec, point, monkeypatch)
+    rng = np.random.default_rng(7)
+    for a in operands:
+        held = a.data != 0
+        assert not held[np.ix_(held.any(axis=1), held.any(axis=0))].all()
+        _assert_recurrences_match_horner(a, hermitian=True)
+        twist = np.exp(0.3j * rng.normal(size=a.data.shape))
+        twist[0, 0] = 1.0  # keep the constant term a positive real
+        general = Jet(a.num_vars, a.cap, a.data * twist)
+        assert not _hermitian(general.data)
+        _assert_recurrences_match_horner(general)
 
 
 def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
@@ -343,14 +382,21 @@ def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
             for g, w in zip(got, want):
                 assert np.array_equal(g.data, w.data)
         for upper in (False, True):
-            for chunks in jets._pairs(3, cap, cap, upper):
+            for chunks in jets._pairs(3, cap, _box_key(3, cap, cap), upper)[1]:
                 assert len(chunks) <= 1 or min(len(c[0]) for c in chunks) > 1
     finally:
         jets._pairs.cache_clear()
 
 
 def _table_pairs(table):
-    return sum(len(chunk[0]) for chunks in table for chunk in chunks)
+    return sum(len(chunk[0]) for chunks in table[1] for chunk in chunks)
+
+
+def _box_key(m, cap, top):
+    """The pair-table key of an operand that holds every coefficient up to
+    holomorphic degree top[0] and antiholomorphic degree top[1]."""
+    held = np.logical_and.outer(*(jets._degrees(m, c) <= t for c, t in zip(cap, top)))
+    return jets._patterns(held.reshape(1, -1))[0]
 
 
 UPPER_TABLES = [(7, (3, 3), (3, 3), 218_827), (2, (3, 3), (3, 3), 577),
@@ -362,12 +408,13 @@ def test_graded_tables_hold_no_constant_factor_pairs(m, cap, top, count):
     # a recurrence takes a constant factor's term into its init, so its
     # table pairs only non-constant factors
     cap = BidegreeCap(*cap)
-    graded = jets._pairs(m, cap, top, True)
+    graded = jets._pairs(m, cap, _box_key(m, cap, top), True)
     assert _table_pairs(graded) == count
-    assert not graded[0] and not graded[1]
-    for chunks in graded:
+    support, degrees = graded
+    assert not degrees[0] and not degrees[1]
+    for chunks in degrees:
         for left, right, *_ in chunks:
-            assert left.all() and right.all()
+            assert support[left].all() and right.all()
 
 
 def test_report_pair_budget(monkeypatch):
@@ -380,7 +427,22 @@ def test_report_pair_budget(monkeypatch):
     monkeypatch.setattr(jets, "_pairs", lambda *args: tables.append(pairs(*args))
                         or tables[-1])
     geometry.curvature_report(spec, point)
-    assert _table_pairs(sum(tables, ())) == 76_677 + 218_827
+    assert sum(map(_table_pairs, tables)) == 58_277 + 160_369
+
+
+def test_origin_pair_budget(monkeypatch):
+    # verify-lemmas' six origin-fiber points on type3(3) at mu = 3: the
+    # metric-normal frame is diagonal at z = 0, so N^mu and I hold few of
+    # their coefficients; one power table, and one log table each for
+    # t = 0 and t > 0
+    spec = HartogsSpec(type3(3), 3)
+    points = geometry.origin_fiber_points(spec, [0.0, 0.12, 0.25, 0.4, 0.55, 0.7])
+    tables = []
+    pairs = jets._pairs
+    monkeypatch.setattr(jets, "_pairs", lambda *args: tables.append(pairs(*args))
+                        or tables[-1])
+    geometry.curvature_reports(spec, points)
+    assert [_table_pairs(t) for t in tables] == [3_042, 5_768, 10_123]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -395,7 +457,9 @@ def test_recurrences_on_rank_one_jets_match_horner(m, hermitian):
     data[1:m + 1, 1:m + 1] = 0.2 * (block + block.conj().T if hermitian else block)
     data[0, 0] = 2.0
     a = Jet(m, BidegreeCap(3, 3), data)
-    assert jets._top(a) == (1, 1)
+    held = np.zeros((size, size), dtype=bool)
+    held[0, 0] = held[1:m + 1, 1:m + 1] = True
+    assert jets._patterns(a.data.reshape(1, -1)) == jets._patterns(held.reshape(1, -1))
     _assert_recurrences_match_horner(a, hermitian)
 
 
