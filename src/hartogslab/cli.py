@@ -65,9 +65,8 @@ def _hartogs_spec(args, min_samples=0):
         raise _UsageError("--domain type1 requires both --m and --n")
     if args.n is None:
         raise _UsageError("--domain %s requires --n" % args.domain)
-    m = args.m if args.domain == "type1" else None
     try:
-        base = DomainSpec(args.domain, m, args.n)
+        base = DomainSpec(args.domain, args.m, args.n)
     except ValueError as exc:
         raise _UsageError("--domain %s: %s" % (args.domain, exc))
     if args.samples < min_samples:

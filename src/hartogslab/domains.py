@@ -32,8 +32,6 @@ import numpy as np
 
 from .jets import Jet, _as_cap, _polynomials, _raise_where
 
-BasePoint = tuple  # tuple of complex coordinates, length spec.d
-
 _CLASSICAL = ("type1", "type2", "type3", "type4")
 _KINDS = _CLASSICAL + ("exc5", "exc6")
 
@@ -281,22 +279,10 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     (-1)^k |Pf|^2 over the principal Pfaffians of Z of order 2k. Type 4:
     the terms are 1, z_i with weight -2, and z z^t = X^T U^T U X.
     """
-    _require_interior(spec, p)
-    return _norm_jet(spec, p, cap, jacobian)
-
-
-def _require_interior(spec: DomainSpec, p: Sequence) -> None:
-    """A ValueError naming the first point of the stack p that is not
-    interior to spec."""
-    _raise_where(~contains(spec, p), "norm",
-                 lambda i: f"base point is not interior to {spec.label()}")
-
-
-def _norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
-    """generic_norm_jet without its membership check, for a caller that
-    checks the points itself."""
     _require_classical(spec)
     v = _coords(spec, p)
+    _raise_where(~contains(spec, v), "norm",
+                 lambda i: f"base point is not interior to {spec.label()}")
     d = spec.d
     jac = np.eye(d) if jacobian is None else np.asarray(jacobian, dtype=np.complex128)
     if jac.ndim < 2 or jac.shape[-2] != d:

@@ -50,8 +50,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .domains import DomainSpec, _norm_jet, _require_interior, generic_norm_jet, \
-    generic_norm_value, sample_interior
+from .domains import DomainSpec, generic_norm_jet, generic_norm_value, \
+    sample_interior
 from .jets import _CHUNK, BidegreeCap, Jet, _polynomials, _raise_where, \
     _space_size, basis_exponents, jet_log, jet_real_power
 
@@ -169,7 +169,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     inner.reshape(batch + (-1,))[..., _base_positions(d, cap)] += \
         power.data.reshape(batch + (-1,))
     del power  # N^mu is in inner: free it before the log
-    _raise_where(inner[..., 0, 0].real <= 0.0, "potential", _OUTSIDE)
+    _raise_where(~(inner[..., 0, 0].real > 0.0), "potential", _OUTSIDE)  # nan fails too
     if cap.holo == cap.anti:
         # I is real, but the complex products of -w conj(w)^T leave its
         # mirrored entries and its constant term off by an ulp; made exactly
@@ -188,12 +188,11 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
       I_{w wbar} = -1,  I_{i wbar} = 0,
       g = I_i I_jbar / I^2 - I_{i jbar} / I."""
     d, mu = spec.base.d, float(spec.mu)
-    N = _norm_jet(spec.base, point.base, BidegreeCap(1, 1))  # see _normal_frame
+    N = generic_norm_jet(spec.base, point.base, BidegreeCap(1, 1))
     n0 = N.data[..., :1, :1].real  # scalars as 1 x 1 blocks, per point
-    _raise_where(n0[..., 0, 0] <= 0.0, "frame", _OUTSIDE)  # N > 0 on the domain
     w0 = np.asarray(point.fiber, dtype=np.complex128)[..., None, None]
     I0 = n0 ** mu - np.abs(w0) ** 2
-    _raise_where(I0[..., 0, 0] <= 0.0, "frame", _OUTSIDE)
+    _raise_where(~(I0[..., 0, 0] > 0.0), "frame", _OUTSIDE)  # nan fails too
     scale = mu * n0 ** (mu - 1.0)
     Nz, Nzb = N.partials(1, 0)[..., :, None], N.partials(0, 1)[..., None, :]
     Iz = np.concatenate((scale * Nz, -w0.conj()), axis=-2)  # a column
@@ -230,17 +229,10 @@ def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
     hartogs_potential_jet requires. g is factored once, symmetrized, from the
     closed form of _frame_metric, which needs only the cap-(1,1) norm jet
     and no potential jet; metric_at runs its checks on the potential taken
-    in the frame. The frame's norm skips the membership check of
-    generic_norm_jet, which hartogs_potential_jet runs on the same base
-    points: where the frame fails, a base point outside the base domain is
-    named as that check names it."""
-    try:
-        g = _frame_metric(spec, point)
-        g = 0.5 * (g + g.conj().swapaxes(-1, -2))
-        U = _cholesky(g[..., ::-1, ::-1], "frame")[..., ::-1, ::-1]
-    except ValueError:
-        _require_interior(spec.base, point.base)
-        raise
+    in the frame."""
+    g = _frame_metric(spec, point)
+    g = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    U = _cholesky(g[..., ::-1, ::-1], "frame")[..., ::-1, ::-1]
     return np.linalg.inv(U).swapaxes(-1, -2)
 
 

@@ -467,13 +467,13 @@ def jet_log(a: Jet) -> Jet:
 
 
 def jet_real_power(a: Jet, mu: float) -> Jet:
-    """a**mu for real mu > 0; the constant term must be a positive real
+    """a**mu for real 0 < mu < inf; the constant term must be a positive real
     (roundoff-level imaginary dust is tolerated and discarded). From
     a E(b) = mu b E(a): b_n = (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n)
     a_j b_{n-j}."""
     mu = float(mu)
-    if mu <= 0:
-        raise ValueError("jet_real_power requires mu > 0")
+    if not 0.0 < mu < math.inf:  # also rejects nan
+        raise ValueError(f"jet_real_power requires 0 < mu < inf, got {mu}")
     c0 = a.data[..., :1, :1]  # one 1 x 1 block per point
     _raise_where([abs(c.imag) > 1e-12 * max(1.0, abs(c.real)) or c.real <= 0
                   for c in c0.ravel().tolist()], "jet_real_power",

@@ -294,6 +294,7 @@ def test_case_analysis_out_still_prints_line(tmp_path, capsys):
     ["report", *DISK[:-2], "--mu", "1e-400"],  # underflows to 0.0
     ["appendix-table", "--max-d", "0"],  # skips every row
     ["appendix-table", "--max-d", "1"],
+    ["report", "--domain", "type2", "--n", "4", "--m", "7"],  # --m is type1's
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)

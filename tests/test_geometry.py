@@ -382,7 +382,7 @@ def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
     assert str(want.value) == "metric at point 0: " + geometry._NOT_POSITIVE
     convex = Jet(1, BidegreeCap(1, 1),
                  np.array([[[1.0, 0.0], [0.0, 2.0]]], complex))  # one point
-    monkeypatch.setattr(geometry, "_norm_jet", lambda *a, **k: convex)
+    monkeypatch.setattr(geometry, "generic_norm_jet", lambda *a, **k: convex)
 
     def no_potential(*args, **kwargs):
         raise AssertionError("the frame accepted an indefinite metric")
@@ -626,10 +626,10 @@ def test_batch_errors_name_the_point_and_the_stage():
 
 
 def test_outside_base_points_are_named_by_the_norm_check(recwarn):
-    # the frame reads the norm unchecked, and hartogs_potential_jet checks
-    # the base points once; a base point outside the domain is still named
-    # by the norm check: where N < 0 (no warning from N^mu at mu = 4/5), and
-    # where N > 0 (type1(2,2) at z = 1.5 I, two singular values above 1)
+    # the frame reads its norm through generic_norm_jet, so a base point
+    # outside the domain is named by the norm check before the frame takes
+    # N^mu: where N < 0 (no warning from N^mu at mu = 4/5), and where N > 0
+    # (type1(2,2) at z = 1.5 I, two singular values above 1)
     for base, bad in ((type1(1, 2), (0.9, 0.9)), (type1(2, 2), (1.5, 0, 0, 1.5))):
         spec = HartogsSpec(base, F(4, 5))
         points = sample_hartogs(spec, 0, 3)
@@ -640,6 +640,24 @@ def test_outside_base_points_are_named_by_the_norm_check(recwarn):
                                                  "is not interior to type1"):
                 run(spec, outside)
     assert not recwarn.list
+
+
+def test_nan_points_are_named_by_their_stage():
+    # nan fails every comparison: a nan base point is named by the norm
+    # check, and a nan fiber by the frame's (and, at the identity frame, the
+    # potential's) N^mu - |w|^2 > 0 check
+    spec = HartogsSpec(type1(1, 2), F(4, 5))
+    points = sample_hartogs(spec, 0, 3)
+    nan = float("nan")
+    for bad, stage in ((HartogsPoint((nan, 0.1), 0.1), "norm"),
+                       (HartogsPoint(points[0].base, nan), "frame")):
+        stack = points[:1] + [bad] + points[1:]
+        for run in (curvature_reports, scalar_curvatures):
+            with pytest.raises(ValueError, match=f"^{stage} at point 1: "):
+                run(spec, stack)
+    with pytest.raises(ValueError, match="^potential at point 1: point lies "
+                                         "outside"):
+        hartogs_potential_jet(spec, _stack(stack), (2, 2))
 
 
 def test_imaginary_residue_in_a_batch_names_the_point_and_cond_g():

@@ -476,8 +476,9 @@ def test_log_and_power_guards():
         jet_real_power(neg, 0.5)
     with pytest.raises(ValueError):
         jet_real_power(imag, 0.5)
-    with pytest.raises(ValueError):
-        jet_real_power(jet_constant(1.0, 1, cap), -1.0)
+    for mu in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="requires 0 < mu < inf"):
+            jet_real_power(jet_constant(1.0, 1, cap), mu)
 
 
 def test_cofactor_det_on_constants_matches_numpy():
