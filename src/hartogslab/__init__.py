@@ -10,10 +10,9 @@ __version__ = "1.0.0"
 
 from .jets import (BidegreeCap, Jet, basis_exponents, jet_constant,
                    jet_log, jet_real_power, jet_variable)
-from .domains import (DomainSpec, ExceptionalDomainError, contains,
-                      generic_norm_jet, generic_norm_value,
-                      matrix_model, sample_interior, type1, type2, type3, type4,
-                      exc5, exc6)
+from .domains import (DomainSpec, contains, generic_norm_jet,
+                      generic_norm_value, matrix_model, sample_interior,
+                      type1, type2, type3, type4)
 from .geometry import (CurvatureReport, HartogsPoint, HartogsSpec, MetricData,
                        base_curvature_report, bergman_potential_jet,
                        curvature_report, curvature_reports,

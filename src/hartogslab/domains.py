@@ -11,8 +11,8 @@ Classical families:
   type4(n):    the Lie ball in C^n (n >= 5): 1 - 2 z zb^t + |z z^t|^2 > 0 and
                z zb^t < 1; dimension n, genus n.
 
-The two exceptional domains (exc5: d=16, genus=12; exc6: d=27, genus=18) carry
-dimension and genus only; every geometric operation on them is a hard error.
+The two exceptional domains have no coordinates here; the case analysis
+(cases.py) holds their (d, genus).
 
 The generic norm N(z, zb) is det(I - z zb^t) for types 1 and 3, its square
 root for type 2, and 1 - 2 z zb^t + |z z^t|^2 for type 4; N(0, 0) = 1 and
@@ -32,12 +32,7 @@ import numpy as np
 
 from .jets import Jet, _as_cap, _polynomials, _raise_where
 
-_CLASSICAL = ("type1", "type2", "type3", "type4")
-_KINDS = _CLASSICAL + ("exc5", "exc6")
-
-
-class ExceptionalDomainError(ValueError):
-    """Raised when geometry is requested on a constants-only exceptional domain."""
+_KINDS = ("type1", "type2", "type3", "type4")
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,8 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            raise ValueError(f"unknown domain kind {self.kind!r}; exc5 and exc6 "
+                             "appear only in the case analysis")
         if self.kind == "type1":
             if self.m is None or self.n is None or self.m < 1 or self.n < 1:
                 raise ValueError("type1 requires m >= 1 and n >= 1")
@@ -63,12 +59,8 @@ class DomainSpec:
         elif self.kind == "type3":
             if self.n is None or self.n < 2 or self.m is not None:
                 raise ValueError("type3 requires n >= 2 (and no m)")
-        elif self.kind == "type4":
-            if self.n is None or self.n < 5 or self.m is not None:
-                raise ValueError("type4 requires n >= 5 (and no m)")
-        else:
-            if self.m is not None or self.n is not None:
-                raise ValueError(f"{self.kind} takes no parameters")
+        elif self.n is None or self.n < 5 or self.m is not None:  # type4
+            raise ValueError("type4 requires n >= 5 (and no m)")
 
     @property
     def d(self) -> int:
@@ -78,9 +70,7 @@ class DomainSpec:
             return self.n * (self.n - 1) // 2
         if self.kind == "type3":
             return self.n * (self.n + 1) // 2
-        if self.kind == "type4":
-            return self.n
-        return 16 if self.kind == "exc5" else 27
+        return self.n  # type4
 
     @property
     def genus(self) -> int:
@@ -90,27 +80,18 @@ class DomainSpec:
             return 2 * (self.n - 1)
         if self.kind == "type3":
             return self.n + 1
-        if self.kind == "type4":
-            return self.n
-        return 12 if self.kind == "exc5" else 18
-
-    @property
-    def is_classical(self) -> bool:
-        return self.kind in _CLASSICAL
+        return self.n  # type4
 
     def label(self) -> str:
         if self.kind == "type1":
             return f"type1({self.m},{self.n})"
-        if self.kind in ("type2", "type3", "type4"):
-            return f"{self.kind}({self.n})"
-        return self.kind
+        return f"{self.kind}({self.n})"
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
         if self.kind == "type1":
             out["m"] = self.m
-        if self.kind in _CLASSICAL:
-            out["n"] = self.n
+        out["n"] = self.n
         return out
 
     @staticmethod
@@ -134,21 +115,6 @@ def type4(n: int) -> DomainSpec:
     return DomainSpec("type4", n=n)
 
 
-def exc5() -> DomainSpec:
-    return DomainSpec("exc5")
-
-
-def exc6() -> DomainSpec:
-    return DomainSpec("exc6")
-
-
-def _require_classical(spec: DomainSpec):
-    if not spec.is_classical:
-        raise ExceptionalDomainError(
-            f"{spec.kind} is catalogued with (d, genus) only; "
-            "no coordinate geometry is available")
-
-
 def _coords(spec: DomainSpec, z: Sequence) -> np.ndarray:
     v = np.asarray(z, dtype=np.complex128)
     v = v.reshape(0, spec.d) if v.shape == (0,) else v  # no points
@@ -161,7 +127,6 @@ def _coords(spec: DomainSpec, z: Sequence) -> np.ndarray:
 def matrix_model(spec: DomainSpec, z: Sequence) -> np.ndarray:
     """Assemble the matrix realization from independent coordinates
     (skew-symmetric completion for type2, symmetric for type3)."""
-    _require_classical(spec)
     return _matrix_model(spec, _coords(spec, z)[..., None])[..., 0]
 
 
@@ -210,7 +175,6 @@ def _norm_parts(spec: DomainSpec, v: np.ndarray):
 
 def contains(spec: DomainSpec, z: Sequence):
     """Strict interior membership test, per point."""
-    _require_classical(spec)
     v = _coords(spec, z)
     if spec.kind == "type4":
         zz, N = _norm_parts(spec, v)
@@ -220,7 +184,6 @@ def contains(spec: DomainSpec, z: Sequence):
 
 def generic_norm_value(spec: DomainSpec, z: Sequence):
     """Numeric N(z, zb), per point; positive on the domain, 1 at the origin."""
-    _require_classical(spec)
     v = _coords(spec, z)
     if spec.kind == "type4":
         return _norm_parts(spec, v)[1]
@@ -234,7 +197,6 @@ def sample_interior(spec: DomainSpec, seed: int, count: int) -> list:
     """Deterministic interior points: each coordinate uniform in the complex
     square of half-width 1/sqrt(d), rejected until membership holds; drawn
     and tested in blocks, and kept in draw order."""
-    _require_classical(spec)
     rng = np.random.default_rng(seed)
     r = 1.0 / math.sqrt(spec.d)
     out = []
@@ -279,7 +241,6 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     (-1)^k |Pf|^2 over the principal Pfaffians of Z of order 2k. Type 4:
     the terms are 1, z_i with weight -2, and z z^t = X^T U^T U X.
     """
-    _require_classical(spec)
     v = _coords(spec, p)
     _raise_where(~contains(spec, v), "norm",
                  lambda i: f"base point is not interior to {spec.label()}")

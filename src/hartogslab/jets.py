@@ -34,6 +34,7 @@ Jets are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from itertools import product
@@ -455,29 +456,32 @@ def _degree_grid(a: Jet):
 
 
 def jet_log(a: Jet) -> Jet:
-    """Principal-branch log of the series; constant term must avoid 0 and the
-    negative real axis (all in-scope potentials keep it on the positive axis).
-    From a E(b) = E(a), E the Euler operator (the total-degree-n part times
-    n): b_n = a_n / a_0 - (1/(n a_0)) sum_{j >= 1} (n - j) a_j b_{n-j}."""
+    """Principal-branch log of the series; constant term must be finite and
+    avoid 0 and the negative real axis (all in-scope potentials keep it on the
+    positive axis). From a E(b) = E(a), E the Euler operator (the
+    total-degree-n part times n):
+    b_n = a_n / a_0 - (1/(n a_0)) sum_{j >= 1} (n - j) a_j b_{n-j}."""
     c0 = a.data[..., :1, :1]  # one 1 x 1 block per point
-    _raise_where([c == 0 or c.real < 0 and c.imag == 0 for c in c0.ravel().tolist()],
-                 "jet_log", "the constant term must be nonzero and off the branch cut")
+    _raise_where([not cmath.isfinite(c) or c == 0 or c.real < 0 and c.imag == 0
+                  for c in c0.ravel().tolist()], "jet_log",
+                 "the constant term must be finite, nonzero and off the branch cut")
     n, j = _degree_grid(a)
     return _graded_solve(a, np.log(c0), (j - n) / (n * c0), init=1.0 / c0)
 
 
 def jet_real_power(a: Jet, mu: float) -> Jet:
-    """a**mu for real 0 < mu < inf; the constant term must be a positive real
-    (roundoff-level imaginary dust is tolerated and discarded). From
+    """a**mu for real 0 < mu < inf; the constant term must be a finite positive
+    real (roundoff-level imaginary dust is tolerated and discarded). From
     a E(b) = mu b E(a): b_n = (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n)
     a_j b_{n-j}."""
     mu = float(mu)
     if not 0.0 < mu < math.inf:  # also rejects nan
         raise ValueError(f"jet_real_power requires 0 < mu < inf, got {mu}")
     c0 = a.data[..., :1, :1]  # one 1 x 1 block per point
-    _raise_where([abs(c.imag) > 1e-12 * max(1.0, abs(c.real)) or c.real <= 0
+    _raise_where([not (0.0 < c.real < math.inf  # also rejects nan
+                       and abs(c.imag) <= 1e-12 * max(1.0, c.real))
                   for c in c0.ravel().tolist()], "jet_real_power",
-                 "requires a positive real constant term")
+                 "requires a finite positive real constant term")
     c0 = c0.real
     n, j = _degree_grid(a)
     return _graded_solve(a, c0 ** mu, ((mu + 1.0) * j - n) / (n * c0))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
-from .domains import DomainSpec, ExceptionalDomainError
+from .domains import DomainSpec
 
 F = Fraction
 
@@ -118,9 +118,6 @@ def appendix_R2_base(spec: DomainSpec) -> Fraction:
     the jet engine on the full log-det potential, and a direct trace-form
     contraction of the quartic term of the potential (curvature at the origin
     only sees that term)."""
-    if not spec.is_classical:
-        raise ExceptionalDomainError(
-            f"{spec.kind}: no closed-form curvature norm is catalogued")
     n = spec.n
     if spec.kind == "type1":
         m = spec.m

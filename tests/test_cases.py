@@ -7,7 +7,7 @@ import pytest
 from hartogslab.cases import (CASE1_N_MAX, CaseVerdict, _case1, classify_all,
                               constancy_constraints, exceptional_integrality,
                               integer_root_scan)
-from hartogslab.domains import exc5, exc6, type1, type3
+from hartogslab.domains import type1
 from hartogslab.oracles import OracleInputs, a2_quadratic_coeffs
 
 
@@ -97,7 +97,7 @@ def test_scan_validation():
 
 
 def test_exceptional_witnesses():
-    v5 = exceptional_integrality(exc5())
+    v5 = exceptional_integrality("exc5")
     assert v5.case_id == 5
     assert v5.surviving_parameters == []
     e = v5.evidence
@@ -108,7 +108,7 @@ def test_exceptional_witnesses():
     assert e["remainder"] == 8
     assert e["is_integer"] is False
 
-    v6 = exceptional_integrality(exc6())
+    v6 = exceptional_integrality("exc6")
     assert v6.case_id == 6
     e = v6.evidence
     assert (e["d"], e["genus"]) == (27, 18)
@@ -119,8 +119,9 @@ def test_exceptional_witnesses():
 
 
 def test_exceptional_integrality_rejects_classical():
-    with pytest.raises(ValueError):
-        exceptional_integrality(type3(3))
+    for kind in ("type3", "exc7"):
+        with pytest.raises(ValueError):
+            exceptional_integrality(kind)
 
 
 def test_classify_all():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from hartogslab.domains import (DomainSpec, ExceptionalDomainError, contains,
-                                exc5, exc6, generic_norm_jet,
+from hartogslab.domains import (DomainSpec, contains, generic_norm_jet,
                                 generic_norm_value, matrix_model,
                                 sample_interior, type1, type2, type3, type4)
 
@@ -21,8 +20,6 @@ DIM_GENUS_TABLE = [
     (type3(3), 6, 4),
     (type4(5), 5, 5),
     (type4(7), 7, 7),
-    (exc5(), 16, 12),
-    (exc6(), 27, 18),
 ]
 
 
@@ -36,7 +33,6 @@ def test_labels():
     assert type1(2, 3).label() == "type1(2,3)"
     assert type2(4).label() == "type2(4)"
     assert type4(6).label() == "type4(6)"
-    assert exc5().label() == "exc5"
 
 
 def test_type1_canonicalizes_m_le_n():
@@ -60,7 +56,7 @@ def test_invalid_parameters_rejected(bad):
 
 
 def test_json_roundtrip():
-    for spec in (type1(2, 3), type2(4), type3(3), type4(5), exc6()):
+    for spec in (type1(2, 3), type2(4), type3(3), type4(5)):
         assert DomainSpec.from_json_dict(spec.to_json_dict()) == spec
 
 
@@ -242,19 +238,11 @@ def test_norm_jet_requires_interior_base_point():
         generic_norm_jet(type1(1, 1), [1.5], (2, 2))
 
 
-def test_exceptional_domains_are_constants_only():
-    for spec in (exc5(), exc6()):
-        assert not spec.is_classical
-        with pytest.raises(ExceptionalDomainError):
-            contains(spec, np.zeros(spec.d))
-        with pytest.raises(ExceptionalDomainError):
-            generic_norm_value(spec, np.zeros(spec.d))
-        with pytest.raises(ExceptionalDomainError):
-            generic_norm_jet(spec, np.zeros(spec.d), (1, 1))
-        with pytest.raises(ExceptionalDomainError):
-            sample_interior(spec, seed=0, count=1)
-        with pytest.raises(ExceptionalDomainError):
-            matrix_model(spec, np.zeros(spec.d))
+@pytest.mark.parametrize("kind", ["exc5", "exc6"])
+def test_exceptional_kinds_are_not_domain_specs(kind):
+    # the exceptional pair lives in the case analysis as (d, genus) only
+    with pytest.raises(ValueError, match="only in the case analysis"):
+        DomainSpec(kind)
 
 
 CLASSICAL_UP_TO_D6 = [type1(1, 1), type1(1, 2), type1(1, 3), type1(1, 4),

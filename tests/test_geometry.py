@@ -23,7 +23,7 @@ from hartogslab.geometry import (FULL_CAP, HartogsPoint, HartogsSpec,
                                  curvature_tensor, hartogs_potential_jet, metric_at,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at,
-                                 scalar_curvatures, tensor_norms)
+                                 scalar_curvatures)
 from hartogslab.jets import (BidegreeCap, Jet, jet_log, jet_real_power,
                              jet_variable)
 from hartogslab.oracles import OracleInputs, appendix_R2_base, \

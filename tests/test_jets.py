@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from itertools import permutations, product
 
 import numpy as np
@@ -479,6 +480,24 @@ def test_log_and_power_guards():
     for mu in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="requires 0 < mu < inf"):
             jet_real_power(jet_constant(1.0, 1, cap), mu)
+
+
+@pytest.mark.parametrize("c", [float("nan"), complex(float("nan"), 0.0),
+                               complex(1.0, float("nan")), float("inf")],
+                         ids=["nan", "nan+0j", "1+nanj", "inf"])
+@pytest.mark.parametrize("f,stage", [(jet_log, "jet_log"),
+                                     (lambda a: jet_real_power(a, 0.5),
+                                      "jet_real_power")],
+                         ids=["log", "power"])
+def test_log_and_power_reject_non_finite_constant_terms(c, f, stage):
+    # point 0 is valid, so the error must name point 1
+    cap = BidegreeCap(1, 1)
+    good, bad = jet_constant(1.0, 1, cap), jet_constant(c, 1, cap)
+    a = Jet(1, cap, np.stack([good.data, bad.data]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{stage} at point 1: "):
+            f(a)
 
 
 def test_cofactor_det_on_constants_matches_numpy():

@@ -10,8 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import helpers
-from hartogslab.domains import (ExceptionalDomainError, exc5, exc6, type1,
-                                type2, type3, type4)
+from hartogslab.domains import type1, type2, type3, type4
 from hartogslab.oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
                                 appendix_R2_base, lap_k_formula, ric2_formula,
                                 scalar_curvature_formula)
@@ -151,12 +150,6 @@ def test_appendix_rank_one_reduces_to_ball():
 
 def test_appendix_transpose_symmetry():
     assert appendix_R2_base(type1(3, 2)) == appendix_R2_base(type1(2, 3))
-
-
-def test_appendix_exceptional_raises():
-    for spec in (exc5(), exc6()):
-        with pytest.raises(ExceptionalDomainError):
-            appendix_R2_base(spec)
 
 
 TRACE_FORM_SPECS = [type1(1, 2), type1(2, 2), type1(2, 3), type1(1, 4),
