@@ -200,7 +200,11 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
     Izzb = np.zeros(n0.shape[:-2] + (d + 1, d + 1), dtype=np.complex128)
     Izzb[..., :d, :d] = scale * (N.partials(1, 1) + (mu - 1.0) * (Nz * Nzb) / n0)
     Izzb[..., d, d] = -1.0
-    return Iz * Izb / I0 ** 2 - Izzb / I0
+    with np.errstate(all="ignore"):  # I0 ** 2 underflows at large mu: named below
+        g = Iz * Izb / I0 ** 2 - Izzb / I0
+    _raise_where(~np.isfinite(g).all(axis=(-2, -1)), "frame", lambda i:
+                 "the metric leaves float64 (N^mu - |w|^2 = %.1e)" % I0.ravel()[i])
+    return g
 
 
 def _cholesky(g: np.ndarray, stage: str) -> np.ndarray:

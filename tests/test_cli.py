@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ import helpers
 import hartogslab
 from hartogslab import __version__, cli, geometry, jets
 from hartogslab.cli import main
-from hartogslab.domains import type1, type2, type3, type4
+from hartogslab.domains import (DomainSpec, generic_norm_value, type1, type2,
+                                type3, type4)
 from hartogslab.geometry import (HartogsPoint, HartogsSpec,
                                  curvature_report_from_potential,
                                  origin_fiber_points, sample_hartogs)
+from hartogslab.oracles import OracleInputs, scalar_curvature_formula
 
 DISK = ["--domain", "type1", "--m", "1", "--n", "1", "--mu", "2"]
 BALL2_HYP = ["--domain", "type1", "--m", "1", "--n", "2", "--mu", "1"]
@@ -459,3 +462,50 @@ def test_failing_point_is_named_by_its_index(capsys, monkeypatch):
     code, out, err = run(capsys, ["report", *BALL2_HYP])
     assert code == 1 and out == ""
     assert err.startswith("error: norm at point 4: base point is not interior")
+
+
+@pytest.mark.parametrize("base", SWEEP_BASES,
+                         ids=[DomainSpec(*b).label() for b in SWEEP_BASES])
+def test_k_at_tau_is_the_n_mu_form(base):
+    # the CLI reads k at a generic point from the fiber-slice table at
+    # tau = |w|^2 / N^mu (n_mu = 1); the interior form with n_mu = N^mu
+    # is the same closed form up to rounding
+    spec = DomainSpec(*base)
+    for mu in (1.0, 0.8, 3.0):
+        hspec = HartogsSpec(spec, mu)
+        points = sample_hartogs(hspec, 0, 20)
+        norms = generic_norm_value(spec, [pt.base for pt in points]).tolist()
+        for pt, norm, got in zip(points, norms, cli._oracle_targets(hspec, points)):
+            want = scalar_curvature_formula(OracleInputs(
+                d=spec.d, genus=spec.genus, mu=mu, t=abs(pt.fiber) ** 2),
+                n_mu=norm ** mu)
+            assert abs(got["k"] - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def test_one_oracle_table_per_command(capsys, monkeypatch):
+    # the closed forms' fixed parts (the base |R|^2 and a2's coefficients)
+    # are built once per command, not once per point
+    calls = []
+    for name in ("a2_quadratic_coeffs", "appendix_R2_base"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda arg, fn=fn, name=name: (
+            calls.append(name) or fn(arg)))
+    for command in ("report", "verify-lemmas"):
+        calls.clear()
+        assert run(capsys, [command, *BALL2_HYP])[0] == 0
+        assert sorted(calls) == ["a2_quadratic_coeffs", "appendix_R2_base"], command
+
+
+@pytest.mark.parametrize("argv", [
+    ["--domain", "type3", "--n", "2", "--mu", "100"],
+    ["--domain", "type3", "--n", "2", "--mu", "300"],
+    ["--domain", "type1", "--m", "1", "--n", "2", "--mu", "300"],
+])
+def test_large_mu_fails_at_the_frame(capsys, argv):
+    # N^mu - |w|^2 or its square leaves float64 at a sampled point: the
+    # exit-1 line names the frame and the point, and numpy warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["report", *argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: frame at point ")

@@ -6,6 +6,7 @@ independent stencils in tests/helpers.py.
 """
 
 import re
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -391,6 +392,18 @@ def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
     with pytest.raises(ValueError) as got:
         scalar_curvature_at(DISK, _origin(DISK))
     assert str(got.value) == "frame at point 0: " + geometry._NOT_POSITIVE
+
+
+def test_frame_names_a_metric_that_leaves_float64():
+    # at mu = 100 the sampler reaches points with N^mu - |w|^2 near 1e-190,
+    # whose square underflows: the frame raises for that point, with no
+    # numpy warning, instead of letting Cholesky or inv fail unnamed
+    spec = HartogsSpec(type3(2), 100.0)
+    points = sample_hartogs(spec, seed=0, count=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^frame at point 1: "):
+            curvature_reports(spec, points)
 
 
 def test_laplacian_matches_finite_differences():
