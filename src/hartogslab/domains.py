@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import Jet, _as_cap, _polynomials, _raise_where
+from .jets import Jet, _affine, _affine_product, _as_cap, _raise_where
 
 _KINDS = ("type1", "type2", "type3", "type4")
 
@@ -139,14 +139,6 @@ def _triu(n: int, k: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _subsets(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n) in lexicographic order, one per row."""
-    out = np.array(list(combinations(range(n), k)))
-    out.setflags(write=False)
-    return out
-
-
 def _matrix_model(spec: DomainSpec, v: np.ndarray) -> np.ndarray:
     """matrix_model of each column of the (..., spec.d, k) array v, indexed
     [..., row, column, k]."""
@@ -208,19 +200,34 @@ def sample_interior(spec: DomainSpec, seed: int, count: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _levi_civita(k: int) -> np.ndarray:
-    """eps[i1, .., ik] = det(e_i1, .., e_ik), exactly: 0 or a permutation's sign."""
-    units = np.eye(k)[np.indices((k,) * k).reshape(k, -1).T]
-    return np.linalg.det(units).reshape((k,) * k)
+def _pfaffian_tables(n: int, split: int) -> tuple:
+    """Expansion tables of the principal Pfaffians of a skew n x n matrix K.
+    Its entries K[a, b], a < b, that may be nonzero are listed in
+    lexicographic order, and entry e is also the Pfaffian on its pair: all
+    a < b if split is 0, else a < split <= b, for K = [[0, Z], [-Z^T, 0]],
+    where only the index sets with as many indices below split as above
+    have a nonzero Pfaffian (+- a square minor of Z). Per order 2k >= 4,
+    over the sets in lexicographic order, Pf(S) = sum_j (-1)^(j-1) K[s_0,
+    s_j] Pf(S - {s_0, s_j}): each term's entry, sign and sub-Pfaffian (its
+    index in order 2k - 2), and where each set's terms start."""
+    def held(a, b):
+        return split == 0 or a < split <= b
 
-
-def _alternating(k: int, factors) -> np.ndarray:
-    """sum_s sgn(s) prod_f B_f[.., s[slots_f], h_f] over the permutations s of
-    range(k), for factors (B_f, slots_f): an order-len(factors) tensor in h."""
-    args = [_levi_civita(k), list(range(k))]
-    for f, (B, slots) in enumerate(factors):
-        args += [B, [..., *slots, k + f]]
-    return np.einsum(*args, [..., *range(k, k + len(factors))])
+    sets = [S for S in combinations(range(n), 2) if held(*S)]
+    entry, out = {S: e for e, S in enumerate(sets)}, []
+    for k in range(2, n // 2 + 1):
+        index = {S: i for i, S in enumerate(sets)}
+        sets = [S for S in combinations(range(n), 2 * k)
+                if split == 0 or sum(s < split for s in S) == k]
+        if not sets:
+            break
+        ent, sign, sub, owner = np.array([
+            (entry[S[0], s], (-1) ** (j - 1), index[S[1:j] + S[j + 1:]], i)
+            for i, S in enumerate(sets) for j, s in enumerate(S)
+            if j and held(S[0], s)]).T
+        out.append((ent, sign.astype(np.float64), sub,
+                    np.flatnonzero(np.diff(owner, prepend=-1))))
+    return tuple(out)
 
 
 def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
@@ -230,16 +237,18 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     jacobian is a (spec.d, num_vars) matrix, or one per point, default the
     identity.
 
-    Every N is a signed sum of squares sum_j s_j |p_j(z)|^2 of holomorphic
-    polynomials. With X = (1, x) and U = [p | jacobian], z = U X, so each
-    p_j is a homogeneous tensor in X, and the jet's coefficient array is
-    sum_j s_j P_j conj(P_j)^T over the p_j's coefficient rows P_j: one
-    stacked matrix product per tensor order. Types 1 and 3: the matrix model
-    is linear, so Z = Y X with Y[..., h] the matrix model of U[:, h], and by
-    Cauchy-Binet det(I - Z Z^H) is the sum over k >= 0 of (-1)^k |M|^2 over
-    the k x k minors M of Z. Type 2: N itself is the sum over k >= 0 of
-    (-1)^k |Pf|^2 over the principal Pfaffians of Z of order 2k. Type 4:
-    the terms are 1, z_i with weight -2, and z z^t = X^T U^T U X.
+    Every N is a signed sum of squares sum_j s_j |P_j(z)|^2 of holomorphic
+    polynomials, and z = U (1, x) with U = [p | jacobian], so the jet's
+    coefficient array is sum_j s_j P_j conj(P_j)^T over the P_j's
+    coefficient rows, truncated to max(cap): a stacked matrix product per
+    order. Types 1-3: N = sum_k (-1)^k |Pf|^2 over the principal
+    Pfaffians of order 2k of a skew matrix K with affine entries: K = Z for
+    type 2, and K = [[0, Z], [-Z^T, 0]] for types 1 and 3, whose Pfaffians
+    are the minors of Z up to sign (Cauchy-Binet). Those of order 2 are K's
+    entries, and each of order 2k >= 4 is expanded along its first index
+    from those of order 2k - 2 (see _pfaffian_tables), as a truncated
+    series of degree <= min(k, max(cap)). Type 4: the terms are 1, z_i
+    with weight -2, and z z^t.
     """
     v = _coords(spec, p)
     _raise_where(~contains(spec, v), "norm",
@@ -257,32 +266,26 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     U = np.empty(batch + (d, m + 1), dtype=np.complex128)  # z = U @ (1, x)
     U[..., 0] = v
     U[..., 1:] = jac
-    terms = []  # (sign, tensors in X, their order); the term 1 is added last
     if spec.kind == "type4":
-        terms = [(-2.0, U, 1), (1.0, (U.swapaxes(-1, -2) @ U)[..., None, :, :], 2)]
+        z = _affine(U, 1)
+        zzt = _affine_product(z, z, min(2, max(cap))).sum(axis=-2, keepdims=True)
+        terms = [(-2.0, z), (1.0, zzt)]
     else:
-        Y = _matrix_model(spec, U)  # Z = Y @ (1, x), linear in X
-        rows, cols = Y.shape[-3:-1]
         if spec.kind == "type2":
-            # Pf = sum_s sgn(s) prod_f Z[s_2f, s_2f+1] / (2^k k!), f < k
-            for k in range(1, rows // 2 + 1):
-                S = _subsets(rows, 2 * k)
-                B = Y[..., S[:, :, None], S[:, None, :], :]
-                pf = _alternating(2 * k, [(B, (2 * f, 2 * f + 1)) for f in range(k)])
-                terms.append(((-1.0) ** k, pf / (2 ** k * math.factorial(k)), k))
+            entries, n, split = U, spec.n, 0
         else:
-            # det = sum_s sgn(s) prod_i Z[i, s_i], i < k
-            for k in range(1, rows + 1):
-                R, C = _subsets(rows, k), _subsets(cols, k)
-                B = Y[..., R[:, None, :, None], C[None, :, None, :], :].reshape(
-                    batch + (-1, k, k, m + 1))
-                minor = _alternating(k, [(B[..., i, :, :], (i,)) for i in range(k)])
-                terms.append(((-1.0) ** k, minor, k))
+            Y = _matrix_model(spec, U)  # Z = Y @ (1, x)
+            entries = Y.reshape(batch + (-1, m + 1))
+            n, split = sum(Y.shape[-3:-1]), Y.shape[-3]
+        K = _affine(entries, 1)  # K's entries: its Pfaffians of order 2
+        terms = [(-1.0, K)]
+        for k, (ent, sign, sub, starts) in enumerate(_pfaffian_tables(n, split), 2):
+            pf = _affine_product(sign[:, None] * K[..., ent, :],
+                                 terms[-1][1][..., sub, :], min(k, max(cap)))
+            terms.append((-terms[-1][0], np.add.reduceat(pf, starts, axis=-2)))
     N = Jet._zeros(m, cap, batch)
     N[..., 0, 0] = 1.0
-    for sign, T, order in terms:
-        # order-k tensors fill only the monomials of degree <= k
-        P = _polynomials(T, order, min(order, max(cap)))
+    for sign, P in terms:
         H, W = min(P.shape[-1], N.shape[-2]), min(P.shape[-1], N.shape[-1])
         N[..., :H, :W] += (sign * P[..., :H]).swapaxes(-1, -2) @ P[..., :W].conj()
     if cap.holo == cap.anti:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .domains import DomainSpec, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import _CHUNK, BidegreeCap, Jet, _polynomials, _raise_where, \
+from .jets import _CHUNK, BidegreeCap, Jet, _affine, _raise_where, \
     _space_size, basis_exponents, jet_log, jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
@@ -163,7 +163,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     u = np.empty(batch + (1, d + 2), dtype=np.complex128)  # w = u @ (1, x)
     u[..., 0, 0] = point.fiber
     u[..., 0, 1:] = frame[..., d, :]
-    w = _polynomials(u, 1, max(cap))[..., 0, :]
+    w = _affine(u, max(cap))[..., 0, :]
     H, W = _space_size(d + 1, cap.holo), _space_size(d + 1, cap.anti)
     inner = np.negative(w[..., :H, None] * w[..., None, :W].conj())
     inner.reshape(batch + (-1,))[..., _base_positions(d, cap)] += \
@@ -191,7 +191,10 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
     N = generic_norm_jet(spec.base, point.base, BidegreeCap(1, 1))
     n0 = N.data[..., :1, :1].real  # scalars as 1 x 1 blocks, per point
     w0 = np.asarray(point.fiber, dtype=np.complex128)[..., None, None]
-    I0 = n0 ** mu - np.abs(w0) ** 2
+    power = n0 ** mu
+    _raise_where((n0 > 0.0) & (power == 0.0), "frame", lambda i:
+                 "N^mu underflows float64 (N = %.4g, mu = %g)" % (n0.ravel()[i], mu))
+    I0 = power - np.abs(w0) ** 2
     _raise_where(~(I0[..., 0, 0] > 0.0), "frame", _OUTSIDE)  # nan fails too
     scale = mu * n0 ** (mu - 1.0)
     Nz, Nzb = N.partials(1, 0)[..., :, None], N.partials(0, 1)[..., None, :]

@@ -8,9 +8,10 @@ point. That retained monomial box is the complement of an ideal, so truncation
 is a ring quotient map: sums, logs and powers computed on jets agree exactly
 with the truncation of the true series, coefficient by coefficient. Jets
 scale by numbers; there is no jet-by-jet product, which no report needs.
-Polynomials in X = (1, x), with x the offset from the base point, come in as
-homogeneous tensors in X; _polynomials gathers a tensor's entries onto the
-monomial basis.
+Affine polynomials c + l . x in the offset x from the base point come in as
+rows (c, l_1, .., l_m), which _affine places on the monomial basis, and
+_affine_product multiplies holomorphic series by them, truncated: so the
+generic norms build their Pfaffians (see domains.generic_norm_jet).
 
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
 over graded-lex monomial bases, with leading batch axes, one jet per point:
@@ -37,7 +38,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -73,29 +73,33 @@ def basis_exponents(m: int, degree: int) -> tuple:
     return tuple(e for t in range(degree + 1) for e in _exponents(m, t))
 
 
-@lru_cache(maxsize=None)
-def _basis_index(m: int, degree: int) -> dict:
-    return {e: i for i, e in enumerate(basis_exponents(m, degree))}
+def _basis_index(m: int, degree: int, exps: np.ndarray) -> np.ndarray:
+    """The basis index of each row of exponents exps (..., m) of total degree
+    <= degree, by np.searchsorted on integer keys that increase along the
+    graded basis: the total degree, then the exponents, as the digits of a
+    number in base degree + 1."""
+    if (degree + 1) ** (m + 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"no int64 keys for {m} variables at degree {degree}")
+    digits = (degree + 1) ** np.arange(m, -1, -1, dtype=np.int64)
+    keys = [e.sum(axis=-1) * digits[0] + e @ digits[1:]
+            for e in (np.array(basis_exponents(m, degree)), exps)]
+    return np.searchsorted(*keys)
 
 
 @lru_cache(maxsize=None)
 def _pair_tables(m: int, degree: int):
     """Index tables (ia, ib, ic) of every ordered monomial pair whose product
-    stays within the degree bound, sorted by the product's index ic."""
-    exps = basis_exponents(m, degree)
-    index = _basis_index(m, degree)
-    degs = [sum(e) for e in exps]
-    ia, ib, ic = [], [], []
-    for i, ei in enumerate(exps):
-        di = degs[i]
-        for j, ej in enumerate(exps):
-            if di + degs[j] > degree:
-                continue
-            ia.append(i)
-            ib.append(j)
-            ic.append(index[tuple(x + y for x, y in zip(ei, ej))])
+    stays within the degree bound, sorted by the product's index ic; the
+    pairs of one product keep ia, then ib, ascending."""
+    degs = _degrees(m, degree)
+    # the monomials of degree <= degree - deg a are a prefix of the basis
+    count = np.searchsorted(degs, degree - degs, side="right")
+    ia = np.repeat(np.arange(degs.size), count)
+    ib = np.arange(ia.size) - np.repeat(np.cumsum(count) - count, count)
+    exps = np.array(basis_exponents(m, degree))
+    ic = _basis_index(m, degree, exps[ia] + exps[ib])
     order = np.argsort(ic, kind="stable")
-    return tuple(np.array(t, dtype=np.intp)[order] for t in (ia, ib, ic))
+    return ia[order], ib[order], ic[order]
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +211,10 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes, upper: bool = False) -> tuple:
 
 
 def _convolve(a, b, left, right, starts):
-    """Sum of a[:, left] * b[:, right] over each destination segment."""
-    prod = a.take(left, axis=1)
-    prod *= b.take(right, axis=1)
-    return np.add.reduceat(prod, starts, axis=1)
+    """Sum of a[..., left] * b[..., right] over each destination segment."""
+    prod = a.take(left, axis=-1)
+    prod *= b.take(right, axis=-1)
+    return np.add.reduceat(prod, starts, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -219,13 +223,10 @@ def _gather_table(m: int, order: int):
     monomial x_i1 ... x_i_order and the factorial factor turning its Taylor
     coefficient into the partial derivative. The graded basis makes the index
     valid at every degree >= order."""
-    index = _basis_index(m, order)
-    src, fac = [], []
-    for idx in product(range(m), repeat=order):
-        e = tuple(idx.count(v) for v in range(m))
-        src.append(index[e])
-        fac.append(math.prod(math.factorial(x) for x in e))
-    return np.array(src, dtype=np.intp), np.array(fac, dtype=np.float64)
+    tuples = np.indices((m,) * order).reshape(order, m ** order).T
+    exps = (tuples[:, :, None] == np.arange(m)).sum(axis=1)
+    factorials = np.array([math.factorial(e) for e in range(order + 1)], float)
+    return _basis_index(m, order, exps), factorials[exps].prod(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -243,35 +244,26 @@ def _partials_table(m: int, anti: int, p: int, q: int):
     return index, weight
 
 
-@lru_cache(maxsize=None)
-def _tuple_runs(m: int, order: int, degree: int):
-    """The index tuples (i1..i_order) in range(m + 1)^order, as flat C-order
-    indices, whose monomial X_i1 .. X_i_order in X = (1, x_1, .., x_m) has
-    degree <= degree in x, grouped by that monomial: the tuples sorted by
-    the monomial's basis index, where each run of them starts, and each
-    run's basis index."""
-    tuples = np.indices((m + 1,) * order).reshape(order, (m + 1) ** order)
-    exps = (tuples[..., None] == np.arange(1, m + 1)).sum(axis=0)
-    keep = np.flatnonzero(exps.sum(axis=1) <= degree)
-    index = _basis_index(m, degree)
-    dst = np.array([index[e] for e in map(tuple, exps[keep].tolist())],
-                   dtype=np.intp)
-    sort = np.argsort(dst, kind="stable")
-    src, dst = keep[sort], dst[sort]
-    starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    return src, starts, dst[starts]
-
-
-def _polynomials(T: np.ndarray, order: int, degree: int) -> np.ndarray:
-    """Coefficients over the graded basis of degree <= degree of the
-    polynomials sum T[..., j, i1, .., ik] X_i1 .. X_ik in x, one row per j,
-    where X = (1, x_1, .., x_m) and T is (..., J) + (m + 1,) * order; terms
-    above degree are dropped."""
-    m, lead = T.shape[-1] - 1, T.shape[:-order]
-    src, starts, dst = _tuple_runs(m, order, degree)
-    out = np.zeros(lead + (_space_size(m, degree),), dtype=np.complex128)
-    out[..., dst] = np.add.reduceat(T.reshape(lead + (-1,))[..., src], starts, axis=-1)
+def _affine(T: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients over the graded basis of degree <= degree (>= 1) of the
+    affine polynomials T[..., 0] + sum_i T[..., i] x_i in x_1..x_m, where T
+    is (..., m + 1)."""
+    m = T.shape[-1] - 1
+    out = np.zeros(T.shape[:-1] + (_space_size(m, degree),), dtype=np.complex128)
+    out[..., 0] = T[..., 0]
+    out[..., 1:m + 1] = T[..., :0:-1]  # the basis holds x_m first, x_1 last
     return out
+
+
+def _affine_product(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+    """The products a b, truncated to degree, of holomorphic series over the
+    graded basis in m variables, where a (..., m + 1) holds degree <= 1 (as
+    _affine(T, 1) places it) and b (..., len(basis_exponents(m, j))) degree
+    <= j <= degree: the pairs of _pair_tables that both factors hold."""
+    ia, ib, ic = _pair_tables(a.shape[-1] - 1, degree)
+    keep = (ia < a.shape[-1]) & (ib < b.shape[-1])
+    return _convolve(a, b, ia[keep], ib[keep],
+                     np.flatnonzero(np.diff(ic[keep], prepend=-1)))
 
 
 def _space_size(m: int, degree: int) -> int:
@@ -383,7 +375,7 @@ def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
     if (cap.anti if anti else cap.holo) < 1:
         raise ValueError("unit exponent exceeds the cap for this character")
     data = Jet._zeros(num_vars, cap)
-    pos = _basis_index(num_vars, 1)[tuple(int(t == index) for t in range(num_vars))]
+    pos = num_vars - index  # the basis holds x_m first, x_1 last
     data[(0, pos) if anti else (pos, 0)] = 1.0
     return Jet(num_vars, cap, data)
 

@@ -17,6 +17,7 @@ import math
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -102,6 +103,37 @@ def derivative_jet(a, holo, anti):
     cols, col_factors = _shift(a.num_vars, a.cap.anti, anti)
     data = a.data[np.ix_(rows, cols)] * np.outer(row_factors, col_factors)
     return Jet(a.num_vars, BidegreeCap(a.cap.holo - 1, a.cap.anti - 1), data)
+
+
+# -- the jet engine's index tables by enumeration -------------------------------
+
+def pair_tables_by_enumeration(m, degree):
+    """jets._pair_tables by a loop over every ordered pair of basis
+    monomials, each product looked up in a dict of exponent tuples."""
+    exps = basis_exponents(m, degree)
+    index = {e: i for i, e in enumerate(exps)}
+    ia, ib, ic = [], [], []
+    for i, a in enumerate(exps):
+        for j, b in enumerate(exps):
+            if sum(a) + sum(b) <= degree:
+                ia.append(i)
+                ib.append(j)
+                ic.append(index[tuple(x + y for x, y in zip(a, b))])
+    order = np.argsort(ic, kind="stable")
+    return tuple(np.array(t, dtype=np.intp)[order] for t in (ia, ib, ic))
+
+
+def gather_table_by_enumeration(m, order):
+    """jets._gather_table by a loop over every index tuple (i1..i_order):
+    the basis index of x_i1 .. x_i_order and the product of the factorials
+    of its exponents."""
+    index = {e: i for i, e in enumerate(basis_exponents(m, order))}
+    src, fac = [], []
+    for idx in product(range(m), repeat=order):
+        e = tuple(idx.count(v) for v in range(m))
+        src.append(index[e])
+        fac.append(math.prod(math.factorial(x) for x in e))
+    return np.array(src, dtype=np.intp), np.array(fac, dtype=np.float64)
 
 
 # -- cofactor determinant of a jet matrix ---------------------------------------

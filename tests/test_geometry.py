@@ -406,6 +406,19 @@ def test_frame_names_a_metric_that_leaves_float64():
             curvature_reports(spec, points)
 
 
+def test_frame_names_an_underflowing_norm_power():
+    # at mu = 300 seed-0 point 1 of type3(2) has N = 0.0126, so N^mu is 0.0
+    # in float64 (and the sampler's fiber with it): an interior point, which
+    # the frame must not call outside the domain
+    spec = HartogsSpec(type3(2), 300.0)
+    points = sample_hartogs(spec, seed=0, count=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^frame at point 1: N\^mu underflows "
+                                             r"float64 \(N = 0\.0126, mu = 300\)$"):
+            curvature_reports(spec, points)
+
+
 def test_laplacian_matches_finite_differences():
     point = HartogsPoint((0.15 - 0.1j,), 0.2)
     rep = curvature_report(DISK, point)

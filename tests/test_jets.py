@@ -69,6 +69,20 @@ def test_basis_is_graded_prefix():
     assert big[:len(small)] == small
 
 
+@pytest.mark.parametrize("m", range(1, 12))
+def test_index_tables_match_enumeration(m):
+    # the whole-array builders against Python loops over the monomials, at
+    # every degree the engine holds for small m and up to the report's 3
+    for degree in range(1 + (MAX_DEGREE if m <= 5 else 4 if m <= 7 else 3)):
+        got = jets._pair_tables(m, degree)
+        for g, w in zip(got, helpers.pair_tables_by_enumeration(m, degree)):
+            assert g.dtype == w.dtype and np.array_equal(g, w), degree
+    for order in range(4):
+        got = jets._gather_table(m, order)
+        for g, w in zip(got, helpers.gather_table_by_enumeration(m, order)):
+            assert g.dtype == w.dtype and np.array_equal(g, w), order
+
+
 def test_constant_and_variable_basics():
     cap = BidegreeCap(2, 2)
     c = jet_constant(3.5 - 1j, 2, cap)
