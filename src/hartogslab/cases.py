@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domains import type2, type3, type4
-from .oracles import OracleInputs, a2_quadratic_coeffs, appendix_R2_base
+from .oracles import OracleInputs, a2_quadratic_coeffs, appendix_R2_base, type1_R2_base
 
 F = Fraction
 
@@ -293,14 +293,14 @@ def _case1(n_max: int) -> CaseVerdict:
     if [p for p in survivors if p[0] == 1] != ball:
         raise RuntimeError("case 1 scan does not return the ball family m = 1")
     bad = [p for p in survivors if p[0] != 1]
-    # certify the two reductions on a subgrid with exact rationals:
-    # the cross-multiplied constancy condition and the factorization identity
+    # certify the two reductions on a subgrid with exact rationals: the
+    # cross-multiplied constancy condition, on the closed form that the
+    # appendix table and the oracles read, and the factorization identity
     cert = 80
     for mm in range(1, cert + 1):
         for nn in range(mm, cert + 1):
             d = mm * nn
-            lhs = F(2 * d * (d + 1), (mm + nn) ** 2)
-            cond = lhs == F(2 * d, d + 1)
+            cond = type1_R2_base(mm, nn) == F(2 * d, d + 1)
             if cond != ((d + 1) ** 2 == (mm + nn) ** 2):
                 raise RuntimeError("case 1 reduction certificate failed")
             if ((d + 1) ** 2 - (mm + nn) ** 2

@@ -15,6 +15,8 @@ All output is deterministic for a fixed argument vector: reports embed the
 domain spec, mu, seed, tolerances and package version, never timestamps.
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage error (a bad
 or out-of-range option value, or an --out path that cannot be written).
+An exit-1 error line names the failing stage and point, then the command
+and the domain and mu it ran on.
 """
 
 import argparse
@@ -403,7 +405,11 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except (ValueError, ArithmeticError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        run = args.command  # then the domain and mu, if the command takes one
+        if getattr(args, "domain", None):
+            run += " %s, mu = %s" % (DomainSpec(args.domain, args.m, args.n).label(),
+                                     args.mu)
+        sys.stderr.write("error: %s [%s]\n" % (exc, run))
         return 1
 
 

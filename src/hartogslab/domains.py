@@ -267,7 +267,7 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     U[..., 0] = v
     U[..., 1:] = jac
     if spec.kind == "type4":
-        z = _affine(U, 1)
+        z = _affine(U)
         zzt = _affine_product(z, z, min(2, max(cap))).sum(axis=-2, keepdims=True)
         terms = [(-2.0, z), (1.0, zzt)]
     else:
@@ -277,7 +277,7 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
             Y = _matrix_model(spec, U)  # Z = Y @ (1, x)
             entries = Y.reshape(batch + (-1, m + 1))
             n, split = sum(Y.shape[-3:-1]), Y.shape[-3]
-        K = _affine(entries, 1)  # K's entries: its Pfaffians of order 2
+        K = _affine(entries)  # K's entries: its Pfaffians of order 2
         terms = [(-1.0, K)]
         for k, (ent, sign, sub, starts) in enumerate(_pfaffian_tables(n, split), 2):
             pf = _affine_product(sign[:, None] * K[..., ent, :],

@@ -160,22 +160,21 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     if mu != 1.0:
         power = jet_real_power(power, mu)
     cap, batch = power.cap, power.data.shape[:-2]
-    u = np.empty(batch + (1, d + 2), dtype=np.complex128)  # w = u @ (1, x)
-    u[..., 0, 0] = point.fiber
-    u[..., 0, 1:] = frame[..., d, :]
-    w = _affine(u, max(cap))[..., 0, :]
-    H, W = _space_size(d + 1, cap.holo), _space_size(d + 1, cap.anti)
-    inner = np.negative(w[..., :H, None] * w[..., None, :W].conj())
-    inner.reshape(batch + (-1,))[..., _base_positions(d, cap)] += \
+    inner = Jet._zeros(d + 1, cap, batch)
+    inner.reshape(batch + (-1,))[..., _base_positions(d, cap)] = \
         power.data.reshape(batch + (-1,))
     del power  # N^mu is in inner: free it before the log
+    u = np.empty(batch + (d + 2,), dtype=np.complex128)  # w = u @ (1, x)
+    u[..., 0] = point.fiber
+    u[..., 1:] = frame[..., d, :]
+    w = _affine(u)
+    # |w|^2 lives on the degree <= 1 monomials of each character; with its
+    # exact Hermitian part there, I is exactly Hermitian where N^mu is
+    ww = w[..., :, None] * w[..., None, :].conj()
+    ww += ww.conj().swapaxes(-1, -2)
+    ww *= 0.5
+    inner[..., :d + 2, :d + 2] -= ww
     _raise_where(~(inner[..., 0, 0].real > 0.0), "potential", _OUTSIDE)  # nan fails too
-    if cap.holo == cap.anti:
-        # I is real, but the complex products of -w conj(w)^T leave its
-        # mirrored entries and its constant term off by an ulp; made exactly
-        # Hermitian, its log takes the real recurrence
-        inner += inner.conj().swapaxes(-1, -2)
-        inner *= 0.5
     return -jet_log(Jet(d + 1, cap, inner))
 
 
@@ -220,27 +219,27 @@ def _cholesky(g: np.ndarray, stage: str) -> np.ndarray:
 
 
 def _normal_potential(spec: HartogsSpec, points: Sequence[HartogsPoint], cap):
-    """The frame of _normal_frame at each point, and the potential jets in it."""
+    """A and A^{-1} of _normal_frame per point, and the potential jets in A."""
     point = HartogsPoint(np.array([p.base for p in points], dtype=np.complex128),
                          np.array([p.fiber for p in points], dtype=np.complex128))
-    A = _normal_frame(spec, point)
-    return A, hartogs_potential_jet(spec, point, cap, A)
+    A, B = _normal_frame(spec, point)
+    return A, B, hartogs_potential_jet(spec, point, cap, A)
 
 
-def _normal_frame(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
-    """The frame A = U^{-T}, where g = U U^H is the metric at the point and U
-    is upper triangular (the Cholesky factor of g with its index order
-    reversed). In x, with (z, w) = (z0, w0) + A x, the metric at the point is
-    I, so no direction of a near-boundary point dwarfs the others. A is lower
-    triangular, so the base coordinates do not involve x_d, as
-    hartogs_potential_jet requires. g is factored once, symmetrized, from the
-    closed form of _frame_metric, which needs only the cap-(1,1) norm jet
-    and no potential jet; metric_at runs its checks on the potential taken
-    in the frame."""
+def _normal_frame(spec: HartogsSpec, point: HartogsPoint):
+    """The frame A = U^{-T} and its inverse U^T, where g = U U^H is the metric
+    at the point and U is upper triangular (the Cholesky factor of g with its
+    index order reversed). In x, with (z, w) = (z0, w0) + A x, the metric at
+    the point is I, so no direction of a near-boundary point dwarfs the
+    others. A is lower triangular, so the base coordinates do not involve x_d,
+    as hartogs_potential_jet requires. g is factored once, symmetrized, from
+    the closed form of _frame_metric, which needs only the cap-(1,1) norm jet
+    and no potential jet; metric_at runs its checks on the potential taken in
+    the frame."""
     g = _frame_metric(spec, point)
     g = 0.5 * (g + g.conj().swapaxes(-1, -2))
     U = _cholesky(g[..., ::-1, ::-1], "frame")[..., ::-1, ::-1]
-    return np.linalg.inv(U).swapaxes(-1, -2)
+    return np.linalg.inv(U).swapaxes(-1, -2), U.swapaxes(-1, -2)
 
 
 # -- pointwise geometry -------------------------------------------------------
@@ -498,7 +497,7 @@ def _laplacian_from_parts(LD: LogDetParts, metric: MetricData,
 def scalar_curvatures(spec: HartogsSpec, points: Sequence[HartogsPoint]) -> list:
     """Scalar curvature only, on the cheap cap-(2,2) path, at each point,
     in the coordinates of _normal_frame."""
-    P = _normal_potential(spec, points, BidegreeCap(2, 2))[1]
+    P = _normal_potential(spec, points, BidegreeCap(2, 2))[-1]
     return ricci_and_scalar(P, metric_at(P))[1].tolist()
 
 
@@ -512,10 +511,9 @@ def curvature_reports(spec: HartogsSpec,
     """Everything at each point: metric, R, Ric, k, norms, Delta k, a0, a1,
     a2. The jets live in the coordinates x of _normal_frame; the scalars do
     not depend on coordinates, and the tensors are pulled back to (z, w)
-    with B = A^{-1} on each index."""
-    A, P = _normal_potential(spec, points, FULL_CAP)
+    with B = A^{-1}, the frame's own factor U^T, on each index."""
+    A, B, P = _normal_potential(spec, points, FULL_CAP)
     rep = curvature_report_from_potential(P)
-    B = np.linalg.inv(A)
     Bc = B.conj()
     g = _transform(rep.metric.g, (B, Bc))
     g_inv = _transform(rep.metric.g_inv, (A.conj().swapaxes(-1, -2),

@@ -16,26 +16,25 @@ generic norms build their Pfaffians (see domains.generic_norm_jet).
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
 over graded-lex monomial bases, with leading batch axes, one jet per point:
 (*batch, H, W); a one-point jet has batch shape (). Log and real power fill
-their result one total degree at a time (graded Taylor recurrences; Griewank
-& Walther, Evaluating Derivatives, 2nd ed., ch. 13) by a truncated Cauchy
-product over a table of the monomial pairs that land on that degree, whose
-left factors are coefficients that the operand holds (its nonzero pattern,
-see _pairs), summed per destination with np.add.reduceat. The table has no
-pair with a constant factor, whose term _graded_solve folds into the start
-value of each degree. The points of a batch that share a pattern share a
-table: at z = 0 the norms hold a few of their coefficients, and generic
-points hold nearly all of them.
-The jet of a real function has a Hermitian coefficient array, c[h, k] =
-conj(c[k, h]); on an exactly Hermitian input with real coefficients a
-recurrence reads a table of the destinations on or above the diagonal only,
-about half the pairs, and mirrors the rest (see _graded_solve). Every norm
-and potential the geometry takes a log or power of is such a jet.
+their result one total degree at a time (one graded Taylor recurrence in a
+real scalar; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13) by a
+truncated Cauchy product over a table of the monomial pairs that land on that
+degree, whose left factors are coefficients that the operand holds (its
+nonzero pattern, see _pairs), summed per destination with np.add.reduceat. The
+table has no pair with a constant factor, whose term _graded_solve folds into
+the start value of each degree. The points of a batch that share a pattern
+share a table: at z = 0 the norms hold a few of their coefficients, and
+generic points hold nearly all of them. The jet of a real function has a
+Hermitian coefficient array, c[h, k] = conj(c[k, h]); on an exactly Hermitian
+input at a square cap a recurrence reads a table of the destinations on or
+above the diagonal only, about half the pairs, and mirrors the rest (see
+_graded_solve). Every norm and potential the geometry takes a log or power of
+is such a jet.
 Jets are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -244,21 +243,18 @@ def _partials_table(m: int, anti: int, p: int, q: int):
     return index, weight
 
 
-def _affine(T: np.ndarray, degree: int) -> np.ndarray:
-    """Coefficients over the graded basis of degree <= degree (>= 1) of the
-    affine polynomials T[..., 0] + sum_i T[..., i] x_i in x_1..x_m, where T
-    is (..., m + 1)."""
-    m = T.shape[-1] - 1
-    out = np.zeros(T.shape[:-1] + (_space_size(m, degree),), dtype=np.complex128)
-    out[..., 0] = T[..., 0]
-    out[..., 1:m + 1] = T[..., :0:-1]  # the basis holds x_m first, x_1 last
-    return out
+def _affine(T: np.ndarray) -> np.ndarray:
+    """Coefficients over the graded basis of degree <= 1 of the affine
+    polynomials T[..., 0] + sum_i T[..., i] x_i in x_1..x_m, where T is
+    (..., m + 1)."""
+    # the basis holds x_m first, x_1 last
+    return np.concatenate((T[..., :1], T[..., :0:-1]), axis=-1, dtype=np.complex128)
 
 
 def _affine_product(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
     """The products a b, truncated to degree, of holomorphic series over the
     graded basis in m variables, where a (..., m + 1) holds degree <= 1 (as
-    _affine(T, 1) places it) and b (..., len(basis_exponents(m, j))) degree
+    _affine places it) and b (..., len(basis_exponents(m, j))) degree
     <= j <= degree: the pairs of _pair_tables that both factors hold."""
     ia, ib, ic = _pair_tables(a.shape[-1] - 1, degree)
     keep = (ia < a.shape[-1]) & (ib < b.shape[-1])
@@ -382,38 +378,33 @@ def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
 
 # -- analytic operations ------------------------------------------------------
 
-def _graded_solve(a: Jet, b0, weight: np.ndarray, init=0.0) -> Jet:
-    """The jet b with constant term b0 whose total-degree-n part, n >= 1, is
-    init a_n + [a^(n) b]_n, where a^(n) is a - a_0 with its total-degree-j
-    part scaled by weight[n, j]. Only degrees below n of b enter that
-    product, so one pass over the degrees fills b. Its term of b's constant,
-    weight[n, n] b0 a_n, is in the start value a_n (init + weight[n, n] b0)
-    of b's degree-n part, so the passes run only the pairs of two
-    non-constant factors and skip degrees 0, 1. b0, init and weight hold one
-    value or matrix per point of a batch. The points are grouped by their
-    nonzero pattern, and each group reads the pair table of its pattern
-    (see _pairs), so a point's sums are the same in any batch; each pass of
-    a group takes as many points as keep the _convolve temporaries near
-    _CHUNK elements, as one point's.
+def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
+    """The jet b with constant term b0 and, for n >= 1, b_n = init a_n +
+    sum_{j >= 1} (alpha j - n) / (n a_0) [a_j b_{n-j}]_n, where x_n is the
+    total-degree-n part of x: jet_log's and jet_real_power's recurrence.
+    One pass over the degrees fills b; the term j = n, of b's constant, is
+    in the start value (init + (alpha - 1) b0 / a_0) a_n, so the passes run
+    only the pairs of two non-constant factors. b0 and init hold one value
+    per point. The points are grouped by their nonzero pattern, and each
+    group reads the pair table of its pattern (see _pairs) in passes of as
+    many points as keep the _convolve temporaries near _CHUNK elements.
 
-    A real function has a Hermitian coefficient array, c[h, k] =
-    conj(c[k, h]). If a's is exactly Hermitian at a square cap and b0, init
-    and the weights are real, so is b's: then the pass runs only the pairs
-    that land on or above the diagonal, about half of them, and writes the
-    conjugates of each degree's new entries below the diagonal before the
-    next degree reads them; at the end the diagonal's roundoff imaginary
-    part is dropped. Any other input, or batch with one, takes every pair,
-    which makes the general pass the independent check of this one."""
+    If a's coefficient array is exactly Hermitian, c[h, k] = conj(c[k, h])
+    (a real function's), at a square cap, a_0, b0 and init are real and b
+    is Hermitian too: the pass runs only the pairs that land on or above
+    the diagonal, about half, writes the conjugates of each degree's new
+    entries below it before the next degree reads them, and drops the
+    diagonal's roundoff imaginary part. Any other input, or batch with one,
+    takes every pair: the general pass, which checks this one. So a point
+    sums as in its batch of one unless its batch mixes the two kinds."""
     m, cap, shape = a.num_vars, a.cap, a.data.shape
-    b0, init = np.asarray(b0).reshape(-1, 1), np.asarray(init).reshape(-1, 1)
     hermitian = (cap.holo == cap.anti
-                 and not any(np.count_nonzero(x.imag) for x in (b0, init, weight))
                  and bool((a.data == a.data.conj().swapaxes(-1, -2)).all()))
     flat, tdeg = a.data.reshape(-1, shape[-2] * shape[-1]), _total_degrees(m, cap)
-    weight = weight.reshape((-1,) + weight.shape[-2:]).astype(complex)
-    b = (init + weight.diagonal(axis1=1, axis2=2) * b0).take(tdeg, axis=1)
-    np.multiply(flat, b, out=b)
+    a0, b0, init = flat[:, :1], np.reshape(b0, (-1, 1)), np.reshape(init, (-1, 1))
+    b = flat * (init + (alpha - 1.0) * b0 / a0)
     b[:, :1] = b0
+    j = alpha * np.arange(cap.holo + cap.anti + 1)  # alpha j at each total degree j
     groups = {}
     for i, key in enumerate(_patterns(flat)):
         groups.setdefault(key, []).append(i)
@@ -425,9 +416,9 @@ def _graded_solve(a: Jet, b0, weight: np.ndarray, init=0.0) -> Jet:
                                     default=_CHUNK))  # points per pass
         for p in range(0, len(rows), step):
             at = rows[p:p + step]  # copies of the pass's rows, written back
-            bp, wp, held = b[at], weight[at], flat[at].take(support, axis=1)
+            bp, ap, held = b[at], a0[at], flat[at].take(support, axis=1)
             for n in degrees:
-                scaled = held * wp[:, n].take(sdeg, axis=1)
+                scaled = held * ((j - n) / (n * ap)).take(sdeg, axis=1)
                 for left, right, starts, dst, mirror in table[n]:
                     value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
                                                              starts)
@@ -440,40 +431,31 @@ def _graded_solve(a: Jet, b0, weight: np.ndarray, init=0.0) -> Jet:
     return Jet(m, cap, b.reshape(shape))
 
 
-def _degree_grid(a: Jet):
-    """Grids n (row; row 0 reads 1) and j (column) over the total degrees
-    0..cap.holo + cap.anti."""
-    j = np.arange(a.cap.holo + a.cap.anti + 1, dtype=np.float64)
-    return np.maximum(j, 1.0)[:, None], j[None, :]
+def _positive_constant(a: Jet, stage: str) -> np.ndarray:
+    """a's constant term (1 x 1 per point), if a finite positive real up to
+    imaginary dust of 1e-12; else a ValueError naming the first bad point."""
+    c0 = a.data[..., :1, :1]
+    _raise_where([not (0.0 < c.real < math.inf  # also rejects nan
+                       and abs(c.imag) <= 1e-12 * max(1.0, c.real))
+                  for c in c0.ravel().tolist()], stage,
+                 "requires a finite positive real constant term")
+    return c0
 
 
 def jet_log(a: Jet) -> Jet:
-    """Principal-branch log of the series; constant term must be finite and
-    avoid 0 and the negative real axis (all in-scope potentials keep it on the
-    positive axis). From a E(b) = E(a), E the Euler operator (the
-    total-degree-n part times n):
-    b_n = a_n / a_0 - (1/(n a_0)) sum_{j >= 1} (n - j) a_j b_{n-j}."""
-    c0 = a.data[..., :1, :1]  # one 1 x 1 block per point
-    _raise_where([not cmath.isfinite(c) or c == 0 or c.real < 0 and c.imag == 0
-                  for c in c0.ravel().tolist()], "jet_log",
-                 "the constant term must be finite, nonzero and off the branch cut")
-    n, j = _degree_grid(a)
-    return _graded_solve(a, np.log(c0), (j - n) / (n * c0), init=1.0 / c0)
+    """log of the series, whose constant term must be a finite positive real.
+    From a E(b) = E(a), E the Euler operator (the total-degree-n part times
+    n): b_n = a_n / a_0 + (1/(n a_0)) sum_{j >= 1} (j - n) a_j b_{n-j}."""
+    c0 = _positive_constant(a, "jet_log")
+    return _graded_solve(a, np.log(c0), 1.0, 1.0 / c0)
 
 
 def jet_real_power(a: Jet, mu: float) -> Jet:
-    """a**mu for real 0 < mu < inf; the constant term must be a finite positive
-    real (roundoff-level imaginary dust is tolerated and discarded). From
-    a E(b) = mu b E(a): b_n = (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n)
-    a_j b_{n-j}."""
+    """a**mu for real 0 < mu < inf; the constant term must be a finite
+    positive real (b0 = a_0^mu drops its imaginary dust). From a E(b) =
+    mu b E(a): b_n = (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n) a_j b_{n-j}."""
     mu = float(mu)
     if not 0.0 < mu < math.inf:  # also rejects nan
         raise ValueError(f"jet_real_power requires 0 < mu < inf, got {mu}")
-    c0 = a.data[..., :1, :1]  # one 1 x 1 block per point
-    _raise_where([not (0.0 < c.real < math.inf  # also rejects nan
-                       and abs(c.imag) <= 1e-12 * max(1.0, c.real))
-                  for c in c0.ravel().tolist()], "jet_real_power",
-                 "requires a finite positive real constant term")
-    c0 = c0.real
-    n, j = _degree_grid(a)
-    return _graded_solve(a, c0 ** mu, ((mu + 1.0) * j - n) / (n * c0))
+    c0 = _positive_constant(a, "jet_real_power")
+    return _graded_solve(a, c0.real ** mu, mu + 1.0, 0.0)

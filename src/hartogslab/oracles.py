@@ -111,6 +111,11 @@ def a2_quadratic_coeffs(inp: OracleInputs):
     return c0, c1, c2
 
 
+def type1_R2_base(m: int, n: int) -> Fraction:
+    """appendix_R2_base of type1(m, n), which the case analysis reads too."""
+    return F(2 * m * n * (m * n + 1), (m + n) ** 2)
+
+
 def appendix_R2_base(spec: DomainSpec) -> Fraction:
     """Exact |R|^2(0) of the base Bergman metric, per catalog family.
 
@@ -120,8 +125,7 @@ def appendix_R2_base(spec: DomainSpec) -> Fraction:
     only sees that term)."""
     n = spec.n
     if spec.kind == "type1":
-        m = spec.m
-        return F(2 * m * n * (m * n + 1), (m + n) ** 2)
+        return type1_R2_base(spec.m, n)
     if spec.kind == "type2":
         # numerator equals n(n-1)(n^2-3n+4), the n -> -n mirror of type3
         return F(n * (n + 1) * (n ** 2 - 5 * n + 12) - 16 * n, 4 * (n - 1) ** 2)

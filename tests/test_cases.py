@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hartogslab import cases, oracles
 from hartogslab.cases import (CASE1_N_MAX, CaseVerdict, _case1, classify_all,
                               constancy_constraints, exceptional_integrality,
                               integer_root_scan)
@@ -187,3 +188,14 @@ def test_rank_one_survivors_match_ball_constraint():
         assert mu == 1
         from hartogslab.oracles import appendix_R2_base
         assert appendix_R2_base(spec) == br
+
+
+def test_case1_certificate_reads_the_catalog_closed_form(monkeypatch):
+    # case 1 certifies its reduction on type 1's |R|^2(0) as the oracles
+    # and the appendix table state it, so a wrong closed form fails there
+    assert cases.type1_R2_base is oracles.type1_R2_base
+    assert oracles.appendix_R2_base(type1(2, 3)) == oracles.type1_R2_base(2, 3)
+    monkeypatch.setattr(cases, "type1_R2_base",
+                        lambda m, n: oracles.type1_R2_base(m, n) + F(1, 10 ** 6))
+    with pytest.raises(RuntimeError, match="case 1 reduction certificate failed"):
+        _case1(60)

@@ -509,3 +509,12 @@ def test_large_mu_fails_at_the_frame(capsys, argv):
         code, out, err = run(capsys, ["report", *argv])
     assert code == 1 and out == ""
     assert err.startswith("error: frame at point ")
+
+
+def test_exit_1_line_names_the_domain_and_mu(capsys):
+    # after the stage and point: the command, its domain and its mu
+    code, out, err = run(capsys, ["report", "--domain", "type3", "--n", "2",
+                                  "--mu", "300"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: frame at point 4: N^mu underflows float64")
+    assert err.endswith(" [report type3(2), mu = 300]\n")

@@ -255,7 +255,7 @@ def test_log_det_closed_form_matches_jet_log_of_det(base):
     for mu in (1.0, F(4, 5), 3.0):
         spec = HartogsSpec(base, mu)
         pt = sample_hartogs(spec, seed=0, count=1)[0]
-        normal = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt))
+        normal = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt)[0])
         assert max(_log_det_errors(normal)[:4]) < 1e-12
         # in (z, w) the double trace cancels: its summands' absolute values
         # add up to 50 to 7e4 times its value, and both paths lose those
@@ -271,7 +271,7 @@ def test_log_det_closed_form_near_boundary():
     for spec, count, index in [(HartogsSpec(type3(2), 1.0), 20, 18),
                                (HartogsSpec(type4(6), 0.8), 5, 4)]:
         pt = sample_hartogs(spec, seed=0, count=count)[index]
-        P = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt))
+        P = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt)[0])
         assert max(_log_det_errors(P)[:4]) < 1e-12
 
 
@@ -323,7 +323,7 @@ def test_contractions_match_einsum_forms(base):
     for mu in (1.0, F(4, 5), 3.0):
         spec = HartogsSpec(base, mu)
         pt = sample_hartogs(spec, seed=0, count=1)[0]
-        normal = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt))
+        normal = hartogs_potential_jet(spec, pt, FULL_CAP, _normal_frame(spec, pt)[0])
         assert max(_contraction_errors(normal)[0]) < 1e-12
         raw = _contraction_errors(helpers.raw_potential_jet(spec, pt))[1]
         assert max(raw) < 1e-12
@@ -336,13 +336,13 @@ def test_reports_run_only_real_recurrences(monkeypatch):
     runs = []
     solve = jets._graded_solve
 
-    def solve_spy(a, b0, weight, init=0.0):
-        # b0, init and weight may hold one value per point of a batch
+    def solve_spy(a, b0, alpha, init=0.0):
+        # b0 and init may hold one value per point of a batch
         runs.append(a.cap.holo == a.cap.anti
                     and np.array_equal(a.data, a.data.conj().swapaxes(-1, -2))
                     and not np.any(np.imag(b0)) and not np.any(np.imag(init))
-                    and not np.any(np.imag(weight)))
-        return solve(a, b0, weight, init)
+                    and not np.any(np.imag(alpha)))
+        return solve(a, b0, alpha, init)
 
     monkeypatch.setattr(jets, "_graded_solve", solve_spy)
     for base in (type1(2, 2), type2(4), type3(2), type4(5)):

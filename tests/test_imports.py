@@ -34,3 +34,39 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree):
+    """(name, line) of each top-level function, class and constant whose
+    name starts with an underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
+def _references(tree):
+    """Every name that a module reads: loaded names, attributes and the
+    names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_name_is_used(path):
+    # a private helper that no code of the package reads is dead code
+    package = Path(hartogslab.__file__).parent.glob("*.py")
+    read = {name for p in package for name in _references(ast.parse(p.read_text()))}
+    dead = [f"{name} (line {line})"
+            for name, line in _private_definitions(ast.parse(path.read_text()))
+            if name.startswith("_") and name not in read]
+    assert not dead, f"{path.name} defines private names it never uses: {dead}"

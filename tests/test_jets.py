@@ -303,7 +303,7 @@ def _random_hermitian_jet(m, c):
 def _norm_and_potential_jets(spec, point, monkeypatch):
     """N and I = N^mu - |w|^2 at point, as a report builds them: in its
     metric-normal frame, at cap (3, 3)."""
-    frame = geometry._normal_frame(spec, point)
+    frame = geometry._normal_frame(spec, point)[0]
     d = spec.base.d
     N = generic_norm_jet(spec.base, point.base, (3, 3), jacobian=frame[:d, :d])
     logs = []
@@ -512,6 +512,15 @@ def test_log_and_power_reject_non_finite_constant_terms(c, f, stage):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{stage} at point 1: "):
             f(a)
+
+
+def test_log_rejects_a_complex_constant_term():
+    # log and power share one guard: a finite positive real constant term,
+    # up to imaginary dust of 1e-12, so the log takes no complex one
+    cap = BidegreeCap(1, 1)
+    good, bad = jet_constant(1.0, 1, cap), jet_constant(1 + 1j, 1, cap)
+    with pytest.raises(ValueError, match="^jet_log at point 1: "):
+        jet_log(Jet(1, cap, np.stack([good.data, bad.data])))
 
 
 def test_cofactor_det_on_constants_matches_numpy():
