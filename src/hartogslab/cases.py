@@ -78,24 +78,15 @@ def _poly_eval(coeffs, n: int) -> int:
     return acc
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _expand_factors(factors):
     acc = [1]
     for f in factors:
-        acc = _poly_mul(acc, f)
+        out = [0] * (len(acc) + len(f) - 1)
+        for i, x in enumerate(acc):
+            for j, y in enumerate(f):
+                out[i + j] += x * y
+        acc = out
     return acc
-
-
-def _linear_root(f):
-    # f = [a, 1] represents n + a, root -a
-    return -f[0]
 
 
 _CASES = {
@@ -107,13 +98,17 @@ _CASES = {
         "factors": [[0, 1], [-1, 1], [-2, 1], [1, 1], [-3, 1]],
     },
     3: {
-        "description": "symmetric matrices, n >= 2: baseR2 = 2d/(d+1) reduces "
-                       "to a quintic in n",
+        "description": "symmetric matrices, n >= 2: baseR2 = 2d/(d+1) clears "
+                       "to a sextic in n, which the reduction certificate "
+                       "reads; the prescribed quintic is scanned beside it",
         "min_n": 2,
+        # prescribed route (n-1)(n^4 + 22n^3 - 5n^2 + 6n - 64): not the
+        # constancy condition, with which it shares only the root n = 1
         "poly": [64, -70, 11, -27, 21, 1],
         "factors": [[-1, 1], [-64, 6, -5, 22, 1]],
-        # cleared form of the closed-form constraint itself; fully linear,
-        # n^2 (n-1)(n+1)(n+2)(n+3), so its root set is visibly complete
+        # the cleared constancy condition n^2 (n-1)(n+1)(n+2)(n+3), which
+        # _certify_reduction reads: the numerator of baseR2 - 2d/(d+1) times
+        # n + 1
         "constraint_poly": [0, 0, -6, -5, 5, 5, 1],
         "constraint_factors": [[0, 1], [0, 1], [-1, 1], [1, 1], [2, 1], [3, 1]],
     },
@@ -131,15 +126,16 @@ _FAMILY = {2: type2, 3: type3, 4: type4}
 
 
 def _certify_reduction(case_id: int, lo: int, hi: int) -> dict:
-    """Pointwise certificate that the scanned polynomial really is the
-    constancy condition: over [lo, hi], the exact closed-form baseR2 equals
-    2d/(d+1) precisely where the (cleared) constraint polynomial vanishes."""
+    """Pointwise certificate that the case's cleared constancy condition
+    (case 3's constraint_poly, else poly) vanishes over [lo, hi] exactly where
+    the closed-form baseR2 equals 2d/(d+1), compared in integers."""
     case = _CASES[case_id]
     poly = case.get("constraint_poly", case["poly"])
     maker = _FAMILY[case_id]
     for n in range(lo, hi + 1):
         dom = maker(n)
-        hit = appendix_R2_base(dom) == F(2 * dom.d, dom.d + 1)
+        r = appendix_R2_base(dom)
+        hit = r.numerator * (dom.d + 1) == 2 * dom.d * r.denominator
         if hit != (_poly_eval(poly, n) == 0):
             raise RuntimeError(
                 f"case {case_id}: reduction certificate failed at n={n}")
@@ -148,18 +144,41 @@ def _certify_reduction(case_id: int, lo: int, hi: int) -> dict:
                          "the constraint polynomial vanishes"}
 
 
-def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
-    """Exhaustively evaluate one case polynomial over the admissible range and
-    machine-check its factorization certificate.
+def _certify_polynomial(case_id: int, poly, factors, lo: int, n_max: int,
+                        name: str = ""):
+    """Certify a case polynomial: its factors re-expand to it, and no factor
+    of degree > 1 has an integer root (any such root divides the factor's
+    constant term, and is 0 if that term is). Returns the evidence, the roots
+    in [lo, n_max], and whether every linear factor's root lies below lo,
+    which makes the verdict hold for ANY n, not only n <= n_max."""
+    if _expand_factors(factors) != poly:
+        raise RuntimeError(
+            f"case {case_id}: {name}factorization certificate failed")
+    evidence = {"polynomial_low_to_high": poly, "factors_low_to_high": factors,
+                # a linear factor [a, 1] is n + a, with root -a
+                "linear_factor_roots": sorted(-f[0] for f in factors if len(f) == 2),
+                "factorization_reexpanded": True}
+    for f in factors:
+        if len(f) > 2:
+            const = abs(f[0])
+            cands = sorted({s * t for t in range(1, const + 1) if const % t == 0
+                            for s in (1, -1)}) or [0]
+            if any(_poly_eval(f, n) == 0 for n in cands):
+                raise RuntimeError(f"case {case_id}: unexpected factor root")
+            evidence["quartic_integer_root_check"] = {
+                "factor": f, "candidates": cands, "all_nonzero": True}
+    roots = [n for n in range(lo, n_max + 1) if _poly_eval(poly, n) == 0]
+    return evidence, roots, all(r < lo for r in evidence["linear_factor_roots"])
 
-    The verdict is complete, not just range-limited: linear factors expose all
-    their roots directly, and the one non-linear factor (case 3's catalogued
-    quartic) is monic with constant term -64, so any integer root would divide
-    64; all such candidates are tested. Case 3 additionally certifies the
-    cleared closed-form constraint, which factors into linear terms outright.
-    No factor has a root in the admissible range, hence no admissible n solves
-    the case equation for ANY n, not only n <= n_max.
-    """
+
+def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
+    """Certify one case polynomial and scan it over the admissible range.
+
+    The verdict is complete, not just range-limited: linear factors expose
+    all their roots, and any integer root of case 3's quartic would divide 64.
+    Case 3's quintic is the prescribed route, not the constancy condition:
+    the reduction certificate reads the cleared sextic, certified beside it
+    by the same routine, which factors into linear terms outright."""
     if case_id not in _CASES:
         raise ValueError("integer_root_scan handles case ids 2, 3, 4")
     case = _CASES[case_id]
@@ -167,55 +186,18 @@ def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
     if n_max < lo:
         raise ValueError(f"n_max must be >= {lo} for case {case_id}")
     poly = case["poly"]
-    factors = case["factors"]
-    if _expand_factors(factors) != poly:
-        raise RuntimeError(f"case {case_id}: factorization certificate failed")
-
-    factor_roots = sorted(_linear_root(f) for f in factors if len(f) == 2)
-    divisor_check = None
-    for f in factors:
-        if len(f) > 2:
-            # monic with integer coefficients: integer roots divide |f[0]|
-            const = abs(f[0])
-            cands = sorted({s * t for t in range(1, const + 1) if const % t == 0
-                            for s in (1, -1)})
-            values = {n: _poly_eval(f, n) for n in cands}
-            if any(v == 0 for v in values.values()):
-                raise RuntimeError(f"case {case_id}: unexpected factor root")
-            divisor_check = {"factor": f, "candidates": cands,
-                             "all_nonzero": True}
-
-    roots_in_range = [n for n in range(lo, n_max + 1) if _poly_eval(poly, n) == 0]
-    evidence = {
-        "polynomial_low_to_high": poly,
-        "factors_low_to_high": factors,
-        "linear_factor_roots": factor_roots,
-        "factorization_reexpanded": True,
-        "scanned_range": [lo, n_max],
-        "sample_values": {str(n): _poly_eval(poly, n)
-                          for n in range(lo, min(lo + 3, n_max) + 1)},
-    }
-    if divisor_check is not None:
-        evidence["quartic_integer_root_check"] = divisor_check
-    complete = all(r < lo for r in factor_roots)
-
-    cpoly = case.get("constraint_poly")
+    evidence, roots_in_range, complete = _certify_polynomial(
+        case_id, poly, case["factors"], lo, n_max)
+    evidence["scanned_range"] = [lo, n_max]
+    evidence["sample_values"] = {str(n): _poly_eval(poly, n)
+                                 for n in range(lo, min(lo + 3, n_max) + 1)}
     croots = []
-    if cpoly is not None:
-        cfactors = case["constraint_factors"]
-        if _expand_factors(cfactors) != cpoly:
-            raise RuntimeError(
-                f"case {case_id}: constraint factorization certificate failed")
-        clin = sorted(_linear_root(f) for f in cfactors)
-        croots = [n for n in range(lo, n_max + 1) if _poly_eval(cpoly, n) == 0]
-        complete = complete and all(r < lo for r in clin)
-        evidence["closed_form_constraint"] = {
-            "polynomial_low_to_high": cpoly,
-            "factors_low_to_high": cfactors,
-            "linear_factor_roots": clin,
-            "factorization_reexpanded": True,
-            "roots_in_range": croots,
-        }
+    if "constraint_poly" in case:
+        cevidence, croots, ccomplete = _certify_polynomial(
+            case_id, case["constraint_poly"], case["constraint_factors"], lo,
+            n_max, "constraint ")
+        complete = complete and ccomplete
+        evidence["closed_form_constraint"] = dict(cevidence, roots_in_range=croots)
     evidence["reduction_certificate"] = _certify_reduction(
         case_id, lo, min(n_max, lo + 96))
 
@@ -293,14 +275,15 @@ def _case1(n_max: int) -> CaseVerdict:
     if [p for p in survivors if p[0] == 1] != ball:
         raise RuntimeError("case 1 scan does not return the ball family m = 1")
     bad = [p for p in survivors if p[0] != 1]
-    # certify the two reductions on a subgrid with exact rationals: the
-    # cross-multiplied constancy condition, on the closed form that the
-    # appendix table and the oracles read, and the factorization identity
+    # certify the two reductions on a subgrid: the constancy condition on
+    # the closed form that the appendix table and the oracles read,
+    # cross-multiplied in integers, and the factorization identity
     cert = 80
     for mm in range(1, cert + 1):
         for nn in range(mm, cert + 1):
             d = mm * nn
-            cond = type1_R2_base(mm, nn) == F(2 * d, d + 1)
+            r = type1_R2_base(mm, nn)
+            cond = r.numerator * (d + 1) == 2 * d * r.denominator
             if cond != ((d + 1) ** 2 == (mm + nn) ** 2):
                 raise RuntimeError("case 1 reduction certificate failed")
             if ((d + 1) ** 2 - (mm + nn) ** 2

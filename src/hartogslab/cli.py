@@ -64,10 +64,6 @@ def _parse_mu(text):
 def _hartogs_spec(args, min_samples=0):
     """Validate the domain options of report, verify-lemmas and scan-a2 and
     return the HartogsSpec they name."""
-    if args.domain == "type1" and (args.m is None or args.n is None):
-        raise _UsageError("--domain type1 requires both --m and --n")
-    if args.n is None:
-        raise _UsageError("--domain %s requires --n" % args.domain)
     try:
         base = DomainSpec(args.domain, args.m, args.n)
     except ValueError as exc:

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 
 from hartogslab import cases, oracles
 from hartogslab.cases import (CASE1_N_MAX, CaseVerdict, _case1, classify_all,
@@ -199,3 +200,135 @@ def test_case1_certificate_reads_the_catalog_closed_form(monkeypatch):
                         lambda m, n: oracles.type1_R2_base(m, n) + F(1, 10 ** 6))
     with pytest.raises(RuntimeError, match="case 1 reduction certificate failed"):
         _case1(60)
+
+
+# -- every n: the reductions as polynomial identities (sympy, tests only) -----
+
+_n, _m = sp.symbols("n m")
+
+# appendix_R2_base's closed forms of types 2-4, transcribed: numerator degree
+# <= 4 and denominator degree <= 2, so the cross-multiplied difference against
+# the function's own numerator and denominator has degree <= 6 (<= 2 for type
+# 4), and agreement at more n than that proves the transcription for every n
+_CLOSED_FORMS = {
+    2: ((_n * (_n + 1) * (_n ** 2 - 5 * _n + 12) - 16 * _n, 4 * (_n - 1) ** 2),
+        _n * (_n - 1) / 2, 6),
+    3: ((_n * (_n + 1) * (_n ** 2 + 3 * _n + 4), 4 * (_n + 1) ** 2),
+        _n * (_n + 1) / 2, 6),
+    4: ((3 * _n - 2, _n), _n, 2),
+}
+# (numerator of baseR2 - 2d/(d+1)) * ratio is the polynomial that
+# _certify_reduction reads; neither side of ratio has a root >= min_n
+_RATIOS = {2: (_n - 1) / _n, 3: _n + 1, 4: sp.Integer(1)}
+
+
+def _roots_below(expr, var, lo):
+    # every real root of a nonzero polynomial lies below lo
+    poly = sp.Poly(expr, var)
+    return poly.degree() == 0 or all(r < lo for r in sp.real_roots(poly))
+
+
+def _from_coeffs(coeffs, var):
+    return sum(c * var ** k for k, c in enumerate(coeffs))
+
+
+def _reduction_poly(case_id, lo):
+    """The coefficients that _certify_reduction evaluates, seen by a spy."""
+    seen, evaluate = [], cases._poly_eval
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cases, "_poly_eval", lambda c, k: seen.append(c) or evaluate(c, k))
+        cases._certify_reduction(case_id, lo, lo)
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("case_id", [2, 3, 4])
+def test_reduction_is_a_polynomial_identity(case_id):
+    (num, den), d, degree = _CLOSED_FORMS[case_id]
+    case = cases._CASES[case_id]
+    lo = case["min_n"]
+    for k in range(lo, lo + degree + 3):
+        exact = sp.Rational(num.subs(_n, k), den.subs(_n, k))
+        spec = cases._FAMILY[case_id](k)
+        assert oracles.appendix_R2_base(spec) == F(int(exact.p), int(exact.q))
+    top, bottom = sp.fraction(sp.cancel(num / den - 2 * d / (d + 1)))
+    assert _roots_below(bottom, _n, lo)
+    read = _from_coeffs(_reduction_poly(case_id, lo), _n)
+    assert sp.cancel(read / top - _RATIOS[case_id]) == 0
+    p, q = sp.fraction(sp.cancel(_RATIOS[case_id]))
+    assert _roots_below(p, _n, lo) and _roots_below(q, _n, lo)
+
+
+def test_case3_quintic_is_not_the_constancy_condition():
+    # the quintic shares only the root n = 1 with the cleared condition, and
+    # the pointwise certificate cannot see it: neither has a root in [2, 98]
+    (num, den), d, _ = _CLOSED_FORMS[3]
+    top, _ = sp.fraction(sp.cancel(num / den - 2 * d / (d + 1)))
+    quintic = _from_coeffs(cases._CASES[3]["poly"], _n)
+    assert sp.gcd(sp.Poly(quintic, _n), sp.Poly(top, _n)).as_expr() == _n - 1
+    assert sp.cancel(quintic / top - _RATIOS[3]) != 0
+
+
+def test_case1_reduction_is_a_polynomial_identity():
+    # type1_R2_base(m, n) = 2mn(mn+1) / (m+n)^2: the cross-multiplied
+    # difference has degree <= 4 in each of m and n, so a 7 x 7 grid proves it
+    num, den = 2 * _m * _n * (_m * _n + 1), (_m + _n) ** 2
+    for a in range(1, 8):
+        for b in range(1, 8):
+            exact = sp.Rational(num.subs({_m: a, _n: b}), den.subs({_m: a, _n: b}))
+            assert cases.type1_R2_base(a, b) == F(int(exact.p), int(exact.q))
+    d = _m * _n
+    top, bottom = sp.fraction(sp.cancel(num / den - 2 * d / (d + 1)))
+    assert sp.expand(bottom - (_m + _n) ** 2 * (_m * _n + 1)) == 0
+    # _case1 scans (mn+1)^2 = (m+n)^2; the numerator is that times 2mn,
+    # which has no root with m, n >= 1
+    assert sp.expand(top - 2 * _m * _n * ((_m * _n + 1) ** 2 - (_m + _n) ** 2)) == 0
+    assert sp.factor(top) == 2 * _m * _n * (_m - 1) * (_m + 1) * (_n - 1) * (_n + 1)
+
+
+# -- certificate failure paths ------------------------------------------------
+
+def test_scanned_factorization_must_reexpand(monkeypatch):
+    monkeypatch.setitem(cases._CASES, 2, dict(cases._CASES[2],
+                                              factors=[[0, 1], [-1, 1]]))
+    with pytest.raises(RuntimeError,
+                       match=r"^case 2: factorization certificate failed$"):
+        integer_root_scan(2, 50)
+
+
+def test_constraint_factorization_must_reexpand(monkeypatch):
+    monkeypatch.setitem(cases._CASES, 3, dict(cases._CASES[3],
+                                              constraint_factors=[[0, 1], [1, 1]]))
+    with pytest.raises(RuntimeError,
+                       match="case 3: constraint factorization certificate failed"):
+        integer_root_scan(3, 50)
+
+
+def test_nonlinear_factor_with_an_integer_root_fails(monkeypatch):
+    # (n - 1)(n^2 - 4): the quadratic has the root 2, a divisor of 4
+    monkeypatch.setitem(cases._CASES, 4, dict(cases._CASES[4], poly=[4, -4, -1, 1],
+                                              factors=[[-1, 1], [-4, 0, 1]]))
+    with pytest.raises(RuntimeError, match="case 4: unexpected factor root"):
+        integer_root_scan(4, 50)
+
+
+def test_nonlinear_factor_with_zero_constant_term_fails(monkeypatch):
+    # (n - 1)(n^2 - 3000n): its root 3000 lies beyond n_max, and every integer
+    # divides the constant term 0, so only the candidate 0 can expose it
+    monkeypatch.setitem(cases._CASES, 4, dict(cases._CASES[4], poly=[0, 3000, -3001, 1],
+                                              factors=[[-1, 1], [0, -3000, 1]]))
+    with pytest.raises(RuntimeError, match="case 4: unexpected factor root"):
+        integer_root_scan(4, 50)
+
+
+@pytest.mark.parametrize("case_id", [2, 3, 4])
+def test_reduction_mismatch_fails(monkeypatch, case_id):
+    # a closed form that meets 2d/(d+1) where the polynomial does not vanish;
+    # a form that misses it everywhere would pass, as no polynomial here has
+    # an admissible root
+    monkeypatch.setattr(cases, "appendix_R2_base",
+                        lambda spec: F(2 * spec.d, spec.d + 1))
+    lo = cases._CASES[case_id]["min_n"]
+    with pytest.raises(RuntimeError, match=f"case {case_id}: reduction "
+                                           f"certificate failed at n={lo}"):
+        integer_root_scan(case_id, 50)

@@ -309,10 +309,13 @@ def test_usage_errors_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv,option", [
     (["report", "--domain", "type1", "--m", "0", "--n", "2"], "--domain type1"),
     (["report", "--domain", "type4", "--n", "3"], "--domain type4"),
+    (["report", "--domain", "type1", "--n", "2"], "--domain type1"),
+    (["report", "--domain", "type2"], "--domain type2"),
     (["scan-a2", *DISK, "--seed", "-1"], "--seed"),
     (["verify-lemmas", *DISK[:-2], "--mu", "1e400"], "--mu"),
     (["appendix-table", "--max-d", "1"], "--max-d"),
-], ids=["domain", "domain-type4", "seed", "mu", "max-d"])
+], ids=["domain", "domain-type4", "type1-without-m", "type2-without-n", "seed",
+        "mu", "max-d"])
 def test_out_of_range_values_name_the_option(capsys, argv, option):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
