@@ -12,8 +12,9 @@ genus^4 * baseR2 is an integer for every irreducible bounded symmetric domain
 while genus^4 * 2d/(d+1) fails to be one.
 
 Everything in this module is exact integer or Fraction arithmetic, with no
-floating point anywhere. The case-1 scan alone runs in int64 arrays, which are
-exact for n_max <= CASE1_N_MAX = 55,108; above that bound it refuses to run.
+floating point anywhere. Case 1 alone runs in int64 arrays: its scan, which is
+exact for n_max <= CASE1_N_MAX = 55,108 (above that bound it refuses to run),
+and its certificate on a fixed 80 x 80 grid.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domains import type2, type3, type4
-from .oracles import OracleInputs, a2_quadratic_coeffs, appendix_R2_base, type1_R2_base
+from .oracles import OracleInputs, a2_quadratic_coeffs, appendix_R2_base, type1_R2_parts
 
 F = Fraction
 
@@ -277,18 +278,18 @@ def _case1(n_max: int) -> CaseVerdict:
     bad = [p for p in survivors if p[0] != 1]
     # certify the two reductions on a subgrid: the constancy condition on
     # the closed form that the appendix table and the oracles read,
-    # cross-multiplied in integers, and the factorization identity
+    # cross-multiplied in integers, and the factorization identity, on the
+    # pairs 1 <= m <= n <= 80 as int64 arrays: the largest product,
+    # 2mn(mn+1) (mn+1) at m = n = 80, is about 5.2e11
     cert = 80
-    for mm in range(1, cert + 1):
-        for nn in range(mm, cert + 1):
-            d = mm * nn
-            r = type1_R2_base(mm, nn)
-            cond = r.numerator * (d + 1) == 2 * d * r.denominator
-            if cond != ((d + 1) ** 2 == (mm + nn) ** 2):
-                raise RuntimeError("case 1 reduction certificate failed")
-            if ((d + 1) ** 2 - (mm + nn) ** 2
-                    != (mm - 1) * (nn - 1) * (mm + 1) * (nn + 1)):
-                raise RuntimeError("case 1 factorization identity failed")
+    mm, nn = np.add(np.triu_indices(cert), 1, dtype=np.int64)
+    d = mm * nn
+    num, den = type1_R2_parts(mm, nn)
+    if ((num * (d + 1) == 2 * d * den) != ((d + 1) ** 2 == (mm + nn) ** 2)).any():
+        raise RuntimeError("case 1 reduction certificate failed")
+    if ((d + 1) ** 2 - (mm + nn) ** 2
+            != (mm - 1) * (nn - 1) * (mm + 1) * (nn + 1)).any():
+        raise RuntimeError("case 1 factorization identity failed")
     evidence = {
         "pairs_checked": checked,
         "identity": "(mn+1)^2 - (m+n)^2 = (m-1)(n-1)(m+1)(n+1)",

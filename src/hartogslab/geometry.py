@@ -128,7 +128,7 @@ def _real(x, what: str, metric: MetricData):
 def bergman_potential_jet(spec: DomainSpec, p: Sequence, cap) -> Jet:
     """Jet of -genus * log N at an interior base point; d dbar of it is the
     Bergman metric."""
-    return jet_log(generic_norm_jet(spec, p, cap)) * (-spec.genus)
+    return jet_log(generic_norm_jet(spec, p, cap), -spec.genus)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +175,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     ww *= 0.5
     inner[..., :d + 2, :d + 2] -= ww
     _raise_where(~(inner[..., 0, 0].real > 0.0), "potential", _OUTSIDE)  # nan fails too
-    return -jet_log(Jet(d + 1, cap, inner))
+    return jet_log(Jet(d + 1, cap, inner), -1.0)
 
 
 def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
@@ -317,21 +317,34 @@ def _tr(S: np.ndarray, T: np.ndarray, batch: tuple):
 
 def _products(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """S[s] T[t] for every leading index s of S and t of T, indexed
-    [s, t, p, q] (one leading index each)."""
-    return np.matmul(S[..., :, None, :, :], T[..., None, :, :, :])
+    [s, t, p, q] (one leading index each): one matrix product per point,
+    S as (s p, r) times T as (r, t q), then a transpose."""
+    (s, p, r), (t, _, q) = S.shape[-3:], T.shape[-3:]
+    batch = S.shape[:-3]
+    out = S.reshape(batch + (s * p, r)) @ T.swapaxes(-3, -2).reshape(
+        batch + (r, t * q))
+    return out.reshape(batch + (s, p, t, q)).swapaxes(-3, -2)
 
 
 @lru_cache(maxsize=None)
-def _permanent_index(m: int) -> np.ndarray:
-    """Flat indices into an m x m matrix X of the 3 x 3 matrices X[b, a]
-    with entries X[b_s, a_t], for the variables a_t of each degree-3
-    monomial a and b_s of each b, listed with multiplicity: indexed
-    [s, t, a, b] over the graded basis of degree 3."""
+def _permanent_index(m: int):
+    """Index tables of the 3 x 3 matrices X[b, a] with entries X[b_s, a_t],
+    for the variables a_t of each degree-3 monomial a and b_s of each b,
+    listed with multiplicity, expanded by their first row: row[t, a, b] is
+    the flat index of X[b_0, a_t] into X (m x m), and minor[t, a, b] that
+    of Q[b_1, b_2, a_u, a_v] into the m^4 table of 2 x 2 permanents
+    Q[b1, b2, a1, a2] = X[b1, a1] X[b2, a2] + X[b1, a2] X[b2, a1], where
+    (u, v) are the columns other than t, in order; a and b run over the
+    graded basis of degree 3."""
     exps = np.array(basis_exponents(m, 3)[_space_size(m, 2):])
     var = np.repeat(np.tile(np.arange(m), len(exps)), exps.ravel()).reshape(-1, 3)
-    index = var.T[:, None, None, :] * m + var.T[None, :, :, None]
-    index.setflags(write=False)
-    return index
+    a, b = var.T[:, :, None], var.T[:, None, :]  # [s, a, b]
+    row = b[0] * m + a
+    minor = (b[1] * m + b[2]) * m * m + np.stack(
+        (a[1] * m + a[2], a[0] * m + a[2], a[0] * m + a[1]))
+    for index in (row, minor):
+        index.setflags(write=False)
+    return row, minor
 
 
 def _one_block(potential: Jet, X: np.ndarray):
@@ -339,21 +352,24 @@ def _one_block(potential: Jet, X: np.ndarray):
     all six indices. Both triples are symmetric, so this is 6 sum C[a, b]
     per(X[b, a]) over degree-3 monomials a, b, where C is the Taylor
     coefficient block and per the 3 x 3 permanent of _permanent_index's
-    matrices, expanded by the first row: one pass over the C(m + 2, 3)^2
-    coefficients (fewer than m^5 up to m = 29) in place of the m^6
-    partials, for as many points at a time as keep the 9 C(m + 2, 3)^2
-    permanent entries per point near _CHUNK elements."""
-    m, batch, index = X.shape[-1], X.shape[:-2], _permanent_index(X.shape[-1])
+    matrices, expanded by the first row against the 2 x 2 permanents of
+    each point's table Q: one pass over the C(m + 2, 3)^2 coefficients
+    (fewer than m^5 up to m = 29) in place of the m^6 partials, for as many
+    points at a time as keep the 6 C(m + 2, 3)^2 gathered entries per point
+    near _CHUNK elements."""
+    m, batch = X.shape[-1], X.shape[:-2]
+    row, minor = _permanent_index(m)
     lo, hi = _space_size(m, 2), _space_size(m, 3)
     C = potential.data[..., lo:hi, lo:hi].reshape(-1, hi - lo, hi - lo)
-    X = X.reshape(-1, m * m)
-    out, step = np.empty(len(X), dtype=np.complex128), max(1, _CHUNK // index.size)
+    X = X.reshape(-1, m, m)
+    Q = (X[:, :, None, :, None] * X[:, None, :, None, :]
+         + X[:, :, None, None, :] * X[:, None, :, :, None]).reshape(len(X), -1)
+    X = X.reshape(len(X), -1)
+    out, step = np.empty(len(X), dtype=np.complex128), max(1, _CHUNK // (2 * row.size))
     for p in range(0, len(X), step):
-        (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = X[p:p + step].take(
-            index, axis=1).transpose(1, 2, 0, 3, 4)
-        per = (x00 * (x11 * x22 + x12 * x21)
-               + x01 * (x10 * x22 + x12 * x20)
-               + x02 * (x10 * x21 + x11 * x20))
+        x0, x1, x2 = X[p:p + step].take(row, axis=1).swapaxes(0, 1)
+        q0, q1, q2 = Q[p:p + step].take(minor, axis=1).swapaxes(0, 1)
+        per = x0 * q0 + x1 * q1 + x2 * q2
         out[p:p + step] = (C[p:p + step] * per).reshape(len(per), -1).sum(axis=1)
     return 6 * out.reshape(batch)
 

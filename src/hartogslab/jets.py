@@ -442,12 +442,15 @@ def _positive_constant(a: Jet, stage: str) -> np.ndarray:
     return c0
 
 
-def jet_log(a: Jet) -> Jet:
-    """log of the series, whose constant term must be a finite positive real.
-    From a E(b) = E(a), E the Euler operator (the total-degree-n part times
-    n): b_n = a_n / a_0 + (1/(n a_0)) sum_{j >= 1} (j - n) a_j b_{n-j}."""
+def jet_log(a: Jet, scale: float = 1.0) -> Jet:
+    """scale * log of the series, whose constant term must be a finite
+    positive real. From a E(b) = scale E(a), E the Euler operator (the
+    total-degree-n part times n): b_n = scale a_n / a_0 + (1/(n a_0))
+    sum_{j >= 1} (j - n) a_j b_{n-j}. The recurrence is linear in b and
+    negation is exact, so scale = -1 gives every value of -log a to the bit
+    (a zero may carry the other sign), with no negated copy."""
     c0 = _positive_constant(a, "jet_log")
-    return _graded_solve(a, np.log(c0), 1.0, 1.0 / c0)
+    return _graded_solve(a, scale * np.log(c0), 1.0, scale / c0)
 
 
 def jet_real_power(a: Jet, mu: float) -> Jet:

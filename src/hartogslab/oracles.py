@@ -111,9 +111,16 @@ def a2_quadratic_coeffs(inp: OracleInputs):
     return c0, c1, c2
 
 
+def type1_R2_parts(m, n):
+    """The unreduced numerator and denominator (2mn(mn+1), (m+n)^2) of
+    type1(m, n)'s appendix_R2_base, in plain arithmetic: the case analysis
+    reads them on whole int64 arrays."""
+    return 2 * m * n * (m * n + 1), (m + n) ** 2
+
+
 def type1_R2_base(m: int, n: int) -> Fraction:
-    """appendix_R2_base of type1(m, n), which the case analysis reads too."""
-    return F(2 * m * n * (m * n + 1), (m + n) ** 2)
+    """appendix_R2_base of type1(m, n)."""
+    return F(*type1_R2_parts(m, n))
 
 
 def appendix_R2_base(spec: DomainSpec) -> Fraction:

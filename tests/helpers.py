@@ -254,6 +254,32 @@ def one_block_terms(potential, X):
     return [(1, "ji,ihkjbc,bh,ck->", (X, potential.partials(3, 3), X, X))]
 
 
+def one_block_by_nine_gathers(potential, X):
+    """geometry._one_block with each 3 x 3 permanent per(X[b, a]), entries
+    X[b_s, a_t] for the variables a_t of each degree-3 monomial a and b_s of
+    each b, gathered entry by entry (nine gathers) and expanded by its first
+    row, the 2 x 2 minors' permanents formed in place; one point at a time."""
+    m, batch = X.shape[-1], X.shape[:-2]
+    exps = np.array(basis_exponents(m, 3)[len(basis_exponents(m, 2)):])
+    var = np.repeat(np.tile(np.arange(m), len(exps)), exps.ravel()).reshape(-1, 3)
+    index = var.T[:, None, None, :] * m + var.T[None, :, :, None]  # [s, t, a, b]
+    lo, hi = len(basis_exponents(m, 2)), len(basis_exponents(m, 3))
+    out = np.empty(batch, dtype=np.complex128)
+    for i in np.ndindex(batch):
+        (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = X[i].ravel()[index]
+        per = (x00 * (x11 * x22 + x12 * x21)
+               + x01 * (x10 * x22 + x12 * x20)
+               + x02 * (x10 * x21 + x11 * x20))
+        out[i] = (potential.data[i][lo:hi, lo:hi] * per).sum()
+    return 6 * out
+
+
+def products_terms(S, T):
+    """S[s] T[t] for every leading index s of S and t of T, indexed
+    [..., s, t, p, q], as an einsum."""
+    return np.einsum("...spr,...trq->...stpq", S, T)
+
+
 def laplacian_terms(LD, X, ric):
     """Delta k + trace22 in the terms of geometry._laplacian_from_parts, each
     sum_{a, b} X[b, a] of a trace, written out index by index."""

@@ -194,10 +194,14 @@ def test_rank_one_survivors_match_ball_constraint():
 def test_case1_certificate_reads_the_catalog_closed_form(monkeypatch):
     # case 1 certifies its reduction on type 1's |R|^2(0) as the oracles
     # and the appendix table state it, so a wrong closed form fails there
-    assert cases.type1_R2_base is oracles.type1_R2_base
-    assert oracles.appendix_R2_base(type1(2, 3)) == oracles.type1_R2_base(2, 3)
-    monkeypatch.setattr(cases, "type1_R2_base",
-                        lambda m, n: oracles.type1_R2_base(m, n) + F(1, 10 ** 6))
+    assert cases.type1_R2_parts is oracles.type1_R2_parts
+    assert oracles.appendix_R2_base(type1(2, 3)) == F(*oracles.type1_R2_parts(2, 3))
+
+    def shifted(m, n):  # the closed form plus 1e-6
+        num, den = oracles.type1_R2_parts(m, n)
+        return num * 10 ** 6 + den, den * 10 ** 6
+
+    monkeypatch.setattr(cases, "type1_R2_parts", shifted)
     with pytest.raises(RuntimeError, match="case 1 reduction certificate failed"):
         _case1(60)
 
@@ -270,13 +274,13 @@ def test_case3_quintic_is_not_the_constancy_condition():
 
 
 def test_case1_reduction_is_a_polynomial_identity():
-    # type1_R2_base(m, n) = 2mn(mn+1) / (m+n)^2: the cross-multiplied
-    # difference has degree <= 4 in each of m and n, so a 7 x 7 grid proves it
+    # type1_R2_parts(m, n) = (2mn(mn+1), (m+n)^2), unreduced: each side has
+    # degree <= 4 in each of m and n, so a 7 x 7 grid proves it
     num, den = 2 * _m * _n * (_m * _n + 1), (_m + _n) ** 2
     for a in range(1, 8):
         for b in range(1, 8):
-            exact = sp.Rational(num.subs({_m: a, _n: b}), den.subs({_m: a, _n: b}))
-            assert cases.type1_R2_base(a, b) == F(int(exact.p), int(exact.q))
+            at = {_m: a, _n: b}
+            assert cases.type1_R2_parts(a, b) == (num.subs(at), den.subs(at))
     d = _m * _n
     top, bottom = sp.fraction(sp.cancel(num / den - 2 * d / (d + 1)))
     assert sp.expand(bottom - (_m + _n) ** 2 * (_m * _n + 1)) == 0

@@ -431,7 +431,8 @@ def test_one_pipeline_call_per_command(capsys, monkeypatch):
     potential, log = geometry.hartogs_potential_jet, geometry.jet_log
     monkeypatch.setattr(geometry, "hartogs_potential_jet", lambda *args: (
         caps.append((len(args[1].fiber), tuple(args[2]))) or potential(*args)))
-    monkeypatch.setattr(geometry, "jet_log", lambda a: logs.append(a) or log(a))
+    monkeypatch.setattr(geometry, "jet_log",
+                        lambda a, *scale: logs.append(a) or log(a, *scale))
     for command, calls in (("report", [(9, (3, 3))]),
                            ("verify-lemmas", [(20, (2, 2)), (6, (3, 3))]),
                            ("scan-a2", [(20, (3, 3))])):

@@ -314,6 +314,54 @@ def _contraction_errors(P):
     return scaled, summed
 
 
+@pytest.mark.parametrize("batch", [(1,), (9,)])
+def test_products_match_their_einsum_form(batch):
+    # one matrix product per point sums in BLAS's order, not einsum's: equal
+    # to 1e-15 of the largest product of magnitudes
+    rng = np.random.default_rng(len(batch) + batch[0])
+    S, T = (rng.normal(size=batch + (7, 7, 7)) + 1j * rng.normal(size=batch + (7, 7, 7))
+            for _ in range(2))
+    got, want = geometry._products(S, T), helpers.products_terms(S, T)
+    assert got.shape == batch + (7, 7, 7, 7)
+    scale = helpers.products_terms(np.abs(S), np.abs(T)).max()
+    assert np.abs(got - want).max() <= 1e-15 * scale
+
+
+def test_one_block_equals_the_nine_gather_expansion():
+    # the 2 x 2 minors come from each point's table of 2 x 2 permanents: the
+    # same float expression in the same order, so equal to the bit, on
+    # report's 9 points on type1(2, 3) (m = 7) and on random jets and X
+    spec = HartogsSpec(type1(2, 3), F(4, 5))
+    points = origin_fiber_points(spec, [0.0, 0.35, 0.7]) + sample_hartogs(spec, 0, 6)
+    P = geometry._normal_potential(spec, points, FULL_CAP)[-1]
+    X = metric_at(P).g_inv
+    assert np.array_equal(geometry._one_block(P, X),
+                          helpers.one_block_by_nine_gathers(P, X))
+    rng = np.random.default_rng(7)
+    for m, batch in ((1, ()), (3, (2,)), (7, (3,))):
+        shape = batch + (len(jets.basis_exponents(m, 3)),) * 2
+        P = Jet(m, FULL_CAP, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        X = rng.normal(size=batch + (m, m)) + 1j * rng.normal(size=batch + (m, m))
+        got = geometry._one_block(P, X)
+        assert got.shape == batch
+        assert np.array_equal(got, helpers.one_block_by_nine_gathers(P, X))
+
+
+def test_reports_neither_negate_nor_scale_a_jet(monkeypatch):
+    # the potentials' signs and the genus go into jet_log's recurrence, so
+    # no report copies a jet to negate or scale it
+    def refuse(*args):
+        raise AssertionError("a report negated or scaled a jet")
+
+    for name in ("__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Jet, name, refuse)
+    spec = HartogsSpec(type1(1, 2), F(4, 5))
+    points = origin_fiber_points(spec, [0.0, 0.35]) + sample_hartogs(spec, 0, 2)
+    assert len(curvature_reports(spec, points)) == 4
+    assert len(scalar_curvatures(spec, points)) == 4
+    assert base_curvature_report(type3(3))["k"] < 0
+
+
 @pytest.mark.parametrize("base", [type1(2, 2), type2(4), type3(3), type4(5)],
                          ids=lambda b: b.label())
 def test_contractions_match_einsum_forms(base):

@@ -307,7 +307,8 @@ def _norm_and_potential_jets(spec, point, monkeypatch):
     d = spec.base.d
     N = generic_norm_jet(spec.base, point.base, (3, 3), jacobian=frame[:d, :d])
     logs = []
-    monkeypatch.setattr(geometry, "jet_log", lambda a: logs.append(a) or jet_log(a))
+    monkeypatch.setattr(geometry, "jet_log",
+                        lambda a, *scale: logs.append(a) or jet_log(a, *scale))
     geometry.hartogs_potential_jet(spec, point, (3, 3), frame)
     return N, logs[0]
 
