@@ -8,8 +8,7 @@ base, mu = 1) has constant second expansion coefficient a2.
 
 __version__ = "1.0.0"
 
-from .jets import (BidegreeCap, Jet, basis_exponents, jet_constant,
-                   jet_log, jet_real_power, jet_variable)
+from .jets import BidegreeCap, Jet, basis_exponents, jet_log, jet_real_power
 from .domains import (DomainSpec, contains, generic_norm_jet,
                       generic_norm_value, matrix_model, sample_interior,
                       type1, type2, type3, type4)

@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -59,6 +60,20 @@ def _parse_mu(text):
     if not sys.float_info.min <= mu <= sys.float_info.max:
         raise _UsageError("--mu %s is outside the float range" % text)
     return mu
+
+
+def _tolerance(option):
+    """The argparse type of a tolerance option: a finite non-negative float.
+    Raises _UsageError, which argparse passes through to main()."""
+    def parse(text):
+        try:
+            tol = float(text)
+        except ValueError:
+            raise _UsageError("invalid %s value: %r" % (option, text))
+        if not 0.0 <= tol < math.inf:  # also rejects nan
+            raise _UsageError("%s must be finite and non-negative, got %s" % (option, text))
+        return tol
+    return parse
 
 
 def _hartogs_spec(args, min_samples=0):
@@ -336,7 +351,7 @@ def build_parser():
     output.add_argument("--out", help="write the report here instead of stdout")
 
     checks = argparse.ArgumentParser(add_help=False)
-    checks.add_argument("--tol", type=float, default=1e-8,
+    checks.add_argument("--tol", type=_tolerance("--tol"), default=1e-8,
                         help="relative tolerance for identity checks")
     checks.add_argument("--max-d", type=int, default=DEFAULT_MAX_D,
                         help="refuse bases with d above this (cost guard)")
@@ -350,7 +365,7 @@ def build_parser():
     domain.add_argument("--mu", type=_parse_mu, default="1",
                         help="fiber exponent, a positive rational like 4/5 or 0.8")
     domain.add_argument("--seed", type=int, default=0, help="RNG seed")
-    domain.add_argument("--fit-tol", type=float, default=1e-7,
+    domain.add_argument("--fit-tol", type=_tolerance("--fit-tol"), default=1e-7,
                         help="absolute tolerance for constancy / fits")
 
     def domain_command(name, run, samples, help_text):

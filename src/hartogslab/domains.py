@@ -290,8 +290,8 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
         N[..., :H, :W] += (sign * P[..., :H]).swapaxes(-1, -2) @ P[..., :W].conj()
     if cap.holo == cap.anti:
         # N is real, but the matrix products round its mirrored entries
-        # differently; make the array exactly Hermitian, as the real
-        # recurrences of jets._graded_solve need
+        # differently; make the array exactly Hermitian, as jet_log and
+        # jet_real_power require
         N += N.conj().swapaxes(-1, -2)
         N *= 0.5
     return Jet(m, cap, N)

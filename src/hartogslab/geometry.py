@@ -132,13 +132,12 @@ def bergman_potential_jet(spec: DomainSpec, p: Sequence, cap) -> Jet:
 
 
 @lru_cache(maxsize=None)
-def _base_positions(d: int, cap: BidegreeCap) -> np.ndarray:
-    """Flat indices, in a coefficient array in d + 1 variables, of the
-    monomials without the last variable; in order, they are the monomials of
-    the d-variable basis."""
-    rows, cols = (np.flatnonzero([e[-1] == 0 for e in basis_exponents(d + 1, k)])
-                  for k in cap)
-    index = np.add.outer(rows * _space_size(d + 1, cap.anti), cols).ravel()
+def _base_positions(d: int, degree: int) -> np.ndarray:
+    """Flat indices, in a coefficient array in d + 1 variables at the square
+    cap (degree, degree), of the monomials without the last variable; in
+    order, they are the monomials of the d-variable basis."""
+    rows = np.flatnonzero([e[-1] == 0 for e in basis_exponents(d + 1, degree)])
+    index = np.add.outer(rows * _space_size(d + 1, degree), rows).ravel()
     index.setflags(write=False)
     return index
 
@@ -149,7 +148,8 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     (z, w) = (z0, w0) + frame @ x, centered at point = (z0, w0); frame
     defaults to the identity, and the fiber w is the last coordinate. The
     base coordinates must not involve x_d (frame[:d, d] = 0), so N^mu is
-    taken in the first d variables and then placed among the d+1."""
+    taken in the first d variables and then placed among the d+1. The cap
+    must be square, as jet_log's is (a real function's jet)."""
     d = spec.base.d
     mu = float(spec.mu)
     frame = np.eye(d + 1) if frame is None else np.asarray(frame)
@@ -161,7 +161,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
         power = jet_real_power(power, mu)
     cap, batch = power.cap, power.data.shape[:-2]
     inner = Jet._zeros(d + 1, cap, batch)
-    inner.reshape(batch + (-1,))[..., _base_positions(d, cap)] = \
+    inner.reshape(batch + (-1,))[..., _base_positions(d, cap.holo)] = \
         power.data.reshape(batch + (-1,))
     del power  # N^mu is in inner: free it before the log
     u = np.empty(batch + (d + 2,), dtype=np.complex128)  # w = u @ (1, x)

@@ -5,9 +5,9 @@ treated as 2m independent formal variables (Wirtinger calculus). A jet stores
 every mixed Taylor coefficient whose holomorphic total degree is <= cap.holo
 and whose antiholomorphic total degree is <= cap.anti, centered at a base
 point. That retained monomial box is the complement of an ideal, so truncation
-is a ring quotient map: sums, logs and powers computed on jets agree exactly
-with the truncation of the true series, coefficient by coefficient. Jets
-scale by numbers; there is no jet-by-jet product, which no report needs.
+is a ring quotient map: logs and powers computed on jets agree exactly with
+the truncation of the true series, coefficient by coefficient. Jets scale by
+numbers; there is no jet sum or product, which no report needs.
 Affine polynomials c + l . x in the offset x from the base point come in as
 rows (c, l_1, .., l_m), which _affine places on the monomial basis, and
 _affine_product multiplies holomorphic series by them, truncated: so the
@@ -15,21 +15,19 @@ generic norms build their Pfaffians (see domains.generic_norm_jet).
 
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
 over graded-lex monomial bases, with leading batch axes, one jet per point:
-(*batch, H, W); a one-point jet has batch shape (). Log and real power fill
-their result one total degree at a time (one graded Taylor recurrence in a
-real scalar; Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13) by a
-truncated Cauchy product over a table of the monomial pairs that land on that
-degree, whose left factors are coefficients that the operand holds (its
-nonzero pattern, see _pairs), summed per destination with np.add.reduceat. The
-table has no pair with a constant factor, whose term _graded_solve folds into
-the start value of each degree. The points of a batch that share a pattern
-share a table: at z = 0 the norms hold a few of their coefficients, and
-generic points hold nearly all of them. The jet of a real function has a
-Hermitian coefficient array, c[h, k] = conj(c[k, h]); on an exactly Hermitian
-input at a square cap a recurrence reads a table of the destinations on or
-above the diagonal only, about half the pairs, and mirrors the rest (see
-_graded_solve). Every norm and potential the geometry takes a log or power of
-is such a jet.
+(*batch, H, W); a one-point jet has batch shape (). Log and real power take
+only the jet of a real function at a square cap, whose coefficient array is
+Hermitian, c[h, k] = conj(c[k, h]): every norm and potential the geometry
+takes a log or power of is one. They fill their result one total degree at a
+time (one graded Taylor recurrence in a real scalar; Griewank & Walther,
+Evaluating Derivatives, 2nd ed., ch. 13) by a truncated Cauchy product over a
+table of the monomial pairs that land on that degree on or above the
+diagonal, whose left factors are coefficients that the operand holds (its
+nonzero pattern, see _pairs), summed per destination with np.add.reduceat,
+and mirror the rest. The table has no pair with a constant factor, whose
+term _graded_solve folds into the start value of each degree. The points of
+a batch that share a pattern share a table: at z = 0 the norms hold a few of
+their coefficients, and generic points hold nearly all of them.
 Jets are immutable after construction and all operations are pure.
 """
 
@@ -133,47 +131,45 @@ _CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=256)
-def _pairs(m: int, cap: BidegreeCap, key: bytes, upper: bool = False) -> tuple:
-    """Pair table of a graded recurrence on an operand whose nonzero pattern
-    is key (as _patterns packs it): the pairs of non-constant monomials
-    (flat index 0 on neither side; the recurrences fold a constant factor's
-    term into init) whose product stays within cap and whose left factor is
-    a coefficient that the operand holds, as a term with an exactly zero
-    factor adds nothing. Returns the flat positions of the pattern's
-    non-constant coefficients (its support) and, per total degree of the
-    destination, a tuple of chunks of whole destination segments and about
-    _CHUNK pairs (not one, unless the degree holds one), which bounds the
-    temporaries of one _convolve call; a chunk is (left factor indices into
-    the support, right flat operand indices, the start of each
-    destination's segment, each segment's flat destination), sorted by the
-    destination's flat index. If upper (square caps only), the table holds
-    only the destinations (h, k) with h <= k, on or above the diagonal, and
-    each chunk also carries their mirrors (k, h) (else None)."""
-    height, width = _space_size(m, cap.holo), _space_size(m, cap.anti)
-    held = np.unpackbits(np.frombuffer(key, np.uint8), count=height * width).astype(bool)
+def _pairs(m: int, cap: BidegreeCap, key: bytes) -> tuple:
+    """Pair table of a graded recurrence on a real function's jet at the
+    square cap (see _real_function) whose nonzero pattern is key (as
+    _patterns packs it): the pairs of non-constant monomials (flat index 0
+    on neither side; the recurrence folds a constant factor's term into
+    init) whose product lands on or above the diagonal, at (h, k) with
+    h <= k, and whose left factor is a coefficient that the operand holds,
+    as a term with an exactly zero factor adds nothing. Returns the flat
+    positions of the pattern's non-constant coefficients (its support) and,
+    per total degree of the destination, a tuple of chunks of whole
+    destination segments and about _CHUNK pairs (not one, unless the degree
+    holds one), which bounds the temporaries of one _convolve call; a chunk
+    is (left factor indices into the support, right flat operand indices,
+    the start of each destination's segment, each segment's flat
+    destination (h, k), and its mirror (k, h)), sorted by the destination's
+    flat index."""
+    size = _space_size(m, cap.holo)  # the array's height and width
+    held = np.unpackbits(np.frombuffer(key, np.uint8), count=size * size).astype(bool)
     held[0] = False  # a constant factor's term is in init
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
-    index = np.min_scalar_type(height * width)
-    factors = []
-    lines = held.reshape(height, width)
-    for degree, kept in zip(cap, (lines.any(axis=1), lines.any(axis=0))):
-        ia, ib, ic = _pair_tables(m, degree)
-        keep = kept[ia]  # left factors in the pattern's rows and columns
-        factors.append([t[keep].astype(index) for t in (ia, ib, ic)])
-    (ha, hb, hc), (aa, ab, ac) = factors
+    index = np.min_scalar_type(size * size)
+    # a Hermitian pattern holds the same rows as columns, so one factor
+    # table, of left factors in those rows, serves both characters
+    ia, ib, ic = _pair_tables(m, cap.holo)
+    keep = held.reshape(size, size).any(axis=1)[ia]
+    fa, fb, fc = (t[keep].astype(index) for t in (ia, ib, ic))
     # row i of the table is holomorphic pair i with the antiholomorphic
-    # pairs first[i]..: all of them, or those landing on or above the
-    # diagonal (ac >= hc[i], a suffix, as ac is sorted)
-    first = np.searchsorted(ac, hc) if upper else np.zeros(len(hc), np.intp)
-    count = len(ac) - first
+    # pairs first[i].. that land on or above the diagonal (fc >= fc[i], a
+    # suffix, as fc is sorted)
+    first = np.searchsorted(fc, fc)
+    count = len(fc) - first
     # int32 positions: the expansion is the largest transient of a build
-    row = np.repeat(np.arange(len(hc), dtype=np.int32), count)
+    row = np.repeat(np.arange(len(fc), dtype=np.int32), count)
     col = np.arange(row.size, dtype=np.int32)
     col -= np.repeat((np.cumsum(count) - count - first).astype(np.int32), count)
-    dst = hc[row] * width + ac[col]
-    left = ha[row] * width + aa[col]
-    right = hb[row] * width + ab[col]
+    dst = fc[row] * size + fc[col]
+    left = fa[row] * size + fa[col]
+    right = fb[row] * size + fb[col]
     del row, col
     keep = held[left] & (right != 0)
     dst, left, right = dst[keep], left[keep], right[keep]
@@ -182,7 +178,7 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes, upper: bool = False) -> tuple:
     left = (np.cumsum(held) - 1).astype(np.min_scalar_type(support.size))[left]
     tdeg = _total_degrees(m, cap).astype(np.int32)[dst]  # a small sort key
     # the factor tables are sorted by destination, so this merges sorted runs
-    order = np.argsort(tdeg * (height * width) + dst, kind="stable")
+    order = np.argsort(tdeg * (size * size) + dst, kind="stable")
     dst, tdeg, left, right = dst[order], tdeg[order], left[order], right[order]
     del order
     starts = np.flatnonzero(np.diff(dst, prepend=dst[:1] - 1))
@@ -200,9 +196,8 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes, upper: bool = False) -> tuple:
         for e0, e1 in zip(edges, edges[1:]):
             s0, s1 = np.searchsorted(starts, (e0, e1))
             seg = dst[starts[s0:s1]]
-            mirror = seg % width * width + seg // width if upper else None
             out.append((left[e0:e1], right[e0:e1], starts[s0:s1] - e0, seg,
-                        mirror))
+                        seg % size * size + seg // size))
         return tuple(out)
 
     bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
@@ -269,12 +264,12 @@ def _space_size(m: int, degree: int) -> int:
 class Jet:
     """Immutable truncated Taylor expansion; see module docstring.
 
-    Build jets with jet_constant / jet_variable, sums and scalar multiples,
-    jet_log and jet_real_power, or wrap a complex128 array of shape
-    (*batch, len(basis_exponents(num_vars, cap.holo)),
-    len(basis_exponents(num_vars, cap.anti))) whose [..., i, j] entry is the
-    coefficient of the i-th holomorphic times the j-th antiholomorphic basis
-    monomial; cap must be a BidegreeCap. The array is frozen, not copied.
+    Build jets with jet_log and jet_real_power, scalar multiples, or wrap a
+    complex128 array of shape (*batch, len(basis_exponents(num_vars,
+    cap.holo)), len(basis_exponents(num_vars, cap.anti))) whose [..., i, j]
+    entry is the coefficient of the i-th holomorphic times the j-th
+    antiholomorphic basis monomial; cap must be a BidegreeCap. The array is
+    frozen, not copied.
     """
 
     __slots__ = ("num_vars", "cap", "data")
@@ -285,22 +280,11 @@ class Jet:
         data.setflags(write=False)
         self.data = data
 
-    # -- construction helpers -------------------------------------------------
-
     @staticmethod
     def _zeros(num_vars, cap, batch=()):
         return np.zeros(batch + (_space_size(num_vars, cap.holo),
                                  _space_size(num_vars, cap.anti)),
                         dtype=np.complex128)
-
-    def _like(self, data):
-        return Jet(self.num_vars, self.cap, data)
-
-    # -- basic queries --------------------------------------------------------
-
-    @property
-    def constant_term(self):
-        return self.data[..., 0, 0][()]
 
     def partials(self, p: int, q: int) -> np.ndarray:
         """Dense tensor of every order-(p, q) mixed partial at the base point,
@@ -312,68 +296,12 @@ class Jet:
         out *= weight
         return out
 
-    # -- ring operations ------------------------------------------------------
-
-    def _check_compatible(self, other: "Jet"):
-        if self.num_vars != other.num_vars or self.cap != other.cap:
-            raise ValueError(
-                f"jet mismatch: ({self.num_vars} vars, cap {self.cap}) vs "
-                f"({other.num_vars} vars, cap {other.cap})")
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            self._check_compatible(other)
-            return self._like(self.data + other.data)
-        d = self.data.copy()
-        d[..., 0, 0] += complex(other)
-        return self._like(d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like(-self.data)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            self._check_compatible(other)
-            return self._like(self.data - other.data)
-        return self + (-complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + complex(other)
-
     def __mul__(self, other):
         if isinstance(other, Jet):  # jets scale by numbers only
             return NotImplemented
-        return self._like(self.data * complex(other))
+        return Jet(self.num_vars, self.cap, self.data * complex(other))
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        nz = int(np.count_nonzero(self.data))
-        return f"Jet(num_vars={self.num_vars}, cap={tuple(self.cap)}, nonzero={nz})"
-
-
-# -- constructors -------------------------------------------------------------
-
-def jet_constant(c, num_vars: int, cap) -> Jet:
-    cap = _as_cap(cap)
-    data = Jet._zeros(num_vars, cap)
-    data[0, 0] = complex(c)
-    return Jet(num_vars, cap, data)
-
-
-def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
-    """The coordinate offset z_index (or zb_index if anti) from the base point."""
-    if not 0 <= index < num_vars:
-        raise ValueError(f"variable index {index} out of range for {num_vars} vars")
-    cap = _as_cap(cap)
-    if (cap.anti if anti else cap.holo) < 1:
-        raise ValueError("unit exponent exceeds the cap for this character")
-    data = Jet._zeros(num_vars, cap)
-    pos = num_vars - index  # the basis holds x_m first, x_1 last
-    data[(0, pos) if anti else (pos, 0)] = 1.0
-    return Jet(num_vars, cap, data)
 
 
 # -- analytic operations ------------------------------------------------------
@@ -381,25 +309,19 @@ def jet_variable(index: int, num_vars: int, cap, anti: bool = False) -> Jet:
 def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
     """The jet b with constant term b0 and, for n >= 1, b_n = init a_n +
     sum_{j >= 1} (alpha j - n) / (n a_0) [a_j b_{n-j}]_n, where x_n is the
-    total-degree-n part of x: jet_log's and jet_real_power's recurrence.
-    One pass over the degrees fills b; the term j = n, of b's constant, is
-    in the start value (init + (alpha - 1) b0 / a_0) a_n, so the passes run
-    only the pairs of two non-constant factors. b0 and init hold one value
-    per point. The points are grouped by their nonzero pattern, and each
-    group reads the pair table of its pattern (see _pairs) in passes of as
-    many points as keep the _convolve temporaries near _CHUNK elements.
-
-    If a's coefficient array is exactly Hermitian, c[h, k] = conj(c[k, h])
-    (a real function's), at a square cap, a_0, b0 and init are real and b
-    is Hermitian too: the pass runs only the pairs that land on or above
-    the diagonal, about half, writes the conjugates of each degree's new
-    entries below it before the next degree reads them, and drops the
-    diagonal's roundoff imaginary part. Any other input, or batch with one,
-    takes every pair: the general pass, which checks this one. So a point
-    sums as in its batch of one unless its batch mixes the two kinds."""
+    total-degree-n part of x: jet_log's and jet_real_power's recurrence, on
+    a real function's jet a (see _real_function), with b0 and init real,
+    one value per point, so b is a real function's jet too. One pass over
+    the degrees fills b; the term j = n, of b's constant, is in the start
+    value (init + (alpha - 1) b0 / a_0) a_n, so the pass runs only the
+    pairs of two non-constant factors that land on or above the diagonal,
+    about half, writes the conjugates of each degree's new entries below it
+    before the next degree reads them, and drops the diagonal's roundoff
+    imaginary part. The points are grouped by their nonzero pattern, and
+    each group reads the pair table of its pattern (see _pairs) in passes
+    of as many points as keep the _convolve temporaries near _CHUNK
+    elements, so a point sums as in its batch of one."""
     m, cap, shape = a.num_vars, a.cap, a.data.shape
-    hermitian = (cap.holo == cap.anti
-                 and bool((a.data == a.data.conj().swapaxes(-1, -2)).all()))
     flat, tdeg = a.data.reshape(-1, shape[-2] * shape[-1]), _total_degrees(m, cap)
     a0, b0, init = flat[:, :1], np.reshape(b0, (-1, 1)), np.reshape(init, (-1, 1))
     b = flat * (init + (alpha - 1.0) * b0 / a0)
@@ -409,7 +331,7 @@ def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
     for i, key in enumerate(_patterns(flat)):
         groups.setdefault(key, []).append(i)
     for key, rows in groups.items():
-        support, table = _pairs(m, cap, key, hermitian)
+        support, table = _pairs(m, cap, key)
         sdeg = tdeg[support]
         degrees = [n for n in range(len(table)) if table[n]]  # the degrees with pairs
         step = max(1, _CHUNK // max((len(c[0]) for n in degrees for c in table[n]),
@@ -423,42 +345,48 @@ def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
                     value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
                                                              starts)
                     bp[:, dst] = value
-                    if hermitian:
-                        bp[:, mirror] = value.conj()
+                    bp[:, mirror] = value.conj()
             b[at] = bp
-    if hermitian:  # the mirror conjugated the diagonal's roundoff
-        b[:, ::shape[-1] + 1].imag = 0.0
+    b[:, ::shape[-1] + 1].imag = 0.0  # the mirror conjugated the diagonal's roundoff
     return Jet(m, cap, b.reshape(shape))
 
 
-def _positive_constant(a: Jet, stage: str) -> np.ndarray:
-    """a's constant term (1 x 1 per point), if a finite positive real up to
-    imaginary dust of 1e-12; else a ValueError naming the first bad point."""
+def _real_function(a: Jet, stage: str) -> np.ndarray:
+    """a's constant term (1 x 1 per point), if a is the jet of a real
+    function with a finite positive value: a square cap and, at every
+    point, an exactly Hermitian coefficient array (whose constant term is
+    exactly real) with a finite positive constant term. Else a ValueError
+    naming the stage and, for a point's array, the first bad point."""
+    if a.cap.holo != a.cap.anti:
+        raise ValueError(f"{stage} requires a square cap, got {tuple(a.cap)}")
+    data = a.data.reshape((-1,) + a.data.shape[-2:])
+    hermitian = (data == data.conj().swapaxes(-1, -2)).all(axis=(1, 2)).tolist()
     c0 = a.data[..., :1, :1]
-    _raise_where([not (0.0 < c.real < math.inf  # also rejects nan
-                       and abs(c.imag) <= 1e-12 * max(1.0, c.real))
-                  for c in c0.ravel().tolist()], stage,
-                 "requires a finite positive real constant term")
+    positive = [0.0 < c.real < math.inf for c in c0.ravel().tolist()]  # no nan
+    _raise_where([not (h and p) for h, p in zip(hermitian, positive)], stage,
+                 lambda i: "requires an exactly Hermitian coefficient array "
+                 "(a real function's jet)" if positive[i]
+                 else "requires a finite positive constant term")
     return c0
 
 
 def jet_log(a: Jet, scale: float = 1.0) -> Jet:
-    """scale * log of the series, whose constant term must be a finite
-    positive real. From a E(b) = scale E(a), E the Euler operator (the
-    total-degree-n part times n): b_n = scale a_n / a_0 + (1/(n a_0))
+    """scale * log of a real function's jet with a finite positive value
+    (see _real_function). From a E(b) = scale E(a), E the Euler operator
+    (the total-degree-n part times n): b_n = scale a_n / a_0 + (1/(n a_0))
     sum_{j >= 1} (j - n) a_j b_{n-j}. The recurrence is linear in b and
     negation is exact, so scale = -1 gives every value of -log a to the bit
     (a zero may carry the other sign), with no negated copy."""
-    c0 = _positive_constant(a, "jet_log")
+    c0 = _real_function(a, "jet_log")
     return _graded_solve(a, scale * np.log(c0), 1.0, scale / c0)
 
 
 def jet_real_power(a: Jet, mu: float) -> Jet:
-    """a**mu for real 0 < mu < inf; the constant term must be a finite
-    positive real (b0 = a_0^mu drops its imaginary dust). From a E(b) =
-    mu b E(a): b_n = (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n) a_j b_{n-j}."""
+    """a**mu for real 0 < mu < inf, of a real function's jet with a finite
+    positive value (see _real_function). From a E(b) = mu b E(a): b_n =
+    (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n) a_j b_{n-j}."""
     mu = float(mu)
     if not 0.0 < mu < math.inf:  # also rejects nan
         raise ValueError(f"jet_real_power requires 0 < mu < inf, got {mu}")
-    c0 = _positive_constant(a, "jet_real_power")
+    c0 = _real_function(a, "jet_real_power")
     return _graded_solve(a, c0.real ** mu, mu + 1.0, 0.0)

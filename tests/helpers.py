@@ -1,10 +1,11 @@
 """Shared helpers for the test suite.
 
 Everything here is an independent cross-check path: the reference jet
-product and derivative jet (the engine multiplies jets only by numbers and
-fills logs and powers by graded recurrences), a cofactor determinant of jet
-matrices, the generic norm and the Hartogs potential built from
-jet_variable in raw coordinates, the Horner composition of power series,
+ring (constants, variables, sums and the truncated product) and derivative
+jet (the engine only scales jets by numbers and fills logs and powers by
+graded recurrences), a cofactor determinant of jet matrices, the generic
+norm and the Hartogs potential built from jet_variable in raw coordinates,
+the Horner composition of power series,
 the einsum forms of the curvature contractions, finite-difference stencils
 for Wirtinger derivatives, exact-rational regrouping of the fiber-slice
 identity polynomials, a trace-form computation of the base curvature
@@ -23,11 +24,73 @@ import numpy as np
 
 from hartogslab.domains import contains, generic_norm_value
 from hartogslab.geometry import FIBER_FILL
-from hartogslab.jets import (BidegreeCap, Jet, _pair_tables, basis_exponents,
-                             jet_constant, jet_log, jet_real_power, jet_variable)
+from hartogslab.jets import (BidegreeCap, Jet, _as_cap, _pair_tables,
+                             basis_exponents, jet_log, jet_real_power)
 
 
-# -- the reference jet product and derivative jet -----------------------------
+# -- the reference jet ring and derivative jet ---------------------------------
+
+def jet_constant(c, num_vars, cap):
+    cap = _as_cap(cap)
+    data = Jet._zeros(num_vars, cap)
+    data[0, 0] = complex(c)
+    return Jet(num_vars, cap, data)
+
+
+def jet_variable(index, num_vars, cap, anti=False):
+    """The coordinate offset z_index (or zb_index if anti) from the base point."""
+    if not 0 <= index < num_vars:
+        raise ValueError(f"variable index {index} out of range for {num_vars} vars")
+    cap = _as_cap(cap)
+    if (cap.anti if anti else cap.holo) < 1:
+        raise ValueError("unit exponent exceeds the cap for this character")
+    data = Jet._zeros(num_vars, cap)
+    pos = num_vars - index  # the basis holds x_m first, x_1 last
+    data[(0, pos) if anti else (pos, 0)] = 1.0
+    return Jet(num_vars, cap, data)
+
+
+def constant_term(a):
+    return a.data[..., 0, 0][()]
+
+
+def _check_compatible(a, b):
+    if (a.num_vars, a.cap) != (b.num_vars, b.cap):
+        raise ValueError(f"jet mismatch: ({a.num_vars} vars, cap {a.cap}) vs "
+                         f"({b.num_vars} vars, cap {b.cap})")
+
+
+def add(a, *terms):
+    """The sum a + b + ..., left to right, of jets of one shape and numbers
+    (a number adds to the constant term); a may be a number."""
+    for b in terms:
+        if not isinstance(a, Jet):
+            a, b = b, a  # the sum commutes
+        if isinstance(b, Jet):
+            _check_compatible(a, b)
+            data = a.data + b.data
+        else:
+            data = a.data.copy()
+            data[..., 0, 0] += complex(b)
+        a = Jet(a.num_vars, a.cap, data)
+    return a
+
+
+def neg(a):
+    return Jet(a.num_vars, a.cap, -a.data) if isinstance(a, Jet) else -a
+
+
+def sub(a, b):
+    """a - b of two jets of one shape, or of a jet and a number."""
+    return add(a, neg(b))
+
+
+def hermitian_part(a):
+    """(a + a^H) / 2 of a's coefficient array: exactly Hermitian, as jet_log
+    and jet_real_power require, and a itself if a's function is real, up to
+    the roundoff that the reference products leave."""
+    return Jet(a.num_vars, a.cap, 0.5 * (a.data + a.data.conj().swapaxes(-1, -2)))
+
 
 @lru_cache(maxsize=None)
 def _basis_degrees(m, degree):
@@ -54,8 +117,7 @@ def _factor_pairs(m, degree, ltop, rtop):
 
 
 def _product(a, b):
-    if (b.num_vars, b.cap) != (a.num_vars, a.cap):
-        raise ValueError(f"jet mismatch: {a!r} vs {b!r}")
+    _check_compatible(a, b)
     m, cap, A, B = a.num_vars, a.cap, a.data, b.data
     (ha, hb, hs, hc), (aa, ab, as_, ac) = (
         _factor_pairs(m, degree, _operand_top(A, m, degree, axis),
@@ -153,7 +215,7 @@ def cofactor_det(rows):
         acc = mul(row[cols[0]], minor(cols[1:]))
         for k in range(1, len(cols)):
             term = mul(row[cols[k]], minor(cols[:k] + cols[k + 1:]))
-            acc = acc - term if k % 2 else acc + term
+            acc = sub(acc, term) if k % 2 else add(acc, term)
         return acc
 
     return minor(tuple(range(n)))
@@ -170,9 +232,9 @@ def raw_coordinates(p, cap, jacobian):
         zbk = jet_constant(complex(p[k]).conjugate(), num_vars, cap)
         for j in range(num_vars):
             if jacobian[k, j] != 0:
-                zk = zk + jacobian[k, j] * jet_variable(j, num_vars, cap)
-                zbk = zbk + np.conj(jacobian[k, j]) * jet_variable(
-                    j, num_vars, cap, anti=True)
+                zk = add(zk, jacobian[k, j] * jet_variable(j, num_vars, cap))
+                zbk = add(zbk, np.conj(jacobian[k, j]) * jet_variable(
+                    j, num_vars, cap, anti=True))
         z.append(zk)
         zb.append(zbk)
     return z, zb
@@ -206,7 +268,7 @@ def reference_norm_matrix(spec, p, cap, jacobian):
         for b in range(rows):
             acc = jet_constant(1.0 if a == b else 0.0, num_vars, cap)
             for c in range(cols):
-                acc = acc - mul(Z[a][c], Zb[b][c])
+                acc = sub(acc, mul(Z[a][c], Zb[b][c]))
             row.append(acc)
         E.append(row)
     return E
@@ -220,22 +282,23 @@ def reference_norm(spec, p, cap, jacobian):
         return cofactor_det(reference_norm_matrix(spec, p, cap, jacobian))
     z, zb = raw_coordinates(p, cap, jacobian)
     zero = jet_constant(0.0, jacobian.shape[1], cap)
-    zz = sum((mul(a, b) for a, b in zip(z, zb)), zero)
-    zzt = sum((mul(a, a) for a in z), zero)
-    zbzbt = sum((mul(b, b) for b in zb), zero)
-    return 1.0 - 2.0 * zz + mul(zzt, zbzbt)
+    zz = add(zero, *(mul(a, b) for a, b in zip(z, zb)))
+    zzt = add(zero, *(mul(a, a) for a in z))
+    zbzbt = add(zero, *(mul(b, b) for b in zb))
+    return add(sub(1.0, 2.0 * zz), mul(zzt, zbzbt))
 
 
 def raw_potential_jet(spec, point, cap=(3, 3)):
     """Jet of -log(N^mu - |w|^2) in the coordinates (z, w) themselves, with N
-    from reference_norm: no generic_norm_jet or hartogs_potential_jet."""
+    from reference_norm: no generic_norm_jet or hartogs_potential_jet. The
+    power and the log take their operands' Hermitian parts."""
     base, mu = spec.base, float(spec.mu)
     d = base.d
-    norm = reference_norm(base, point.base, cap, np.eye(d, d + 1))
+    norm = hermitian_part(reference_norm(base, point.base, cap, np.eye(d, d + 1)))
     n_mu = jet_real_power(norm, mu / 2 if base.kind == "type2" else mu)
-    w = jet_variable(d, d + 1, cap) + point.fiber
-    wb = jet_variable(d, d + 1, cap, anti=True) + complex(point.fiber).conjugate()
-    return -jet_log(n_mu - mul(w, wb))
+    w = add(jet_variable(d, d + 1, cap), point.fiber)
+    wb = add(jet_variable(d, d + 1, cap, anti=True), complex(point.fiber).conjugate())
+    return neg(jet_log(hermitian_part(sub(n_mu, mul(w, wb)))))
 
 
 # -- einsum forms of the curvature contractions ------------------------------
@@ -306,10 +369,10 @@ def horner_compose(a, coeffs):
     """sum_k coeffs[k] * (a - a0)^k by Horner's rule, in mul only;
     exact once len(coeffs) exceeds the total degree cap.holo + cap.anti
     (higher powers of a - a0 vanish)."""
-    u = a - a.constant_term
+    u = sub(a, constant_term(a))
     r = jet_constant(coeffs[-1], a.num_vars, a.cap)
     for c in coeffs[-2::-1]:
-        r = mul(r, u) + c
+        r = add(mul(r, u), c)
     return r
 
 
@@ -318,13 +381,13 @@ def _series_terms(a):
 
 
 def horner_reciprocal(a):
-    c0 = a.constant_term
+    c0 = constant_term(a)
     return horner_compose(a, [(-1) ** k / c0 ** (k + 1)
                               for k in range(_series_terms(a))])
 
 
 def horner_log(a):
-    c0 = a.constant_term
+    c0 = constant_term(a)
     return horner_compose(a, [cmath.log(c0)] + [(-1) ** (k + 1) / (k * c0 ** k)
                                                for k in range(1, _series_terms(a))])
 
@@ -332,7 +395,7 @@ def horner_log(a):
 def horner_real_power(a, mu):
     """exp(mu log a), both by Horner."""
     b = horner_log(a) * mu
-    c0 = b.constant_term
+    c0 = constant_term(b)
     return horner_compose(b, [cmath.exp(c0) / math.factorial(k)
                               for k in range(_series_terms(a))])
 

@@ -323,6 +323,25 @@ def test_out_of_range_values_name_the_option(capsys, argv, option):
     assert option in err
 
 
+TOLERANCE_CASES = [(command, option, value)
+                   for command in ("report", "verify-lemmas", "scan-a2", "appendix-table")
+                   for option in ("--tol", "--fit-tol")
+                   if command != "appendix-table" or option == "--tol"
+                   for value in ("-1", "nan", "inf", "-inf")]
+
+
+@pytest.mark.parametrize("command,option,value", TOLERANCE_CASES,
+                         ids=["%s%s=%s" % c for c in TOLERANCE_CASES])
+def test_tolerances_must_be_finite_and_non_negative(capsys, command, option, value):
+    # a negative or nan tolerance fails every check, and an infinite one
+    # passes every check: both are usage errors that name the option
+    # (option=value, as argparse reads "-inf" alone as an option)
+    argv = [command, *DISK, "--samples", "1"] if command != "appendix-table" else [command]
+    code, out, err = run(capsys, [*argv, "%s=%s" % (option, value)])
+    assert (code, out) == (2, "")
+    assert err == "error: %s must be finite and non-negative, got %s\n" % (option, value)
+
+
 @pytest.mark.parametrize("argv", [["report", *DISK, "--samples", "1"],
                                   ["case-analysis", "--n-max", "5"]],
                          ids=["report", "case-analysis"])

@@ -156,8 +156,8 @@ def test_norm_jet_constant_term_matches_value(spec):
     for p in sample_interior(spec, seed=3, count=3):
         j = generic_norm_jet(spec, p, cap)
         val = generic_norm_value(spec, p)
-        assert j.constant_term == pytest.approx(val, rel=1e-10)
-        assert abs(j.constant_term.imag) < 1e-12
+        assert helpers.constant_term(j) == pytest.approx(val, rel=1e-10)
+        assert abs(helpers.constant_term(j).imag) < 1e-12
 
 
 def test_norm_jet_first_order_matches_difference_quotient():

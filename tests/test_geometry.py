@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import add, jet_variable, sub
 from hartogslab import geometry, jets
 from hartogslab.domains import contains, generic_norm_jet, generic_norm_value, \
     type1, type2, type3, type4
@@ -25,8 +26,7 @@ from hartogslab.geometry import (FULL_CAP, HartogsPoint, HartogsSpec,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at,
                                  scalar_curvatures)
-from hartogslab.jets import (BidegreeCap, Jet, jet_log, jet_real_power,
-                             jet_variable)
+from hartogslab.jets import BidegreeCap, Jet, jet_log, jet_real_power
 from hartogslab.oracles import OracleInputs, appendix_R2_base, \
     scalar_curvature_formula
 
@@ -237,7 +237,8 @@ def _log_det_errors(P):
     D = np.einsum("ai,ijhw,bj->abhw", Linv,
                   np.array([[e.data for e in row] for row in G]), Linv.conj())
     cap = G[0][0].cap
-    LD = jet_log(helpers.cofactor_det([[Jet(m, cap, e) for e in row] for row in D]))
+    LD = jet_log(helpers.hermitian_part(
+        helpers.cofactor_det([[Jet(m, cap, e) for e in row] for row in D])))
     L22 = LD.partials(2, 2)
     want = (-LD.partials(1, 1), LD.partials(2, 1), LD.partials(1, 2),
             np.einsum("ba,ij,jaib->", X, X, L22))
@@ -349,11 +350,13 @@ def test_one_block_equals_the_nine_gather_expansion():
 
 def test_reports_neither_negate_nor_scale_a_jet(monkeypatch):
     # the potentials' signs and the genus go into jet_log's recurrence, so
-    # no report copies a jet to negate or scale it
+    # no report copies a jet to negate or scale it: jets have no negation,
+    # and scaling is refused here
     def refuse(*args):
         raise AssertionError("a report negated or scaled a jet")
 
-    for name in ("__neg__", "__mul__", "__rmul__"):
+    assert not hasattr(Jet, "__neg__")
+    for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Jet, name, refuse)
     spec = HartogsSpec(type1(1, 2), F(4, 5))
     points = origin_fiber_points(spec, [0.0, 0.35]) + sample_hartogs(spec, 0, 2)
@@ -379,8 +382,8 @@ def test_contractions_match_einsum_forms(base):
 
 def test_reports_run_only_real_recurrences(monkeypatch):
     # every norm and potential a report takes a log or power of is real,
-    # and made exactly Hermitian, so each recurrence takes the
-    # upper-triangle path; a silent fallback to the general path fails here
+    # and made exactly Hermitian, at a square cap, as the recurrences
+    # require
     runs = []
     solve = jets._graded_solve
 
@@ -427,7 +430,7 @@ def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
     z, w = (jet_variable(i, 2, (1, 1)) for i in range(2))
     zb, wb = (jet_variable(i, 2, (1, 1), anti=True) for i in range(2))
     with pytest.raises(ValueError) as want:
-        metric_at(helpers.mul(z, zb) - helpers.mul(w, wb))
+        metric_at(sub(helpers.mul(z, zb), helpers.mul(w, wb)))
     assert str(want.value) == "metric at point 0: " + geometry._NOT_POSITIVE
     convex = Jet(1, BidegreeCap(1, 1),
                  np.array([[[1.0, 0.0], [0.0, 2.0]]], complex))  # one point
@@ -490,10 +493,10 @@ def _scalar_curvature_identity_jet(spec, point):
     c = (mu * (d + 1) - spec.base.genus) / mu
     cap = (1, 1)
     N = generic_norm_jet(spec.base, point.base, cap, jacobian=np.eye(d, d + 1))
-    w = jet_variable(d, d + 1, cap) + point.fiber
-    wb = jet_variable(d, d + 1, cap, anti=True) + point.fiber.conjugate()
+    w = add(jet_variable(d, d + 1, cap), point.fiber)
+    wb = add(jet_variable(d, d + 1, cap, anti=True), point.fiber.conjugate())
     tau = helpers.mul(w, wb, helpers.horner_reciprocal(jet_real_power(N, mu)))
-    return d * c * (1 - tau) - (d + 1) * (d + 2)
+    return sub(d * c * sub(1, tau), (d + 1) * (d + 2))
 
 
 @pytest.mark.parametrize("spec", [HartogsSpec(type1(2, 2), F(4, 5)),
@@ -505,7 +508,7 @@ def test_laplacian_off_slice_matches_identity_jet(spec):
     for pt in sample_hartogs(spec, seed=0, count=4):
         rep = curvature_report(spec, pt)
         kj = _scalar_curvature_identity_jet(spec, pt)
-        assert kj.constant_term.real == pytest.approx(rep.k, rel=1e-9)
+        assert helpers.constant_term(kj).real == pytest.approx(rep.k, rel=1e-9)
         want = np.einsum("ji,ij->", rep.metric.g_inv, kj.partials(1, 1))
         # c = 0 for type1(2,2) at mu = 4/5, so Delta k = 0 there: relative
         # error with a floor of 1, as in the imaginary-residue guard
@@ -594,18 +597,19 @@ def test_outside_point_rejected():
 def test_potential_in_a_frame_matches_the_reference(base):
     # N^mu is taken in the base's d variables and placed among the d + 1,
     # so it is checked against N built in all d + 1 from jet_variable, at
-    # a lower-triangular frame and an unequal cap
+    # a lower-triangular frame; the power and the log take their operands'
+    # Hermitian parts
     spec = HartogsSpec(base, 0.8)
     pt = sample_hartogs(spec, seed=0, count=1)[0]
-    d, cap = base.d, (3, 2)
+    d, cap = base.d, (3, 3)
     frame = np.tril(np.random.default_rng(6).normal(size=(d + 1, d + 1))) \
         + 2 * np.eye(d + 1)
-    norm = helpers.reference_norm(base, pt.base, cap, frame[:d])
-    w = sum((c * jet_variable(j, d + 1, cap) for j, c in enumerate(frame[d])),
-            pt.fiber)
-    wb = sum((c * jet_variable(j, d + 1, cap, anti=True)
-              for j, c in enumerate(frame[d])), complex(pt.fiber).conjugate())
-    want = -jet_log(jet_real_power(norm, 0.8) - helpers.mul(w, wb))
+    norm = helpers.hermitian_part(helpers.reference_norm(base, pt.base, cap, frame[:d]))
+    w = add(pt.fiber, *(c * jet_variable(j, d + 1, cap) for j, c in enumerate(frame[d])))
+    wb = add(complex(pt.fiber).conjugate(), *(c * jet_variable(j, d + 1, cap, anti=True)
+                                              for j, c in enumerate(frame[d])))
+    want = helpers.neg(jet_log(helpers.hermitian_part(
+        sub(jet_real_power(norm, 0.8), helpers.mul(w, wb)))))
     got = hartogs_potential_jet(spec, pt, cap, frame)
     assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
     # a frame whose base coordinates involve the fiber's variable is refused
@@ -620,7 +624,7 @@ def test_bergman_potential_constant_term():
     j = bergman_potential_jet(spec, p, (1, 1))
     from hartogslab.domains import generic_norm_value
     want = -spec.genus * np.log(generic_norm_value(spec, p))
-    assert j.constant_term == pytest.approx(want, rel=1e-12)
+    assert helpers.constant_term(j) == pytest.approx(want, rel=1e-12)
 
 
 def test_report_json_shape():

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import coefficient, mul
+from helpers import (add, coefficient, constant_term, jet_constant, jet_variable,
+                     mul, sub)
 from hartogslab import geometry, jets
-from hartogslab.domains import generic_norm_jet, type1, type3
+from hartogslab.domains import generic_norm_jet, type1, type2, type3, type4
 from hartogslab.geometry import HartogsSpec, sample_hartogs
 from hartogslab.jets import (MAX_DEGREE, BidegreeCap, Jet, basis_exponents,
-                             jet_constant, jet_log, jet_real_power,
-                             jet_variable)
+                             jet_log, jet_real_power)
 
 
 def jet_from_dict(coeffs, m, cap):
@@ -29,7 +29,7 @@ def jet_from_dict(coeffs, m, cap):
         for i, e in enumerate(a):
             for _ in range(e):
                 term = mul(term, jet_variable(i, m, cap, anti=True))
-        acc = acc + term
+        acc = add(acc, term)
     return acc
 
 
@@ -86,10 +86,10 @@ def test_index_tables_match_enumeration(m):
 def test_constant_and_variable_basics():
     cap = BidegreeCap(2, 2)
     c = jet_constant(3.5 - 1j, 2, cap)
-    assert c.constant_term == 3.5 - 1j
+    assert constant_term(c) == 3.5 - 1j
     z0 = jet_variable(0, 2, cap)
     assert coefficient(z0, (1, 0), (0, 0)) == 1.0
-    assert z0.constant_term == 0.0
+    assert constant_term(z0) == 0.0
     zb1 = jet_variable(1, 2, cap, anti=True)
     assert coefficient(zb1, (0, 0), (0, 1)) == 1.0
     with pytest.raises(ValueError):
@@ -195,7 +195,7 @@ def test_derivative_jet_shifts_and_scales():
     z = jet_variable(0, 2, cap)
     w = jet_variable(1, 2, cap)
     zb = jet_variable(0, 2, cap, anti=True)
-    j = mul(z, z, w, zb, zb) + 3.0 * mul(w, zb)  # z0^2 z1 zb0^2 + 3 z1 zb0
+    j = add(mul(z, z, w, zb, zb), 3.0 * mul(w, zb))  # z0^2 z1 zb0^2 + 3 z1 zb0
     both = helpers.derivative_jet(j, 0, 0)
     assert both.cap == BidegreeCap(2, 1)
     assert dict_from_jet(both) == {((1, 1), (1, 0)): 4.0}  # 4 z0 z1 zb0
@@ -208,7 +208,7 @@ def test_incompatible_jets_rejected():
     b = jet_constant(1.0, 2, (2, 1))
     c = jet_constant(1.0, 1, (2, 2))
     for other in (b, c):
-        for op in (lambda x, y: x + y, lambda x, y: x - y, mul):
+        for op in (add, sub, mul):
             with pytest.raises(ValueError):
                 op(a, other)
 
@@ -228,10 +228,12 @@ def test_jets_multiply_by_numbers_only():
 
 
 def _random_unit_jet(rng, m, cap):
-    """Random jet with constant term 1 + something positive-ish."""
+    """Random real function's jet (the Hermitian part of one with integer
+    coefficients, so exact products stay exactly Hermitian) with a positive
+    integer constant term."""
     d = random_dict(rng, m, cap, terms=5)
     d[((0,) * m, (0,) * m)] = rng.randint(2, 5)
-    return jet_from_dict(d, m, cap)
+    return helpers.hermitian_part(jet_from_dict(d, m, cap))
 
 
 def test_log_is_additive_and_power_consistent():
@@ -241,7 +243,7 @@ def test_log_is_additive_and_power_consistent():
         a = _random_unit_jet(rng, 2, cap)
         b = _random_unit_jet(rng, 2, cap)
         lhs = jet_log(mul(a, b))
-        rhs = jet_log(a) + jet_log(b)
+        rhs = add(jet_log(a), jet_log(b))
         assert np.allclose(lhs.data, rhs.data, atol=1e-12)
         sq = jet_real_power(a, 0.5)
         assert np.allclose(mul(sq, sq).data, a.data, atol=1e-11)
@@ -257,33 +259,46 @@ HORNER_CASES = [(m, cap) for m in (1, 2, 3, 7)
                          ids=[f"m{m}-cap{p}{q}" for m, (p, q) in HORNER_CASES])
 @pytest.mark.parametrize("shape", ["dense", "no_last_variable", "degree_two"])
 def test_recurrences_match_horner_composition(m, cap, shape):
+    # a real function's jet at the square cap (c, c), c = max(cap), whose
+    # recurrences, truncated to cap, must match the Horner compositions of
+    # the operand truncated to cap: truncation is a ring quotient map.
     # no_last_variable zeroes every row and column whose monomial contains
     # the last variable, as in the generic norm, which never involves the
     # Hartogs fiber's variable; degree_two zeroes every row and column of
     # degree above 2, as in type 4's generic norm
     cap = BidegreeCap(*cap)
     rng = np.random.default_rng(100 * m + 10 * cap.holo + cap.anti)
-    hb, ab = basis_exponents(m, cap.holo), basis_exponents(m, cap.anti)
-    data = 0.2 * (rng.normal(size=(len(hb), len(ab)))
-                  + 1j * rng.normal(size=(len(hb), len(ab))))
+    basis = basis_exponents(m, max(cap))
+    X = 0.2 * (rng.normal(size=(len(basis),) * 2) + 1j * rng.normal(size=(len(basis),) * 2))
+    data = 0.5 * (X + X.conj().T)  # exactly Hermitian: the sum commutes
     data[0, 0] = 2.0
     if shape == "no_last_variable":
-        data[[e[-1] > 0 for e in hb], :] = 0.0
-        data[:, [e[-1] > 0 for e in ab]] = 0.0
+        data[[e[-1] > 0 for e in basis], :] = 0.0
+        data[:, [e[-1] > 0 for e in basis]] = 0.0
     if shape == "degree_two":
-        data[[sum(e) > 2 for e in hb], :] = 0.0
-        data[:, [sum(e) > 2 for e in ab]] = 0.0
-    _assert_recurrences_match_horner(Jet(m, cap, data))
+        data[[sum(e) > 2 for e in basis], :] = 0.0
+        data[:, [sum(e) > 2 for e in basis]] = 0.0
+    _assert_recurrences_match_horner(Jet(m, BidegreeCap(max(cap), max(cap)), data), cap)
 
 
-def _assert_recurrences_match_horner(a, hermitian=False):
-    """log and three real powers of a against their Horner compositions; if
-    hermitian, each result must be exactly Hermitian."""
-    pairs = [(jet_log(a), helpers.horner_log(a))]
-    pairs += [(jet_real_power(a, mu), helpers.horner_real_power(a, mu))
+def _truncated(j, cap):
+    """j at the smaller cap: a prefix block of its coefficient array."""
+    rows, cols = (len(basis_exponents(j.num_vars, c)) for c in cap)
+    return Jet(j.num_vars, cap, j.data[..., :rows, :cols].copy())
+
+
+def _assert_recurrences_match_horner(a, cap=None):
+    """log and three real powers of a, each exactly Hermitian, against their
+    Horner compositions; with cap, the results truncated to cap against the
+    compositions of a truncated to cap."""
+    cap = a.cap if cap is None else cap
+    cut = _truncated(a, cap)
+    pairs = [(jet_log(a), helpers.horner_log(cut))]
+    pairs += [(jet_real_power(a, mu), helpers.horner_real_power(cut, mu))
               for mu in (0.5, 0.8, 3.0)]
     for got, want in pairs:
-        assert not hermitian or _hermitian(got.data)
+        assert _hermitian(got.data)
+        got = _truncated(got, cap)
         assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
 
 
@@ -321,7 +336,7 @@ def _sampled_norm_and_potential_jets(base, monkeypatch):
 
 
 HERMITIAN_CASES = [("random", (m, c)) for m in range(1, 5) for c in (1, 2, 3)]
-HERMITIAN_CASES += [(which, base) for base in (type1(1, 2), type3(2))
+HERMITIAN_CASES += [(which, base) for base in (type1(1, 2), type3(2), type2(4), type4(5))
                     for which in ("N", "I")]
 
 
@@ -329,15 +344,15 @@ HERMITIAN_CASES += [(which, base) for base in (type1(1, 2), type3(2))
     f"random-m{arg[0]}-cap{arg[1]}{arg[1]}" if kind == "random"
     else f"{kind}-{arg.label()}" for kind, arg in HERMITIAN_CASES])
 def test_hermitian_recurrences_match_horner_composition(kind, arg, monkeypatch):
-    # an exactly Hermitian jet (a real function) takes the upper-triangle
-    # recurrences, whose output is exactly Hermitian
+    # random real functions' jets, and the norm N and I = N^mu - |w|^2 of
+    # each family as a report builds them; the output is exactly Hermitian
     if kind == "random":
         a = _random_hermitian_jet(*arg)
     else:
         N, I = _sampled_norm_and_potential_jets(arg, monkeypatch)
         a = N if kind == "N" else I
     assert _hermitian(a.data)
-    _assert_recurrences_match_horner(a, hermitian=True)
+    _assert_recurrences_match_horner(a)
 
 
 ZERO_CASES = [(base, t) for base in (type1(1, 2), type3(2)) for t in (0.0, 0.3)]
@@ -352,8 +367,8 @@ def test_recurrences_on_operands_with_exact_zeros_match_horner(base, t, monkeypa
     # z = 0 the metric-normal frame is diagonal, so N and I hold few of the
     # coefficients in their rows and columns (at t = 0, I also lacks the
     # terms linear in the fiber's variable), and a generic jet may hold an
-    # accidental exact zero. Each runs as built, on the Hermitian path, and
-    # with the same pattern and non-Hermitian values, on the general path
+    # accidental exact zero. Each runs as built; with the same pattern and
+    # non-Hermitian values, it is refused
     if base is None:
         data = _random_hermitian_jet(3, 3).data.copy()
         data[2, 5] = data[5, 2] = 0.0
@@ -366,12 +381,14 @@ def test_recurrences_on_operands_with_exact_zeros_match_horner(base, t, monkeypa
     for a in operands:
         held = a.data != 0
         assert not held[np.ix_(held.any(axis=1), held.any(axis=0))].all()
-        _assert_recurrences_match_horner(a, hermitian=True)
+        _assert_recurrences_match_horner(a)
         twist = np.exp(0.3j * rng.normal(size=a.data.shape))
         twist[0, 0] = 1.0  # keep the constant term a positive real
         general = Jet(a.num_vars, a.cap, a.data * twist)
         assert not _hermitian(general.data)
-        _assert_recurrences_match_horner(general)
+        for f in STACK_RECURRENCES:
+            with pytest.raises(ValueError, match="requires an exactly Hermitian"):
+                f(general)
 
 
 def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
@@ -383,7 +400,7 @@ def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(3, 20, 20)) + 1j * rng.normal(size=(3, 20, 20))
         data[:, 0, 0] = 3.0
-        data[2] += data[2].conj().T  # exactly Hermitian: the upper tables
+        data += data.conj().swapaxes(-1, -2)  # exactly Hermitian
         cases.append([Jet(3, cap, x) for x in data])
 
     def results():
@@ -397,9 +414,8 @@ def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
         for got, want in zip(results(), whole):
             for g, w in zip(got, want):
                 assert np.array_equal(g.data, w.data)
-        for upper in (False, True):
-            for chunks in jets._pairs(3, cap, _box_key(3, cap, cap), upper)[1]:
-                assert len(chunks) <= 1 or min(len(c[0]) for c in chunks) > 1
+        for chunks in jets._pairs(3, cap, _box_key(3, cap, cap))[1]:
+            assert len(chunks) <= 1 or min(len(c[0]) for c in chunks) > 1
     finally:
         jets._pairs.cache_clear()
 
@@ -424,7 +440,7 @@ def test_graded_tables_hold_no_constant_factor_pairs(m, cap, top, count):
     # a recurrence takes a constant factor's term into its init, so its
     # table pairs only non-constant factors
     cap = BidegreeCap(*cap)
-    graded = jets._pairs(m, cap, _box_key(m, cap, top), True)
+    graded = jets._pairs(m, cap, _box_key(m, cap, top))
     assert _table_pairs(graded) == count
     support, degrees = graded
     assert not degrees[0] and not degrees[1]
@@ -465,7 +481,8 @@ def test_origin_pair_budget(monkeypatch):
 @pytest.mark.parametrize("hermitian", [False, True])
 def test_recurrences_on_rank_one_jets_match_horner(m, hermitian):
     # c0 plus a bidegree-(1,1) part only, as the mu = 1 norms of rank-1
-    # bases: no pair lands on a degree-1 destination
+    # bases: no pair lands on a degree-1 destination. The Hermitian operand
+    # runs; the same pattern with a non-Hermitian block is refused
     rng = np.random.default_rng(m)
     size = len(basis_exponents(m, 3))
     data = np.zeros((size, size), dtype=np.complex128)
@@ -476,7 +493,13 @@ def test_recurrences_on_rank_one_jets_match_horner(m, hermitian):
     held = np.zeros((size, size), dtype=bool)
     held[0, 0] = held[1:m + 1, 1:m + 1] = True
     assert jets._patterns(a.data.reshape(1, -1)) == jets._patterns(held.reshape(1, -1))
-    _assert_recurrences_match_horner(a, hermitian)
+    if hermitian:
+        _assert_recurrences_match_horner(a)
+        return
+    assert not _hermitian(a.data)
+    for f in STACK_RECURRENCES:
+        with pytest.raises(ValueError, match="requires an exactly Hermitian"):
+            f(a)
 
 
 def test_log_and_power_guards():
@@ -516,8 +539,9 @@ def test_log_and_power_reject_non_finite_constant_terms(c, f, stage):
 
 
 def test_log_rejects_a_complex_constant_term():
-    # log and power share one guard: a finite positive real constant term,
-    # up to imaginary dust of 1e-12, so the log takes no complex one
+    # log and power share one guard: an exactly Hermitian coefficient
+    # array, whose constant term is then real, so the log takes no complex
+    # one
     cap = BidegreeCap(1, 1)
     good, bad = jet_constant(1.0, 1, cap), jet_constant(1 + 1j, 1, cap)
     with pytest.raises(ValueError, match="^jet_log at point 1: "):
@@ -532,19 +556,19 @@ def test_cofactor_det_on_constants_matches_numpy():
         rows = [[jet_constant(x, 1, (1, 1)) for x in row] for row in M]
         got = helpers.cofactor_det(rows)
         want = np.linalg.det(M)
-        assert abs(got.constant_term - want) < 1e-13 * abs(want), n
+        assert abs(constant_term(got) - want) < 1e-13 * abs(want), n
         assert not got.data.ravel()[1:].any()
 
 
 def test_scalar_mixed_arithmetic():
     cap = (2, 2)
     z = jet_variable(0, 1, cap)
-    j = 2.0 * z + 1.0 - z * 0.5
-    assert j.constant_term == 1.0
+    j = sub(add(2.0 * z, 1.0), z * 0.5)
+    assert constant_term(j) == 1.0
     assert coefficient(j, (1,), (0,)) == 1.5
-    k = 1.0 - j
+    k = sub(1.0, j)
     assert coefficient(k, (1,), (0,)) == -1.5
-    assert not (j - j).data.any()
+    assert not sub(j, j).data.any()
 
 
 def _hermitian_stack(m, count):
@@ -565,29 +589,19 @@ STACK_RECURRENCES = [jet_log, lambda a: jet_real_power(a, 0.8),
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_stacked_recurrences_match_per_jet_calls(m, monkeypatch):
-    # one table, one pass per _CHUNK of pairs times points, and one
-    # Hermitian test for the whole stack: every point keeps its own sums
-    cap, uppers = BidegreeCap(3, 3), []
+    # one table and one pass per _CHUNK of pairs times points for the
+    # whole stack: every point keeps its own sums
+    cap, tables = BidegreeCap(3, 3), []
     pairs = jets._pairs
     monkeypatch.setattr(jets, "_pairs",
-                        lambda *args: uppers.append(args[3]) or pairs(*args))
+                        lambda *args: tables.append(args) or pairs(*args))
     stack = _hermitian_stack(m, 3)
-    # one point off by 1e-3 from Hermitian: the whole stack takes every pair
-    mixed = stack.copy()
-    mixed[1, 1, 2] += 1e-3
     for f in STACK_RECURRENCES:
-        uppers.clear()
+        tables.clear()
         got = f(Jet(m, cap, stack.copy()))
-        assert uppers == [True]
+        assert len(tables) == 1
         for i in range(3):
             assert np.array_equal(got.data[i], f(Jet(m, cap, stack[i].copy())).data)
-        uppers.clear()
-        got = f(Jet(m, cap, mixed.copy()))
-        assert uppers[0] is False
-        assert np.array_equal(got.data[1], f(Jet(m, cap, mixed[1].copy())).data)
-        for i in (0, 2):
-            want = f(Jet(m, cap, mixed[i].copy())).data  # the Hermitian path
-            assert np.abs(got.data[i] - want).max() <= 1e-14 * np.abs(want).max()
     # one point per pass gives the same bits
     whole = [f(Jet(m, cap, stack.copy())).data for f in STACK_RECURRENCES]
     monkeypatch.setattr(jets, "_CHUNK", 7)
@@ -602,17 +616,39 @@ def test_stacked_recurrences_match_per_jet_calls(m, monkeypatch):
 def test_stacked_jets_keep_their_batch_axes():
     data = _hermitian_stack(2, 6).reshape(2, 3, 10, 10)
     a = Jet(2, BidegreeCap(3, 3), data)
-    assert a.constant_term.tolist() == [[2.0, 3.0, 4.0], [5.0, 6.0, 7.0]]
+    assert constant_term(a).tolist() == [[2.0, 3.0, 4.0], [5.0, 6.0, 7.0]]
     assert a.partials(2, 1).shape == (2, 3, 2, 2, 2)
     assert np.array_equal(a.partials(1, 1)[1, 2],
                           Jet(2, BidegreeCap(3, 3), data[1, 2].copy()).partials(1, 1))
     assert jet_log(a).data.shape == data.shape
     assert np.array_equal(jet_log(a).data[1, 0], jet_log(Jet(2, a.cap, data[1, 0].copy())).data)
-    b = a + 1.0
-    assert b.constant_term.tolist() == [[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]
+    b = add(a, 1.0)
+    assert constant_term(b).tolist() == [[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]
     bad = data.copy()
     bad[1, 1, 0, 0] = -1.0
     with pytest.raises(ValueError, match="^jet_log at point 4: "):
         jet_log(Jet(2, a.cap, bad))
     with pytest.raises(ValueError, match="^jet_real_power at point 4: "):
         jet_real_power(Jet(2, a.cap, bad), 0.8)
+
+
+STAGES = list(zip(STACK_RECURRENCES, ["jet_log", "jet_real_power", "jet_real_power"]))
+
+
+@pytest.mark.parametrize("f,stage", STAGES, ids=["log", "power-0.8", "power-3"])
+def test_recurrences_refuse_an_unequal_cap(f, stage):
+    # a real function's jet has a square cap; no point is named
+    a = jet_constant(1.0, 2, (2, 1))
+    with pytest.raises(ValueError, match=rf"^{stage} requires a square cap, got \(2, 1\)$"):
+        f(a)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("f,stage", STAGES, ids=["log", "power-0.8", "power-3"])
+def test_recurrences_refuse_a_point_off_hermitian(f, stage, m):
+    # only point 1 is off by 1e-3 from Hermitian: the guard names it, and
+    # its finite positive constant term does not pass it
+    data = _hermitian_stack(m, 3)
+    data[1, 1, 2] += 1e-3
+    with pytest.raises(ValueError, match=f"^{stage} at point 1: requires an exactly Hermitian"):
+        f(Jet(m, BidegreeCap(3, 3), data))
