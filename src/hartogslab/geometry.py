@@ -30,13 +30,20 @@ tr(g^{-1} Ric), expanded with d(g^{-1}) = -g^{-1} (dg) g^{-1}, so that no
 finite-difference error enters. Every contraction is a matrix product or a
 sum of traces of products: after the potential jet, a report in m = d + 1
 variables costs O(m^5) arithmetic plus one pass over the roughly (m^3/6)^2
-Taylor coefficients of bidegree (3, 3).
+Taylor coefficients of bidegree (3, 3), or in the metric-normal frame over
+the O(m^4) of them whose monomials share two variables.
 
 curvature_reports and scalar_curvatures differentiate in metric-normal
 coordinates x, (z, w) = (z0, w0) + A x with g = I at the point (see
 _normal_frame). Near the boundary g in (z, w) has condition numbers of 1e5
 and more, and one-ulp noise on a potential jet in (z, w) moved k by 1e-7
-there; in x every point is at roundoff. The report's tensors are pulled
+there; in x every point is at roundoff. Their potentials are contracted
+jets (see jets._contracted_mask): there X = g^{-1} is I to roundoff, and
+the top block, which only X-contracted permanents read (_one_block at cap
+(3, 3), k = tr(X Ric) at cap (2, 2)), keeps only the coefficients that
+enter at first order in X - I. _normal_potential refuses a point whose
+residual max |g - I| exceeds _FRAME_TOL = 1e-8 (3.8e-11 at most over the
+78-command sweep). The report's tensors are pulled
 back to (z, w). Every stage takes a stack of points, a HartogsPoint of
 arrays (jets and tensors put the point axes first), and a ValueError names
 the stage and the first failing point's index.
@@ -52,12 +59,16 @@ import numpy as np
 
 from .domains import DomainSpec, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import _CHUNK, BidegreeCap, Jet, _affine, _raise_where, \
-    _space_size, basis_exponents, jet_log, jet_real_power
+from .jets import _CHUNK, BidegreeCap, Jet, _affine, _contracted_mask, \
+    _raise_where, _space_size, basis_exponents, jet_log, jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
 _REAL_TOL = 1e-8  # relative imaginary residue that _real accepts
+# largest max |g - I| of a metric-normal potential's (1, 1) block that the
+# contracted jets accept: each top-block term they drop is at most
+# 6 e^2 (1 + e) |C[a, b]| (see _normal_potential)
+_FRAME_TOL = 1e-8
 _NOT_POSITIVE = ("metric is not positive definite "
                  "(point outside the domain or bad potential)")
 _OUTSIDE = "point lies outside the Hartogs domain: N^mu - |w|^2 <= 0"
@@ -143,13 +154,18 @@ def _base_positions(d: int, degree: int) -> np.ndarray:
 
 
 def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
-                          frame=None) -> Jet:
+                          frame=None, *, contracted: bool = False) -> Jet:
     """Jet of Phi = -log(N^mu - |w|^2) in the d+1 variables x of
     (z, w) = (z0, w0) + frame @ x, centered at point = (z0, w0); frame
     defaults to the identity, and the fiber w is the last coordinate. The
     base coordinates must not involve x_d (frame[:d, d] = 0), so N^mu is
     taken in the first d variables and then placed among the d+1. The cap
-    must be square, as jet_log's is (a real function's jet)."""
+    must be square, as jet_log's is (a real function's jet). contracted
+    passes to the power and the log (see jets._contracted_mask): the top
+    block then holds only what X-contracted permanents weigh at first
+    order, for a frame in which g is I at the point."""
+    if cap[0] != cap[1]:
+        raise ValueError(f"potential requires a square cap, got {tuple(cap)}")
     d = spec.base.d
     mu = float(spec.mu)
     frame = np.eye(d + 1) if frame is None else np.asarray(frame)
@@ -158,7 +174,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
                  "fiber's variable (frame[:d, d] must be 0)")
     power = generic_norm_jet(spec.base, point.base, cap, jacobian=frame[..., :d, :d])
     if mu != 1.0:
-        power = jet_real_power(power, mu)
+        power = jet_real_power(power, mu, contracted=contracted)
     cap, batch = power.cap, power.data.shape[:-2]
     inner = Jet._zeros(d + 1, cap, batch)
     inner.reshape(batch + (-1,))[..., _base_positions(d, cap.holo)] = \
@@ -175,7 +191,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     ww *= 0.5
     inner[..., :d + 2, :d + 2] -= ww
     _raise_where(~(inner[..., 0, 0].real > 0.0), "potential", _OUTSIDE)  # nan fails too
-    return jet_log(Jet(d + 1, cap, inner), -1.0)
+    return jet_log(Jet(d + 1, cap, inner), -1.0, contracted=contracted)
 
 
 def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
@@ -210,7 +226,10 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
 
 
 def _cholesky(g: np.ndarray, stage: str) -> np.ndarray:
-    """Cholesky factors of g, or a ValueError naming its least positive matrix."""
+    """Cholesky factors of g, or a ValueError naming its first matrix that is
+    not finite (numpy factors nan without an error), else its least
+    positive one."""
+    _raise_where(~np.isfinite(g).all(axis=(-2, -1)), stage, "matrix is not finite")
     try:
         return np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -219,11 +238,20 @@ def _cholesky(g: np.ndarray, stage: str) -> np.ndarray:
 
 
 def _normal_potential(spec: HartogsSpec, points: Sequence[HartogsPoint], cap):
-    """A and A^{-1} of _normal_frame per point, and the potential jets in A."""
+    """A and A^{-1} of _normal_frame per point, and the contracted potential
+    jets in A (see hartogs_potential_jet). Their consumers read the top
+    block only through permanents of X = g^{-1}, where a dropped
+    coefficient C[a, b] enters as at most 6 e^2 (1 + e) |C[a, b]|, with e
+    the residual max |g - I| of the jet's (1, 1) block; a point whose e
+    exceeds _FRAME_TOL (or is nan) is refused, with no fallback."""
     point = HartogsPoint(np.array([p.base for p in points], dtype=np.complex128),
                          np.array([p.fiber for p in points], dtype=np.complex128))
     A, B = _normal_frame(spec, point)
-    return A, B, hartogs_potential_jet(spec, point, cap, A)
+    P = hartogs_potential_jet(spec, point, cap, A, contracted=True)
+    e = np.abs(P.partials(1, 1) - np.eye(A.shape[-1])).max(axis=(-2, -1))
+    _raise_where(~(e <= _FRAME_TOL), "frame", lambda i: "metric-normal residual "
+                 "max |g - I| = %.1e exceeds %g" % (e[i], _FRAME_TOL))
+    return A, B, P
 
 
 def _normal_frame(spec: HartogsSpec, point: HartogsPoint):
@@ -327,27 +355,33 @@ def _products(S: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _permanent_index(m: int):
+def _permanent_index(m: int, contracted: bool = False):
     """Index tables of the 3 x 3 matrices X[b, a] with entries X[b_s, a_t],
     for the variables a_t of each degree-3 monomial a and b_s of each b,
-    listed with multiplicity, expanded by their first row: row[t, a, b] is
-    the flat index of X[b_0, a_t] into X (m x m), and minor[t, a, b] that
-    of Q[b_1, b_2, a_u, a_v] into the m^4 table of 2 x 2 permanents
-    Q[b1, b2, a1, a2] = X[b1, a1] X[b2, a2] + X[b1, a2] X[b2, a1], where
-    (u, v) are the columns other than t, in order; a and b run over the
-    graded basis of degree 3."""
-    exps = np.array(basis_exponents(m, 3)[_space_size(m, 2):])
+    listed with multiplicity, expanded by their first row, over the pairs
+    (a, b) in C order, or only those that jets._contracted_mask keeps if
+    contracted: row[t, i] is the flat index of X[b_0, a_t] into X (m x m)
+    for pair i, and minor[t, i] that of Q[b_1, b_2, a_u, a_v] into the m^4
+    table of 2 x 2 permanents Q[b1, b2, a1, a2] = X[b1, a1] X[b2, a2] +
+    X[b1, a2] X[b2, a1], where (u, v) are the columns other than t, in
+    order; a and b run over the graded basis of degree 3. cell[i] is the
+    flat index of the coefficient of pair i into a cap-(3, 3) array."""
+    lo, size = _space_size(m, 2), _space_size(m, 3)
+    exps = np.array(basis_exponents(m, 3)[lo:])
     var = np.repeat(np.tile(np.arange(m), len(exps)), exps.ravel()).reshape(-1, 3)
     a, b = var.T[:, :, None], var.T[:, None, :]  # [s, a, b]
     row = b[0] * m + a
     minor = (b[1] * m + b[2]) * m * m + np.stack(
         (a[1] * m + a[2], a[0] * m + a[2], a[0] * m + a[1]))
-    for index in (row, minor):
+    cell = np.add.outer(np.arange(lo, size) * size, np.arange(lo, size)).ravel()
+    pairs = np.flatnonzero(_contracted_mask(m, 3)[cell]) if contracted else slice(None)
+    out = row.reshape(3, -1)[:, pairs], minor.reshape(3, -1)[:, pairs], cell[pairs]
+    for index in out:
         index.setflags(write=False)
-    return row, minor
+    return out
 
 
-def _one_block(potential: Jet, X: np.ndarray):
+def _one_block(potential: Jet, X: np.ndarray, *, contracted: bool = False):
     """sum X[j, i] X[b, h] X[c, k] d_i d_h d_k dbar_j dbar_b dbar_c Phi over
     all six indices. Both triples are symmetric, so this is 6 sum C[a, b]
     per(X[b, a]) over degree-3 monomials a, b, where C is the Taylor
@@ -355,12 +389,14 @@ def _one_block(potential: Jet, X: np.ndarray):
     matrices, expanded by the first row against the 2 x 2 permanents of
     each point's table Q: one pass over the C(m + 2, 3)^2 coefficients
     (fewer than m^5 up to m = 29) in place of the m^6 partials, for as many
-    points at a time as keep the 6 C(m + 2, 3)^2 gathered entries per point
-    near _CHUNK elements."""
+    points at a time as keep the 6 gathered entries per coefficient and
+    point near _CHUNK elements. If contracted, only over the (a, b) that
+    jets._contracted_mask keeps (1,260 of 7,056 at m = 7): the potential
+    is a contracted jet, and X is I to within _FRAME_TOL."""
     m, batch = X.shape[-1], X.shape[:-2]
-    row, minor = _permanent_index(m)
-    lo, hi = _space_size(m, 2), _space_size(m, 3)
-    C = potential.data[..., lo:hi, lo:hi].reshape(-1, hi - lo, hi - lo)
+    row, minor, cell = _permanent_index(m, contracted)
+    data = potential.data
+    C = data.reshape((-1, data.shape[-2] * data.shape[-1])).take(cell, axis=1)
     X = X.reshape(-1, m, m)
     Q = (X[:, :, None, :, None] * X[:, None, :, None, :]
          + X[:, :, None, None, :] * X[:, None, :, :, None]).reshape(len(X), -1)
@@ -370,11 +406,12 @@ def _one_block(potential: Jet, X: np.ndarray):
         x0, x1, x2 = X[p:p + step].take(row, axis=1).swapaxes(0, 1)
         q0, q1, q2 = Q[p:p + step].take(minor, axis=1).swapaxes(0, 1)
         per = x0 * q0 + x1 * q1 + x2 * q2
-        out[p:p + step] = (C[p:p + step] * per).reshape(len(per), -1).sum(axis=1)
+        out[p:p + step] = (C[p:p + step] * per).sum(axis=1)
     return 6 * out.reshape(batch)
 
 
-def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
+def _log_det_jets(potential: Jet, metric: MetricData, *,
+                  contracted: bool = False) -> LogDetParts:
     """The derivatives of log det g in LogDetParts, as closed-form
     contractions of the potential's partials (cap >= (2,2)). With
     g_B = d_B g for a set B of derivative directions and X = g^{-1},
@@ -385,8 +422,9 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
 
     The holomorphic directions of trace22 are raised with X before the
     traces are taken, and its one-block term is a sum of permanents over
-    the degree-3 Taylor coefficients (see _one_block), so no term costs
-    more than O(m^5) or one pass over those coefficients."""
+    the degree-3 Taylor coefficients (see _one_block, which contracted
+    passes to), so no term costs more than O(m^5) or one pass over those
+    coefficients."""
     X = metric.g_inv
     batch, m = X.shape[:-2], X.shape[-1]
     Za = _raised(X, potential.partials(2, 1), 2)  # X g_a, [a, p, q]
@@ -434,7 +472,7 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     Kabb = _raised(X, (x @ potential.partials(2, 3).reshape(
         batch + (m, m * m, m * m))).reshape(batch + (m, m, m)), 1)  # [b', p, q]
     UU = _products(Ua, Ua)
-    trace22 = (_one_block(potential, X)
+    trace22 = (_one_block(potential, X, contracted=contracted)
                - 2 * _tr(Kaab, Vb, batch)  # {h h' b}{b'}, {h h' b'}{b}
                - 2 * _tr(Kabb, Ua, batch)  # {h b b'}{h'}, {h' b b'}{h}
                - _tr(Uaa, Zbb, batch)  # {h h'}{b b'}
@@ -529,7 +567,7 @@ def curvature_reports(spec: HartogsSpec,
     not depend on coordinates, and the tensors are pulled back to (z, w)
     with B = A^{-1}, the frame's own factor U^T, on each index."""
     A, B, P = _normal_potential(spec, points, FULL_CAP)
-    rep = curvature_report_from_potential(P)
+    rep = curvature_report_from_potential(P, contracted=True)
     Bc = B.conj()
     g = _transform(rep.metric.g, (B, Bc))
     g_inv = _transform(rep.metric.g_inv, (A.conj().swapaxes(-1, -2),
@@ -547,7 +585,8 @@ def curvature_report(spec: HartogsSpec, point: HartogsPoint) -> CurvatureReport:
     return curvature_reports(spec, [point])[0]
 
 
-def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
+def curvature_report_from_potential(potential: Jet, *,
+                                    contracted: bool = False) -> CurvatureReport:
     """Build the full report from a cap-(3,3) potential jet (used directly by
     the scaling-law checks), with per-point fields for a batch. The jet
     should be in metric-normal coordinates (g = I at the point), as
@@ -555,9 +594,11 @@ def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
     lose the digits of Delta k while the jet is built: at 6 of 132 sampled
     points (4 per classical base with d <= 6, at mu = 1, 4/5 and 3) its
     imaginary residue of 3e-5 to 6e-4 makes the report raise, with an
-    error that names cond(g)."""
+    error that names cond(g). contracted is curvature_reports' path: the
+    jet is a contracted one from _normal_potential, whose guard holds g
+    to I, and _one_block reads only its kept top-block coefficients."""
     metric = metric_at(potential)
-    LD = _log_det_jets(potential, metric)
+    LD = _log_det_jets(potential, metric, contracted=contracted)
     ric, k = _ricci(LD.L11, metric)
     R = curvature_tensor(potential, metric)
     r2, ric2 = tensor_norms(metric, R, ric)

@@ -28,6 +28,12 @@ and mirror the rest. The table has no pair with a constant factor, whose
 term _graded_solve folds into the start value of each degree. The points of
 a batch that share a pattern share a table: at z = 0 the norms hold a few of
 their coefficients, and generic points hold nearly all of them.
+With contracted=True, log and power leave zeros in the top block (c, c)
+of the cap, which no other coefficient reads, wherever the two monomials
+share fewer than c - 1 variables (see _contracted_mask), and their tables
+hold no pair that lands there. A consumer that reads the top block only
+through its permanents against X = g^{-1} = I + O(e) loses O(e^2) by that;
+every kept coefficient is the full jet's, bit for bit.
 Jets are immutable after construction and all operations are pure.
 """
 
@@ -130,16 +136,37 @@ def _raise_where(bad, stage: str, text) -> None:
 _CHUNK = 1 << 16
 
 
+@lru_cache(maxsize=None)
+def _contracted_mask(m: int, degree: int) -> np.ndarray:
+    """The flat positions, in a coefficient array at the square cap
+    (degree, degree), that a contracted jet keeps: every one below the top
+    block, and the top-block (h, k) whose monomials share at least
+    degree - 1 variables, counted with multiplicity (the multiset
+    intersection). A consumer that reads the top block only through the
+    degree x degree permanents of X[k, h], X = I + O(e), sees every dropped
+    coefficient at O(e^2): a term of such a permanent takes at most as many
+    diagonal entries of X as h and k share variables, so with fewer than
+    degree - 1 shared it takes at least two off-diagonal ones."""
+    exps = np.array(basis_exponents(m, degree))
+    top = exps.sum(axis=1) == degree
+    shared = np.minimum(exps[:, None, :], exps[None, :, :]).sum(axis=-1)
+    keep = ((shared >= degree - 1) | ~np.logical_and.outer(top, top)).ravel()
+    keep.setflags(write=False)
+    return keep
+
+
 @lru_cache(maxsize=256)
-def _pairs(m: int, cap: BidegreeCap, key: bytes) -> tuple:
+def _pairs(m: int, cap: BidegreeCap, key: bytes, contracted: bool = False) -> tuple:
     """Pair table of a graded recurrence on a real function's jet at the
     square cap (see _real_function) whose nonzero pattern is key (as
     _patterns packs it): the pairs of non-constant monomials (flat index 0
     on neither side; the recurrence folds a constant factor's term into
     init) whose product lands on or above the diagonal, at (h, k) with
     h <= k, and whose left factor is a coefficient that the operand holds,
-    as a term with an exactly zero factor adds nothing. Returns the flat
-    positions of the pattern's non-constant coefficients (its support) and,
+    as a term with an exactly zero factor adds nothing; if contracted,
+    only at the destinations that _contracted_mask keeps. Returns the flat
+    positions of the pattern's coefficients that can be left factors (its
+    support: neither the constant nor one of the top total degree) and,
     per total degree of the destination, a tuple of chunks of whole
     destination segments and about _CHUNK pairs (not one, unless the degree
     holds one), which bounds the temporaries of one _convolve call; a chunk
@@ -150,6 +177,8 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes) -> tuple:
     size = _space_size(m, cap.holo)  # the array's height and width
     held = np.unpackbits(np.frombuffer(key, np.uint8), count=size * size).astype(bool)
     held[0] = False  # a constant factor's term is in init
+    # nor is a top-degree coefficient a left factor: its product passes the cap
+    held[_total_degrees(m, cap) == cap.holo + cap.anti] = False
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
     index = np.min_scalar_type(size * size)
@@ -172,6 +201,8 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes) -> tuple:
     right = fb[row] * size + fb[col]
     del row, col
     keep = held[left] & (right != 0)
+    if contracted:
+        keep &= _contracted_mask(m, cap.holo)[dst]
     dst, left, right = dst[keep], left[keep], right[keep]
     support = np.flatnonzero(held)
     # each held position's index in the support (read at held positions only)
@@ -306,7 +337,7 @@ class Jet:
 
 # -- analytic operations ------------------------------------------------------
 
-def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
+def _graded_solve(a: Jet, b0, alpha: float, init, *, contracted: bool = False) -> Jet:
     """The jet b with constant term b0 and, for n >= 1, b_n = init a_n +
     sum_{j >= 1} (alpha j - n) / (n a_0) [a_j b_{n-j}]_n, where x_n is the
     total-degree-n part of x: jet_log's and jet_real_power's recurrence, on
@@ -320,25 +351,33 @@ def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
     imaginary part. The points are grouped by their nonzero pattern, and
     each group reads the pair table of its pattern (see _pairs) in passes
     of as many points as keep the _convolve temporaries near _CHUNK
-    elements, so a point sums as in its batch of one."""
+    elements, so a point sums as in its batch of one. If contracted, the
+    top-block coefficients that _contracted_mask drops are exact zeros, and
+    every kept one is the same sum of the same pairs as without the flag:
+    the top block is a leaf, which no other coefficient reads."""
     m, cap, shape = a.num_vars, a.cap, a.data.shape
     flat, tdeg = a.data.reshape(-1, shape[-2] * shape[-1]), _total_degrees(m, cap)
     a0, b0, init = flat[:, :1], np.reshape(b0, (-1, 1)), np.reshape(init, (-1, 1))
     b = flat * (init + (alpha - 1.0) * b0 / a0)
     b[:, :1] = b0
+    if contracted:
+        b[:, ~_contracted_mask(m, cap.holo)] = 0.0
     j = alpha * np.arange(cap.holo + cap.anti + 1)  # alpha j at each total degree j
     groups = {}
     for i, key in enumerate(_patterns(flat)):
         groups.setdefault(key, []).append(i)
     for key, rows in groups.items():
-        support, table = _pairs(m, cap, key)
+        support, table = _pairs(m, cap, key, contracted)
         sdeg = tdeg[support]
         degrees = [n for n in range(len(table)) if table[n]]  # the degrees with pairs
         step = max(1, _CHUNK // max((len(c[0]) for n in degrees for c in table[n]),
                                     default=_CHUNK))  # points per pass
         for p in range(0, len(rows), step):
-            at = rows[p:p + step]  # copies of the pass's rows, written back
-            bp, ap, held = b[at], a0[at], flat[at].take(support, axis=1)
+            at = rows[p:p + step]
+            # a run of consecutive rows is a view, written in place; other
+            # rows are a copy, written back
+            run = slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else at
+            bp, ap, held = b[run], a0[run], flat[run].take(support, axis=1)
             for n in degrees:
                 scaled = held * ((j - n) / (n * ap)).take(sdeg, axis=1)
                 for left, right, starts, dst, mirror in table[n]:
@@ -346,7 +385,8 @@ def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
                                                              starts)
                     bp[:, dst] = value
                     bp[:, mirror] = value.conj()
-            b[at] = bp
+            if run is at:
+                b[at] = bp
     b[:, ::shape[-1] + 1].imag = 0.0  # the mirror conjugated the diagonal's roundoff
     return Jet(m, cap, b.reshape(shape))
 
@@ -370,23 +410,25 @@ def _real_function(a: Jet, stage: str) -> np.ndarray:
     return c0
 
 
-def jet_log(a: Jet, scale: float = 1.0) -> Jet:
+def jet_log(a: Jet, scale: float = 1.0, *, contracted: bool = False) -> Jet:
     """scale * log of a real function's jet with a finite positive value
     (see _real_function). From a E(b) = scale E(a), E the Euler operator
     (the total-degree-n part times n): b_n = scale a_n / a_0 + (1/(n a_0))
     sum_{j >= 1} (j - n) a_j b_{n-j}. The recurrence is linear in b and
     negation is exact, so scale = -1 gives every value of -log a to the bit
-    (a zero may carry the other sign), with no negated copy."""
+    (a zero may carry the other sign), with no negated copy. contracted
+    leaves zeros where _contracted_mask drops a top-block coefficient."""
     c0 = _real_function(a, "jet_log")
-    return _graded_solve(a, scale * np.log(c0), 1.0, scale / c0)
+    return _graded_solve(a, scale * np.log(c0), 1.0, scale / c0, contracted=contracted)
 
 
-def jet_real_power(a: Jet, mu: float) -> Jet:
+def jet_real_power(a: Jet, mu: float, *, contracted: bool = False) -> Jet:
     """a**mu for real 0 < mu < inf, of a real function's jet with a finite
     positive value (see _real_function). From a E(b) = mu b E(a): b_n =
-    (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n) a_j b_{n-j}."""
+    (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n) a_j b_{n-j}. contracted as
+    in jet_log."""
     mu = float(mu)
     if not 0.0 < mu < math.inf:  # also rejects nan
         raise ValueError(f"jet_real_power requires 0 < mu < inf, got {mu}")
     c0 = _real_function(a, "jet_real_power")
-    return _graded_solve(a, c0.real ** mu, mu + 1.0, 0.0)
+    return _graded_solve(a, c0.real ** mu, mu + 1.0, 0.0, contracted=contracted)

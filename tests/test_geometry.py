@@ -387,13 +387,13 @@ def test_reports_run_only_real_recurrences(monkeypatch):
     runs = []
     solve = jets._graded_solve
 
-    def solve_spy(a, b0, alpha, init=0.0):
+    def solve_spy(a, b0, alpha, init=0.0, **kw):
         # b0 and init may hold one value per point of a batch
         runs.append(a.cap.holo == a.cap.anti
                     and np.array_equal(a.data, a.data.conj().swapaxes(-1, -2))
                     and not np.any(np.imag(b0)) and not np.any(np.imag(init))
                     and not np.any(np.imag(alpha)))
-        return solve(a, b0, alpha, init)
+        return solve(a, b0, alpha, init, **kw)
 
     monkeypatch.setattr(jets, "_graded_solve", solve_spy)
     for base in (type1(2, 2), type2(4), type3(2), type4(5)):
@@ -736,6 +736,123 @@ def test_nan_points_are_named_by_their_stage():
     with pytest.raises(ValueError, match="^potential at point 1: point lies "
                                          "outside"):
         hartogs_potential_jet(spec, _stack(stack), (2, 2))
+
+
+REPORT_BASES = [type1(2, 3), type4(6), type3(3), type2(4)]
+
+
+def _report_points(spec):
+    """report's 9 points: 3 on the origin fiber, then 6 seed-0 samples."""
+    return origin_fiber_points(spec, [0.0, 0.35, 0.7]) + sample_hartogs(spec, 0, 6)
+
+
+@pytest.mark.parametrize("base", REPORT_BASES, ids=lambda b: b.label())
+def test_contracted_potentials_are_the_full_ones_where_kept(base):
+    # the mask drops only top-block coefficients, which no other one reads:
+    # every kept coefficient is the full jet's to the bit and every dropped
+    # one is +0.0, at both caps, at mu = 1 (N's full top block goes into
+    # the log) and at mu = 4/5 (the power is contracted too)
+    for mu in (1, F(4, 5)):
+        spec = HartogsSpec(base, mu)
+        point = _stack(_report_points(spec))
+        frame = _normal_frame(spec, point)[0]
+        for c in (2, 3):
+            full, part = (hartogs_potential_jet(spec, point, (c, c), frame,
+                                                contracted=flag).data.reshape(9, -1)
+                          for flag in (False, True))
+            keep = jets._contracted_mask(base.d + 1, c)
+            assert part[:, keep].tobytes() == full[:, keep].tobytes()
+            assert full[3:, ~keep].any(axis=1).all()  # the generic points
+            assert part[:, ~keep].tobytes() == bytes(part[:, ~keep].nbytes)
+
+
+@pytest.mark.parametrize("base", REPORT_BASES, ids=lambda b: b.label())
+def test_contracted_reports_match_full_reports(base):
+    # a contracted report against the full report of the full jet in the
+    # same frame: the metric, R, Ric, k and the norms read the same
+    # coefficients in the same order, so they are equal to the bit. Delta k
+    # and a2 lose the one-block terms of the dropped coefficients, of second
+    # order in e = max |g - I| (e < 1e-10 here, so each is below 1e-19 of
+    # its |C[a, b]|), and sum the rest in a shorter sum: within 1e-12 of
+    # max(1, |value|)
+    for mu in (1, F(4, 5), 3):
+        spec = HartogsSpec(base, mu)
+        points = _report_points(spec)
+        frame, _, P = geometry._normal_potential(spec, points, FULL_CAP)
+        part = curvature_report_from_potential(P, contracted=True)
+        full = curvature_report_from_potential(
+            hartogs_potential_jet(spec, _stack(points), FULL_CAP, frame))
+        for key in ("R", "Ric", "k", "norm_R_sq", "norm_Ric_sq", "a1"):
+            assert np.array_equal(getattr(part, key), getattr(full, key)), key
+        assert np.array_equal(part.metric.g, full.metric.g)
+        assert np.array_equal(part.metric.g_inv, full.metric.g_inv)
+        for key in ("lap_k", "a2"):
+            got, want = getattr(part, key), getattr(full, key)
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
+
+def test_frame_residual_guard_names_the_point(monkeypatch):
+    # the contracted jets are exact only to second order in e = max |g - I|
+    # of the potential's (1, 1) block: a frame whose point 1 is off by a
+    # factor 1 + 1e-6 (e = 2e-6) is refused at both caps, and so is a nan
+    # there; at 1 + 1e-10 (e = 2e-10, below the 1e-8 tolerance) it passes
+    spec = HartogsSpec(type1(1, 2), F(4, 5))
+    points = sample_hartogs(spec, 0, 3)
+    frame, potential = geometry._normal_frame, geometry.hartogs_potential_jet
+
+    def skewed(factor):
+        def skewed_frame(*args):
+            A, B = frame(*args)
+            A = A.copy()
+            A[1] *= factor
+            return A, B
+        return skewed_frame
+
+    def nan_at_1(*args, **kw):
+        P = potential(*args, **kw)
+        data = P.data.copy()
+        data[1, 1, 1] = np.nan
+        return Jet(P.num_vars, P.cap, data)
+
+    for run in (curvature_reports, scalar_curvatures):
+        monkeypatch.setattr(geometry, "_normal_frame", skewed(1 + 1e-6))
+        with pytest.raises(ValueError, match=r"^frame at point 1: metric-normal "
+                                             r"residual max \|g - I\| = 2\.0e-06 "
+                                             r"exceeds 1e-08$"):
+            run(spec, points)
+        monkeypatch.setattr(geometry, "_normal_frame", skewed(1 + 1e-10))
+        assert len(run(spec, points)) == 3
+        monkeypatch.setattr(geometry, "_normal_frame", frame)
+        monkeypatch.setattr(geometry, "hartogs_potential_jet", nan_at_1)
+        with pytest.raises(ValueError, match=r"^frame at point 1: .* = nan "):
+            run(spec, points)
+        monkeypatch.setattr(geometry, "hartogs_potential_jet", potential)
+
+
+def test_metric_refuses_a_non_finite_matrix():
+    # nan passes every > comparison, and numpy factors a nan matrix without
+    # an error: a nan point of a raw potential is named by the metric stage
+    # instead of giving k = nan, and _cholesky names a nan matrix next to
+    # one that is not positive definite, in either order
+    spec = HartogsSpec(type1(1, 2), F(4, 5))
+    P = geometry._normal_potential(spec, sample_hartogs(spec, 0, 2), FULL_CAP)[-1]
+    data = P.data.copy()
+    data[1] = np.nan
+    with pytest.raises(ValueError, match="^metric at point 1: matrix is not finite$"):
+        curvature_report_from_potential(Jet(P.num_vars, P.cap, data))
+    nan, indefinite = np.full((2, 2), np.nan), np.diag([1.0, -1.0])
+    for i, pair in enumerate(((nan, indefinite), (indefinite, nan))):
+        with pytest.raises(ValueError, match=f"^metric at point {i}: matrix is not finite$"):
+            geometry._cholesky(np.stack(pair).astype(complex), "metric")
+
+
+@pytest.mark.parametrize("mu", [1, F(4, 5)], ids=["mu1", "mu4_5"])
+def test_potential_refuses_an_unequal_cap(mu):
+    # checked before anything is built, with or without the power
+    spec = HartogsSpec(type1(1, 2), mu)
+    with pytest.raises(ValueError, match=r"^potential requires a square cap, "
+                                         r"got \(3, 2\)$"):
+        hartogs_potential_jet(spec, _origin(spec), (3, 2))
 
 
 def test_imaginary_residue_in_a_batch_names_the_point_and_cond_g():

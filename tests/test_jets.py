@@ -322,8 +322,8 @@ def _norm_and_potential_jets(spec, point, monkeypatch):
     d = spec.base.d
     N = generic_norm_jet(spec.base, point.base, (3, 3), jacobian=frame[:d, :d])
     logs = []
-    monkeypatch.setattr(geometry, "jet_log",
-                        lambda a, *scale: logs.append(a) or jet_log(a, *scale))
+    monkeypatch.setattr(geometry, "jet_log", lambda a, *scale, **kw:
+                        logs.append(a) or jet_log(a, *scale, **kw))
     geometry.hartogs_potential_jet(spec, point, (3, 3), frame)
     return N, logs[0]
 
@@ -449,32 +449,94 @@ def test_graded_tables_hold_no_constant_factor_pairs(m, cap, top, count):
             assert support[left].all() and right.all()
 
 
+def _spy_tables(monkeypatch):
+    """A list that records the arguments of every _pairs call, and the
+    unpatched _pairs."""
+    calls, pairs = [], jets._pairs
+    monkeypatch.setattr(jets, "_pairs", lambda *args: calls.append(args) or pairs(*args))
+    return calls, pairs
+
+
 def test_report_pair_budget(monkeypatch):
     # the recurrence pairs of one report at d+1 = 7, mu = 4/5: the power of
-    # N in the 6 base variables and the log of I in all 7, both Hermitian
+    # N in the 6 base variables and the log of I in all 7, both Hermitian,
+    # contracted; without the mask the same operands take the full tables
     spec = HartogsSpec(type1(2, 3), 0.8)
     point = sample_hartogs(spec, seed=0, count=1)[0]
-    tables = []
-    pairs = jets._pairs
-    monkeypatch.setattr(jets, "_pairs", lambda *args: tables.append(pairs(*args))
-                        or tables[-1])
+    calls, pairs = _spy_tables(monkeypatch)
     geometry.curvature_report(spec, point)
-    assert sum(map(_table_pairs, tables)) == 58_277 + 160_369
+    assert [args[3] for args in calls] == [True, True]
+    assert [_table_pairs(pairs(*args)) for args in calls] == [33_187, 76_204]
+    full = [_table_pairs(pairs(*args[:3])) for args in calls]
+    assert full == [58_277, 160_369]
 
 
 def test_origin_pair_budget(monkeypatch):
     # verify-lemmas' six origin-fiber points on type3(3) at mu = 3: the
     # metric-normal frame is diagonal at z = 0, so N^mu and I hold few of
     # their coefficients; one power table, and one log table each for
-    # t = 0 and t > 0
+    # t = 0 and t > 0, contracted (and their full tables)
     spec = HartogsSpec(type3(3), 3)
     points = geometry.origin_fiber_points(spec, [0.0, 0.12, 0.25, 0.4, 0.55, 0.7])
-    tables = []
-    pairs = jets._pairs
-    monkeypatch.setattr(jets, "_pairs", lambda *args: tables.append(pairs(*args))
-                        or tables[-1])
+    calls, pairs = _spy_tables(monkeypatch)
     geometry.curvature_reports(spec, points)
-    assert [_table_pairs(t) for t in tables] == [3_042, 5_768, 10_123]
+    assert [_table_pairs(pairs(*args)) for args in calls] == [2_124, 3_875, 6_326]
+    full = [_table_pairs(pairs(*args[:3])) for args in calls]
+    assert full == [3_042, 5_768, 10_123]
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_contracted_mask_drops_only_second_order_permanents(m, c):
+    # the premise of the mask: a consumer reads a top-block coefficient
+    # C[a, b] through the c x c permanent of X[b, a], X = I + eps R, whose
+    # entries are X[b_s, a_t] for the variables of a and b listed with
+    # multiplicity. Where a and b share fewer than c - 1 variables, every
+    # term of it takes at least two off-diagonal entries: O(eps^2)
+    eps = 1e-3
+    rng = np.random.default_rng(10 * m + c)
+    R = rng.uniform(-1, 1, (m, m)) + 1j * rng.uniform(-1, 1, (m, m))
+    X = np.eye(m) + eps * R / np.abs(R).max()
+    exps = np.array(basis_exponents(m, c))
+    top = np.flatnonzero(exps.sum(axis=1) == c)
+    var = np.array([np.repeat(np.arange(m), e) for e in exps[top]])  # [a, s]
+    per = sum(np.prod([X[var[None, :, s], var[:, None, p[s]]] for s in range(c)], axis=0)
+              for p in permutations(range(c)))  # [a, b]
+    size = len(exps)
+    keep = jets._contracted_mask(m, c).reshape(size, size)
+    assert keep[np.ix_(top, top)].diagonal().all()
+    dropped = ~keep[np.ix_(top, top)]
+    assert dropped.any() == (m > 1)
+    # c! terms of at most eps^2 (1 + eps)^(c - 2) each, with room for roundoff
+    bound = math.factorial(c) * eps ** 2 * (1 + eps) ** (c - 2) * (1 + 1e-12)
+    assert np.abs(per[dropped]).max(initial=0.0) <= bound
+    # below the top block the mask keeps every coefficient
+    below = np.ones((size, size), bool)
+    below[np.ix_(top, top)] = False
+    assert keep[below].all()
+
+
+def test_contracted_tables_keep_the_pinned_counts():
+    # at m = 7 with every coefficient held: the (3, 3) block's pairs and its
+    # destinations (on or above the diagonal in the table, all 84^2 in the
+    # mask and in _one_block's read), and the cap-(2, 2) table; the lower
+    # degrees' chunks are the full table's, array for array
+    key3, key2 = (_box_key(7, cap, cap) for cap in (BidegreeCap(3, 3), BidegreeCap(2, 2)))
+    full, part = (jets._pairs(7, BidegreeCap(3, 3), key3, flag) for flag in (False, True))
+    top = [[sum(len(chunk[i]) for chunk in t[1][6]) for i in (0, 3)] for t in (full, part)]
+    assert top == [[151_592, 3_570], [31_584, 672]]
+    assert [_table_pairs(t) for t in (full, part)] == [218_827, 98_819]
+    for f, p in zip(full[1][:6], part[1][:6]):
+        assert len(f) == len(p)
+        for fc, pc in zip(f, p):
+            assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(fc, pc))
+    assert np.array_equal(full[0], part[0])
+    lo = len(basis_exponents(7, 2))
+    assert jets._contracted_mask(7, 3).reshape(120, 120)[lo:, lo:].sum() == 1_260
+    assert [geometry._permanent_index(7, flag)[2].size for flag in (False, True)] == \
+        [7_056, 1_260]
+    assert [_table_pairs(jets._pairs(7, BidegreeCap(2, 2), key2, flag))
+            for flag in (False, True)] == [6_083, 3_416]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -611,6 +673,20 @@ def test_stacked_recurrences_match_per_jet_calls(m, monkeypatch):
             assert np.array_equal(f(Jet(m, cap, stack.copy())).data, want)
     finally:
         pairs.cache_clear()
+
+
+@pytest.mark.parametrize("contracted", [False, True])
+def test_interleaved_patterns_match_per_jet_calls(contracted):
+    # point 1 lacks a coefficient pair that points 0 and 2 hold: the group
+    # of points 0 and 2 runs on a copy of their rows, point 1 on its own row
+    # in place, and each point keeps the bits of its batch of one
+    cap, stack = BidegreeCap(3, 3), _hermitian_stack(3, 3)
+    stack[1, 2, 5] = stack[1, 5, 2] = 0.0
+    for f in (lambda a: jet_log(a, contracted=contracted),
+              lambda a: jet_real_power(a, 0.8, contracted=contracted)):
+        got = f(Jet(3, cap, stack.copy()))
+        for i in range(3):
+            assert got.data[i].tobytes() == f(Jet(3, cap, stack[i].copy())).data.tobytes()
 
 
 def test_stacked_jets_keep_their_batch_axes():
