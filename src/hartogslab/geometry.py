@@ -41,9 +41,9 @@ there; in x every point is at roundoff. Their potentials are contracted
 jets (see jets._contracted_mask): there X = g^{-1} is I to roundoff, and
 the top block, which only X-contracted permanents read (_one_block at cap
 (3, 3), k = tr(X Ric) at cap (2, 2)), keeps only the coefficients that
-enter at first order in X - I. _normal_potential refuses a point whose
-residual max |g - I| exceeds _FRAME_TOL = 1e-8 (3.8e-11 at most over the
-78-command sweep). The report's tensors are pulled
+enter at first order in X - I. hartogs_potential_jet refuses a point
+whose residual max |g - I| exceeds _FRAME_TOL = 1e-8 for such a jet
+(3.8e-11 at most over the 78-command sweep). The report's tensors are pulled
 back to (z, w). Every stage takes a stack of points, a HartogsPoint of
 arrays (jets and tensors put the point axes first), and a ValueError names
 the stage and the first failing point's index.
@@ -65,9 +65,13 @@ from .jets import _CHUNK, BidegreeCap, Jet, _affine, _contracted_mask, \
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
 _REAL_TOL = 1e-8  # relative imaginary residue that _real accepts
-# largest max |g - I| of a metric-normal potential's (1, 1) block that the
-# contracted jets accept: each top-block term they drop is at most
-# 6 e^2 (1 + e) |C[a, b]| (see _normal_potential)
+# largest residual e = max |g - I| of a metric-normal potential's (1, 1)
+# block that a contracted jet accepts, and up to which _one_block reads
+# only the top-block coefficients such a jet keeps: each term left out is
+# at most 6 e^2 (1 + e) |C[a, b]|, below 1e-15 |C[a, b]|. On the 11
+# catalog bases e grows as about 8e-17 / mu at small mu and passes 1e-8
+# only below mu = 5e-9, where every report, verify-lemmas and scan-a2
+# command on them exits 1 without the guard too
 _FRAME_TOL = 1e-8
 _NOT_POSITIVE = ("metric is not positive definite "
                  "(point outside the domain or bad potential)")
@@ -163,7 +167,9 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     must be square, as jet_log's is (a real function's jet). contracted
     passes to the power and the log (see jets._contracted_mask): the top
     block then holds only what X-contracted permanents weigh at first
-    order, for a frame in which g is I at the point."""
+    order in e = max |g - I| of the jet's (1, 1) block, so it needs a
+    metric-normal frame (see _normal_frame). A point whose e exceeds
+    _FRAME_TOL (or is nan) is refused, with no fallback."""
     if cap[0] != cap[1]:
         raise ValueError(f"potential requires a square cap, got {tuple(cap)}")
     d = spec.base.d
@@ -191,7 +197,12 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     ww *= 0.5
     inner[..., :d + 2, :d + 2] -= ww
     _raise_where(~(inner[..., 0, 0].real > 0.0), "potential", _OUTSIDE)  # nan fails too
-    return jet_log(Jet(d + 1, cap, inner), -1.0, contracted=contracted)
+    potential = jet_log(Jet(d + 1, cap, inner), -1.0, contracted=contracted)
+    if contracted:
+        e = np.abs(potential.partials(1, 1) - np.eye(d + 1)).max(axis=(-2, -1))
+        _raise_where(~(e <= _FRAME_TOL), "frame", lambda i: "metric-normal residual "
+                     "max |g - I| = %.1e exceeds %g" % (e[i], _FRAME_TOL))
+    return potential
 
 
 def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
@@ -239,19 +250,11 @@ def _cholesky(g: np.ndarray, stage: str) -> np.ndarray:
 
 def _normal_potential(spec: HartogsSpec, points: Sequence[HartogsPoint], cap):
     """A and A^{-1} of _normal_frame per point, and the contracted potential
-    jets in A (see hartogs_potential_jet). Their consumers read the top
-    block only through permanents of X = g^{-1}, where a dropped
-    coefficient C[a, b] enters as at most 6 e^2 (1 + e) |C[a, b]|, with e
-    the residual max |g - I| of the jet's (1, 1) block; a point whose e
-    exceeds _FRAME_TOL (or is nan) is refused, with no fallback."""
+    jets in A (see hartogs_potential_jet)."""
     point = HartogsPoint(np.array([p.base for p in points], dtype=np.complex128),
                          np.array([p.fiber for p in points], dtype=np.complex128))
     A, B = _normal_frame(spec, point)
-    P = hartogs_potential_jet(spec, point, cap, A, contracted=True)
-    e = np.abs(P.partials(1, 1) - np.eye(A.shape[-1])).max(axis=(-2, -1))
-    _raise_where(~(e <= _FRAME_TOL), "frame", lambda i: "metric-normal residual "
-                 "max |g - I| = %.1e exceeds %g" % (e[i], _FRAME_TOL))
-    return A, B, P
+    return A, B, hartogs_potential_jet(spec, point, cap, A, contracted=True)
 
 
 def _normal_frame(spec: HartogsSpec, point: HartogsPoint):
@@ -381,7 +384,7 @@ def _permanent_index(m: int, contracted: bool = False):
     return out
 
 
-def _one_block(potential: Jet, X: np.ndarray, *, contracted: bool = False):
+def _one_block(potential: Jet, X: np.ndarray):
     """sum X[j, i] X[b, h] X[c, k] d_i d_h d_k dbar_j dbar_b dbar_c Phi over
     all six indices. Both triples are symmetric, so this is 6 sum C[a, b]
     per(X[b, a]) over degree-3 monomials a, b, where C is the Taylor
@@ -390,28 +393,33 @@ def _one_block(potential: Jet, X: np.ndarray, *, contracted: bool = False):
     each point's table Q: one pass over the C(m + 2, 3)^2 coefficients
     (fewer than m^5 up to m = 29) in place of the m^6 partials, for as many
     points at a time as keep the 6 gathered entries per coefficient and
-    point near _CHUNK elements. If contracted, only over the (a, b) that
-    jets._contracted_mask keeps (1,260 of 7,056 at m = 7): the potential
-    is a contracted jet, and X is I to within _FRAME_TOL."""
+    point near _CHUNK elements. At a point where e = max |X - I| is at
+    most _FRAME_TOL, only over the (a, b) that jets._contracted_mask keeps
+    (1,260 of 7,056 at m = 7): every other permanent is at most
+    6 e^2 (1 + e), so whether the jet holds those coefficients or leaves
+    them out (a contracted jet), they enter at roundoff."""
     m, batch = X.shape[-1], X.shape[:-2]
-    row, minor, cell = _permanent_index(m, contracted)
     data = potential.data
-    C = data.reshape((-1, data.shape[-2] * data.shape[-1])).take(cell, axis=1)
+    flat = data.reshape((-1, data.shape[-2] * data.shape[-1]))
     X = X.reshape(-1, m, m)
+    near = np.abs(X - np.eye(m)).max(axis=(-2, -1)) <= _FRAME_TOL
     Q = (X[:, :, None, :, None] * X[:, None, :, None, :]
          + X[:, :, None, None, :] * X[:, None, :, :, None]).reshape(len(X), -1)
     X = X.reshape(len(X), -1)
-    out, step = np.empty(len(X), dtype=np.complex128), max(1, _CHUNK // (2 * row.size))
-    for p in range(0, len(X), step):
-        x0, x1, x2 = X[p:p + step].take(row, axis=1).swapaxes(0, 1)
-        q0, q1, q2 = Q[p:p + step].take(minor, axis=1).swapaxes(0, 1)
-        per = x0 * q0 + x1 * q1 + x2 * q2
-        out[p:p + step] = (C[p:p + step] * per).sum(axis=1)
+    out = np.empty(len(X), dtype=np.complex128)
+    for kept in (False, True):
+        row, minor, cell = _permanent_index(m, kept)
+        at, step = np.flatnonzero(near == kept), max(1, _CHUNK // (2 * row.size))
+        for p in range(0, len(at), step):
+            i = at[p:p + step]
+            x0, x1, x2 = X[i].take(row, axis=1).swapaxes(0, 1)
+            q0, q1, q2 = Q[i].take(minor, axis=1).swapaxes(0, 1)
+            per = x0 * q0 + x1 * q1 + x2 * q2
+            out[i] = (flat[i[:, None], cell] * per).sum(axis=1)
     return 6 * out.reshape(batch)
 
 
-def _log_det_jets(potential: Jet, metric: MetricData, *,
-                  contracted: bool = False) -> LogDetParts:
+def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     """The derivatives of log det g in LogDetParts, as closed-form
     contractions of the potential's partials (cap >= (2,2)). With
     g_B = d_B g for a set B of derivative directions and X = g^{-1},
@@ -422,9 +430,8 @@ def _log_det_jets(potential: Jet, metric: MetricData, *,
 
     The holomorphic directions of trace22 are raised with X before the
     traces are taken, and its one-block term is a sum of permanents over
-    the degree-3 Taylor coefficients (see _one_block, which contracted
-    passes to), so no term costs more than O(m^5) or one pass over those
-    coefficients."""
+    the degree-3 Taylor coefficients (see _one_block), so no term costs
+    more than O(m^5) or one pass over those coefficients."""
     X = metric.g_inv
     batch, m = X.shape[:-2], X.shape[-1]
     Za = _raised(X, potential.partials(2, 1), 2)  # X g_a, [a, p, q]
@@ -472,7 +479,7 @@ def _log_det_jets(potential: Jet, metric: MetricData, *,
     Kabb = _raised(X, (x @ potential.partials(2, 3).reshape(
         batch + (m, m * m, m * m))).reshape(batch + (m, m, m)), 1)  # [b', p, q]
     UU = _products(Ua, Ua)
-    trace22 = (_one_block(potential, X, contracted=contracted)
+    trace22 = (_one_block(potential, X)
                - 2 * _tr(Kaab, Vb, batch)  # {h h' b}{b'}, {h h' b'}{b}
                - 2 * _tr(Kabb, Ua, batch)  # {h b b'}{h'}, {h' b b'}{h}
                - _tr(Uaa, Zbb, batch)  # {h h'}{b b'}
@@ -567,7 +574,7 @@ def curvature_reports(spec: HartogsSpec,
     not depend on coordinates, and the tensors are pulled back to (z, w)
     with B = A^{-1}, the frame's own factor U^T, on each index."""
     A, B, P = _normal_potential(spec, points, FULL_CAP)
-    rep = curvature_report_from_potential(P, contracted=True)
+    rep = curvature_report_from_potential(P)
     Bc = B.conj()
     g = _transform(rep.metric.g, (B, Bc))
     g_inv = _transform(rep.metric.g_inv, (A.conj().swapaxes(-1, -2),
@@ -585,8 +592,7 @@ def curvature_report(spec: HartogsSpec, point: HartogsPoint) -> CurvatureReport:
     return curvature_reports(spec, [point])[0]
 
 
-def curvature_report_from_potential(potential: Jet, *,
-                                    contracted: bool = False) -> CurvatureReport:
+def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
     """Build the full report from a cap-(3,3) potential jet (used directly by
     the scaling-law checks), with per-point fields for a batch. The jet
     should be in metric-normal coordinates (g = I at the point), as
@@ -594,11 +600,9 @@ def curvature_report_from_potential(potential: Jet, *,
     lose the digits of Delta k while the jet is built: at 6 of 132 sampled
     points (4 per classical base with d <= 6, at mu = 1, 4/5 and 3) its
     imaginary residue of 3e-5 to 6e-4 makes the report raise, with an
-    error that names cond(g). contracted is curvature_reports' path: the
-    jet is a contracted one from _normal_potential, whose guard holds g
-    to I, and _one_block reads only its kept top-block coefficients."""
+    error that names cond(g)."""
     metric = metric_at(potential)
-    LD = _log_det_jets(potential, metric, contracted=contracted)
+    LD = _log_det_jets(potential, metric)
     ric, k = _ricci(LD.L11, metric)
     R = curvature_tensor(potential, metric)
     r2, ric2 = tensor_norms(metric, R, ric)

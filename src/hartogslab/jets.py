@@ -25,9 +25,10 @@ table of the monomial pairs that land on that degree on or above the
 diagonal, whose left factors are coefficients that the operand holds (its
 nonzero pattern, see _pairs), summed per destination with np.add.reduceat,
 and mirror the rest. The table has no pair with a constant factor, whose
-term _graded_solve folds into the start value of each degree. The points of
-a batch that share a pattern share a table: at z = 0 the norms hold a few of
-their coefficients, and generic points hold nearly all of them.
+term _graded_solve folds into the start value of each degree, nor one with
+a factor of the top total degree. The points of a batch that share a
+pattern below the top degree share a table: at z = 0 the norms hold a few
+of their coefficients, and generic points hold nearly all of them.
 With contracted=True, log and power leave zeros in the top block (c, c)
 of the cap, which no other coefficient reads, wherever the two monomials
 share fewer than c - 1 variables (see _contracted_mask), and their tables
@@ -348,8 +349,9 @@ def _graded_solve(a: Jet, b0, alpha: float, init, *, contracted: bool = False) -
     pairs of two non-constant factors that land on or above the diagonal,
     about half, writes the conjugates of each degree's new entries below it
     before the next degree reads them, and drops the diagonal's roundoff
-    imaginary part. The points are grouped by their nonzero pattern, and
-    each group reads the pair table of its pattern (see _pairs) in passes
+    imaginary part. The points are grouped by their nonzero pattern below
+    the top total degree, and each run of consecutive points in a group
+    reads the pair table of its pattern (see _pairs) in place, in passes
     of as many points as keep the _convolve temporaries near _CHUNK
     elements, so a point sums as in its batch of one. If contracted, the
     top-block coefficients that _contracted_mask drops are exact zeros, and
@@ -363,30 +365,31 @@ def _graded_solve(a: Jet, b0, alpha: float, init, *, contracted: bool = False) -
     if contracted:
         b[:, ~_contracted_mask(m, cap.holo)] = 0.0
     j = alpha * np.arange(cap.holo + cap.anti + 1)  # alpha j at each total degree j
-    groups = {}
-    for i, key in enumerate(_patterns(flat)):
-        groups.setdefault(key, []).append(i)
-    for key, rows in groups.items():
+    spans = {}  # per pattern, its runs [start, end) of consecutive points
+    # the key leaves out the top total degree, as _pairs' support does
+    for i, key in enumerate(_patterns((flat != 0) & (tdeg < cap.holo + cap.anti))):
+        runs = spans.setdefault(key, [])
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    for key, runs in spans.items():
         support, table = _pairs(m, cap, key, contracted)
         sdeg = tdeg[support]
         degrees = [n for n in range(len(table)) if table[n]]  # the degrees with pairs
         step = max(1, _CHUNK // max((len(c[0]) for n in degrees for c in table[n]),
                                     default=_CHUNK))  # points per pass
-        for p in range(0, len(rows), step):
-            at = rows[p:p + step]
-            # a run of consecutive rows is a view, written in place; other
-            # rows are a copy, written back
-            run = slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else at
-            bp, ap, held = b[run], a0[run], flat[run].take(support, axis=1)
-            for n in degrees:
-                scaled = held * ((j - n) / (n * ap)).take(sdeg, axis=1)
-                for left, right, starts, dst, mirror in table[n]:
-                    value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
-                                                             starts)
-                    bp[:, dst] = value
-                    bp[:, mirror] = value.conj()
-            if run is at:
-                b[at] = bp
+        for start, end in runs:
+            for p in range(start, end, step):
+                run = slice(p, min(p + step, end))  # a view, written in place
+                bp, ap, held = b[run], a0[run], flat[run].take(support, axis=1)
+                for n in degrees:
+                    scaled = held * ((j - n) / (n * ap)).take(sdeg, axis=1)
+                    for left, right, starts, dst, mirror in table[n]:
+                        value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
+                                                                 starts)
+                        bp[:, dst] = value
+                        bp[:, mirror] = value.conj()
     b[:, ::shape[-1] + 1].imag = 0.0  # the mirror conjugated the diagonal's roundoff
     return Jet(m, cap, b.reshape(shape))
 

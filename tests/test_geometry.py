@@ -331,13 +331,17 @@ def test_products_match_their_einsum_form(batch):
 def test_one_block_equals_the_nine_gather_expansion():
     # the 2 x 2 minors come from each point's table of 2 x 2 permanents: the
     # same float expression in the same order, so equal to the bit, on
-    # report's 9 points on type1(2, 3) (m = 7) and on random jets and X
+    # report's 9 points on type1(2, 3) (m = 7), in (z, w) (the full read)
+    # and in the metric-normal frame (the kept read, of the contracted jet
+    # and of the full one), and on random jets and X (the full read)
     spec = HartogsSpec(type1(2, 3), F(4, 5))
     points = origin_fiber_points(spec, [0.0, 0.35, 0.7]) + sample_hartogs(spec, 0, 6)
-    P = geometry._normal_potential(spec, points, FULL_CAP)[-1]
-    X = metric_at(P).g_inv
-    assert np.array_equal(geometry._one_block(P, X),
-                          helpers.one_block_by_nine_gathers(P, X))
+    frame, _, P = geometry._normal_potential(spec, points, FULL_CAP)
+    for P in (P, hartogs_potential_jet(spec, _stack(points), FULL_CAP, frame),
+              hartogs_potential_jet(spec, _stack(points), FULL_CAP)):
+        X = metric_at(P).g_inv
+        assert np.array_equal(geometry._one_block(P, X),
+                              helpers.one_block_by_nine_gathers(P, X))
     rng = np.random.default_rng(7)
     for m, batch in ((1, ()), (3, (2,)), (7, (3,))):
         shape = batch + (len(jets.basis_exponents(m, 3)),) * 2
@@ -767,27 +771,38 @@ def test_contracted_potentials_are_the_full_ones_where_kept(base):
 
 
 @pytest.mark.parametrize("base", REPORT_BASES, ids=lambda b: b.label())
-def test_contracted_reports_match_full_reports(base):
-    # a contracted report against the full report of the full jet in the
-    # same frame: the metric, R, Ric, k and the norms read the same
-    # coefficients in the same order, so they are equal to the bit. Delta k
-    # and a2 lose the one-block terms of the dropped coefficients, of second
+def test_contracted_reports_match_full_reports(base, monkeypatch):
+    # the report of the contracted jet against the reports of the full jet
+    # in the same frame. Where max |X - I| is within _FRAME_TOL, _one_block
+    # reads the kept coefficients of both, so those reports are equal to
+    # the bit. With the tolerance below every residual it reads all of the
+    # full jet's: the metric, R, Ric, k and the norms read the same
+    # coefficients in the same order, so they are equal to the bit; Delta k
+    # and a2 gain the one-block terms of the dropped coefficients, of second
     # order in e = max |g - I| (e < 1e-10 here, so each is below 1e-19 of
-    # its |C[a, b]|), and sum the rest in a shorter sum: within 1e-12 of
+    # its |C[a, b]|), and sum the rest in a longer sum: within 1e-12 of
     # max(1, |value|)
     for mu in (1, F(4, 5), 3):
         spec = HartogsSpec(base, mu)
         points = _report_points(spec)
         frame, _, P = geometry._normal_potential(spec, points, FULL_CAP)
-        part = curvature_report_from_potential(P, contracted=True)
-        full = curvature_report_from_potential(
-            hartogs_potential_jet(spec, _stack(points), FULL_CAP, frame))
+        full = hartogs_potential_jet(spec, _stack(points), FULL_CAP, frame)
+        part = curvature_report_from_potential(P)
+        for key, value in vars(curvature_report_from_potential(full)).items():
+            if key == "metric":
+                assert np.array_equal(part.metric.g, value.g)
+                assert np.array_equal(part.metric.g_inv, value.g_inv)
+            else:
+                assert np.array_equal(getattr(part, key), value), key
+        monkeypatch.setattr(geometry, "_FRAME_TOL", -1.0)
+        whole = curvature_report_from_potential(full)
+        monkeypatch.undo()
         for key in ("R", "Ric", "k", "norm_R_sq", "norm_Ric_sq", "a1"):
-            assert np.array_equal(getattr(part, key), getattr(full, key)), key
-        assert np.array_equal(part.metric.g, full.metric.g)
-        assert np.array_equal(part.metric.g_inv, full.metric.g_inv)
+            assert np.array_equal(getattr(part, key), getattr(whole, key)), key
+        assert np.array_equal(part.metric.g, whole.metric.g)
         for key in ("lap_k", "a2"):
-            got, want = getattr(part, key), getattr(full, key)
+            got, want = getattr(part, key), getattr(whole, key)
+            assert not np.array_equal(got, want)
             assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
 
 
@@ -798,7 +813,7 @@ def test_frame_residual_guard_names_the_point(monkeypatch):
     # there; at 1 + 1e-10 (e = 2e-10, below the 1e-8 tolerance) it passes
     spec = HartogsSpec(type1(1, 2), F(4, 5))
     points = sample_hartogs(spec, 0, 3)
-    frame, potential = geometry._normal_frame, geometry.hartogs_potential_jet
+    frame, log = geometry._normal_frame, geometry.jet_log
 
     def skewed(factor):
         def skewed_frame(*args):
@@ -809,7 +824,7 @@ def test_frame_residual_guard_names_the_point(monkeypatch):
         return skewed_frame
 
     def nan_at_1(*args, **kw):
-        P = potential(*args, **kw)
+        P = log(*args, **kw)
         data = P.data.copy()
         data[1, 1, 1] = np.nan
         return Jet(P.num_vars, P.cap, data)
@@ -823,10 +838,22 @@ def test_frame_residual_guard_names_the_point(monkeypatch):
         monkeypatch.setattr(geometry, "_normal_frame", skewed(1 + 1e-10))
         assert len(run(spec, points)) == 3
         monkeypatch.setattr(geometry, "_normal_frame", frame)
-        monkeypatch.setattr(geometry, "hartogs_potential_jet", nan_at_1)
+        monkeypatch.setattr(geometry, "jet_log", nan_at_1)
         with pytest.raises(ValueError, match=r"^frame at point 1: .* = nan "):
             run(spec, points)
-        monkeypatch.setattr(geometry, "hartogs_potential_jet", potential)
+        monkeypatch.setattr(geometry, "jet_log", log)
+
+
+def test_contracted_potential_refuses_a_raw_frame():
+    # a contracted jet is valid only where g = I: in (z, w), or any frame
+    # that does not normalize g, the guard refuses it at both caps
+    spec = HartogsSpec(type1(1, 2), F(4, 5))
+    point = _stack(sample_hartogs(spec, 0, 3))
+    for cap in ((2, 2), (3, 3)):
+        with pytest.raises(ValueError, match=r"^frame at point 0: metric-normal "
+                                             r"residual max \|g - I\| = .* exceeds 1e-08$"):
+            hartogs_potential_jet(spec, point, cap, contracted=True)
+        hartogs_potential_jet(spec, point, cap)  # the full jet is any frame's
 
 
 def test_metric_refuses_a_non_finite_matrix():

@@ -677,9 +677,10 @@ def test_stacked_recurrences_match_per_jet_calls(m, monkeypatch):
 
 @pytest.mark.parametrize("contracted", [False, True])
 def test_interleaved_patterns_match_per_jet_calls(contracted):
-    # point 1 lacks a coefficient pair that points 0 and 2 hold: the group
-    # of points 0 and 2 runs on a copy of their rows, point 1 on its own row
-    # in place, and each point keeps the bits of its batch of one
+    # point 1 lacks a coefficient pair that points 0 and 2 hold: points 0
+    # and 2 share a table but no run of consecutive rows, so each of the
+    # three runs in place on its own row and keeps the bits of its batch of
+    # one
     cap, stack = BidegreeCap(3, 3), _hermitian_stack(3, 3)
     stack[1, 2, 5] = stack[1, 5, 2] = 0.0
     for f in (lambda a: jet_log(a, contracted=contracted),
@@ -687,6 +688,25 @@ def test_interleaved_patterns_match_per_jet_calls(contracted):
         got = f(Jet(3, cap, stack.copy()))
         for i in range(3):
             assert got.data[i].tobytes() == f(Jet(3, cap, stack[i].copy())).data.tobytes()
+
+
+def test_operands_that_differ_only_at_the_top_degree_share_a_table():
+    # a top-degree coefficient is never a left factor (its products pass the
+    # cap), so the table's key leaves those bits out: an operand with its
+    # top block zeroed, as the contracted power leaves its dropped entries,
+    # reads the full operand's table, and both keep their batch-of-one bits
+    cap, stack = BidegreeCap(3, 3), _hermitian_stack(3, 2)
+    top = jets._total_degrees(3, cap).reshape(stack.shape[1:]) == 6
+    stack[1][top] = 0.0
+    jets._pairs.cache_clear()
+    try:
+        for f in (jet_log, lambda a: jet_real_power(a, 0.8, contracted=True)):
+            got = f(Jet(3, cap, stack.copy()))
+            for i in range(2):
+                assert got.data[i].tobytes() == f(Jet(3, cap, stack[i].copy())).data.tobytes()
+        assert jets._pairs.cache_info().misses == 2  # one table per flag
+    finally:
+        jets._pairs.cache_clear()
 
 
 def test_stacked_jets_keep_their_batch_axes():
