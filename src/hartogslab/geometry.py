@@ -41,12 +41,12 @@ there; in x every point is at roundoff. Their potentials are contracted
 jets (see jets._contracted_mask): there X = g^{-1} is I to roundoff, and
 the top block, which only X-contracted permanents read (_one_block at cap
 (3, 3), k = tr(X Ric) at cap (2, 2)), keeps only the coefficients that
-enter at first order in X - I. hartogs_potential_jet refuses a point
-whose residual max |g - I| exceeds _FRAME_TOL = 1e-8 for such a jet
-(3.8e-11 at most over the 78-command sweep). The report's tensors are pulled
-back to (z, w). Every stage takes a stack of points, a HartogsPoint of
-arrays (jets and tensors put the point axes first), and a ValueError names
-the stage and the first failing point's index.
+enter at first order in X - I. Only hartogs_potential_jet makes one, and
+it refuses a point whose max |g - I| exceeds _FRAME_TOL = 1e-8;
+curvature_tensor refuses one at cap (2, 2). The report's tensors are
+pulled back to (z, w). Every stage takes a stack of points, a HartogsPoint
+of arrays (jets and tensors put the point axes first), and a ValueError
+names the stage and the first failing point's index.
 """
 
 from __future__ import annotations
@@ -59,17 +59,16 @@ import numpy as np
 
 from .domains import DomainSpec, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import _CHUNK, BidegreeCap, Jet, _affine, _contracted_mask, \
+from .jets import _CHUNK, BidegreeCap, Jet, _affine, _contracted_mask, _jet, \
     _raise_where, _space_size, basis_exponents, jet_log, jet_real_power
 
 FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
 _REAL_TOL = 1e-8  # relative imaginary residue that _real accepts
 # largest residual e = max |g - I| of a metric-normal potential's (1, 1)
-# block that a contracted jet accepts, and up to which _one_block reads
-# only the top-block coefficients such a jet keeps: each term left out is
-# at most 6 e^2 (1 + e) |C[a, b]|, below 1e-15 |C[a, b]|. On the 11
-# catalog bases e grows as about 8e-17 / mu at small mu and passes 1e-8
+# block that a contracted jet accepts: each term of _one_block that it
+# leaves out is at most 6 e^2 (1 + e) |C[a, b]|, below 1e-15 |C[a, b]|. On
+# the 11 catalog bases e grows as about 8e-17 / mu at small mu and passes 1e-8
 # only below mu = 5e-9, where every report, verify-lemmas and scan-a2
 # command on them exits 1 without the guard too
 _FRAME_TOL = 1e-8
@@ -165,11 +164,11 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     base coordinates must not involve x_d (frame[:d, d] = 0), so N^mu is
     taken in the first d variables and then placed among the d+1. The cap
     must be square, as jet_log's is (a real function's jet). contracted
-    passes to the power and the log (see jets._contracted_mask): the top
-    block then holds only what X-contracted permanents weigh at first
-    order in e = max |g - I| of the jet's (1, 1) block, so it needs a
-    metric-normal frame (see _normal_frame). A point whose e exceeds
-    _FRAME_TOL (or is nan) is refused, with no fallback."""
+    marks N (the power's operand) and I as contracted jets (jets._jet), so
+    the power and the log are too: their top block holds only what
+    X-contracted permanents weigh at first order in e = max |g - I| of the
+    (1, 1) block, which needs a metric-normal frame (see _normal_frame); a
+    point whose e exceeds _FRAME_TOL (or is nan) is refused, no fallback."""
     if cap[0] != cap[1]:
         raise ValueError(f"potential requires a square cap, got {tuple(cap)}")
     d = spec.base.d
@@ -180,7 +179,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
                  "fiber's variable (frame[:d, d] must be 0)")
     power = generic_norm_jet(spec.base, point.base, cap, jacobian=frame[..., :d, :d])
     if mu != 1.0:
-        power = jet_real_power(power, mu, contracted=contracted)
+        power = jet_real_power(_jet(d, power.cap, power.data, contracted), mu)
     cap, batch = power.cap, power.data.shape[:-2]
     inner = Jet._zeros(d + 1, cap, batch)
     inner.reshape(batch + (-1,))[..., _base_positions(d, cap.holo)] = \
@@ -197,7 +196,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     ww *= 0.5
     inner[..., :d + 2, :d + 2] -= ww
     _raise_where(~(inner[..., 0, 0].real > 0.0), "potential", _OUTSIDE)  # nan fails too
-    potential = jet_log(Jet(d + 1, cap, inner), -1.0, contracted=contracted)
+    potential = jet_log(_jet(d + 1, cap, inner, contracted), -1.0)
     if contracted:
         e = np.abs(potential.partials(1, 1) - np.eye(d + 1)).max(axis=(-2, -1))
         _raise_where(~(e <= _FRAME_TOL), "frame", lambda i: "metric-normal residual "
@@ -291,7 +290,9 @@ def metric_at(potential: Jet) -> MetricData:
 
 
 def curvature_tensor(potential: Jet, metric: MetricData) -> np.ndarray:
-    """R_{i jbar k lbar} from the potential jet (cap >= (2,2))."""
+    """R_{i jbar k lbar} from the potential jet (cap >= (2,2), full at (2,2))."""
+    if potential.contracted and potential.cap.holo == 2:
+        raise ValueError("R requires a full (2, 2) block, got a contracted cap (2, 2)")
     T = potential.partials(2, 1)  # [i, k, qbar]
     S = potential.partials(1, 2)  # [p, jbar, lbar]
     P22 = potential.partials(2, 2)  # [i, k, jbar, lbar]
@@ -358,26 +359,26 @@ def _products(S: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _permanent_index(m: int, contracted: bool = False):
+def _permanent_index(m: int, anti: int, contracted: bool):
     """Index tables of the 3 x 3 matrices X[b, a] with entries X[b_s, a_t],
     for the variables a_t of each degree-3 monomial a and b_s of each b,
     listed with multiplicity, expanded by their first row, over the pairs
-    (a, b) in C order, or only those that jets._contracted_mask keeps if
-    contracted: row[t, i] is the flat index of X[b_0, a_t] into X (m x m)
-    for pair i, and minor[t, i] that of Q[b_1, b_2, a_u, a_v] into the m^4
-    table of 2 x 2 permanents Q[b1, b2, a1, a2] = X[b1, a1] X[b2, a2] +
-    X[b1, a2] X[b2, a1], where (u, v) are the columns other than t, in
-    order; a and b run over the graded basis of degree 3. cell[i] is the
-    flat index of the coefficient of pair i into a cap-(3, 3) array."""
-    lo, size = _space_size(m, 2), _space_size(m, 3)
+    (a, b) in C order, or only those that a contracted jet at cap (anti,
+    anti) keeps if contracted: row[t, i] is the flat index of X[b_0, a_t]
+    into X (m x m) for pair i, and minor[t, i] that of Q[b_1, b_2, a_u, a_v]
+    into the m^4 table of 2 x 2 permanents Q[b1, b2, a1, a2] = X[b1, a1]
+    X[b2, a2] + X[b1, a2] X[b2, a1], where (u, v) are the columns other
+    than t, in order; a and b run over the graded basis of degree 3. cell[i]
+    is the flat index of the coefficient of pair i at anti-degree cap anti."""
+    lo, size, width = _space_size(m, 2), _space_size(m, 3), _space_size(m, anti)
     exps = np.array(basis_exponents(m, 3)[lo:])
     var = np.repeat(np.tile(np.arange(m), len(exps)), exps.ravel()).reshape(-1, 3)
     a, b = var.T[:, :, None], var.T[:, None, :]  # [s, a, b]
     row = b[0] * m + a
     minor = (b[1] * m + b[2]) * m * m + np.stack(
         (a[1] * m + a[2], a[0] * m + a[2], a[0] * m + a[1]))
-    cell = np.add.outer(np.arange(lo, size) * size, np.arange(lo, size)).ravel()
-    pairs = np.flatnonzero(_contracted_mask(m, 3)[cell]) if contracted else slice(None)
+    cell = np.add.outer(np.arange(lo, size) * width, np.arange(lo, size)).ravel()
+    pairs = np.flatnonzero(_contracted_mask(m, anti)[cell]) if contracted else slice(None)
     out = row.reshape(3, -1)[:, pairs], minor.reshape(3, -1)[:, pairs], cell[pairs]
     for index in out:
         index.setflags(write=False)
@@ -393,29 +394,22 @@ def _one_block(potential: Jet, X: np.ndarray):
     each point's table Q: one pass over the C(m + 2, 3)^2 coefficients
     (fewer than m^5 up to m = 29) in place of the m^6 partials, for as many
     points at a time as keep the 6 gathered entries per coefficient and
-    point near _CHUNK elements. At a point where e = max |X - I| is at
-    most _FRAME_TOL, only over the (a, b) that jets._contracted_mask keeps
-    (1,260 of 7,056 at m = 7): every other permanent is at most
-    6 e^2 (1 + e), so whether the jet holds those coefficients or leaves
-    them out (a contracted jet), they enter at roundoff."""
+    point near _CHUNK elements; of a contracted jet, only over the (a, b)
+    that it keeps (1,260 of 7,056 at m = 7): every other permanent is at
+    most 6 e^2 (1 + e) in the metric-normal frame it needs, e = max |X - I|."""
     m, batch = X.shape[-1], X.shape[:-2]
-    data = potential.data
-    flat = data.reshape((-1, data.shape[-2] * data.shape[-1]))
     X = X.reshape(-1, m, m)
-    near = np.abs(X - np.eye(m)).max(axis=(-2, -1)) <= _FRAME_TOL
+    flat = potential.data.reshape(len(X), -1)
     Q = (X[:, :, None, :, None] * X[:, None, :, None, :]
          + X[:, :, None, None, :] * X[:, None, :, :, None]).reshape(len(X), -1)
     X = X.reshape(len(X), -1)
-    out = np.empty(len(X), dtype=np.complex128)
-    for kept in (False, True):
-        row, minor, cell = _permanent_index(m, kept)
-        at, step = np.flatnonzero(near == kept), max(1, _CHUNK // (2 * row.size))
-        for p in range(0, len(at), step):
-            i = at[p:p + step]
-            x0, x1, x2 = X[i].take(row, axis=1).swapaxes(0, 1)
-            q0, q1, q2 = Q[i].take(minor, axis=1).swapaxes(0, 1)
-            per = x0 * q0 + x1 * q1 + x2 * q2
-            out[i] = (flat[i[:, None], cell] * per).sum(axis=1)
+    row, minor, cell = _permanent_index(m, potential.cap.anti, potential.contracted)
+    out, step = np.empty(len(X), dtype=np.complex128), max(1, _CHUNK // (2 * row.size))
+    for i in (slice(p, p + step) for p in range(0, len(X), step)):
+        x0, x1, x2 = X[i].take(row, axis=1).swapaxes(0, 1)
+        q0, q1, q2 = Q[i].take(minor, axis=1).swapaxes(0, 1)
+        per = x0 * q0 + x1 * q1 + x2 * q2
+        out[i] = (flat[i].take(cell, axis=1) * per).sum(axis=1)
     return 6 * out.reshape(batch)
 
 
@@ -558,6 +552,8 @@ def _laplacian_from_parts(LD: LogDetParts, metric: MetricData,
 def scalar_curvatures(spec: HartogsSpec, points: Sequence[HartogsPoint]) -> list:
     """Scalar curvature only, on the cheap cap-(2,2) path, at each point,
     in the coordinates of _normal_frame."""
+    if not points:
+        return []
     P = _normal_potential(spec, points, BidegreeCap(2, 2))[-1]
     return ricci_and_scalar(P, metric_at(P))[1].tolist()
 
@@ -573,6 +569,8 @@ def curvature_reports(spec: HartogsSpec,
     a2. The jets live in the coordinates x of _normal_frame; the scalars do
     not depend on coordinates, and the tensors are pulled back to (z, w)
     with B = A^{-1}, the frame's own factor U^T, on each index."""
+    if not points:
+        return []
     A, B, P = _normal_potential(spec, points, FULL_CAP)
     rep = curvature_report_from_potential(P)
     Bc = B.conj()
@@ -593,14 +591,16 @@ def curvature_report(spec: HartogsSpec, point: HartogsPoint) -> CurvatureReport:
 
 
 def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
-    """Build the full report from a cap-(3,3) potential jet (used directly by
-    the scaling-law checks), with per-point fields for a batch. The jet
-    should be in metric-normal coordinates (g = I at the point), as
-    curvature_reports' is. Raw (z, w) potentials
-    lose the digits of Delta k while the jet is built: at 6 of 132 sampled
-    points (4 per classical base with d <= 6, at mu = 1, 4/5 and 3) its
-    imaginary residue of 3e-5 to 6e-4 makes the report raise, with an
-    error that names cond(g)."""
+    """Build the full report from a potential jet at cap (3,3) or above
+    (used directly by the scaling-law checks), with per-point fields for a
+    batch. The jet should be in metric-normal coordinates (g = I at the
+    point), as curvature_reports' is. Raw (z, w) potentials lose the digits
+    of Delta k while the jet is built: at 6 of 132 sampled points (4 per
+    classical base with d <= 6, at mu = 1, 4/5 and 3) its imaginary residue
+    of 3e-5 to 6e-4 makes the report raise, with an error that names
+    cond(g)."""
+    if min(potential.cap) < 3:
+        raise ValueError(f"report requires cap >= (3, 3), got {tuple(potential.cap)}")
     metric = metric_at(potential)
     LD = _log_det_jets(potential, metric)
     ric, k = _ricci(LD.L11, metric)

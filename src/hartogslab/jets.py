@@ -29,12 +29,12 @@ term _graded_solve folds into the start value of each degree, nor one with
 a factor of the top total degree. The points of a batch that share a
 pattern below the top degree share a table: at z = 0 the norms hold a few
 of their coefficients, and generic points hold nearly all of them.
-With contracted=True, log and power leave zeros in the top block (c, c)
-of the cap, which no other coefficient reads, wherever the two monomials
-share fewer than c - 1 variables (see _contracted_mask), and their tables
-hold no pair that lands there. A consumer that reads the top block only
-through its permanents against X = g^{-1} = I + O(e) loses O(e^2) by that;
-every kept coefficient is the full jet's, bit for bit.
+A contracted jet (Jet.contracted, see _jet) leaves out the top-block (c, c)
+coefficients, which no other one reads, whose monomials share fewer than
+c - 1 variables (_contracted_mask). Its logs, powers and multiples are
+contracted too, with +0.0 there and every kept coefficient the full jet's,
+bit for bit. A consumer that reads the top block only through its
+permanents against X = g^{-1} = I + O(e) loses O(e^2) by that.
 Jets are immutable after construction and all operations are pure.
 """
 
@@ -301,14 +301,13 @@ class Jet:
     cap.holo)), len(basis_exponents(num_vars, cap.anti))) whose [..., i, j]
     entry is the coefficient of the i-th holomorphic times the j-th
     antiholomorphic basis monomial; cap must be a BidegreeCap. The array is
-    frozen, not copied.
+    frozen, not copied; the jet is not contracted (see _jet).
     """
 
-    __slots__ = ("num_vars", "cap", "data")
+    __slots__ = ("num_vars", "cap", "data", "contracted")
 
     def __init__(self, num_vars: int, cap: BidegreeCap, data: np.ndarray):
-        self.num_vars = num_vars
-        self.cap = cap
+        self.num_vars, self.cap, self.contracted = num_vars, cap, False
         data.setflags(write=False)
         self.data = data
 
@@ -328,17 +327,24 @@ class Jet:
         out *= weight
         return out
 
-    def __mul__(self, other):
-        if isinstance(other, Jet):  # jets scale by numbers only
+    def __mul__(self, c):
+        if isinstance(c, Jet):  # jets scale by numbers only
             return NotImplemented
-        return Jet(self.num_vars, self.cap, self.data * complex(other))
+        return _jet(self.num_vars, self.cap, self.data * complex(c), self.contracted)
 
     __rmul__ = __mul__
 
 
+def _jet(num_vars: int, cap: BidegreeCap, data: np.ndarray, contracted: bool) -> Jet:
+    """Jet(num_vars, cap, data), contracted if contracted (at a square cap)."""
+    jet = Jet(num_vars, cap, data)
+    jet.contracted = contracted
+    return jet
+
+
 # -- analytic operations ------------------------------------------------------
 
-def _graded_solve(a: Jet, b0, alpha: float, init, *, contracted: bool = False) -> Jet:
+def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
     """The jet b with constant term b0 and, for n >= 1, b_n = init a_n +
     sum_{j >= 1} (alpha j - n) / (n a_0) [a_j b_{n-j}]_n, where x_n is the
     total-degree-n part of x: jet_log's and jet_real_power's recurrence, on
@@ -353,16 +359,16 @@ def _graded_solve(a: Jet, b0, alpha: float, init, *, contracted: bool = False) -
     the top total degree, and each run of consecutive points in a group
     reads the pair table of its pattern (see _pairs) in place, in passes
     of as many points as keep the _convolve temporaries near _CHUNK
-    elements, so a point sums as in its batch of one. If contracted, the
-    top-block coefficients that _contracted_mask drops are exact zeros, and
-    every kept one is the same sum of the same pairs as without the flag:
-    the top block is a leaf, which no other coefficient reads."""
+    elements, so a point sums as in its batch of one. b is contracted if a
+    is: the coefficients that _contracted_mask drops are exact zeros, and
+    every kept one is the same sum of the same pairs as a full a's: the
+    top block is a leaf, which no other coefficient reads."""
     m, cap, shape = a.num_vars, a.cap, a.data.shape
     flat, tdeg = a.data.reshape(-1, shape[-2] * shape[-1]), _total_degrees(m, cap)
     a0, b0, init = flat[:, :1], np.reshape(b0, (-1, 1)), np.reshape(init, (-1, 1))
     b = flat * (init + (alpha - 1.0) * b0 / a0)
     b[:, :1] = b0
-    if contracted:
+    if a.contracted:
         b[:, ~_contracted_mask(m, cap.holo)] = 0.0
     j = alpha * np.arange(cap.holo + cap.anti + 1)  # alpha j at each total degree j
     spans = {}  # per pattern, its runs [start, end) of consecutive points
@@ -374,7 +380,7 @@ def _graded_solve(a: Jet, b0, alpha: float, init, *, contracted: bool = False) -
         else:
             runs.append([i, i + 1])
     for key, runs in spans.items():
-        support, table = _pairs(m, cap, key, contracted)
+        support, table = _pairs(m, cap, key, a.contracted)
         sdeg = tdeg[support]
         degrees = [n for n in range(len(table)) if table[n]]  # the degrees with pairs
         step = max(1, _CHUNK // max((len(c[0]) for n in degrees for c in table[n]),
@@ -391,7 +397,7 @@ def _graded_solve(a: Jet, b0, alpha: float, init, *, contracted: bool = False) -
                         bp[:, dst] = value
                         bp[:, mirror] = value.conj()
     b[:, ::shape[-1] + 1].imag = 0.0  # the mirror conjugated the diagonal's roundoff
-    return Jet(m, cap, b.reshape(shape))
+    return _jet(m, cap, b.reshape(shape), a.contracted)
 
 
 def _real_function(a: Jet, stage: str) -> np.ndarray:
@@ -413,25 +419,25 @@ def _real_function(a: Jet, stage: str) -> np.ndarray:
     return c0
 
 
-def jet_log(a: Jet, scale: float = 1.0, *, contracted: bool = False) -> Jet:
+def jet_log(a: Jet, scale: float = 1.0) -> Jet:
     """scale * log of a real function's jet with a finite positive value
     (see _real_function). From a E(b) = scale E(a), E the Euler operator
     (the total-degree-n part times n): b_n = scale a_n / a_0 + (1/(n a_0))
     sum_{j >= 1} (j - n) a_j b_{n-j}. The recurrence is linear in b and
     negation is exact, so scale = -1 gives every value of -log a to the bit
-    (a zero may carry the other sign), with no negated copy. contracted
-    leaves zeros where _contracted_mask drops a top-block coefficient."""
+    (a zero may carry the other sign), with no negated copy. Contracted
+    if a is."""
     c0 = _real_function(a, "jet_log")
-    return _graded_solve(a, scale * np.log(c0), 1.0, scale / c0, contracted=contracted)
+    return _graded_solve(a, scale * np.log(c0), 1.0, scale / c0)
 
 
-def jet_real_power(a: Jet, mu: float, *, contracted: bool = False) -> Jet:
+def jet_real_power(a: Jet, mu: float) -> Jet:
     """a**mu for real 0 < mu < inf, of a real function's jet with a finite
     positive value (see _real_function). From a E(b) = mu b E(a): b_n =
-    (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n) a_j b_{n-j}. contracted as
-    in jet_log."""
+    (1/(n a_0)) sum_{j >= 1} ((mu + 1) j - n) a_j b_{n-j}. Contracted if
+    a is."""
     mu = float(mu)
     if not 0.0 < mu < math.inf:  # also rejects nan
         raise ValueError(f"jet_real_power requires 0 < mu < inf, got {mu}")
     c0 = _real_function(a, "jet_real_power")
-    return _graded_solve(a, c0.real ** mu, mu + 1.0, 0.0, contracted=contracted)
+    return _graded_solve(a, c0.real ** mu, mu + 1.0, 0.0)

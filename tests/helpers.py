@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from hartogslab.domains import contains, generic_norm_value
-from hartogslab.geometry import _FRAME_TOL, FIBER_FILL
+from hartogslab.geometry import FIBER_FILL
 from hartogslab.jets import (BidegreeCap, Jet, _as_cap, _contracted_mask, _pair_tables,
                              basis_exponents, jet_log, jet_real_power)
 
@@ -322,14 +322,17 @@ def one_block_by_nine_gathers(potential, X):
     X[b_s, a_t] for the variables a_t of each degree-3 monomial a and b_s of
     each b, gathered entry by entry (nine gathers) and expanded by its first
     row, the 2 x 2 minors' permanents formed in place; one point at a time,
-    and where max |X - I| <= geometry._FRAME_TOL over the (a, b) that
-    jets._contracted_mask keeps only."""
+    and of a contracted jet over the (a, b) that jets._contracted_mask
+    keeps only."""
     m, batch = X.shape[-1], X.shape[:-2]
     exps = np.array(basis_exponents(m, 3)[len(basis_exponents(m, 2)):])
     var = np.repeat(np.tile(np.arange(m), len(exps)), exps.ravel()).reshape(-1, 3)
     index = var.T[:, None, None, :] * m + var.T[None, :, :, None]  # [s, t, a, b]
     lo, hi = len(basis_exponents(m, 2)), len(basis_exponents(m, 3))
-    keep = _contracted_mask(m, 3).reshape(hi, hi)[lo:, lo:]
+    keep = slice(None)
+    if potential.contracted:  # a square cap
+        size = len(basis_exponents(m, potential.cap.holo))
+        keep = _contracted_mask(m, potential.cap.holo).reshape(size, size)[lo:hi, lo:hi]
     out = np.empty(batch, dtype=np.complex128)
     for i in np.ndindex(batch):
         (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = X[i].ravel()[index]
@@ -337,8 +340,7 @@ def one_block_by_nine_gathers(potential, X):
                + x01 * (x10 * x22 + x12 * x20)
                + x02 * (x10 * x21 + x11 * x20))
         terms = potential.data[i][lo:hi, lo:hi] * per
-        near = np.abs(X[i] - np.eye(m)).max() <= _FRAME_TOL
-        out[i] = (terms[keep] if near else terms).sum()
+        out[i] = terms[keep].sum()
     return 6 * out
 
 

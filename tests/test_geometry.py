@@ -5,6 +5,7 @@ closed-form fiber-slice identities; finite-difference cross-checks use the
 independent stencils in tests/helpers.py.
 """
 
+import inspect
 import re
 import warnings
 from fractions import Fraction as F
@@ -12,6 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import hartogslab
 import helpers
 from helpers import add, jet_variable, sub
 from hartogslab import geometry, jets
@@ -150,19 +152,23 @@ def test_curvature_tensor_symmetries():
 
 
 def test_scaling_law():
+    # a potential in (z, w), and a contracted one in the metric-normal
+    # frame, whose multiple is contracted too
     lam = 2.0
     pt = sample_hartogs(DISK, seed=8, count=1)[0]
-    P = hartogs_potential_jet(DISK, pt, BidegreeCap(3, 3))
-    rep = curvature_report_from_potential(P)
-    scaled = curvature_report_from_potential(P * lam)
-    assert np.allclose(scaled.metric.g, lam * rep.metric.g, rtol=1e-10)
-    assert np.allclose(scaled.R, lam * rep.R, rtol=1e-9, atol=1e-12)
-    assert np.allclose(scaled.Ric, rep.Ric, rtol=1e-9, atol=1e-12)
-    assert scaled.k == pytest.approx(rep.k / lam, rel=1e-10)
-    assert scaled.norm_R_sq == pytest.approx(rep.norm_R_sq / lam ** 2, rel=1e-9)
-    assert scaled.norm_Ric_sq == pytest.approx(rep.norm_Ric_sq / lam ** 2,
-                                               rel=1e-9)
-    assert scaled.lap_k == pytest.approx(rep.lap_k / lam ** 2, rel=1e-9)
+    for P in (hartogs_potential_jet(DISK, pt, BidegreeCap(3, 3)),
+              geometry._normal_potential(DISK, [pt], FULL_CAP)[-1]):
+        assert (P * lam).contracted == P.contracted
+        rep = curvature_report_from_potential(P)
+        scaled = curvature_report_from_potential(P * lam)
+        assert np.allclose(scaled.metric.g, lam * rep.metric.g, rtol=1e-10)
+        assert np.allclose(scaled.R, lam * rep.R, rtol=1e-9, atol=1e-12)
+        assert np.allclose(scaled.Ric, rep.Ric, rtol=1e-9, atol=1e-12)
+        assert scaled.k == pytest.approx(rep.k / lam, rel=1e-10)
+        assert scaled.norm_R_sq == pytest.approx(rep.norm_R_sq / lam ** 2, rel=1e-9)
+        assert scaled.norm_Ric_sq == pytest.approx(rep.norm_Ric_sq / lam ** 2,
+                                                   rel=1e-9)
+        assert scaled.lap_k == pytest.approx(rep.lap_k / lam ** 2, rel=1e-9)
 
 
 def test_fiber_rotation_is_an_isometry():
@@ -332,16 +338,23 @@ def test_one_block_equals_the_nine_gather_expansion():
     # the 2 x 2 minors come from each point's table of 2 x 2 permanents: the
     # same float expression in the same order, so equal to the bit, on
     # report's 9 points on type1(2, 3) (m = 7), in (z, w) (the full read)
-    # and in the metric-normal frame (the kept read, of the contracted jet
-    # and of the full one), and on random jets and X (the full read)
+    # and in the metric-normal frame (the kept read of the contracted jet
+    # and of the full one marked contracted, the full read of the full
+    # one), and on random jets and X (the full read). Both choose the read
+    # by the jet's flag alone: the marked full jet reads what the
+    # contracted one holds, to the bit, and not what it reads unmarked
     spec = HartogsSpec(type1(2, 3), F(4, 5))
     points = origin_fiber_points(spec, [0.0, 0.35, 0.7]) + sample_hartogs(spec, 0, 6)
-    frame, _, P = geometry._normal_potential(spec, points, FULL_CAP)
-    for P in (P, hartogs_potential_jet(spec, _stack(points), FULL_CAP, frame),
-              hartogs_potential_jet(spec, _stack(points), FULL_CAP)):
+    frame, _, part = geometry._normal_potential(spec, points, FULL_CAP)
+    full = hartogs_potential_jet(spec, _stack(points), FULL_CAP, frame)
+    marked = jets._jet(full.num_vars, full.cap, full.data, True)
+    for P in (part, full, marked, hartogs_potential_jet(spec, _stack(points), FULL_CAP)):
         X = metric_at(P).g_inv
         assert np.array_equal(geometry._one_block(P, X),
                               helpers.one_block_by_nine_gathers(P, X))
+    X = metric_at(full).g_inv
+    assert np.array_equal(geometry._one_block(marked, X), geometry._one_block(part, X))
+    assert not np.array_equal(geometry._one_block(marked, X), geometry._one_block(full, X))
     rng = np.random.default_rng(7)
     for m, batch in ((1, ()), (3, (2,)), (7, (3,))):
         shape = batch + (len(jets.basis_exponents(m, 3)),) * 2
@@ -761,9 +774,10 @@ def test_contracted_potentials_are_the_full_ones_where_kept(base):
         point = _stack(_report_points(spec))
         frame = _normal_frame(spec, point)[0]
         for c in (2, 3):
-            full, part = (hartogs_potential_jet(spec, point, (c, c), frame,
-                                                contracted=flag).data.reshape(9, -1)
-                          for flag in (False, True))
+            both = [hartogs_potential_jet(spec, point, (c, c), frame, contracted=flag)
+                    for flag in (False, True)]
+            assert [P.contracted for P in both] == [False, True]
+            full, part = (P.data.reshape(9, -1) for P in both)
             keep = jets._contracted_mask(base.d + 1, c)
             assert part[:, keep].tobytes() == full[:, keep].tobytes()
             assert full[3:, ~keep].any(axis=1).all()  # the generic points
@@ -771,39 +785,105 @@ def test_contracted_potentials_are_the_full_ones_where_kept(base):
 
 
 @pytest.mark.parametrize("base", REPORT_BASES, ids=lambda b: b.label())
-def test_contracted_reports_match_full_reports(base, monkeypatch):
-    # the report of the contracted jet against the reports of the full jet
-    # in the same frame. Where max |X - I| is within _FRAME_TOL, _one_block
-    # reads the kept coefficients of both, so those reports are equal to
-    # the bit. With the tolerance below every residual it reads all of the
-    # full jet's: the metric, R, Ric, k and the norms read the same
-    # coefficients in the same order, so they are equal to the bit; Delta k
-    # and a2 gain the one-block terms of the dropped coefficients, of second
-    # order in e = max |g - I| (e < 1e-10 here, so each is below 1e-19 of
-    # its |C[a, b]|), and sum the rest in a longer sum: within 1e-12 of
+def test_contracted_reports_match_full_reports(base):
+    # the report of the contracted jet against the report of the full jet
+    # in the same frame, whose every coefficient _one_block reads: the
+    # metric, R, Ric, k and the norms read the same coefficients in the
+    # same order, so they are equal to the bit; Delta k and a2 gain the
+    # one-block terms of the dropped coefficients, of second order in
+    # e = max |g - I| (e < 1e-10 here, so each is below 1e-19 of its
+    # |C[a, b]|), and sum the rest in a longer sum: within 1e-12 of
     # max(1, |value|)
     for mu in (1, F(4, 5), 3):
         spec = HartogsSpec(base, mu)
         points = _report_points(spec)
         frame, _, P = geometry._normal_potential(spec, points, FULL_CAP)
-        full = hartogs_potential_jet(spec, _stack(points), FULL_CAP, frame)
         part = curvature_report_from_potential(P)
-        for key, value in vars(curvature_report_from_potential(full)).items():
-            if key == "metric":
-                assert np.array_equal(part.metric.g, value.g)
-                assert np.array_equal(part.metric.g_inv, value.g_inv)
-            else:
-                assert np.array_equal(getattr(part, key), value), key
-        monkeypatch.setattr(geometry, "_FRAME_TOL", -1.0)
-        whole = curvature_report_from_potential(full)
-        monkeypatch.undo()
+        whole = curvature_report_from_potential(
+            hartogs_potential_jet(spec, _stack(points), FULL_CAP, frame))
         for key in ("R", "Ric", "k", "norm_R_sq", "norm_Ric_sq", "a1"):
             assert np.array_equal(getattr(part, key), getattr(whole, key)), key
         assert np.array_equal(part.metric.g, whole.metric.g)
+        assert np.array_equal(part.metric.g_inv, whole.metric.g_inv)
         for key in ("lap_k", "a2"):
             got, want = getattr(part, key), getattr(whole, key)
             assert not np.array_equal(got, want)
             assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
+
+def test_log_of_a_contracted_power_is_contracted():
+    # the truncation belongs to the jet, so a contracted operand passes it
+    # on: the log of the power of a contracted norm jet is contracted, its
+    # kept coefficients are the full path's to the bit and its dropped ones
+    # +0.0 (type1(1, 2) in (z, w) at report's 9 points: jet algebra, exact
+    # in any frame)
+    spec = HartogsSpec(type1(1, 2), F(4, 5))
+    N = generic_norm_jet(spec.base, _stack(_report_points(spec)).base, FULL_CAP)
+    full, part = (jet_log(jet_real_power(jets._jet(2, N.cap, N.data, flag), 0.8))
+                  for flag in (False, True))
+    assert (full.contracted, part.contracted) == (False, True)
+    keep = jets._contracted_mask(2, 3)
+    full, part = full.data.reshape(9, -1), part.data.reshape(9, -1)
+    assert part[:, keep].tobytes() == full[:, keep].tobytes()
+    assert full[3:, ~keep].any(axis=1).all()  # the generic points
+    assert part[:, ~keep].tobytes() == bytes(part[:, ~keep].nbytes)
+
+
+def test_curvature_tensor_refuses_a_contracted_cap_2_potential():
+    # at cap (2, 2) R reads the whole top block, which a contracted jet
+    # holds only in part; at cap (3, 3) the (2, 2) block is whole
+    spec = HartogsSpec(type3(2), F(4, 5))
+    points = sample_hartogs(spec, 0, 3)
+    P = geometry._normal_potential(spec, points, BidegreeCap(2, 2))[-1]
+    with pytest.raises(ValueError, match=r"^R requires a full \(2, 2\) block, got a "
+                                         r"contracted cap \(2, 2\)$"):
+        curvature_tensor(P, metric_at(P))
+    P = geometry._normal_potential(spec, points, FULL_CAP)[-1]
+    assert curvature_tensor(P, metric_at(P)).shape == (3,) + (4,) * 4
+
+
+@pytest.mark.parametrize("base", [type1(1, 2), type4(5), type3(2)], ids=lambda b: b.label())
+def test_cap_4_reports_equal_cap_3_reports(base):
+    # a report reads the (3, 3) block at the jet's own row width, so a
+    # cap-(4, 4) potential gives the cap-(3, 3) report to the bit: full
+    # jets in the metric-normal frame and in (z, w) (not on type3(2),
+    # whose (z, w) Delta k raises on its imaginary residue), and the
+    # contracted one, which holds every (3, 3) coefficient. Below cap
+    # (3, 3) there is no Delta k, and the report is refused
+    for mu in (1, F(4, 5)):
+        spec = HartogsSpec(base, mu)
+        point = _stack(origin_fiber_points(spec, [0.0, 0.3]) + sample_hartogs(spec, 0, 2))
+        frame = _normal_frame(spec, point)[0]
+        runs = [(frame, False), (frame, True)] + [(None, False)] * (base.kind != "type3")
+        for frame, flag in runs:
+            want, got = (curvature_report_from_potential(hartogs_potential_jet(
+                spec, point, (c, c), frame, contracted=flag and c == 4)) for c in (3, 4))
+            assert np.array_equal(got.metric.g_inv, want.metric.g_inv)
+            for key in ("R", "Ric", "k", "norm_R_sq", "norm_Ric_sq", "lap_k", "a2"):
+                assert np.array_equal(getattr(got, key), getattr(want, key)), (key, flag)
+    with pytest.raises(ValueError, match=r"^report requires cap >= \(3, 3\), "
+                                         r"got \(2, 2\)$"):
+        curvature_report_from_potential(hartogs_potential_jet(spec, point, (2, 2)))
+
+
+def test_empty_point_lists_give_empty_lists():
+    spec = HartogsSpec(type1(1, 2), F(4, 5))
+    assert curvature_reports(spec, []) == []
+    assert scalar_curvatures(spec, []) == []
+
+
+def test_only_the_potential_takes_contracted():
+    # a jet carries its truncation, and the one exported way to make a
+    # contracted jet is the potential behind its frame-residual guard
+    def parameters(obj):
+        try:
+            return inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no signature to read
+            return {}
+    takers = [name for name in hartogslab.__all__
+              if callable(obj := getattr(hartogslab, name))
+              and "contracted" in parameters(obj)]
+    assert takers == ["hartogs_potential_jet"]
 
 
 def test_frame_residual_guard_names_the_point(monkeypatch):

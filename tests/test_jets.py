@@ -533,7 +533,7 @@ def test_contracted_tables_keep_the_pinned_counts():
     assert np.array_equal(full[0], part[0])
     lo = len(basis_exponents(7, 2))
     assert jets._contracted_mask(7, 3).reshape(120, 120)[lo:, lo:].sum() == 1_260
-    assert [geometry._permanent_index(7, flag)[2].size for flag in (False, True)] == \
+    assert [geometry._permanent_index(7, 3, flag)[2].size for flag in (False, True)] == \
         [7_056, 1_260]
     assert [_table_pairs(jets._pairs(7, BidegreeCap(2, 2), key2, flag))
             for flag in (False, True)] == [6_083, 3_416]
@@ -683,27 +683,29 @@ def test_interleaved_patterns_match_per_jet_calls(contracted):
     # one
     cap, stack = BidegreeCap(3, 3), _hermitian_stack(3, 3)
     stack[1, 2, 5] = stack[1, 5, 2] = 0.0
-    for f in (lambda a: jet_log(a, contracted=contracted),
-              lambda a: jet_real_power(a, 0.8, contracted=contracted)):
-        got = f(Jet(3, cap, stack.copy()))
+    for f in (jet_log, lambda a: jet_real_power(a, 0.8)):
+        got = f(jets._jet(3, cap, stack.copy(), contracted))
+        assert got.contracted == contracted
         for i in range(3):
-            assert got.data[i].tobytes() == f(Jet(3, cap, stack[i].copy())).data.tobytes()
+            one = f(jets._jet(3, cap, stack[i].copy(), contracted))
+            assert got.data[i].tobytes() == one.data.tobytes()
 
 
 def test_operands_that_differ_only_at_the_top_degree_share_a_table():
     # a top-degree coefficient is never a left factor (its products pass the
     # cap), so the table's key leaves those bits out: an operand with its
-    # top block zeroed, as the contracted power leaves its dropped entries,
+    # top block zeroed, as a contracted power leaves its dropped entries,
     # reads the full operand's table, and both keep their batch-of-one bits
     cap, stack = BidegreeCap(3, 3), _hermitian_stack(3, 2)
     top = jets._total_degrees(3, cap).reshape(stack.shape[1:]) == 6
     stack[1][top] = 0.0
     jets._pairs.cache_clear()
     try:
-        for f in (jet_log, lambda a: jet_real_power(a, 0.8, contracted=True)):
-            got = f(Jet(3, cap, stack.copy()))
+        for f, contracted in ((jet_log, False), (lambda a: jet_real_power(a, 0.8), True)):
+            got = f(jets._jet(3, cap, stack.copy(), contracted))
             for i in range(2):
-                assert got.data[i].tobytes() == f(Jet(3, cap, stack[i].copy())).data.tobytes()
+                one = f(jets._jet(3, cap, stack[i].copy(), contracted))
+                assert got.data[i].tobytes() == one.data.tobytes()
         assert jets._pairs.cache_info().misses == 2  # one table per flag
     finally:
         jets._pairs.cache_clear()
