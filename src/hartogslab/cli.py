@@ -62,17 +62,19 @@ def _parse_mu(text):
     return mu
 
 
-def _tolerance(option):
-    """The argparse type of a tolerance option: a finite non-negative float.
-    Raises _UsageError, which argparse passes through to main()."""
+def _finite(option, non_negative=False):
+    """The argparse type of an option that takes a finite float, and only a
+    non-negative one if non_negative (a tolerance). Raises _UsageError,
+    which argparse passes through to main()."""
     def parse(text):
         try:
-            tol = float(text)
+            value = float(text)
         except ValueError:
             raise _UsageError("invalid %s value: %r" % (option, text))
-        if not 0.0 <= tol < math.inf:  # also rejects nan
-            raise _UsageError("%s must be finite and non-negative, got %s" % (option, text))
-        return tol
+        if not math.isfinite(value) or non_negative and value < 0.0:
+            raise _UsageError("%s must be finite%s, got %s" % (
+                option, " and non-negative" if non_negative else "", text))
+        return value
     return parse
 
 
@@ -129,9 +131,11 @@ def _rel_err(value, target):
 
 def _finish(args, obj, header, rows):
     """Write obj as JSON, or header and rows as CSV, to --out or stdout; the
-    exit code is 0 when obj["status"] is "ok", else 1."""
+    exit code is 0 when obj["status"] is "ok", else 1. JSON has no nan or
+    infinity: a document that holds one raises ValueError, and nothing is
+    written."""
     if args.format == "json":
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -185,7 +189,7 @@ def cmd_report(args):
             "max_rel_err": max_err,
         }
         if args.tensors:
-            entry["tensors"] = rep.to_json_dict(include_tensors=True)
+            entry["tensors"] = rep.to_json_dict()
         entries.append(entry)
 
     obj = {"command": "report", "config": _config(args, hspec), "points": entries,
@@ -351,7 +355,7 @@ def build_parser():
     output.add_argument("--out", help="write the report here instead of stdout")
 
     checks = argparse.ArgumentParser(add_help=False)
-    checks.add_argument("--tol", type=_tolerance("--tol"), default=1e-8,
+    checks.add_argument("--tol", type=_finite("--tol", non_negative=True), default=1e-8,
                         help="relative tolerance for identity checks")
     checks.add_argument("--max-d", type=int, default=DEFAULT_MAX_D,
                         help="refuse bases with d above this (cost guard)")
@@ -365,8 +369,8 @@ def build_parser():
     domain.add_argument("--mu", type=_parse_mu, default="1",
                         help="fiber exponent, a positive rational like 4/5 or 0.8")
     domain.add_argument("--seed", type=int, default=0, help="RNG seed")
-    domain.add_argument("--fit-tol", type=_tolerance("--fit-tol"), default=1e-7,
-                        help="absolute tolerance for constancy / fits")
+    domain.add_argument("--fit-tol", type=_finite("--fit-tol", non_negative=True),
+                        default=1e-7, help="absolute tolerance for constancy / fits")
 
     def domain_command(name, run, samples, help_text):
         p = sub.add_parser(name, parents=[domain, checks, output], help=help_text)
@@ -381,7 +385,8 @@ def build_parser():
                        help="embed full curvature tensors in JSON output")
     p_ver = domain_command("verify-lemmas", cmd_verify_lemmas, 20,
                            "check closed-form curvature identities by AD")
-    p_ver.add_argument("--debug-laplace-scale", type=float, default=1.0,
+    p_ver.add_argument("--debug-laplace-scale", type=_finite("--debug-laplace-scale"),
+                       default=1.0,
                        help="negative control: scale the AD Laplacian; any "
                             "value other than 1 must make the check fail")
     domain_command("scan-a2", cmd_scan_a2, 12, "constancy test and fiber profile of a2")

@@ -94,10 +94,6 @@ class DomainSpec:
         out["n"] = self.n
         return out
 
-    @staticmethod
-    def from_json_dict(obj: dict) -> "DomainSpec":
-        return DomainSpec(obj["kind"], obj.get("m"), obj.get("n"))
-
 
 def type1(m: int, n: int) -> DomainSpec:
     return DomainSpec("type1", m, n)

@@ -108,7 +108,7 @@ class CurvatureReport:
     a1: float
     a2: float
 
-    def to_json_dict(self, include_tensors: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         out = {
             "dimension": self.metric.dimension,
             "k": self.k,
@@ -119,10 +119,10 @@ class CurvatureReport:
             "a1": self.a1,
             "a2": self.a2,
         }
-        if include_tensors:  # nested lists with [re, im] leaves
-            for key, arr in (("g", self.metric.g), ("g_inv", self.metric.g_inv),
-                             ("R", self.R), ("Ric", self.Ric)):
-                out[key] = np.stack((arr.real, arr.imag), axis=-1).tolist()
+        # the tensors as nested lists with [re, im] leaves
+        for key, arr in (("g", self.metric.g), ("g_inv", self.metric.g_inv),
+                         ("R", self.R), ("Ric", self.Ric)):
+            out[key] = np.stack((arr.real, arr.imag), axis=-1).tolist()
         return out
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -157,24 +158,25 @@ def _contracted_mask(m: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _pairs(m: int, cap: BidegreeCap, key: bytes, contracted: bool = False) -> tuple:
-    """Pair table of a graded recurrence on a real function's jet at the
+def _pairs(m: int, cap: BidegreeCap, key: bytes, contracted: bool) -> tuple:
+    """The plan of a graded recurrence on a real function's jet at the
     square cap (see _real_function) whose nonzero pattern is key (as
-    _patterns packs it): the pairs of non-constant monomials (flat index 0
-    on neither side; the recurrence folds a constant factor's term into
-    init) whose product lands on or above the diagonal, at (h, k) with
-    h <= k, and whose left factor is a coefficient that the operand holds,
-    as a term with an exactly zero factor adds nothing; if contracted,
-    only at the destinations that _contracted_mask keeps. Returns the flat
-    positions of the pattern's coefficients that can be left factors (its
-    support: neither the constant nor one of the top total degree) and,
-    per total degree of the destination, a tuple of chunks of whole
-    destination segments and about _CHUNK pairs (not one, unless the degree
-    holds one), which bounds the temporaries of one _convolve call; a chunk
-    is (left factor indices into the support, right flat operand indices,
-    the start of each destination's segment, each segment's flat
-    destination (h, k), and its mirror (k, h)), sorted by the destination's
-    flat index."""
+    _patterns packs it), contracted or not. Its table pairs non-constant
+    monomials (the recurrence folds a constant factor's term into init)
+    whose product lands on or above the diagonal, at (h, k) with h <= k,
+    where a contracted jet keeps it (_contracted_mask), and whose left
+    factor is a coefficient that the operand holds, as a term with an
+    exactly zero factor adds nothing. Returns (support, sdeg, step,
+    dropped, degrees): the flat positions of the possible left factors
+    (held, neither the constant nor of the top total degree) and their
+    total degrees; the points per pass, which keeps the _convolve
+    temporaries near _CHUNK elements; the flat positions that the table
+    leaves at +0.0 (none if not contracted); and each total degree that
+    has pairs, in order, with its chunks of whole destination segments and
+    about _CHUNK pairs (not one, unless the degree holds one). A chunk is
+    (left factor indices into the support, right flat operand indices, the
+    start of each destination's segment, each segment's flat destination
+    (h, k), and its mirror (k, h)), sorted by destination."""
     size = _space_size(m, cap.holo)  # the array's height and width
     held = np.unpackbits(np.frombuffer(key, np.uint8), count=size * size).astype(bool)
     held[0] = False  # a constant factor's term is in init
@@ -232,8 +234,13 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes, contracted: bool = False) -> tu
                         seg % size * size + seg // size))
         return tuple(out)
 
-    bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2))
-    return support, tuple(chunks(p0, p1) for p0, p1 in zip(bounds, bounds[1:]))
+    bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2)).tolist()
+    degrees = tuple((n, chunks(*bounds[n:n + 2])) for n in range(len(bounds) - 1)
+                    if bounds[n] < bounds[n + 1])
+    widest = max((len(c[0]) for _, cs in degrees for c in cs), default=_CHUNK)
+    dropped = ~_contracted_mask(m, cap.holo) if contracted else ()
+    return (support, _total_degrees(m, cap)[support], max(1, _CHUNK // widest),
+            np.flatnonzero(dropped).astype(index), degrees)
 
 
 def _convolve(a, b, left, right, starts):
@@ -355,47 +362,37 @@ def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
     pairs of two non-constant factors that land on or above the diagonal,
     about half, writes the conjugates of each degree's new entries below it
     before the next degree reads them, and drops the diagonal's roundoff
-    imaginary part. The points are grouped by their nonzero pattern below
-    the top total degree, and each run of consecutive points in a group
-    reads the pair table of its pattern (see _pairs) in place, in passes
-    of as many points as keep the _convolve temporaries near _CHUNK
-    elements, so a point sums as in its batch of one. b is contracted if a
-    is: the coefficients that _contracted_mask drops are exact zeros, and
-    every kept one is the same sum of the same pairs as a full a's: the
-    top block is a leaf, which no other coefficient reads."""
+    imaginary part. Each maximal run of consecutive points with one
+    nonzero pattern below the top total degree follows that pattern's plan
+    (see _pairs): it zeroes the dropped positions and reads the table in
+    place, a pass of the plan's size at a time, so a point sums as in its
+    batch of one. b is contracted if a is: the dropped coefficients are
+    exact zeros, and every kept one is the same sum of the same pairs as a
+    full a's: the top block is a leaf, which no other coefficient reads."""
     m, cap, shape = a.num_vars, a.cap, a.data.shape
-    flat, tdeg = a.data.reshape(-1, shape[-2] * shape[-1]), _total_degrees(m, cap)
+    flat = a.data.reshape(-1, shape[-2] * shape[-1])
     a0, b0, init = flat[:, :1], np.reshape(b0, (-1, 1)), np.reshape(init, (-1, 1))
     b = flat * (init + (alpha - 1.0) * b0 / a0)
     b[:, :1] = b0
-    if a.contracted:
-        b[:, ~_contracted_mask(m, cap.holo)] = 0.0
     j = alpha * np.arange(cap.holo + cap.anti + 1)  # alpha j at each total degree j
-    spans = {}  # per pattern, its runs [start, end) of consecutive points
     # the key leaves out the top total degree, as _pairs' support does
-    for i, key in enumerate(_patterns((flat != 0) & (tdeg < cap.holo + cap.anti))):
-        runs = spans.setdefault(key, [])
-        if runs and runs[-1][1] == i:
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1])
-    for key, runs in spans.items():
-        support, table = _pairs(m, cap, key, a.contracted)
-        sdeg = tdeg[support]
-        degrees = [n for n in range(len(table)) if table[n]]  # the degrees with pairs
-        step = max(1, _CHUNK // max((len(c[0]) for n in degrees for c in table[n]),
-                                    default=_CHUNK))  # points per pass
-        for start, end in runs:
-            for p in range(start, end, step):
-                run = slice(p, min(p + step, end))  # a view, written in place
-                bp, ap, held = b[run], a0[run], flat[run].take(support, axis=1)
-                for n in degrees:
-                    scaled = held * ((j - n) / (n * ap)).take(sdeg, axis=1)
-                    for left, right, starts, dst, mirror in table[n]:
-                        value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
-                                                                 starts)
-                        bp[:, dst] = value
-                        bp[:, mirror] = value.conj()
+    below = _total_degrees(m, cap) < cap.holo + cap.anti
+    start = 0
+    for key, run in groupby(_patterns((flat != 0) & below)):
+        end = start + len(list(run))
+        support, sdeg, step, dropped, degrees = _pairs(m, cap, key, a.contracted)
+        b[start:end, dropped] = 0.0
+        for p in range(start, end, step):
+            rows = slice(p, min(p + step, end))  # a view, written in place
+            bp, ap, held = b[rows], a0[rows], flat[rows].take(support, axis=1)
+            for n, chunks in degrees:
+                scaled = held * ((j - n) / (n * ap)).take(sdeg, axis=1)
+                for left, right, starts, dst, mirror in chunks:
+                    value = bp.take(dst, axis=1) + _convolve(scaled, bp, left, right,
+                                                             starts)
+                    bp[:, dst] = value
+                    bp[:, mirror] = value.conj()
+        start = end
     b[:, ::shape[-1] + 1].imag = 0.0  # the mirror conjugated the diagonal's roundoff
     return _jet(m, cap, b.reshape(shape), a.contracted)
 

@@ -118,11 +118,6 @@ def type1_R2_parts(m, n):
     return 2 * m * n * (m * n + 1), (m + n) ** 2
 
 
-def type1_R2_base(m: int, n: int) -> Fraction:
-    """appendix_R2_base of type1(m, n)."""
-    return F(*type1_R2_parts(m, n))
-
-
 def appendix_R2_base(spec: DomainSpec) -> Fraction:
     """Exact |R|^2(0) of the base Bergman metric, per catalog family.
 
@@ -132,7 +127,7 @@ def appendix_R2_base(spec: DomainSpec) -> Fraction:
     only sees that term)."""
     n = spec.n
     if spec.kind == "type1":
-        return type1_R2_base(spec.m, n)
+        return F(*type1_R2_parts(spec.m, n))
     if spec.kind == "type2":
         # numerator equals n(n-1)(n^2-3n+4), the n -> -n mirror of type3
         return F(n * (n + 1) * (n ** 2 - 5 * n + 12) - 16 * n, 4 * (n - 1) ** 2)

@@ -142,6 +142,33 @@ def test_verify_lemmas_negative_control(capsys):
     assert obj["status"] == "fail"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_laplace_scale_must_be_finite(capsys, value):
+    # a scale of either sign is a negative control, but a non-finite one
+    # would write nan or infinity: a usage error that names the option
+    argv = ["verify-lemmas", *DISK, "--samples", "1"]
+    code, out, err = run(capsys, [*argv, "--debug-laplace-scale=%s" % value])
+    assert (code, out) == (2, "")
+    assert err == "error: --debug-laplace-scale must be finite, got %s\n" % value
+    code, out, _ = run(capsys, [*argv, "--debug-laplace-scale=-1.07"])
+    assert code == 1 and json.loads(out)["status"] == "fail"
+
+
+def test_non_finite_values_write_no_json(capsys, tmp_path):
+    # a finite scale can still overflow an error to infinity, which strict
+    # JSON parsers reject: the run fails with one error line and writes no
+    # document, to stdout or to --out
+    argv = ["verify-lemmas", "--domain", "type3", "--n", "2", "--mu", "3",
+            "--debug-laplace-scale", "1e308"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err.count("\n") == 1
+    path = tmp_path / "identities.json"
+    assert run(capsys, [*argv, "--out", str(path)])[0] == 1
+    assert not path.exists()
+
+
 def test_verify_lemmas_csv(capsys):
     code, out, _ = run(capsys, ["verify-lemmas", *DISK, "--samples", "4",
                                 "--format", "csv"])
@@ -485,6 +512,32 @@ def test_catalog_steady_state_builds_no_table(capsys):
     info = jets._pairs.cache_info()
     assert built[0] == built[1] == info.currsize < info.maxsize
     assert info.hits > 0
+
+
+def test_catalog_plans_hold_what_the_recurrence_reads(capsys, monkeypatch):
+    # every plan that the 25 catalog commands build: its degrees are those
+    # of its destinations, in order, each with pairs; its pass size bounds
+    # the widest chunk's temporaries; its dropped positions are the ones
+    # that the contraction mask leaves out, and none for a full table
+    calls, pairs = [], jets._pairs
+    monkeypatch.setattr(jets, "_pairs", lambda *args: calls.append(args) or pairs(*args))
+    for argv in CATALOG:
+        assert run(capsys, argv)[0] == 0, argv
+    assert {args[3] for args in calls} == {False, True}
+    for m, cap, key, contracted in set(calls):
+        support, sdeg, step, dropped, degrees = pairs(m, cap, key, contracted)
+        tdeg = jets._total_degrees(m, cap)
+        assert np.array_equal(sdeg, tdeg[support])
+        assert [n for n, _ in degrees] == sorted({n for n, _ in degrees})
+        for n, chunks in degrees:
+            assert chunks and all(len(c[0]) > 0 for c in chunks)
+            assert all((tdeg[c[3]] == n).all() and (tdeg[c[4]] == n).all()
+                       for c in chunks)
+        widest = max(len(c[0]) for _, chunks in degrees for c in chunks)
+        assert step == max(1, jets._CHUNK // widest)
+        want = (np.flatnonzero(~jets._contracted_mask(m, cap.holo)) if contracted
+                else [])
+        assert np.array_equal(dropped, want)
 
 
 def test_failing_point_is_named_by_its_index(capsys, monkeypatch):

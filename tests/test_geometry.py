@@ -645,13 +645,11 @@ def test_bergman_potential_constant_term():
 
 
 def test_report_json_shape():
-    rep = curvature_report(DISK, _origin(DISK))
-    slim = rep.to_json_dict()
-    assert set(slim) == {"dimension", "k", "norm_R_sq", "norm_Ric_sq",
-                         "lap_k", "a0", "a1", "a2"}
-    assert slim["dimension"] == 2
-    assert slim["a1"] == pytest.approx(slim["k"] / 2)
-    full = rep.to_json_dict(include_tensors=True)
+    full = curvature_report(DISK, _origin(DISK)).to_json_dict()
+    assert set(full) == {"dimension", "k", "norm_R_sq", "norm_Ric_sq",
+                         "lap_k", "a0", "a1", "a2", "g", "g_inv", "R", "Ric"}
+    assert full["dimension"] == 2
+    assert full["a1"] == pytest.approx(full["k"] / 2)
     assert np.asarray(full["R"]).shape == (2, 2, 2, 2, 2)  # trailing [re, im]
     assert full["g"][0][0] == [pytest.approx(2.0), pytest.approx(0.0)]
 

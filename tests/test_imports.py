@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module of the package imports is used there.
+"""Import hygiene: every name a module of the package imports is used there,
+and every private name and public function it defines is read by the package.
 
 No linter ships with the project, so this test stands in for the unused-import
 check. `__init__.py` is exempt, since its imports are the package's
@@ -70,3 +71,25 @@ def test_every_private_name_is_used(path):
             for name, line in _private_definitions(ast.parse(path.read_text()))
             if name.startswith("_") and name not in read]
     assert not dead, f"{path.name} defines private names it never uses: {dead}"
+
+
+def _public_functions(tree):
+    """(name, line) of each top-level function and each method of a
+    top-level class whose name starts with no underscore."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for f in body:
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                yield f.name, f.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_public_function_is_used(path):
+    # a public function or method that no code of the package reads, and
+    # that __init__.py does not export, is dead code that only tests keep
+    package = Path(hartogslab.__file__).parent.glob("*.py")
+    read = {name for p in package for name in _references(ast.parse(p.read_text()))}
+    dead = [f"{name} (line {line})"
+            for name, line in _public_functions(ast.parse(path.read_text()))
+            if name not in read]
+    assert not dead, f"{path.name} defines public functions it never uses: {dead}"

@@ -414,14 +414,14 @@ def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
         for got, want in zip(results(), whole):
             for g, w in zip(got, want):
                 assert np.array_equal(g.data, w.data)
-        for chunks in jets._pairs(3, cap, _box_key(3, cap, cap))[1]:
+        for _, chunks in jets._pairs(3, cap, _box_key(3, cap, cap), False)[4]:
             assert len(chunks) <= 1 or min(len(c[0]) for c in chunks) > 1
     finally:
         jets._pairs.cache_clear()
 
 
-def _table_pairs(table):
-    return sum(len(chunk[0]) for chunks in table[1] for chunk in chunks)
+def _table_pairs(plan):
+    return sum(len(chunk[0]) for _, chunks in plan[4] for chunk in chunks)
 
 
 def _box_key(m, cap, top):
@@ -440,11 +440,11 @@ def test_graded_tables_hold_no_constant_factor_pairs(m, cap, top, count):
     # a recurrence takes a constant factor's term into its init, so its
     # table pairs only non-constant factors
     cap = BidegreeCap(*cap)
-    graded = jets._pairs(m, cap, _box_key(m, cap, top))
+    graded = jets._pairs(m, cap, _box_key(m, cap, top), False)
     assert _table_pairs(graded) == count
-    support, degrees = graded
-    assert not degrees[0] and not degrees[1]
-    for chunks in degrees:
+    support, _, _, _, degrees = graded
+    assert all(n >= 2 for n, _ in degrees)
+    for _, chunks in degrees:
         for left, right, *_ in chunks:
             assert support[left].all() and right.all()
 
@@ -467,7 +467,7 @@ def test_report_pair_budget(monkeypatch):
     geometry.curvature_report(spec, point)
     assert [args[3] for args in calls] == [True, True]
     assert [_table_pairs(pairs(*args)) for args in calls] == [33_187, 76_204]
-    full = [_table_pairs(pairs(*args[:3])) for args in calls]
+    full = [_table_pairs(pairs(*args[:3], False)) for args in calls]
     assert full == [58_277, 160_369]
 
 
@@ -481,7 +481,7 @@ def test_origin_pair_budget(monkeypatch):
     calls, pairs = _spy_tables(monkeypatch)
     geometry.curvature_reports(spec, points)
     assert [_table_pairs(pairs(*args)) for args in calls] == [2_124, 3_875, 6_326]
-    full = [_table_pairs(pairs(*args[:3])) for args in calls]
+    full = [_table_pairs(pairs(*args[:3], False)) for args in calls]
     assert full == [3_042, 5_768, 10_123]
 
 
@@ -523,10 +523,12 @@ def test_contracted_tables_keep_the_pinned_counts():
     # degrees' chunks are the full table's, array for array
     key3, key2 = (_box_key(7, cap, cap) for cap in (BidegreeCap(3, 3), BidegreeCap(2, 2)))
     full, part = (jets._pairs(7, BidegreeCap(3, 3), key3, flag) for flag in (False, True))
-    top = [[sum(len(chunk[i]) for chunk in t[1][6]) for i in (0, 3)] for t in (full, part)]
+    top = [[sum(len(chunk[i]) for chunk in dict(t[4])[6]) for i in (0, 3)]
+           for t in (full, part)]
     assert top == [[151_592, 3_570], [31_584, 672]]
     assert [_table_pairs(t) for t in (full, part)] == [218_827, 98_819]
-    for f, p in zip(full[1][:6], part[1][:6]):
+    assert [n for n, _ in full[4]] == [n for n, _ in part[4]] == [2, 3, 4, 5, 6]
+    for (_, f), (_, p) in zip(full[4][:-1], part[4][:-1]):
         assert len(f) == len(p)
         for fc, pc in zip(f, p):
             assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(fc, pc))
@@ -676,15 +678,19 @@ def test_stacked_recurrences_match_per_jet_calls(m, monkeypatch):
 
 
 @pytest.mark.parametrize("contracted", [False, True])
-def test_interleaved_patterns_match_per_jet_calls(contracted):
+def test_interleaved_patterns_match_per_jet_calls(contracted, monkeypatch):
     # point 1 lacks a coefficient pair that points 0 and 2 hold: points 0
     # and 2 share a table but no run of consecutive rows, so each of the
     # three runs in place on its own row and keeps the bits of its batch of
     # one
     cap, stack = BidegreeCap(3, 3), _hermitian_stack(3, 3)
     stack[1, 2, 5] = stack[1, 5, 2] = 0.0
+    calls, _ = _spy_tables(monkeypatch)
     for f in (jet_log, lambda a: jet_real_power(a, 0.8)):
+        calls.clear()
         got = f(jets._jet(3, cap, stack.copy(), contracted))
+        # one plan per run, in order: the two runs of one pattern read one table
+        assert len(calls) == 3 and calls[0] == calls[2] != calls[1]
         assert got.contracted == contracted
         for i in range(3):
             one = f(jets._jet(3, cap, stack[i].copy(), contracted))
