@@ -25,7 +25,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -105,23 +104,19 @@ def _config(args, hspec):
 def _oracle_targets(hspec, points):
     """The closed forms at each point, keyed by CurvatureReport field name.
     Base automorphisms lift to the Hartogs domain and fix tau = |w|^2 /
-    N(z)^mu (Ahn, Byun, Park, Int. J. Math. 23, 2012), so one fiber-slice
-    table, built once from hspec and read at t = tau, is every point's oracle."""
-    base = hspec.base
-    inp = OracleInputs(d=base.d, genus=base.genus, mu=float(hspec.mu),
+    N(z)^mu (Ahn, Byun, Park, Int. J. Math. 23, 2012), so each fiber-slice
+    form, called once on the array t of every point's tau, is every
+    point's oracle."""
+    base, mu = hspec.base, float(hspec.mu)
+    norms = generic_norm_value(base, [pt.base for pt in points])
+    t = np.abs([pt.fiber for pt in points]) ** 2 / norms ** mu
+    inp = OracleInputs(d=base.d, genus=base.genus, mu=mu, t=t,
                        base_r2=float(appendix_R2_base(base)))
     c0, c1, c2 = (float(c) for c in a2_quadratic_coeffs(inp))
-    norms = generic_norm_value(base, [pt.base for pt in points]).tolist()
-    out = []
-    for pt, norm in zip(points, norms):
-        t = abs(pt.fiber) ** 2 / norm ** hspec.mu
-        at = replace(inp, t=t)
-        out.append({"k": float(scalar_curvature_formula(at)),
-                    "lap_k": float(lap_k_formula(at)),
-                    "norm_R_sq": float(R2_formula(at)),
-                    "norm_Ric_sq": float(ric2_formula(at)),
-                    "a2": c0 * t * t + c1 * t + c2})
-    return out
+    table = {"k": scalar_curvature_formula(inp), "lap_k": lap_k_formula(inp),
+             "norm_R_sq": R2_formula(inp), "norm_Ric_sq": ric2_formula(inp),
+             "a2": c0 * t * t + c1 * t + c2}
+    return [dict(zip(table, row)) for row in zip(*(v.tolist() for v in table.values()))]
 
 
 def _rel_err(value, target):

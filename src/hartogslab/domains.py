@@ -23,6 +23,7 @@ Points are sequences of spec.d coordinates, or stacks of them (..., spec.d).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -45,22 +46,25 @@ class DomainSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown domain kind {self.kind!r}; exc5 and exc6 "
                              "appear only in the case analysis")
+        try:  # sizes are integers, numpy's too; any other value fails below
+            m, n = (x if x is None else operator.index(x) for x in (self.m, self.n))
+        except TypeError:
+            m = n = 0
         if self.kind == "type1":
-            if self.m is None or self.n is None or self.m < 1 or self.n < 1:
+            if m is None or n is None or m < 1 or n < 1:
                 raise ValueError("type1 requires m >= 1 and n >= 1")
-            if self.m > self.n:
-                # transpose biholomorphism; canonical form has m <= n
-                m, n = self.n, self.m
-                object.__setattr__(self, "m", m)
-                object.__setattr__(self, "n", n)
+            # transpose biholomorphism; canonical form has m <= n
+            m, n = min(m, n), max(m, n)
         elif self.kind == "type2":
-            if self.n is None or self.n < 4 or self.m is not None:
+            if n is None or n < 4 or m is not None:
                 raise ValueError("type2 requires n >= 4 (and no m)")
         elif self.kind == "type3":
-            if self.n is None or self.n < 2 or self.m is not None:
+            if n is None or n < 2 or m is not None:
                 raise ValueError("type3 requires n >= 2 (and no m)")
-        elif self.n is None or self.n < 5 or self.m is not None:  # type4
+        elif n is None or n < 5 or m is not None:  # type4
             raise ValueError("type4 requires n >= 5 (and no m)")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def d(self) -> int:
@@ -151,34 +155,32 @@ def _matrix_model(spec: DomainSpec, v: np.ndarray) -> np.ndarray:
 
 
 def _norm_parts(spec: DomainSpec, v: np.ndarray):
-    """For type 4, |z|^2 and the N of each point of v; else I - Z Z^H."""
+    """N of each point of v, and whether the point is interior. Types 1-3
+    read both from the eigenvalues of I - Z Z^H: N is their product (its
+    square root for type 2), and a point is interior when the least is
+    positive."""
     if spec.kind == "type4":
         zz = np.sum(np.abs(v) ** 2, axis=-1)
         zzt = np.sum(v * v, axis=-1)
         # hypot is |zzt| to the bit of Python's abs, unlike np.abs
-        return zz, 1.0 - 2.0 * zz + np.hypot(zzt.real, zzt.imag) ** 2
+        N = 1.0 - 2.0 * zz + np.hypot(zzt.real, zzt.imag) ** 2
+        return N, (zz < 1.0) & (N > 0.0)
     Z = matrix_model(spec, v)
-    return np.eye(Z.shape[-2]) - Z @ Z.conj().swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(np.eye(Z.shape[-2]) - Z @ Z.conj().swapaxes(-1, -2))
+    N = lam.prod(axis=-1)
+    if spec.kind == "type2":
+        N = np.sqrt(np.maximum(N, 0.0))
+    return N, lam.min(axis=-1) > 0.0
 
 
 def contains(spec: DomainSpec, z: Sequence):
     """Strict interior membership test, per point."""
-    v = _coords(spec, z)
-    if spec.kind == "type4":
-        zz, N = _norm_parts(spec, v)
-        return (zz < 1.0) & (N > 0.0)
-    return np.linalg.eigvalsh(_norm_parts(spec, v)).min(axis=-1) > 0.0
+    return _norm_parts(spec, _coords(spec, z))[1]
 
 
 def generic_norm_value(spec: DomainSpec, z: Sequence):
     """Numeric N(z, zb), per point; positive on the domain, 1 at the origin."""
-    v = _coords(spec, z)
-    if spec.kind == "type4":
-        return _norm_parts(spec, v)[1]
-    val = np.linalg.det(_norm_parts(spec, v)).real
-    if spec.kind == "type2":
-        val = np.sqrt(np.maximum(val, 0.0))
-    return val
+    return _norm_parts(spec, _coords(spec, z))[0]
 
 
 def sample_interior(spec: DomainSpec, seed: int, count: int) -> list:

@@ -51,6 +51,7 @@ names the stage and the first failing point's index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -126,6 +127,14 @@ class CurvatureReport:
         return out
 
 
+def _mu(spec: HartogsSpec) -> float:
+    """spec.mu as a float; a ValueError unless it is finite and positive."""
+    mu = float(spec.mu)
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"mu must be finite and positive, got {spec.mu}")
+    return mu
+
+
 def _real(x, what: str, metric: MetricData):
     """x.real (one per point), or a ValueError that names cond(g) of the
     metric x was contracted with: an ill-conditioned g is where such
@@ -171,8 +180,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     point whose e exceeds _FRAME_TOL (or is nan) is refused, no fallback."""
     if cap[0] != cap[1]:
         raise ValueError(f"potential requires a square cap, got {tuple(cap)}")
-    d = spec.base.d
-    mu = float(spec.mu)
+    d, mu = spec.base.d, _mu(spec)
     frame = np.eye(d + 1) if frame is None else np.asarray(frame)
     _raise_where(frame[..., :d, d].any(axis=-1), "potential",
                  "frame: the base coordinates must not involve the "
@@ -212,7 +220,7 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
       I_{i jbar} = mu N^(mu-1) (N_{i jbar} + (mu-1) N_i N_jbar / N),
       I_{w wbar} = -1,  I_{i wbar} = 0,
       g = I_i I_jbar / I^2 - I_{i jbar} / I."""
-    d, mu = spec.base.d, float(spec.mu)
+    d, mu = spec.base.d, _mu(spec)
     N = generic_norm_jet(spec.base, point.base, BidegreeCap(1, 1))
     n0 = N.data[..., :1, :1].real  # scalars as 1 x 1 blocks, per point
     w0 = np.asarray(point.fiber, dtype=np.complex128)[..., None, None]
@@ -631,16 +639,14 @@ def base_curvature_report(spec: DomainSpec, p: Sequence | None = None) -> dict:
 def sample_hartogs(spec: HartogsSpec, seed: int, count: int) -> list:
     """Deterministic interior Hartogs points; |w|^2 is uniform in
     [0, FIBER_FILL * N(z)^mu) with uniform phase."""
+    mu = _mu(spec)
     zs = sample_interior(spec.base, seed, count)
-    rng = np.random.default_rng(seed + 10007)
-    mu = float(spec.mu)
-    out = []
-    for z, norm in zip(zs, generic_norm_value(spec.base, zs).tolist()):
-        bound = FIBER_FILL * norm ** mu
-        t = rng.uniform(0.0, bound)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        out.append(HartogsPoint(z, complex(np.sqrt(t) * np.exp(1j * theta))))
-    return out
+    # Python's power: numpy's differs from it in the last bit
+    high = np.array([(FIBER_FILL * norm ** mu, 2.0 * np.pi) for norm in
+                     generic_norm_value(spec.base, zs).tolist()]).reshape(-1, 2)
+    t, theta = np.random.default_rng(seed + 10007).uniform(0.0, high).T
+    w = np.sqrt(t) * np.exp(1j * theta)
+    return [HartogsPoint(z, x) for z, x in zip(zs, w.tolist())]
 
 
 def origin_fiber_points(spec: HartogsSpec, ts: Sequence[float]) -> list:

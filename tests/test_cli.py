@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from hartogslab.domains import (DomainSpec, generic_norm_value, type1, type2,
 from hartogslab.geometry import (HartogsPoint, HartogsSpec,
                                  curvature_report_from_potential,
                                  origin_fiber_points, sample_hartogs)
-from hartogslab.oracles import OracleInputs, scalar_curvature_formula
+from hartogslab.oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
+                                appendix_R2_base, lap_k_formula, ric2_formula,
+                                scalar_curvature_formula)
 
 DISK = ["--domain", "type1", "--m", "1", "--n", "1", "--mu", "2"]
 BALL2_HYP = ["--domain", "type1", "--m", "1", "--n", "2", "--mu", "1"]
@@ -571,6 +574,39 @@ def test_k_at_tau_is_the_n_mu_form(base):
                 d=spec.d, genus=spec.genus, mu=mu, t=abs(pt.fiber) ** 2),
                 n_mu=norm ** mu)
             assert abs(got["k"] - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("base", [("type1", 2, 3), ("type2", None, 4),
+                                  ("type3", None, 3), ("type4", None, 6)],
+                         ids=lambda b: DomainSpec(*b).label())
+def test_oracle_targets_are_the_exact_forms_rounded(capsys, monkeypatch, base):
+    # at the points of one report and one verify-lemmas command, every
+    # target is its closed form in exact arithmetic at Fraction mu and at
+    # the point's float tau taken as a Fraction, then rounded
+    spec = DomainSpec(*base)
+    base_r2 = appendix_R2_base(spec)
+    seen, oracle_targets = [], cli._oracle_targets
+    monkeypatch.setattr(cli, "_oracle_targets", lambda hspec, points: (
+        seen.append((points, oracle_targets(hspec, points))) or seen[-1][1]))
+    for mu in (F(1), F(4, 5), F(3)):
+        seen.clear()
+        for command in ("report", "verify-lemmas"):
+            argv = [command, "--domain", base[0], "--n", str(base[2]), "--mu", str(mu)]
+            assert run(capsys, argv + (["--m", str(base[1])] if base[1] else []))[0] == 0
+        assert len(seen) == 2
+        for points, targets in seen:
+            norms = generic_norm_value(spec, [pt.base for pt in points]).tolist()
+            for pt, norm, got in zip(points, norms, targets, strict=True):
+                t = F(abs(pt.fiber) ** 2 / norm ** float(mu))
+                inp = OracleInputs(d=spec.d, genus=spec.genus, mu=mu, t=t, base_r2=base_r2)
+                c0, c1, c2 = a2_quadratic_coeffs(inp)
+                want = {"k": scalar_curvature_formula(inp), "lap_k": lap_k_formula(inp),
+                        "norm_R_sq": R2_formula(inp), "norm_Ric_sq": ric2_formula(inp),
+                        "a2": (c0 * t + c1) * t + c2}
+                assert got.keys() == want.keys()
+                for key, value in want.items():
+                    value = float(value)
+                    assert abs(got[key] - value) <= 1e-12 * max(abs(value), 1.0), key
 
 
 def test_one_oracle_table_per_command(capsys, monkeypatch):

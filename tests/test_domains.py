@@ -49,10 +49,21 @@ def test_type1_canonicalizes_m_le_n():
     lambda: DomainSpec("type2", m=1, n=4),
     lambda: DomainSpec("exc5", n=2),
     lambda: DomainSpec("nosuch"),
+    lambda: DomainSpec("type2", n=4.0),
+    lambda: DomainSpec("type1", 1.5, 2),
+    lambda: type3(np.float64(3)),
+    lambda: type4("5"),
 ])
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+def test_sizes_are_read_as_integers():
+    # numpy integers pass, as Python ints
+    spec = DomainSpec("type1", np.int64(3), np.int32(2))
+    assert spec == type1(2, 3) and type(spec.m) is int and type(spec.n) is int
+    assert type2(np.int64(4)).d == 6
 
 
 def test_matrix_model_type1_row_major():
@@ -248,6 +259,37 @@ def test_exceptional_kinds_are_not_domain_specs(kind):
 CLASSICAL_UP_TO_D6 = [type1(1, 1), type1(1, 2), type1(1, 3), type1(1, 4),
                       type1(2, 2), type1(1, 5), type1(1, 6), type1(2, 3),
                       type2(4), type3(2), type3(3), type4(5), type4(6)]
+
+
+@pytest.mark.parametrize("spec", [s for s in CLASSICAL_UP_TO_D6 if s.kind != "type4"],
+                         ids=lambda s: s.label())
+def test_norm_and_membership_near_the_boundary(spec):
+    # generic_norm_value is det(I - Z Z^H) (its square root for type 2),
+    # and contains the sign of its least eigenvalue, at the seed-0 samples,
+    # at those points moved toward the boundary until N is 1e-4, and just
+    # past it. At s z, I - Z Z^H has the eigenvalues 1 - s^2 sigma^2 over
+    # the singular values sigma of Z, so N(s z)^2 (type 2) or N(s z) is a
+    # polynomial in u = s^2, bisected here. Forming I - Z Z^H in float64
+    # leaves its eigenvalues about 1e-16 off, 1e-12 of N = 1e-4: det and
+    # the eigenvalues' product each miss a 50-digit det of the same Z by
+    # up to 2.3e-12 there, hence the 1e-15 absolute term
+    z = np.array(sample_interior(spec, seed=0, count=6))
+    sq = np.linalg.svd(matrix_model(spec, z), compute_uv=False) ** 2
+    target = 1e-8 if spec.kind == "type2" else 1e-4
+    lo, hi = np.zeros(len(z)), 1.0 / sq[:, 0]
+    for _ in range(60):
+        u = 0.5 * (lo + hi)
+        above = np.prod(1.0 - u[:, None] * sq, axis=1) > target
+        lo, hi = np.where(above, u, lo), np.where(above, hi, u)
+    near = z * np.sqrt(lo)[:, None]
+    past = z * np.sqrt((1.0 + 1e-9) / sq[:, 0])[:, None]
+    for p in np.concatenate((z, near)):
+        Z = matrix_model(spec, p)
+        want = np.linalg.det(np.eye(len(Z)) - Z @ Z.conj().T).real
+        want = np.sqrt(want) if spec.kind == "type2" else want
+        assert abs(generic_norm_value(spec, p) - want) <= 1e-12 * want + 1e-15
+    assert contains(spec, np.concatenate((z, near))).all()
+    assert not contains(spec, past).any()
 
 
 @pytest.mark.parametrize("spec", CLASSICAL_UP_TO_D6, ids=lambda s: s.label())

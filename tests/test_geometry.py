@@ -695,6 +695,20 @@ def test_sample_hartogs_matches_the_per_point_fibers(base):
             spec, 0, [p.base for p in points])
 
 
+@pytest.mark.parametrize("mu", [float("nan"), 0, -1, float("inf")])
+def test_mu_must_be_finite_and_positive(mu):
+    # the library refuses what the CLI's --mu parser refuses, at each site
+    # that reads mu, before any stage fails on it
+    spec, point = HartogsSpec(type1(1, 1), mu), HartogsPoint((0.1,), 0.2)
+    for call in (lambda: curvature_report(spec, point),
+                 lambda: scalar_curvature_at(spec, point),
+                 lambda: hartogs_potential_jet(spec, point, FULL_CAP),
+                 lambda: sample_hartogs(spec, 0, 3)):
+        with pytest.raises(ValueError, match=rf"^mu must be finite and positive, "
+                                             rf"got {mu}$"):
+            call()
+
+
 def _stack(points):
     """The points as one HartogsPoint of arrays with a leading point axis."""
     return HartogsPoint(np.array([p.base for p in points], dtype=complex),

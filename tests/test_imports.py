@@ -1,5 +1,6 @@
 """Import hygiene: every name a module of the package imports is used there,
 and every private name and public function it defines is read by the package.
+No module takes a determinant with linalg.det.
 
 No linter ships with the project, so this test stands in for the unused-import
 check. `__init__.py` is exempt, since its imports are the package's
@@ -93,3 +94,21 @@ def test_every_public_function_is_used(path):
             for name, line in _public_functions(ast.parse(path.read_text()))
             if name not in read]
     assert not dead, f"{path.name} defines public functions it never uses: {dead}"
+
+
+def _linalg_det(tree):
+    """Line of each reference to linalg.det and each import of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "det" \
+                and ast.unparse(node.value).endswith("linalg"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") \
+                and any(a.name == "det" for a in node.names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_linalg_det(path):
+    # generic_norm_value reads N from the eigenvalues that contains reads
+    lines = list(_linalg_det(ast.parse(path.read_text(), filename=str(path))))
+    assert not lines, f"{path.name} calls linalg.det (lines {lines})"
