@@ -238,16 +238,19 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     Every N is a signed sum of squares sum_j s_j |P_j(z)|^2 of holomorphic
     polynomials, and z = U (1, x) with U = [p | jacobian], so the jet's
     coefficient array is sum_j s_j P_j conj(P_j)^T over the P_j's
-    coefficient rows, truncated to max(cap): a stacked matrix product per
+    coefficient rows, truncated to cap: a stacked matrix product per
     order. Types 1-3: N = sum_k (-1)^k |Pf|^2 over the principal
     Pfaffians of order 2k of a skew matrix K with affine entries: K = Z for
     type 2, and K = [[0, Z], [-Z^T, 0]] for types 1 and 3, whose Pfaffians
     are the minors of Z up to sign (Cauchy-Binet). Those of order 2 are K's
     entries, and each of order 2k >= 4 is expanded along its first index
     from those of order 2k - 2 (see _pfaffian_tables), as a truncated
-    series of degree <= min(k, max(cap)). Type 4: the terms are 1, z_i
+    series of degree <= min(k, cap). Type 4: the terms are 1, z_i
     with weight -2, and z z^t.
     """
+    cap = _as_cap(cap)
+    if cap < 1:
+        raise ValueError(f"the generic norm jet needs cap >= 1, got {cap}")
     v = _coords(spec, p)
     _raise_where(~contains(spec, v), "norm",
                  lambda i: f"base point is not interior to {spec.label()}")
@@ -256,9 +259,6 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     if jac.ndim < 2 or jac.shape[-2] != d:
         raise ValueError(f"jacobian must have {d} rows, got shape {jac.shape}")
     m = jac.shape[-1]
-    cap = _as_cap(cap)
-    if min(cap) < 1:
-        raise ValueError(f"the generic norm jet needs cap >= (1, 1), got {cap}")
 
     batch = max(v.shape[:-1], jac.shape[:-2], key=len)
     U = np.empty(batch + (d, m + 1), dtype=np.complex128)  # z = U @ (1, x)
@@ -266,7 +266,7 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
     U[..., 1:] = jac
     if spec.kind == "type4":
         z = _affine(U)
-        zzt = _affine_product(z, z, min(2, max(cap))).sum(axis=-2, keepdims=True)
+        zzt = _affine_product(z, z, min(2, cap)).sum(axis=-2, keepdims=True)
         terms = [(-2.0, z), (1.0, zzt)]
     else:
         if spec.kind == "type2":
@@ -279,17 +279,16 @@ def generic_norm_jet(spec: DomainSpec, p: Sequence, cap, jacobian=None) -> Jet:
         terms = [(-1.0, K)]
         for k, (ent, sign, sub, starts) in enumerate(_pfaffian_tables(n, split), 2):
             pf = _affine_product(sign[:, None] * K[..., ent, :],
-                                 terms[-1][1][..., sub, :], min(k, max(cap)))
+                                 terms[-1][1][..., sub, :], min(k, cap))
             terms.append((-terms[-1][0], np.add.reduceat(pf, starts, axis=-2)))
     N = Jet._zeros(m, cap, batch)
     N[..., 0, 0] = 1.0
     for sign, P in terms:
-        H, W = min(P.shape[-1], N.shape[-2]), min(P.shape[-1], N.shape[-1])
-        N[..., :H, :W] += (sign * P[..., :H]).swapaxes(-1, -2) @ P[..., :W].conj()
-    if cap.holo == cap.anti:
-        # N is real, but the matrix products round its mirrored entries
-        # differently; make the array exactly Hermitian, as jet_log and
-        # jet_real_power require
-        N += N.conj().swapaxes(-1, -2)
-        N *= 0.5
+        k = min(P.shape[-1], N.shape[-1])
+        N[..., :k, :k] += (sign * P[..., :k]).swapaxes(-1, -2) @ P[..., :k].conj()
+    # N is real, but the matrix products round its mirrored entries
+    # differently; make the array exactly Hermitian, as jet_log and
+    # jet_real_power require
+    N += N.conj().swapaxes(-1, -2)
+    N *= 0.5
     return Jet(m, cap, N)

@@ -40,11 +40,11 @@ and more, and one-ulp noise on a potential jet in (z, w) moved k by 1e-7
 there; in x every point is at roundoff. Their potentials are contracted
 jets (see jets._contracted_mask): there X = g^{-1} is I to roundoff, and
 the top block, which only X-contracted permanents read (_one_block at cap
-(3, 3), k = tr(X Ric) at cap (2, 2)), keeps only the coefficients that
-enter at first order in X - I. Only hartogs_potential_jet makes one, and
-it refuses a point whose max |g - I| exceeds _FRAME_TOL = 1e-8;
-curvature_tensor refuses one at cap (2, 2). The report's tensors are
-pulled back to (z, w). Every stage takes a stack of points, a HartogsPoint
+3, k = tr(X Ric) at cap 2), keeps only the coefficients that enter at
+first order in X - I. Only hartogs_potential_jet makes one, and it
+refuses a point whose max |g - I| exceeds _FRAME_TOL = 1e-8;
+curvature_tensor refuses one at cap 2. The report's tensors are pulled
+back to (z, w). Every stage takes a stack of points, a HartogsPoint
 of arrays (jets and tensors put the point axes first), and a ValueError
 names the stage and the first failing point's index.
 """
@@ -60,10 +60,10 @@ import numpy as np
 
 from .domains import DomainSpec, generic_norm_jet, generic_norm_value, \
     sample_interior
-from .jets import _CHUNK, BidegreeCap, Jet, _affine, _contracted_mask, _jet, \
+from .jets import Jet, _affine, _contracted_mask, _jet, _points_per_pass, \
     _raise_where, _space_size, basis_exponents, jet_log, jet_real_power
 
-FULL_CAP = BidegreeCap(3, 3)  # everything through Delta k lives at (3,3)
+FULL_CAP = 3  # everything through Delta k lives at cap 3
 FIBER_FILL = 0.81  # sample_hartogs draws |w|^2 below this share of N^mu
 _REAL_TOL = 1e-8  # relative imaginary residue that _real accepts
 # largest residual e = max |g - I| of a metric-normal potential's (1, 1)
@@ -156,9 +156,9 @@ def bergman_potential_jet(spec: DomainSpec, p: Sequence, cap) -> Jet:
 
 @lru_cache(maxsize=None)
 def _base_positions(d: int, degree: int) -> np.ndarray:
-    """Flat indices, in a coefficient array in d + 1 variables at the square
-    cap (degree, degree), of the monomials without the last variable; in
-    order, they are the monomials of the d-variable basis."""
+    """Flat indices, in a coefficient array in d + 1 variables at cap
+    degree, of the monomials without the last variable; in order, they are
+    the monomials of the d-variable basis."""
     rows = np.flatnonzero([e[-1] == 0 for e in basis_exponents(d + 1, degree)])
     index = np.add.outer(rows * _space_size(d + 1, degree), rows).ravel()
     index.setflags(write=False)
@@ -171,17 +171,18 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
     (z, w) = (z0, w0) + frame @ x, centered at point = (z0, w0); frame
     defaults to the identity, and the fiber w is the last coordinate. The
     base coordinates must not involve x_d (frame[:d, d] = 0), so N^mu is
-    taken in the first d variables and then placed among the d+1. The cap
-    must be square, as jet_log's is (a real function's jet). contracted
+    taken in the first d variables and then placed among the d+1; frame is
+    (..., d + 1, d + 1). cap is an integer in 1..MAX_DEGREE. contracted
     marks N (the power's operand) and I as contracted jets (jets._jet), so
     the power and the log are too: their top block holds only what
     X-contracted permanents weigh at first order in e = max |g - I| of the
     (1, 1) block, which needs a metric-normal frame (see _normal_frame); a
     point whose e exceeds _FRAME_TOL (or is nan) is refused, no fallback."""
-    if cap[0] != cap[1]:
-        raise ValueError(f"potential requires a square cap, got {tuple(cap)}")
     d, mu = spec.base.d, _mu(spec)
     frame = np.eye(d + 1) if frame is None else np.asarray(frame)
+    if frame.shape[-2:] != (d + 1, d + 1):
+        raise ValueError(f"potential: the frame must be ({d + 1}, {d + 1}) per "
+                         f"point, got shape {frame.shape}")
     _raise_where(frame[..., :d, d].any(axis=-1), "potential",
                  "frame: the base coordinates must not involve the "
                  "fiber's variable (frame[:d, d] must be 0)")
@@ -190,7 +191,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
         power = jet_real_power(_jet(d, power.cap, power.data, contracted), mu)
     cap, batch = power.cap, power.data.shape[:-2]
     inner = Jet._zeros(d + 1, cap, batch)
-    inner.reshape(batch + (-1,))[..., _base_positions(d, cap.holo)] = \
+    inner.reshape(batch + (-1,))[..., _base_positions(d, cap)] = \
         power.data.reshape(batch + (-1,))
     del power  # N^mu is in inner: free it before the log
     u = np.empty(batch + (d + 2,), dtype=np.complex128)  # w = u @ (1, x)
@@ -213,7 +214,7 @@ def hartogs_potential_jet(spec: HartogsSpec, point: HartogsPoint, cap,
 
 
 def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
-    """g_{i jbar} at the point in (z, w), in closed form from the cap-(1,1)
+    """g_{i jbar} at the point in (z, w), in closed form from the cap-1
     norm jet N: with I = N^mu - |w|^2 and Phi = -log I,
 
       I_i = mu N^(mu-1) N_i,                         I_w = -conj(w0),
@@ -221,7 +222,7 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
       I_{w wbar} = -1,  I_{i wbar} = 0,
       g = I_i I_jbar / I^2 - I_{i jbar} / I."""
     d, mu = spec.base.d, _mu(spec)
-    N = generic_norm_jet(spec.base, point.base, BidegreeCap(1, 1))
+    N = generic_norm_jet(spec.base, point.base, 1)
     n0 = N.data[..., :1, :1].real  # scalars as 1 x 1 blocks, per point
     w0 = np.asarray(point.fiber, dtype=np.complex128)[..., None, None]
     power = n0 ** mu
@@ -245,14 +246,15 @@ def _frame_metric(spec: HartogsSpec, point: HartogsPoint) -> np.ndarray:
 
 def _cholesky(g: np.ndarray, stage: str) -> np.ndarray:
     """Cholesky factors of g, or a ValueError naming its first matrix that is
-    not finite (numpy factors nan without an error), else its least
-    positive one."""
+    not finite (numpy factors nan without an error), else its first one
+    with an eigenvalue <= 0, else (numpy's factorization failed on positive
+    eigenvalues) the one with the least eigenvalue."""
     _raise_where(~np.isfinite(g).all(axis=(-2, -1)), stage, "matrix is not finite")
     try:
         return np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(g).min(axis=-1)
-        _raise_where(low == low.min(), stage, _NOT_POSITIVE)
+        _raise_where((low <= 0.0) | (low == low.min()), stage, _NOT_POSITIVE)
 
 
 def _normal_potential(spec: HartogsSpec, points: Sequence[HartogsPoint], cap):
@@ -271,7 +273,7 @@ def _normal_frame(spec: HartogsSpec, point: HartogsPoint):
     the point is I, so no direction of a near-boundary point dwarfs the
     others. A is lower triangular, so the base coordinates do not involve x_d,
     as hartogs_potential_jet requires. g is factored once, symmetrized, from
-    the closed form of _frame_metric, which needs only the cap-(1,1) norm jet
+    the closed form of _frame_metric, which needs only the cap-1 norm jet
     and no potential jet; metric_at runs its checks on the potential taken in
     the frame."""
     g = _frame_metric(spec, point)
@@ -283,7 +285,7 @@ def _normal_frame(spec: HartogsSpec, point: HartogsPoint):
 # -- pointwise geometry -------------------------------------------------------
 
 def metric_at(potential: Jet) -> MetricData:
-    """Metric g_{i jbar} and its inverse from a potential jet (cap >= (1,1))."""
+    """Metric g_{i jbar} and its inverse from a potential jet (cap >= 1)."""
     m = potential.num_vars
     g = potential.partials(1, 1)
     gh, axes = g.conj().swapaxes(-1, -2), (-2, -1)
@@ -298,9 +300,9 @@ def metric_at(potential: Jet) -> MetricData:
 
 
 def curvature_tensor(potential: Jet, metric: MetricData) -> np.ndarray:
-    """R_{i jbar k lbar} from the potential jet (cap >= (2,2), full at (2,2))."""
-    if potential.contracted and potential.cap.holo == 2:
-        raise ValueError("R requires a full (2, 2) block, got a contracted cap (2, 2)")
+    """R_{i jbar k lbar} from the potential jet (cap >= 2, full at 2)."""
+    if potential.contracted and potential.cap == 2:
+        raise ValueError("R requires a full (2, 2) block, got a contracted cap 2")
     T = potential.partials(2, 1)  # [i, k, qbar]
     S = potential.partials(1, 2)  # [p, jbar, lbar]
     P22 = potential.partials(2, 2)  # [i, k, jbar, lbar]
@@ -316,7 +318,7 @@ class LogDetParts(NamedTuple):
     L11[a, b] = d_a dbar_b log det g, L21[a, c, b] = d_a d_c dbar_b log det g,
     and trace22 = sum X[b, a] X[i, j] d_j d_a dbar_i dbar_b log det g, the
     double trace that Delta k needs. L21, trace22 and K are None below cap
-    (3, 3). The raised forms Za = X g_a, Zb = X g_bbar, Zab = X g_{a bbar}
+    3. The raised forms Za = X g_a, Zb = X g_bbar, Zab = X g_{a bbar}
     (see _raised) and K = sum X[b, a] Zab[a, b] go along for Delta k."""
     L11: np.ndarray
     L21: np.ndarray | None
@@ -367,18 +369,18 @@ def _products(S: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _permanent_index(m: int, anti: int, contracted: bool):
+def _permanent_index(m: int, cap: int, contracted: bool):
     """Index tables of the 3 x 3 matrices X[b, a] with entries X[b_s, a_t],
     for the variables a_t of each degree-3 monomial a and b_s of each b,
     listed with multiplicity, expanded by their first row, over the pairs
-    (a, b) in C order, or only those that a contracted jet at cap (anti,
-    anti) keeps if contracted: row[t, i] is the flat index of X[b_0, a_t]
-    into X (m x m) for pair i, and minor[t, i] that of Q[b_1, b_2, a_u, a_v]
+    (a, b) in C order, or only those that a contracted jet at cap cap keeps
+    if contracted: row[t, i] is the flat index of X[b_0, a_t] into X
+    (m x m) for pair i, and minor[t, i] that of Q[b_1, b_2, a_u, a_v]
     into the m^4 table of 2 x 2 permanents Q[b1, b2, a1, a2] = X[b1, a1]
     X[b2, a2] + X[b1, a2] X[b2, a1], where (u, v) are the columns other
     than t, in order; a and b run over the graded basis of degree 3. cell[i]
-    is the flat index of the coefficient of pair i at anti-degree cap anti."""
-    lo, size, width = _space_size(m, 2), _space_size(m, 3), _space_size(m, anti)
+    is the flat index of the coefficient of pair i at cap cap."""
+    lo, size, width = _space_size(m, 2), _space_size(m, 3), _space_size(m, cap)
     exps = np.array(basis_exponents(m, 3)[lo:])
     var = np.repeat(np.tile(np.arange(m), len(exps)), exps.ravel()).reshape(-1, 3)
     a, b = var.T[:, :, None], var.T[:, None, :]  # [s, a, b]
@@ -386,7 +388,7 @@ def _permanent_index(m: int, anti: int, contracted: bool):
     minor = (b[1] * m + b[2]) * m * m + np.stack(
         (a[1] * m + a[2], a[0] * m + a[2], a[0] * m + a[1]))
     cell = np.add.outer(np.arange(lo, size) * width, np.arange(lo, size)).ravel()
-    pairs = np.flatnonzero(_contracted_mask(m, anti)[cell]) if contracted else slice(None)
+    pairs = np.flatnonzero(_contracted_mask(m, cap)[cell]) if contracted else slice(None)
     out = row.reshape(3, -1)[:, pairs], minor.reshape(3, -1)[:, pairs], cell[pairs]
     for index in out:
         index.setflags(write=False)
@@ -400,19 +402,19 @@ def _one_block(potential: Jet, X: np.ndarray):
     coefficient block and per the 3 x 3 permanent of _permanent_index's
     matrices, expanded by the first row against the 2 x 2 permanents of
     each point's table Q: one pass over the C(m + 2, 3)^2 coefficients
-    (fewer than m^5 up to m = 29) in place of the m^6 partials, for as many
-    points at a time as keep the 6 gathered entries per coefficient and
-    point near _CHUNK elements; of a contracted jet, only over the (a, b)
-    that it keeps (1,260 of 7,056 at m = 7): every other permanent is at
-    most 6 e^2 (1 + e) in the metric-normal frame it needs, e = max |X - I|."""
+    (fewer than m^5 up to m = 29) in place of the m^6 partials, for the
+    points per pass that _points_per_pass gives the 6 gathered entries per
+    coefficient and point; of a contracted jet, only over the (a, b) that
+    it keeps (1,260 of 7,056 at m = 7): every other permanent is at most
+    6 e^2 (1 + e) in the metric-normal frame it needs, e = max |X - I|."""
     m, batch = X.shape[-1], X.shape[:-2]
     X = X.reshape(-1, m, m)
     flat = potential.data.reshape(len(X), -1)
     Q = (X[:, :, None, :, None] * X[:, None, :, None, :]
          + X[:, :, None, None, :] * X[:, None, :, :, None]).reshape(len(X), -1)
     X = X.reshape(len(X), -1)
-    row, minor, cell = _permanent_index(m, potential.cap.anti, potential.contracted)
-    out, step = np.empty(len(X), dtype=np.complex128), max(1, _CHUNK // (2 * row.size))
+    row, minor, cell = _permanent_index(m, potential.cap, potential.contracted)
+    out, step = np.empty(len(X), dtype=np.complex128), _points_per_pass(2 * row.size)
     for i in (slice(p, p + step) for p in range(0, len(X), step)):
         x0, x1, x2 = X[i].take(row, axis=1).swapaxes(0, 1)
         q0, q1, q2 = Q[i].take(minor, axis=1).swapaxes(0, 1)
@@ -423,7 +425,7 @@ def _one_block(potential: Jet, X: np.ndarray):
 
 def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     """The derivatives of log det g in LogDetParts, as closed-form
-    contractions of the potential's partials (cap >= (2,2)). With
+    contractions of the potential's partials (cap >= 2). With
     g_B = d_B g for a set B of derivative directions and X = g^{-1},
 
       d_S log det g = sum over set partitions B_1..B_r of S, and over the
@@ -440,7 +442,7 @@ def _log_det_jets(potential: Jet, metric: MetricData) -> LogDetParts:
     Zb = _raised(X, potential.partials(1, 2), 1)  # X g_bbar
     Zab = _raised(X, potential.partials(2, 2), 2)  # X g_{a bbar}, [a, b, p, q]
     L11 = np.trace(Zab, axis1=-2, axis2=-1) - _traces(Za, Zb)
-    if min(potential.cap) < 3:
+    if potential.cap < 3:
         return LogDetParts(L11, None, None, Za, Zb, Zab)
 
     # partials are symmetric within each kind of index, so a holomorphic and
@@ -506,7 +508,7 @@ def _ricci(L11: np.ndarray, metric: MetricData):
 
 def ricci_and_scalar(potential: Jet, metric: MetricData):
     """Ricci tensor -d dbar log det g and scalar curvature k = g^{i jbar}
-    Ric_{i jbar} (cap >= (2,2))."""
+    Ric_{i jbar} (cap >= 2)."""
     return _ricci(_log_det_jets(potential, metric).L11, metric)
 
 
@@ -558,11 +560,11 @@ def _laplacian_from_parts(LD: LogDetParts, metric: MetricData,
 
 
 def scalar_curvatures(spec: HartogsSpec, points: Sequence[HartogsPoint]) -> list:
-    """Scalar curvature only, on the cheap cap-(2,2) path, at each point,
+    """Scalar curvature only, on the cheap cap-2 path, at each point,
     in the coordinates of _normal_frame."""
     if not points:
         return []
-    P = _normal_potential(spec, points, BidegreeCap(2, 2))[-1]
+    P = _normal_potential(spec, points, 2)[-1]
     return ricci_and_scalar(P, metric_at(P))[1].tolist()
 
 
@@ -599,7 +601,7 @@ def curvature_report(spec: HartogsSpec, point: HartogsPoint) -> CurvatureReport:
 
 
 def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
-    """Build the full report from a potential jet at cap (3,3) or above
+    """Build the full report from a potential jet at cap 3 or above
     (used directly by the scaling-law checks), with per-point fields for a
     batch. The jet should be in metric-normal coordinates (g = I at the
     point), as curvature_reports' is. Raw (z, w) potentials lose the digits
@@ -607,8 +609,8 @@ def curvature_report_from_potential(potential: Jet) -> CurvatureReport:
     classical base with d <= 6, at mu = 1, 4/5 and 3) its imaginary residue
     of 3e-5 to 6e-4 makes the report raise, with an error that names
     cond(g)."""
-    if min(potential.cap) < 3:
-        raise ValueError(f"report requires cap >= (3, 3), got {tuple(potential.cap)}")
+    if potential.cap < 3:
+        raise ValueError(f"report requires cap >= 3, got {potential.cap}")
     metric = metric_at(potential)
     LD = _log_det_jets(potential, metric)
     ric, k = _ricci(LD.L11, metric)
@@ -625,7 +627,7 @@ def base_curvature_report(spec: DomainSpec, p: Sequence | None = None) -> dict:
     origin), without any Hartogs fiber. Used for the closed-form norm table."""
     if p is None:
         p = (0.0,) * spec.d
-    P = bergman_potential_jet(spec, p, BidegreeCap(2, 2))
+    P = bergman_potential_jet(spec, p, 2)
     metric = metric_at(P)
     R = curvature_tensor(P, metric)
     ric, k = ricci_and_scalar(P, metric)

@@ -1,10 +1,11 @@
-"""Bidegree-truncated multivariate Taylor jets over complex coefficients.
+"""Truncated multivariate Taylor jets over complex coefficients.
 
 Holomorphic variables z_1..z_m and antiholomorphic variables zb_1..zb_m are
-treated as 2m independent formal variables (Wirtinger calculus). A jet stores
-every mixed Taylor coefficient whose holomorphic total degree is <= cap.holo
-and whose antiholomorphic total degree is <= cap.anti, centered at a base
-point. That retained monomial box is the complement of an ideal, so truncation
+treated as 2m independent formal variables (Wirtinger calculus). A jet at
+cap c, one integer for both characters, as every jet here is a real
+function's, stores every mixed Taylor coefficient whose holomorphic and
+whose antiholomorphic total degree are each <= c, centered at a base point.
+That retained monomial box is the complement of an ideal, so truncation
 is a ring quotient map: logs and powers computed on jets agree exactly with
 the truncation of the true series, coefficient by coefficient. Jets scale by
 numbers; there is no jet sum or product, which no report needs.
@@ -15,10 +16,10 @@ generic norms build their Pfaffians (see domains.generic_norm_jet).
 
 Storage is a dense complex128 matrix indexed by (holo monomial, anti monomial)
 over graded-lex monomial bases, with leading batch axes, one jet per point:
-(*batch, H, W); a one-point jet has batch shape (). Log and real power take
-only the jet of a real function at a square cap, whose coefficient array is
-Hermitian, c[h, k] = conj(c[k, h]): every norm and potential the geometry
-takes a log or power of is one. They fill their result one total degree at a
+(*batch, S, S); a one-point jet has batch shape (). Log and real power take
+only the jet of a real function, whose coefficient array is Hermitian,
+c[h, k] = conj(c[k, h]): every norm and potential the geometry takes a log
+or power of is one. They fill their result one total degree at a
 time (one graded Taylor recurrence in a real scalar; Griewank & Walther,
 Evaluating Derivatives, 2nd ed., ch. 13) by a truncated Cauchy product over a
 table of the monomial pairs that land on that degree on or above the
@@ -41,25 +42,22 @@ Jets are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from itertools import groupby
-from typing import NamedTuple
 
 import numpy as np
 
-MAX_DEGREE = 6  # engine hard limit on either character of the cap
+MAX_DEGREE = 6  # engine hard limit on the cap
 
 
-class BidegreeCap(NamedTuple):
-    holo: int
-    anti: int
-
-
-def _as_cap(cap) -> BidegreeCap:
-    cap = BidegreeCap(int(cap[0]), int(cap[1]))
-    if not (0 <= cap.holo <= MAX_DEGREE and 0 <= cap.anti <= MAX_DEGREE):
-        raise ValueError(f"cap degrees must lie in 0..{MAX_DEGREE}, got {cap}")
-    return cap
+def _as_cap(cap) -> int:
+    """cap, an integer (int or numpy integer) in 0..MAX_DEGREE, as an int;
+    else a ValueError that names it."""
+    c = operator.index(cap) if hasattr(cap, "__index__") else -1
+    if not 0 <= c <= MAX_DEGREE:
+        raise ValueError(f"a cap is an integer in 0..{MAX_DEGREE}, got {cap!r}")
+    return c
 
 
 def _exponents(m: int, total: int):
@@ -114,9 +112,9 @@ def _degrees(m: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _total_degrees(m: int, cap: BidegreeCap) -> np.ndarray:
+def _total_degrees(m: int, cap: int) -> np.ndarray:
     """Total degree of each flat (holo, anti) coefficient position."""
-    degs = np.add.outer(_degrees(m, cap.holo), _degrees(m, cap.anti))
+    degs = np.add.outer(_degrees(m, cap), _degrees(m, cap))
     return degs.ravel().astype(np.intp)
 
 
@@ -138,13 +136,17 @@ def _raise_where(bad, stage: str, text) -> None:
 _CHUNK = 1 << 16
 
 
+def _points_per_pass(width: int) -> int:
+    """Points per pass of width elements each: about _CHUNK, at least 1."""
+    return max(1, _CHUNK // width)
+
+
 @lru_cache(maxsize=None)
 def _contracted_mask(m: int, degree: int) -> np.ndarray:
-    """The flat positions, in a coefficient array at the square cap
-    (degree, degree), that a contracted jet keeps: every one below the top
-    block, and the top-block (h, k) whose monomials share at least
-    degree - 1 variables, counted with multiplicity (the multiset
-    intersection). A consumer that reads the top block only through the
+    """The flat positions, in a coefficient array at cap degree, that a
+    contracted jet keeps: every one below the top block, and the top-block
+    (h, k) whose monomials share at least degree - 1 variables, counted
+    with multiplicity (the multiset intersection). A consumer that reads the top block only through the
     degree x degree permanents of X[k, h], X = I + O(e), sees every dropped
     coefficient at O(e^2): a term of such a permanent takes at most as many
     diagonal entries of X as h and k share variables, so with fewer than
@@ -158,10 +160,10 @@ def _contracted_mask(m: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _pairs(m: int, cap: BidegreeCap, key: bytes, contracted: bool) -> tuple:
-    """The plan of a graded recurrence on a real function's jet at the
-    square cap (see _real_function) whose nonzero pattern is key (as
-    _patterns packs it), contracted or not. Its table pairs non-constant
+def _pairs(m: int, cap: int, key: bytes, contracted: bool) -> tuple:
+    """The plan of a graded recurrence on a real function's jet at cap cap
+    (see _real_function) whose nonzero pattern is key (as _patterns packs
+    it), contracted or not. Its table pairs non-constant
     monomials (the recurrence folds a constant factor's term into init)
     whose product lands on or above the diagonal, at (h, k) with h <= k,
     where a contracted jet keeps it (_contracted_mask), and whose left
@@ -169,25 +171,25 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes, contracted: bool) -> tuple:
     exactly zero factor adds nothing. Returns (support, sdeg, step,
     dropped, degrees): the flat positions of the possible left factors
     (held, neither the constant nor of the top total degree) and their
-    total degrees; the points per pass, which keeps the _convolve
-    temporaries near _CHUNK elements; the flat positions that the table
-    leaves at +0.0 (none if not contracted); and each total degree that
-    has pairs, in order, with its chunks of whole destination segments and
-    about _CHUNK pairs (not one, unless the degree holds one). A chunk is
+    total degrees; the points per pass (_points_per_pass of the widest
+    chunk, whose _convolve temporaries take that many elements a point);
+    the flat positions that the table leaves at +0.0 (none if not
+    contracted); and each total degree that has pairs, in order, with its
+    chunks of whole destination segments and about _CHUNK pairs (not one, unless the degree holds one). A chunk is
     (left factor indices into the support, right flat operand indices, the
     start of each destination's segment, each segment's flat destination
     (h, k), and its mirror (k, h)), sorted by destination."""
-    size = _space_size(m, cap.holo)  # the array's height and width
+    size = _space_size(m, cap)  # the array's height and width
     held = np.unpackbits(np.frombuffer(key, np.uint8), count=size * size).astype(bool)
     held[0] = False  # a constant factor's term is in init
     # nor is a top-degree coefficient a left factor: its product passes the cap
-    held[_total_degrees(m, cap) == cap.holo + cap.anti] = False
+    held[_total_degrees(m, cap) == 2 * cap] = False
     # flat indices in the smallest dtype that holds them: the tables are
     # the engine's largest cached arrays
     index = np.min_scalar_type(size * size)
     # a Hermitian pattern holds the same rows as columns, so one factor
     # table, of left factors in those rows, serves both characters
-    ia, ib, ic = _pair_tables(m, cap.holo)
+    ia, ib, ic = _pair_tables(m, cap)
     keep = held.reshape(size, size).any(axis=1)[ia]
     fa, fb, fc = (t[keep].astype(index) for t in (ia, ib, ic))
     # row i of the table is holomorphic pair i with the antiholomorphic
@@ -205,7 +207,7 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes, contracted: bool) -> tuple:
     del row, col
     keep = held[left] & (right != 0)
     if contracted:
-        keep &= _contracted_mask(m, cap.holo)[dst]
+        keep &= _contracted_mask(m, cap)[dst]
     dst, left, right = dst[keep], left[keep], right[keep]
     support = np.flatnonzero(held)
     # each held position's index in the support (read at held positions only)
@@ -234,12 +236,12 @@ def _pairs(m: int, cap: BidegreeCap, key: bytes, contracted: bool) -> tuple:
                         seg % size * size + seg // size))
         return tuple(out)
 
-    bounds = np.searchsorted(tdeg, np.arange(cap.holo + cap.anti + 2)).tolist()
+    bounds = np.searchsorted(tdeg, np.arange(2 * cap + 2)).tolist()
     degrees = tuple((n, chunks(*bounds[n:n + 2])) for n in range(len(bounds) - 1)
                     if bounds[n] < bounds[n + 1])
     widest = max((len(c[0]) for _, cs in degrees for c in cs), default=_CHUNK)
-    dropped = ~_contracted_mask(m, cap.holo) if contracted else ()
-    return (support, _total_degrees(m, cap)[support], max(1, _CHUNK // widest),
+    dropped = ~_contracted_mask(m, cap) if contracted else ()
+    return (support, _total_degrees(m, cap)[support], _points_per_pass(widest),
             np.flatnonzero(dropped).astype(index), degrees)
 
 
@@ -263,14 +265,13 @@ def _gather_table(m: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _partials_table(m: int, anti: int, p: int, q: int):
-    """Flat indices into a coefficient array with anti-degree cap anti of
-    every order-(p, q) partial, and the factorial weights, both shaped like
-    Jet.partials."""
+def _partials_table(m: int, cap: int, p: int, q: int):
+    """Flat indices into a coefficient array at cap cap of every order-(p,
+    q) partial, and the factorial weights, both shaped like Jet.partials."""
     hi, hf = _gather_table(m, p)
     ai, af = _gather_table(m, q)
     shape = (m,) * (p + q)
-    index = (hi[:, None] * _space_size(m, anti) + ai).reshape(shape)
+    index = (hi[:, None] * _space_size(m, cap) + ai).reshape(shape)
     weight = np.outer(hf, af).reshape(shape)
     index.setflags(write=False)
     weight.setflags(write=False)
@@ -304,32 +305,30 @@ class Jet:
     """Immutable truncated Taylor expansion; see module docstring.
 
     Build jets with jet_log and jet_real_power, scalar multiples, or wrap a
-    complex128 array of shape (*batch, len(basis_exponents(num_vars,
-    cap.holo)), len(basis_exponents(num_vars, cap.anti))) whose [..., i, j]
-    entry is the coefficient of the i-th holomorphic times the j-th
-    antiholomorphic basis monomial; cap must be a BidegreeCap. The array is
-    frozen, not copied; the jet is not contracted (see _jet).
+    complex128 array of shape (*batch, S, S), S = len(basis_exponents(
+    num_vars, cap)), whose [..., i, j] entry is the coefficient of the i-th
+    holomorphic times the j-th antiholomorphic basis monomial; cap is an
+    integer in 0..MAX_DEGREE (see _as_cap). The array is frozen, not
+    copied; the jet is not contracted (see _jet).
     """
 
     __slots__ = ("num_vars", "cap", "data", "contracted")
 
-    def __init__(self, num_vars: int, cap: BidegreeCap, data: np.ndarray):
-        self.num_vars, self.cap, self.contracted = num_vars, cap, False
+    def __init__(self, num_vars: int, cap: int, data: np.ndarray):
+        self.num_vars, self.cap, self.contracted = num_vars, _as_cap(cap), False
         data.setflags(write=False)
         self.data = data
 
     @staticmethod
     def _zeros(num_vars, cap, batch=()):
-        return np.zeros(batch + (_space_size(num_vars, cap.holo),
-                                 _space_size(num_vars, cap.anti)),
-                        dtype=np.complex128)
+        return np.zeros(batch + (_space_size(num_vars, cap),) * 2, dtype=np.complex128)
 
     def partials(self, p: int, q: int) -> np.ndarray:
         """Dense tensor of every order-(p, q) mixed partial at the base point,
         indexed [..., i1..ip, j1..jq] (holomorphic indices first)."""
-        if not (0 <= p <= self.cap.holo and 0 <= q <= self.cap.anti):
+        if not (0 <= p <= self.cap and 0 <= q <= self.cap):
             raise ValueError(f"order ({p},{q}) exceeds cap {self.cap}")
-        index, weight = _partials_table(self.num_vars, self.cap.anti, p, q)
+        index, weight = _partials_table(self.num_vars, self.cap, p, q)
         out = self.data.reshape(self.data.shape[:-2] + (-1,)).take(index, axis=-1)
         out *= weight
         return out
@@ -342,8 +341,8 @@ class Jet:
     __rmul__ = __mul__
 
 
-def _jet(num_vars: int, cap: BidegreeCap, data: np.ndarray, contracted: bool) -> Jet:
-    """Jet(num_vars, cap, data), contracted if contracted (at a square cap)."""
+def _jet(num_vars: int, cap: int, data: np.ndarray, contracted: bool) -> Jet:
+    """Jet(num_vars, cap, data), contracted if contracted."""
     jet = Jet(num_vars, cap, data)
     jet.contracted = contracted
     return jet
@@ -374,9 +373,9 @@ def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
     a0, b0, init = flat[:, :1], np.reshape(b0, (-1, 1)), np.reshape(init, (-1, 1))
     b = flat * (init + (alpha - 1.0) * b0 / a0)
     b[:, :1] = b0
-    j = alpha * np.arange(cap.holo + cap.anti + 1)  # alpha j at each total degree j
+    j = alpha * np.arange(2 * cap + 1)  # alpha j at each total degree j
     # the key leaves out the top total degree, as _pairs' support does
-    below = _total_degrees(m, cap) < cap.holo + cap.anti
+    below = _total_degrees(m, cap) < 2 * cap
     start = 0
     for key, run in groupby(_patterns((flat != 0) & below)):
         end = start + len(list(run))
@@ -399,12 +398,10 @@ def _graded_solve(a: Jet, b0, alpha: float, init) -> Jet:
 
 def _real_function(a: Jet, stage: str) -> np.ndarray:
     """a's constant term (1 x 1 per point), if a is the jet of a real
-    function with a finite positive value: a square cap and, at every
-    point, an exactly Hermitian coefficient array (whose constant term is
-    exactly real) with a finite positive constant term. Else a ValueError
-    naming the stage and, for a point's array, the first bad point."""
-    if a.cap.holo != a.cap.anti:
-        raise ValueError(f"{stage} requires a square cap, got {tuple(a.cap)}")
+    function with a finite positive value: at every point, an exactly
+    Hermitian coefficient array (whose constant term is exactly real) with
+    a finite positive constant term. Else a ValueError naming the stage and
+    the first bad point."""
     data = a.data.reshape((-1,) + a.data.shape[-2:])
     hermitian = (data == data.conj().swapaxes(-1, -2)).all(axis=(1, 2)).tolist()
     c0 = a.data[..., :1, :1]

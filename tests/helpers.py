@@ -2,7 +2,8 @@
 
 Everything here is an independent cross-check path: the reference jet
 ring (constants, variables, sums and the truncated product) and derivative
-jet (the engine only scales jets by numbers and fills logs and powers by
+jet, on its own jets of a bidegree cap (p, q) (the engine's jets have one
+cap for both characters, only scale by numbers, and fill logs and powers by
 graded recurrences), a cofactor determinant of jet matrices, the generic
 norm and the Hartogs potential built from jet_variable in raw coordinates,
 the Horner composition of power series,
@@ -24,30 +25,66 @@ import numpy as np
 
 from hartogslab.domains import contains, generic_norm_value
 from hartogslab.geometry import FIBER_FILL
-from hartogslab.jets import (BidegreeCap, Jet, _as_cap, _contracted_mask, _pair_tables,
-                             basis_exponents, jet_log, jet_real_power)
+from hartogslab.jets import (Jet, _contracted_mask, _pair_tables, basis_exponents,
+                             jet_log, jet_real_power)
 
 
 # -- the reference jet ring and derivative jet ---------------------------------
 
+class RefJet:
+    """A jet of the reference ring: num_vars, a bidegree cap (p, q) that
+    bounds the holomorphic total degree by p and the antiholomorphic one by
+    q, and the (*batch, H, W) coefficient array over the graded bases of
+    degree <= p and <= q, as in an engine Jet. reference reads an engine
+    jet in; to_engine hands a square one to the engine. Scales by numbers."""
+
+    __slots__ = ("num_vars", "cap", "data")
+
+    def __init__(self, num_vars, cap, data):
+        self.num_vars, self.cap, self.data = num_vars, tuple(cap), data
+
+    def __mul__(self, c):
+        if isinstance(c, RefJet):  # the product is mul
+            return NotImplemented
+        return RefJet(self.num_vars, self.cap, self.data * complex(c))
+
+    __rmul__ = __mul__
+
+
+def reference(a, cap=None):
+    """The engine jet a as a reference jet, truncated to the bidegree cap
+    (p, q), each at most a.cap (default (a.cap, a.cap)): the graded bases
+    make it a prefix block of a's coefficient array."""
+    cap = (a.cap, a.cap) if cap is None else tuple(cap)
+    if max(cap) > a.cap:
+        raise ValueError(f"cap {cap} exceeds the jet's cap {a.cap}")
+    rows, cols = (len(basis_exponents(a.num_vars, c)) for c in cap)
+    return RefJet(a.num_vars, cap, a.data[..., :rows, :cols])
+
+
+def to_engine(a):
+    """The engine Jet of a reference jet at a square cap (c, c)."""
+    if a.cap[0] != a.cap[1]:
+        raise ValueError(f"an engine jet has one cap for both characters, got {a.cap}")
+    return Jet(a.num_vars, a.cap[0], a.data)
+
+
 def jet_constant(c, num_vars, cap):
-    cap = _as_cap(cap)
-    data = Jet._zeros(num_vars, cap)
+    data = np.zeros(tuple(len(basis_exponents(num_vars, p)) for p in cap), complex)
     data[0, 0] = complex(c)
-    return Jet(num_vars, cap, data)
+    return RefJet(num_vars, cap, data)
 
 
 def jet_variable(index, num_vars, cap, anti=False):
     """The coordinate offset z_index (or zb_index if anti) from the base point."""
     if not 0 <= index < num_vars:
         raise ValueError(f"variable index {index} out of range for {num_vars} vars")
-    cap = _as_cap(cap)
-    if (cap.anti if anti else cap.holo) < 1:
+    if cap[1 if anti else 0] < 1:
         raise ValueError("unit exponent exceeds the cap for this character")
-    data = Jet._zeros(num_vars, cap)
+    data = jet_constant(0.0, num_vars, cap).data
     pos = num_vars - index  # the basis holds x_m first, x_1 last
     data[(0, pos) if anti else (pos, 0)] = 1.0
-    return Jet(num_vars, cap, data)
+    return RefJet(num_vars, cap, data)
 
 
 def constant_term(a):
@@ -64,20 +101,20 @@ def add(a, *terms):
     """The sum a + b + ..., left to right, of jets of one shape and numbers
     (a number adds to the constant term); a may be a number."""
     for b in terms:
-        if not isinstance(a, Jet):
+        if not isinstance(a, RefJet):
             a, b = b, a  # the sum commutes
-        if isinstance(b, Jet):
+        if isinstance(b, RefJet):
             _check_compatible(a, b)
             data = a.data + b.data
         else:
             data = a.data.copy()
             data[..., 0, 0] += complex(b)
-        a = Jet(a.num_vars, a.cap, data)
+        a = RefJet(a.num_vars, a.cap, data)
     return a
 
 
 def neg(a):
-    return Jet(a.num_vars, a.cap, -a.data) if isinstance(a, Jet) else -a
+    return RefJet(a.num_vars, a.cap, -a.data) if isinstance(a, RefJet) else -a
 
 
 def sub(a, b):
@@ -86,10 +123,11 @@ def sub(a, b):
 
 
 def hermitian_part(a):
-    """(a + a^H) / 2 of a's coefficient array: exactly Hermitian, as jet_log
-    and jet_real_power require, and a itself if a's function is real, up to
-    the roundoff that the reference products leave."""
-    return Jet(a.num_vars, a.cap, 0.5 * (a.data + a.data.conj().swapaxes(-1, -2)))
+    """(a + a^H) / 2 of a's coefficient array, at a square cap: exactly
+    Hermitian, as jet_log and jet_real_power require, and a itself if a's
+    function is real, up to the roundoff that the reference products
+    leave."""
+    return RefJet(a.num_vars, a.cap, 0.5 * (a.data + a.data.conj().swapaxes(-1, -2)))
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +165,7 @@ def _product(a, b):
     out = np.zeros_like(A)
     out[np.ix_(hc, ac)] = np.add.reduceat(np.add.reduceat(terms, hs, axis=0),
                                           as_, axis=1)
-    return Jet(m, cap, out)
+    return RefJet(m, cap, out)
 
 
 def mul(a, *factors):
@@ -143,8 +181,8 @@ def mul(a, *factors):
 def coefficient(j, h, a):
     """The Taylor coefficient of z^h zb^a in j, read at the basis index of
     each exponent tuple."""
-    return j.data[basis_exponents(j.num_vars, j.cap.holo).index(tuple(h)),
-                  basis_exponents(j.num_vars, j.cap.anti).index(tuple(a))]
+    return j.data[basis_exponents(j.num_vars, j.cap[0]).index(tuple(h)),
+                  basis_exponents(j.num_vars, j.cap[1]).index(tuple(a))]
 
 
 @lru_cache(maxsize=None)
@@ -161,10 +199,11 @@ def _shift(m, degree, var):
 def derivative_jet(a, holo, anti):
     """Jet of d/dz_holo dbar/dzb_anti of a; the cap shrinks by one on each
     character."""
-    rows, row_factors = _shift(a.num_vars, a.cap.holo, holo)
-    cols, col_factors = _shift(a.num_vars, a.cap.anti, anti)
+    (p, q), m = a.cap, a.num_vars
+    rows, row_factors = _shift(m, p, holo)
+    cols, col_factors = _shift(m, q, anti)
     data = a.data[np.ix_(rows, cols)] * np.outer(row_factors, col_factors)
-    return Jet(a.num_vars, BidegreeCap(a.cap.holo - 1, a.cap.anti - 1), data)
+    return RefJet(m, (p - 1, q - 1), data)
 
 
 # -- the jet engine's index tables by enumeration -------------------------------
@@ -288,17 +327,19 @@ def reference_norm(spec, p, cap, jacobian):
     return add(sub(1.0, 2.0 * zz), mul(zzt, zbzbt))
 
 
-def raw_potential_jet(spec, point, cap=(3, 3)):
-    """Jet of -log(N^mu - |w|^2) in the coordinates (z, w) themselves, with N
-    from reference_norm: no generic_norm_jet or hartogs_potential_jet. The
-    power and the log take their operands' Hermitian parts."""
-    base, mu = spec.base, float(spec.mu)
+def raw_potential_jet(spec, point, cap=3):
+    """Engine jet at cap cap of -log(N^mu - |w|^2) in the coordinates (z, w)
+    themselves, with N from reference_norm: no generic_norm_jet or
+    hartogs_potential_jet. The power and the log take their operands'
+    Hermitian parts."""
+    base, mu, bidegree = spec.base, float(spec.mu), (cap, cap)
     d = base.d
-    norm = hermitian_part(reference_norm(base, point.base, cap, np.eye(d, d + 1)))
-    n_mu = jet_real_power(norm, mu / 2 if base.kind == "type2" else mu)
-    w = add(jet_variable(d, d + 1, cap), point.fiber)
-    wb = add(jet_variable(d, d + 1, cap, anti=True), complex(point.fiber).conjugate())
-    return neg(jet_log(hermitian_part(sub(n_mu, mul(w, wb)))))
+    norm = hermitian_part(reference_norm(base, point.base, bidegree, np.eye(d, d + 1)))
+    n_mu = jet_real_power(to_engine(norm), mu / 2 if base.kind == "type2" else mu)
+    w = add(jet_variable(d, d + 1, bidegree), point.fiber)
+    wb = add(jet_variable(d, d + 1, bidegree, anti=True),
+             complex(point.fiber).conjugate())
+    return jet_log(to_engine(hermitian_part(sub(reference(n_mu), mul(w, wb)))), -1.0)
 
 
 # -- einsum forms of the curvature contractions ------------------------------
@@ -330,9 +371,9 @@ def one_block_by_nine_gathers(potential, X):
     index = var.T[:, None, None, :] * m + var.T[None, :, :, None]  # [s, t, a, b]
     lo, hi = len(basis_exponents(m, 2)), len(basis_exponents(m, 3))
     keep = slice(None)
-    if potential.contracted:  # a square cap
-        size = len(basis_exponents(m, potential.cap.holo))
-        keep = _contracted_mask(m, potential.cap.holo).reshape(size, size)[lo:hi, lo:hi]
+    if potential.contracted:
+        size = len(basis_exponents(m, potential.cap))
+        keep = _contracted_mask(m, potential.cap).reshape(size, size)[lo:hi, lo:hi]
     out = np.empty(batch, dtype=np.complex128)
     for i in np.ndindex(batch):
         (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = X[i].ravel()[index]
@@ -374,7 +415,7 @@ def einsum_sum(terms, absolute=False):
 
 def horner_compose(a, coeffs):
     """sum_k coeffs[k] * (a - a0)^k by Horner's rule, in mul only;
-    exact once len(coeffs) exceeds the total degree cap.holo + cap.anti
+    exact once len(coeffs) exceeds the total degree p + q of a's cap (p, q)
     (higher powers of a - a0 vanish)."""
     u = sub(a, constant_term(a))
     r = jet_constant(coeffs[-1], a.num_vars, a.cap)
@@ -384,7 +425,7 @@ def horner_compose(a, coeffs):
 
 
 def _series_terms(a):
-    return a.cap.holo + a.cap.anti + 1
+    return sum(a.cap) + 1
 
 
 def horner_reciprocal(a):

@@ -22,7 +22,6 @@ from hartogslab.geometry import (HartogsPoint, HartogsSpec,
                                  hartogs_potential_jet, metric_at,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at)
-from hartogslab.jets import BidegreeCap
 from hartogslab.oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
                                 appendix_R2_base, lap_k_formula, ric2_formula,
                                 scalar_curvature_formula)
@@ -258,7 +257,7 @@ def test_criterion_7_property_suite():
     # metric scaling law g -> lam g
     lam = 2.0
     pt = sample_hartogs(hspec, seed=8, count=1)[0]
-    P = hartogs_potential_jet(hspec, pt, BidegreeCap(3, 3))
+    P = hartogs_potential_jet(hspec, pt, 3)
     rep = curvature_report_from_potential(P)
     sc = curvature_report_from_potential(P * lam)
     checks = [
@@ -290,7 +289,7 @@ def test_criterion_7_property_suite():
 
         def logdet(v):
             q = HartogsPoint(tuple(v[:-1]), complex(v[-1]))
-            Q = hartogs_potential_jet(hspec, q, BidegreeCap(1, 1))
+            Q = hartogs_potential_jet(hspec, q, 1)
             return float(np.log(np.linalg.det(metric_at(Q).g).real))
 
         def kfun(v):
@@ -299,7 +298,7 @@ def test_criterion_7_property_suite():
 
         v0 = np.array(list(pt.base) + [pt.fiber], dtype=complex)
         m = len(v0)
-        P = hartogs_potential_jet(hspec, pt, BidegreeCap(3, 3))
+        P = hartogs_potential_jet(hspec, pt, 3)
         md = metric_at(P)
         ric, _ = ricci_and_scalar(P, md)
         rep = curvature_report(hspec, pt)

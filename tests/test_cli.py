@@ -479,12 +479,12 @@ def test_one_pipeline_call_per_command(capsys, monkeypatch):
     caps, logs = [], []
     potential, log = geometry.hartogs_potential_jet, geometry.jet_log
     monkeypatch.setattr(geometry, "hartogs_potential_jet", lambda *args, **kw: (
-        caps.append((len(args[1].fiber), tuple(args[2]))) or potential(*args, **kw)))
+        caps.append((len(args[1].fiber), args[2])) or potential(*args, **kw)))
     monkeypatch.setattr(geometry, "jet_log",
                         lambda a, *scale, **kw: logs.append(a) or log(a, *scale, **kw))
-    for command, calls in (("report", [(9, (3, 3))]),
-                           ("verify-lemmas", [(20, (2, 2)), (6, (3, 3))]),
-                           ("scan-a2", [(20, (3, 3))])):
+    for command, calls in (("report", [(9, 3)]),
+                           ("verify-lemmas", [(20, 2), (6, 3)]),
+                           ("scan-a2", [(20, 3)])):
         caps.clear()
         assert run(capsys, [command, *BALL2_HYP])[0] == 0
         assert caps == calls, command
@@ -538,7 +538,7 @@ def test_catalog_plans_hold_what_the_recurrence_reads(capsys, monkeypatch):
                        for c in chunks)
         widest = max(len(c[0]) for _, chunks in degrees for c in chunks)
         assert step == max(1, jets._CHUNK // widest)
-        want = (np.flatnonzero(~jets._contracted_mask(m, cap.holo)) if contracted
+        want = (np.flatnonzero(~jets._contracted_mask(m, cap)) if contracted
                 else [])
         assert np.array_equal(dropped, want)
 

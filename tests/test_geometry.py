@@ -15,7 +15,7 @@ import pytest
 
 import hartogslab
 import helpers
-from helpers import add, jet_variable, sub
+from helpers import add, jet_variable, reference, sub, to_engine
 from hartogslab import geometry, jets
 from hartogslab.domains import contains, generic_norm_jet, generic_norm_value, \
     type1, type2, type3, type4
@@ -28,7 +28,7 @@ from hartogslab.geometry import (FULL_CAP, HartogsPoint, HartogsSpec,
                                  origin_fiber_points, ricci_and_scalar,
                                  sample_hartogs, scalar_curvature_at,
                                  scalar_curvatures)
-from hartogslab.jets import BidegreeCap, Jet, jet_log, jet_real_power
+from hartogslab.jets import Jet, jet_log, jet_real_power
 from hartogslab.oracles import OracleInputs, appendix_R2_base, \
     scalar_curvature_formula
 
@@ -120,11 +120,11 @@ def test_bergman_r2_matches_catalog(spec):
 
 
 def test_hartogs_metric_block_structure_at_origin():
-    P = hartogs_potential_jet(BALL2, _origin(BALL2), BidegreeCap(1, 1))
+    P = hartogs_potential_jet(BALL2, _origin(BALL2), 1)
     g = metric_at(P).g
     assert np.allclose(g, np.diag([3.0, 3.0, 1.0]), atol=1e-12)
     spec = HartogsSpec(type3(2), 1.0)
-    P = hartogs_potential_jet(spec, _origin(spec), BidegreeCap(1, 1))
+    P = hartogs_potential_jet(spec, _origin(spec), 1)
     g = metric_at(P).g
     # base block is (mu/genus) times the Bergman metric; fiber entry is 1
     assert np.allclose(g, np.diag([1.0, 2.0, 1.0, 1.0]), atol=1e-12)
@@ -134,9 +134,9 @@ def test_metric_guards():
     z = jet_variable(0, 1, (1, 1))
     zb = jet_variable(0, 1, (1, 1), anti=True)
     with pytest.raises(ValueError, match="positive definite"):
-        metric_at(helpers.mul(-1.0 * z, zb))
+        metric_at(to_engine(helpers.mul(-1.0 * z, zb)))
     with pytest.raises(ValueError, match="Hermitian"):
-        metric_at(helpers.mul(1j * z, zb))
+        metric_at(to_engine(helpers.mul(1j * z, zb)))
 
 
 def test_curvature_tensor_symmetries():
@@ -156,7 +156,7 @@ def test_scaling_law():
     # frame, whose multiple is contracted too
     lam = 2.0
     pt = sample_hartogs(DISK, seed=8, count=1)[0]
-    for P in (hartogs_potential_jet(DISK, pt, BidegreeCap(3, 3)),
+    for P in (hartogs_potential_jet(DISK, pt, 3),
               geometry._normal_potential(DISK, [pt], FULL_CAP)[-1]):
         assert (P * lam).contracted == P.contracted
         rep = curvature_report_from_potential(P)
@@ -196,7 +196,7 @@ def _numeric_potential(spec):
     (BALL2, HartogsPoint((0.2 + 0.1j, -0.15 + 0.05j), 0.2)),
 ], ids=["disk", "ball2"])
 def test_metric_matches_finite_differences(spec, point):
-    P = hartogs_potential_jet(spec, point, BidegreeCap(2, 2))
+    P = hartogs_potential_jet(spec, point, 2)
     g = metric_at(P).g
     phi = _numeric_potential(spec)
     v0 = np.array(list(point.base) + [point.fiber], dtype=complex)
@@ -209,13 +209,13 @@ def test_metric_matches_finite_differences(spec, point):
 
 def test_ricci_matches_finite_differences():
     point = HartogsPoint((0.2 + 0.1j,), 0.25)
-    P = hartogs_potential_jet(DISK, point, BidegreeCap(3, 3))
+    P = hartogs_potential_jet(DISK, point, 3)
     metric = metric_at(P)
     ric, _ = ricci_and_scalar(P, metric)
 
     def logdet(v):
         pt = HartogsPoint(tuple(v[:-1]), complex(v[-1]))
-        Q = hartogs_potential_jet(DISK, pt, BidegreeCap(1, 1))
+        Q = hartogs_potential_jet(DISK, pt, 1)
         return float(np.log(np.linalg.det(metric_at(Q).g).real))
 
     v0 = np.array([point.base[0], point.fiber], dtype=complex)
@@ -238,13 +238,13 @@ def _log_det_errors(P):
     metric = metric_at(P)
     X = metric.g_inv
     m = P.num_vars
-    G = [[helpers.derivative_jet(P, i, j) for j in range(m)] for i in range(m)]
+    G = [[helpers.derivative_jet(reference(P), i, j) for j in range(m)] for i in range(m)]
     Linv = np.linalg.inv(np.linalg.cholesky(metric.g))
     D = np.einsum("ai,ijhw,bj->abhw", Linv,
                   np.array([[e.data for e in row] for row in G]), Linv.conj())
     cap = G[0][0].cap
-    LD = jet_log(helpers.hermitian_part(
-        helpers.cofactor_det([[Jet(m, cap, e) for e in row] for row in D])))
+    LD = jet_log(to_engine(helpers.hermitian_part(
+        helpers.cofactor_det([[helpers.RefJet(m, cap, e) for e in row] for row in D]))))
     L22 = LD.partials(2, 2)
     want = (-LD.partials(1, 1), LD.partials(2, 1), LD.partials(1, 2),
             np.einsum("ba,ij,jaib->", X, X, L22))
@@ -399,15 +399,13 @@ def test_contractions_match_einsum_forms(base):
 
 def test_reports_run_only_real_recurrences(monkeypatch):
     # every norm and potential a report takes a log or power of is real,
-    # and made exactly Hermitian, at a square cap, as the recurrences
-    # require
+    # and made exactly Hermitian, as the recurrences require
     runs = []
     solve = jets._graded_solve
 
     def solve_spy(a, b0, alpha, init=0.0, **kw):
         # b0 and init may hold one value per point of a batch
-        runs.append(a.cap.holo == a.cap.anti
-                    and np.array_equal(a.data, a.data.conj().swapaxes(-1, -2))
+        runs.append(np.array_equal(a.data, a.data.conj().swapaxes(-1, -2))
                     and not np.any(np.imag(b0)) and not np.any(np.imag(init))
                     and not np.any(np.imag(alpha)))
         return solve(a, b0, alpha, init, **kw)
@@ -430,12 +428,12 @@ BASES_UP_TO_D6 = [type1(1, 1), type1(1, 2), type1(1, 3), type1(2, 2),
 
 @pytest.mark.parametrize("base", BASES_UP_TO_D6, ids=lambda b: b.label())
 def test_frame_metric_matches_the_potential(base):
-    # the frame's closed-form g against d dbar of the cap-(1,1) potential jet
+    # the frame's closed-form g against d dbar of the cap-1 potential jet
     for mu in (1, F(4, 5), 3):
         spec = HartogsSpec(base, mu)
         for pt in sample_hartogs(spec, seed=0, count=4):
             got = geometry._frame_metric(spec, pt)
-            want = hartogs_potential_jet(spec, pt, (1, 1)).partials(1, 1)
+            want = hartogs_potential_jet(spec, pt, 1).partials(1, 1)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), mu
 
 
@@ -447,9 +445,9 @@ def test_normal_frame_rejects_an_indefinite_metric(monkeypatch):
     z, w = (jet_variable(i, 2, (1, 1)) for i in range(2))
     zb, wb = (jet_variable(i, 2, (1, 1), anti=True) for i in range(2))
     with pytest.raises(ValueError) as want:
-        metric_at(sub(helpers.mul(z, zb), helpers.mul(w, wb)))
+        metric_at(to_engine(sub(helpers.mul(z, zb), helpers.mul(w, wb))))
     assert str(want.value) == "metric at point 0: " + geometry._NOT_POSITIVE
-    convex = Jet(1, BidegreeCap(1, 1),
+    convex = Jet(1, 1,
                  np.array([[[1.0, 0.0], [0.0, 2.0]]], complex))  # one point
     monkeypatch.setattr(geometry, "generic_norm_jet", lambda *a, **k: convex)
 
@@ -509,10 +507,10 @@ def _scalar_curvature_identity_jet(spec, point):
     d, mu = spec.base.d, float(spec.mu)
     c = (mu * (d + 1) - spec.base.genus) / mu
     cap = (1, 1)
-    N = generic_norm_jet(spec.base, point.base, cap, jacobian=np.eye(d, d + 1))
+    N = generic_norm_jet(spec.base, point.base, 1, jacobian=np.eye(d, d + 1))
     w = add(jet_variable(d, d + 1, cap), point.fiber)
     wb = add(jet_variable(d, d + 1, cap, anti=True), point.fiber.conjugate())
-    tau = helpers.mul(w, wb, helpers.horner_reciprocal(jet_real_power(N, mu)))
+    tau = helpers.mul(w, wb, helpers.horner_reciprocal(reference(jet_real_power(N, mu))))
     return sub(d * c * sub(1, tau), (d + 1) * (d + 2))
 
 
@@ -526,7 +524,7 @@ def test_laplacian_off_slice_matches_identity_jet(spec):
         rep = curvature_report(spec, pt)
         kj = _scalar_curvature_identity_jet(spec, pt)
         assert helpers.constant_term(kj).real == pytest.approx(rep.k, rel=1e-9)
-        want = np.einsum("ji,ij->", rep.metric.g_inv, kj.partials(1, 1))
+        want = np.einsum("ji,ij->", rep.metric.g_inv, to_engine(kj).partials(1, 1))
         # c = 0 for type1(2,2) at mu = 4/5, so Delta k = 0 there: relative
         # error with a floor of 1, as in the imaginary-residue guard
         assert rep.lap_k == pytest.approx(want.real, rel=1e-9, abs=1e-9)
@@ -607,7 +605,7 @@ def test_sampling_and_membership():
 
 def test_outside_point_rejected():
     with pytest.raises(ValueError, match="outside"):
-        hartogs_potential_jet(DISK, HartogsPoint((0.0,), 1.0), (2, 2))
+        hartogs_potential_jet(DISK, HartogsPoint((0.0,), 1.0), 2)
 
 
 @pytest.mark.parametrize("base", [type1(1, 2), type4(5)], ids=lambda b: b.label())
@@ -625,20 +623,20 @@ def test_potential_in_a_frame_matches_the_reference(base):
     w = add(pt.fiber, *(c * jet_variable(j, d + 1, cap) for j, c in enumerate(frame[d])))
     wb = add(complex(pt.fiber).conjugate(), *(c * jet_variable(j, d + 1, cap, anti=True)
                                               for j, c in enumerate(frame[d])))
-    want = helpers.neg(jet_log(helpers.hermitian_part(
-        sub(jet_real_power(norm, 0.8), helpers.mul(w, wb)))))
-    got = hartogs_potential_jet(spec, pt, cap, frame)
+    want = helpers.neg(reference(jet_log(to_engine(helpers.hermitian_part(
+        sub(reference(jet_real_power(to_engine(norm), 0.8)), helpers.mul(w, wb)))))))
+    got = hartogs_potential_jet(spec, pt, 3, frame)
     assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
     # a frame whose base coordinates involve the fiber's variable is refused
     frame[0, d] = 1e-3
     with pytest.raises(ValueError, match="fiber's variable"):
-        hartogs_potential_jet(spec, pt, cap, frame)
+        hartogs_potential_jet(spec, pt, 3, frame)
 
 
 def test_bergman_potential_constant_term():
     spec = type1(1, 2)
     p = (0.3, 0.2j)
-    j = bergman_potential_jet(spec, p, (1, 1))
+    j = bergman_potential_jet(spec, p, 1)
     from hartogslab.domains import generic_norm_value
     want = -spec.genus * np.log(generic_norm_value(spec, p))
     assert helpers.constant_term(j) == pytest.approx(want, rel=1e-12)
@@ -729,7 +727,7 @@ def test_batch_errors_name_the_point_and_the_stage():
     # one point of a stack, at the identity frame: the potential names it
     with pytest.raises(ValueError, match="^potential at point 1: point lies "
                                          "outside"):
-        hartogs_potential_jet(spec, _stack(beyond), (2, 2))
+        hartogs_potential_jet(spec, _stack(beyond), 2)
 
 
 def test_outside_base_points_are_named_by_the_norm_check(recwarn):
@@ -764,7 +762,7 @@ def test_nan_points_are_named_by_their_stage():
                 run(spec, stack)
     with pytest.raises(ValueError, match="^potential at point 1: point lies "
                                          "outside"):
-        hartogs_potential_jet(spec, _stack(stack), (2, 2))
+        hartogs_potential_jet(spec, _stack(stack), 2)
 
 
 REPORT_BASES = [type1(2, 3), type4(6), type3(3), type2(4)]
@@ -786,7 +784,7 @@ def test_contracted_potentials_are_the_full_ones_where_kept(base):
         point = _stack(_report_points(spec))
         frame = _normal_frame(spec, point)[0]
         for c in (2, 3):
-            both = [hartogs_potential_jet(spec, point, (c, c), frame, contracted=flag)
+            both = [hartogs_potential_jet(spec, point, c, frame, contracted=flag)
                     for flag in (False, True)]
             assert [P.contracted for P in both] == [False, True]
             full, part = (P.data.reshape(9, -1) for P in both)
@@ -842,13 +840,13 @@ def test_log_of_a_contracted_power_is_contracted():
 
 
 def test_curvature_tensor_refuses_a_contracted_cap_2_potential():
-    # at cap (2, 2) R reads the whole top block, which a contracted jet
-    # holds only in part; at cap (3, 3) the (2, 2) block is whole
+    # at cap 2 R reads the whole top block, which a contracted jet holds
+    # only in part; at cap 3 the (2, 2) block is whole
     spec = HartogsSpec(type3(2), F(4, 5))
     points = sample_hartogs(spec, 0, 3)
-    P = geometry._normal_potential(spec, points, BidegreeCap(2, 2))[-1]
+    P = geometry._normal_potential(spec, points, 2)[-1]
     with pytest.raises(ValueError, match=r"^R requires a full \(2, 2\) block, got a "
-                                         r"contracted cap \(2, 2\)$"):
+                                         r"contracted cap 2$"):
         curvature_tensor(P, metric_at(P))
     P = geometry._normal_potential(spec, points, FULL_CAP)[-1]
     assert curvature_tensor(P, metric_at(P)).shape == (3,) + (4,) * 4
@@ -857,11 +855,11 @@ def test_curvature_tensor_refuses_a_contracted_cap_2_potential():
 @pytest.mark.parametrize("base", [type1(1, 2), type4(5), type3(2)], ids=lambda b: b.label())
 def test_cap_4_reports_equal_cap_3_reports(base):
     # a report reads the (3, 3) block at the jet's own row width, so a
-    # cap-(4, 4) potential gives the cap-(3, 3) report to the bit: full
-    # jets in the metric-normal frame and in (z, w) (not on type3(2),
-    # whose (z, w) Delta k raises on its imaginary residue), and the
-    # contracted one, which holds every (3, 3) coefficient. Below cap
-    # (3, 3) there is no Delta k, and the report is refused
+    # cap-4 potential gives the cap-3 report to the bit: full jets in the
+    # metric-normal frame and in (z, w) (not on type3(2), whose (z, w)
+    # Delta k raises on its imaginary residue), and the contracted one,
+    # which holds every (3, 3) coefficient. Below cap 3 there is no
+    # Delta k, and the report is refused
     for mu in (1, F(4, 5)):
         spec = HartogsSpec(base, mu)
         point = _stack(origin_fiber_points(spec, [0.0, 0.3]) + sample_hartogs(spec, 0, 2))
@@ -869,13 +867,12 @@ def test_cap_4_reports_equal_cap_3_reports(base):
         runs = [(frame, False), (frame, True)] + [(None, False)] * (base.kind != "type3")
         for frame, flag in runs:
             want, got = (curvature_report_from_potential(hartogs_potential_jet(
-                spec, point, (c, c), frame, contracted=flag and c == 4)) for c in (3, 4))
+                spec, point, c, frame, contracted=flag and c == 4)) for c in (3, 4))
             assert np.array_equal(got.metric.g_inv, want.metric.g_inv)
             for key in ("R", "Ric", "k", "norm_R_sq", "norm_Ric_sq", "lap_k", "a2"):
                 assert np.array_equal(getattr(got, key), getattr(want, key)), (key, flag)
-    with pytest.raises(ValueError, match=r"^report requires cap >= \(3, 3\), "
-                                         r"got \(2, 2\)$"):
-        curvature_report_from_potential(hartogs_potential_jet(spec, point, (2, 2)))
+    with pytest.raises(ValueError, match=r"^report requires cap >= 3, got 2$"):
+        curvature_report_from_potential(hartogs_potential_jet(spec, point, 2))
 
 
 def test_empty_point_lists_give_empty_lists():
@@ -941,7 +938,7 @@ def test_contracted_potential_refuses_a_raw_frame():
     # that does not normalize g, the guard refuses it at both caps
     spec = HartogsSpec(type1(1, 2), F(4, 5))
     point = _stack(sample_hartogs(spec, 0, 3))
-    for cap in ((2, 2), (3, 3)):
+    for cap in (2, 3):
         with pytest.raises(ValueError, match=r"^frame at point 0: metric-normal "
                                              r"residual max \|g - I\| = .* exceeds 1e-08$"):
             hartogs_potential_jet(spec, point, cap, contracted=True)
@@ -965,11 +962,47 @@ def test_metric_refuses_a_non_finite_matrix():
             geometry._cholesky(np.stack(pair).astype(complex), "metric")
 
 
+def test_metric_names_the_first_point_that_is_not_positive_definite(monkeypatch):
+    # three cap-1 jets in 2 variables with (1, 1) blocks I, diag(1, -0.1)
+    # and diag(1, -5): point 1 fails first, though point 2 has the least
+    # eigenvalue
+    data = np.zeros((3, 3, 3), complex)
+    data[:, 0, 0] = 1.0
+    for k, low in enumerate((1.0, -0.1, -5.0)):
+        data[k, 1:, 1:] = np.diag([low, 1.0])  # the basis holds x_2 before x_1
+    assert metric_at(Jet(2, 1, data[:1].copy())).g.shape == (1, 2, 2)
+    with pytest.raises(ValueError, match="^metric at point 1: metric is not positive"):
+        metric_at(Jet(2, 1, data))
+    # where numpy's factorization fails on positive eigenvalues, the point
+    # with the least one is named
+    g = np.stack([np.eye(2), np.diag([1.0, 0.5]), np.diag([1.0, 0.1])]).astype(complex)
+
+    def refuse(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(geometry.np.linalg, "cholesky", refuse)
+    with pytest.raises(ValueError, match="^frame at point 2: metric is not positive"):
+        geometry._cholesky(g, "frame")
+
+
+def test_potential_refuses_a_frame_of_another_shape():
+    # the frame is (d + 1, d + 1) per point; any other shape is refused by
+    # the potential stage with the shape, before anything is built
+    spec = HartogsSpec(type1(1, 2), 1)
+    point = HartogsPoint((0.1, 0.2j), 0.3)
+    for shape in ((2, 2), (4, 4), (2, 3, 4), (3,)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"potential: the frame must be (3, 3) per point, got shape {shape}")):
+            hartogs_potential_jet(spec, point, 3, np.ones(shape))
+    assert hartogs_potential_jet(spec, point, 3, np.eye(3)).data.shape == (20, 20)
+
+
 @pytest.mark.parametrize("mu", [1, F(4, 5)], ids=["mu1", "mu4_5"])
 def test_potential_refuses_an_unequal_cap(mu):
-    # checked before anything is built, with or without the power
+    # a cap is one integer for both characters: a bidegree is refused
+    # before anything is built, with or without the power
     spec = HartogsSpec(type1(1, 2), mu)
-    with pytest.raises(ValueError, match=r"^potential requires a square cap, "
+    with pytest.raises(ValueError, match=r"^a cap is an integer in 0\.\.6, "
                                          r"got \(3, 2\)$"):
         hartogs_potential_jet(spec, _origin(spec), (3, 2))
 

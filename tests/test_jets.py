@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import warnings
 from itertools import permutations, product
 
@@ -9,13 +10,13 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import (add, coefficient, constant_term, jet_constant, jet_variable,
-                     mul, sub)
+from helpers import (RefJet, add, coefficient, constant_term, jet_constant,
+                     jet_variable, mul, reference, sub, to_engine)
 from hartogslab import geometry, jets
 from hartogslab.domains import generic_norm_jet, type1, type2, type3, type4
-from hartogslab.geometry import HartogsSpec, sample_hartogs
-from hartogslab.jets import (MAX_DEGREE, BidegreeCap, Jet, basis_exponents,
-                             jet_log, jet_real_power)
+from hartogslab.geometry import (HartogsPoint, HartogsSpec, bergman_potential_jet,
+                                 hartogs_potential_jet, sample_hartogs)
+from hartogslab.jets import MAX_DEGREE, Jet, basis_exponents, jet_log, jet_real_power
 
 
 def jet_from_dict(coeffs, m, cap):
@@ -34,8 +35,8 @@ def jet_from_dict(coeffs, m, cap):
 
 
 def dict_from_jet(j):
-    hb = basis_exponents(j.num_vars, j.cap.holo)
-    ab = basis_exponents(j.num_vars, j.cap.anti)
+    hb = basis_exponents(j.num_vars, j.cap[0])
+    ab = basis_exponents(j.num_vars, j.cap[1])
     return {(hb[i], ab[k]): complex(j.data[i, k])
             for i, k in zip(*np.nonzero(j.data))}
 
@@ -84,7 +85,7 @@ def test_index_tables_match_enumeration(m):
 
 
 def test_constant_and_variable_basics():
-    cap = BidegreeCap(2, 2)
+    cap = (2, 2)
     c = jet_constant(3.5 - 1j, 2, cap)
     assert constant_term(c) == 3.5 - 1j
     z0 = jet_variable(0, 2, cap)
@@ -98,9 +99,56 @@ def test_constant_and_variable_basics():
         jet_variable(2, 2, cap)
 
 
+def _cap_readers():
+    """Each function that reads a cap, as a function of the cap alone."""
+    base, size = type1(1, 2), len(basis_exponents(2, 2))
+    spec, point = HartogsSpec(base, 0.8), HartogsPoint((0.1, 0.2j), 0.3)
+    return {"Jet": lambda c: Jet(2, c, np.eye(size, dtype=complex)),
+            "generic_norm_jet": lambda c: generic_norm_jet(base, (0.1, 0.2), c),
+            "hartogs_potential_jet": lambda c: hartogs_potential_jet(spec, point, c),
+            "bergman_potential_jet": lambda c: bergman_potential_jet(base, (0.1, 0.2), c)}
+
+
+@pytest.mark.parametrize("reader", list(_cap_readers()))
+def test_a_cap_is_one_integer(reader):
+    # one integer bounds both characters: an int or a numpy integer is
+    # read as the same int; a bidegree, a float, a negative cap and one
+    # above MAX_DEGREE are refused with the value named
+    read = _cap_readers()[reader]
+    built = [read(c) for c in (2, np.int64(2), np.int32(2))]
+    assert all(type(j.cap) is int and j.cap == 2 for j in built)
+    assert all(np.array_equal(j.data, built[0].data) for j in built)
+    for bad in ((3, 3), (2, 1), 2.5, -1, MAX_DEGREE + 1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a cap is an integer in 0..{MAX_DEGREE}, got {bad!r}")):
+            read(bad)
+
+
+def test_one_pass_rule(monkeypatch):
+    # the recurrences' plans and _one_block size their passes by one rule
+    # in jets; one point per pass gives the same bits
+    assert not hasattr(geometry, "_CHUNK")
+    chunk = jets._CHUNK
+    assert [jets._points_per_pass(w) for w in (1, 3, chunk, 2 * chunk)] == \
+        [chunk, chunk // 3, 1, 1]
+    spec = HartogsSpec(type1(2, 3), 0.8)
+    points = sample_hartogs(spec, 0, 9)
+    P = geometry._normal_potential(spec, points, 3)[-1]
+    X = np.linalg.inv(P.partials(1, 1))
+    calls, rule = [], jets._points_per_pass
+    monkeypatch.setattr(geometry, "_points_per_pass",
+                        lambda w: calls.append(rule(w)) or rule(w))
+    whole = geometry._one_block(P, X)
+    assert calls == [8]  # 2 passes over the contracted jet's 1,260 pairs
+    monkeypatch.setattr(jets, "_CHUNK", 7)
+    assert geometry._one_block(P, X).tobytes() == whole.tobytes()
+    assert calls[-1] == 1
+
+
 def test_cap_exceeding_max_degree_rejected():
+    size = len(basis_exponents(1, MAX_DEGREE + 1))
     with pytest.raises(ValueError):
-        jet_constant(1.0, 1, (MAX_DEGREE + 1, 0))
+        Jet(1, MAX_DEGREE + 1, np.zeros((size, size), complex))
 
 
 def test_multiplication_matches_reference_convolution():
@@ -133,22 +181,22 @@ def test_truncation_is_a_ring_quotient():
     rng = random.Random(11)
     big = (3, 3)
     nh, na = len(basis_exponents(2, 1)), len(basis_exponents(2, 2))
-    small = BidegreeCap(1, 2)
+    small = (1, 2)
     for _ in range(10):
         ja = jet_from_dict(random_dict(rng, 2, big), 2, big)
         jb = jet_from_dict(random_dict(rng, 2, big), 2, big)
         lhs = mul(ja, jb).data[:nh, :na]
-        rhs = mul(Jet(2, small, ja.data[:nh, :na].copy()),
-                  Jet(2, small, jb.data[:nh, :na].copy()))
+        rhs = mul(RefJet(2, small, ja.data[:nh, :na].copy()),
+                  RefJet(2, small, jb.data[:nh, :na].copy()))
         assert np.array_equal(lhs, rhs.data)
 
 
 def test_partial_includes_factorials():
-    cap = (3, 2)
-    z = jet_variable(0, 1, cap)
-    zb = jet_variable(0, 1, cap, anti=True)
-    j = 5.0 * mul(z, z, z, zb)
-    assert coefficient(j, (3,), (1,)) == 5.0
+    # the engine jet at cap 3 = max(3, 2), read at (3, 2) in the reference
+    z = jet_variable(0, 1, (3, 3))
+    zb = jet_variable(0, 1, (3, 3), anti=True)
+    j = to_engine(5.0 * mul(z, z, z, zb))
+    assert coefficient(reference(j, (3, 2)), (3,), (1,)) == 5.0
     assert j.partials(3, 1)[0, 0, 0, 0] == 5.0 * 6.0
     with pytest.raises(ValueError):
         j.partials(4, 0)
@@ -161,8 +209,12 @@ def _exponent_of(idx, m):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("cap", [(3, 3), (2, 1)])
 def test_partials_gather_every_partial(m, cap):
+    # the engine jet at cap c = max(cap) of a series with bidegree <= cap,
+    # its partials of orders up to cap against the reference's coefficients
     rng = random.Random(13 * m + cap[1])
-    j = jet_from_dict(random_dict(rng, m, cap, terms=12), m, cap)
+    series, c = random_dict(rng, m, cap, terms=12), max(cap)
+    j = to_engine(jet_from_dict(series, m, (c, c)))
+    ref = jet_from_dict(series, m, cap)
     for p in range(cap[0] + 1):
         for q in range(cap[1] + 1):
             t = j.partials(p, q)
@@ -170,21 +222,21 @@ def test_partials_gather_every_partial(m, cap):
             for idx in np.ndindex(*t.shape):
                 h, a = _exponent_of(idx[:p], m), _exponent_of(idx[p:], m)
                 weight = np.prod([math.factorial(e) for e in h + a])
-                assert t[idx] == coefficient(j, h, a) * weight
+                assert t[idx] == coefficient(ref, h, a) * weight
                 for hp in permutations(idx[:p]):
                     for ap in permutations(idx[p:]):
                         assert t[hp + ap] == t[idx]
     with pytest.raises(ValueError):
-        j.partials(cap[0] + 1, 0)
+        j.partials(c + 1, 0)
     with pytest.raises(ValueError):
-        j.partials(0, cap[1] + 1)
+        j.partials(0, c + 1)
 
 
 def test_partials_carry_factorials():
     cap = (3, 3)
     z0 = jet_variable(0, 2, cap)
     zb0 = jet_variable(0, 2, cap, anti=True)
-    t = mul(z0, z0, zb0, zb0, zb0).partials(2, 3)
+    t = to_engine(mul(z0, z0, zb0, zb0, zb0)).partials(2, 3)
     assert t[0, 0, 0, 0, 0] == 2 * 6
     assert np.count_nonzero(t) == 1
 
@@ -197,7 +249,7 @@ def test_derivative_jet_shifts_and_scales():
     zb = jet_variable(0, 2, cap, anti=True)
     j = add(mul(z, z, w, zb, zb), 3.0 * mul(w, zb))  # z0^2 z1 zb0^2 + 3 z1 zb0
     both = helpers.derivative_jet(j, 0, 0)
-    assert both.cap == BidegreeCap(2, 1)
+    assert both.cap == (2, 1)
     assert dict_from_jet(both) == {((1, 1), (1, 0)): 4.0}  # 4 z0 z1 zb0
     assert dict_from_jet(helpers.derivative_jet(j, 1, 0)) == {
         ((2, 0), (1, 0)): 2.0, ((0, 0), (0, 0)): 3.0}
@@ -216,15 +268,15 @@ def test_incompatible_jets_rejected():
 def test_jets_multiply_by_numbers_only():
     # no report multiplies two jets, so the engine defines no jet product
     # (the reference product is helpers.mul); scaling by a number stays
-    z = jet_variable(0, 1, (2, 2))
-    zb = jet_variable(0, 1, (2, 2), anti=True)
+    z = to_engine(jet_variable(0, 1, (2, 2)))
+    zb = to_engine(jet_variable(0, 1, (2, 2), anti=True))
     with pytest.raises(TypeError):
         z * zb
     with pytest.raises(TypeError):
         zb * zb
     for scaled in (z * 2.5, 2.5 * z, z * np.float64(2.5)):
-        assert dict_from_jet(scaled) == {((1,), (0,)): 2.5}
-    assert dict_from_jet(1j * zb) == {((0,), (1,)): 1j}
+        assert dict_from_jet(reference(scaled)) == {((1,), (0,)): 2.5}
+    assert dict_from_jet(reference(1j * zb)) == {((0,), (1,)): 1j}
 
 
 def _random_unit_jet(rng, m, cap):
@@ -242,13 +294,14 @@ def test_log_is_additive_and_power_consistent():
     for _ in range(6):
         a = _random_unit_jet(rng, 2, cap)
         b = _random_unit_jet(rng, 2, cap)
-        lhs = jet_log(mul(a, b))
-        rhs = add(jet_log(a), jet_log(b))
+        A, B = to_engine(a), to_engine(b)
+        lhs = jet_log(to_engine(mul(a, b)))
+        rhs = add(reference(jet_log(A)), reference(jet_log(B)))
         assert np.allclose(lhs.data, rhs.data, atol=1e-12)
-        sq = jet_real_power(a, 0.5)
+        sq = reference(jet_real_power(A, 0.5))
         assert np.allclose(mul(sq, sq).data, a.data, atol=1e-11)
-        assert np.allclose(jet_real_power(a, 2.0).data, mul(a, a).data, atol=1e-11)
-        assert np.allclose(jet_real_power(a, 1.0).data, a.data, atol=1e-12)
+        assert np.allclose(jet_real_power(A, 2.0).data, mul(a, a).data, atol=1e-11)
+        assert np.allclose(jet_real_power(A, 1.0).data, a.data, atol=1e-12)
 
 
 HORNER_CASES = [(m, cap) for m in (1, 2, 3, 7)
@@ -259,15 +312,15 @@ HORNER_CASES = [(m, cap) for m in (1, 2, 3, 7)
                          ids=[f"m{m}-cap{p}{q}" for m, (p, q) in HORNER_CASES])
 @pytest.mark.parametrize("shape", ["dense", "no_last_variable", "degree_two"])
 def test_recurrences_match_horner_composition(m, cap, shape):
-    # a real function's jet at the square cap (c, c), c = max(cap), whose
-    # recurrences, truncated to cap, must match the Horner compositions of
-    # the operand truncated to cap: truncation is a ring quotient map.
+    # a real function's jet at the engine's cap c = max(cap), whose
+    # recurrences, truncated to the bidegree cap, must match the Horner
+    # compositions in the reference ring of the operand truncated to cap:
+    # truncation is a ring quotient map.
     # no_last_variable zeroes every row and column whose monomial contains
     # the last variable, as in the generic norm, which never involves the
     # Hartogs fiber's variable; degree_two zeroes every row and column of
     # degree above 2, as in type 4's generic norm
-    cap = BidegreeCap(*cap)
-    rng = np.random.default_rng(100 * m + 10 * cap.holo + cap.anti)
+    rng = np.random.default_rng(100 * m + 10 * cap[0] + cap[1])
     basis = basis_exponents(m, max(cap))
     X = 0.2 * (rng.normal(size=(len(basis),) * 2) + 1j * rng.normal(size=(len(basis),) * 2))
     data = 0.5 * (X + X.conj().T)  # exactly Hermitian: the sum commutes
@@ -278,27 +331,21 @@ def test_recurrences_match_horner_composition(m, cap, shape):
     if shape == "degree_two":
         data[[sum(e) > 2 for e in basis], :] = 0.0
         data[:, [sum(e) > 2 for e in basis]] = 0.0
-    _assert_recurrences_match_horner(Jet(m, BidegreeCap(max(cap), max(cap)), data), cap)
-
-
-def _truncated(j, cap):
-    """j at the smaller cap: a prefix block of its coefficient array."""
-    rows, cols = (len(basis_exponents(j.num_vars, c)) for c in cap)
-    return Jet(j.num_vars, cap, j.data[..., :rows, :cols].copy())
+    _assert_recurrences_match_horner(Jet(m, max(cap), data), cap)
 
 
 def _assert_recurrences_match_horner(a, cap=None):
-    """log and three real powers of a, each exactly Hermitian, against their
-    Horner compositions; with cap, the results truncated to cap against the
+    """log and three real powers of the engine jet a, each exactly
+    Hermitian, against their Horner compositions in the reference ring;
+    with a bidegree cap, the results truncated to cap against the
     compositions of a truncated to cap."""
-    cap = a.cap if cap is None else cap
-    cut = _truncated(a, cap)
+    cut = reference(a, cap)
     pairs = [(jet_log(a), helpers.horner_log(cut))]
     pairs += [(jet_real_power(a, mu), helpers.horner_real_power(cut, mu))
               for mu in (0.5, 0.8, 3.0)]
     for got, want in pairs:
         assert _hermitian(got.data)
-        got = _truncated(got, cap)
+        got = reference(got, cap)
         assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
 
 
@@ -312,19 +359,19 @@ def _random_hermitian_jet(m, c):
     X = 0.2 * (rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
     data = X + X.conj().T  # exactly Hermitian: the sum commutes
     data[0, 0] = 2.0
-    return Jet(m, BidegreeCap(c, c), data)
+    return Jet(m, c, data)
 
 
 def _norm_and_potential_jets(spec, point, monkeypatch):
     """N and I = N^mu - |w|^2 at point, as a report builds them: in its
-    metric-normal frame, at cap (3, 3)."""
+    metric-normal frame, at cap 3."""
     frame = geometry._normal_frame(spec, point)[0]
     d = spec.base.d
-    N = generic_norm_jet(spec.base, point.base, (3, 3), jacobian=frame[:d, :d])
+    N = generic_norm_jet(spec.base, point.base, 3, jacobian=frame[:d, :d])
     logs = []
     monkeypatch.setattr(geometry, "jet_log", lambda a, *scale, **kw:
                         logs.append(a) or jet_log(a, *scale, **kw))
-    geometry.hartogs_potential_jet(spec, point, (3, 3), frame)
+    geometry.hartogs_potential_jet(spec, point, 3, frame)
     return N, logs[0]
 
 
@@ -372,7 +419,7 @@ def test_recurrences_on_operands_with_exact_zeros_match_horner(base, t, monkeypa
     if base is None:
         data = _random_hermitian_jet(3, 3).data.copy()
         data[2, 5] = data[5, 2] = 0.0
-        operands = [Jet(3, BidegreeCap(3, 3), data)]
+        operands = [Jet(3, 3, data)]
     else:
         spec = HartogsSpec(base, 0.8)
         point = geometry.origin_fiber_points(spec, [t])[0]
@@ -394,7 +441,7 @@ def test_recurrences_on_operands_with_exact_zeros_match_horner(base, t, monkeypa
 def test_chunked_pair_tables_give_the_same_jets(monkeypatch):
     # a chunk ends only where a destination's segment does, and no chunk is
     # a single pair, so every coefficient is the same sum in the same order
-    cap = BidegreeCap(3, 3)
+    cap = 3
     cases = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -425,21 +472,20 @@ def _table_pairs(plan):
 
 
 def _box_key(m, cap, top):
-    """The pair-table key of an operand that holds every coefficient up to
-    holomorphic degree top[0] and antiholomorphic degree top[1]."""
-    held = np.logical_and.outer(*(jets._degrees(m, c) <= t for c, t in zip(cap, top)))
-    return jets._patterns(held.reshape(1, -1))[0]
+    """The pair-table key of an operand at cap cap that holds every
+    coefficient up to degree top in each character."""
+    held = jets._degrees(m, cap) <= top
+    return jets._patterns(np.logical_and.outer(held, held).reshape(1, -1))[0]
 
 
-UPPER_TABLES = [(7, (3, 3), (3, 3), 218_827), (2, (3, 3), (3, 3), 577),
-                (7, (2, 2), (2, 2), 6_083), (6, (3, 3), (1, 1), 28_554)]
+UPPER_TABLES = [(7, 3, 3, 218_827), (2, 3, 3, 577), (7, 2, 2, 6_083), (6, 3, 1, 28_554)]
 
 
-@pytest.mark.parametrize("m,cap,top,count", UPPER_TABLES)
+@pytest.mark.parametrize("m,cap,top,count", UPPER_TABLES, ids=[
+    f"{m}-cap{i}-top{i}-{count}" for i, (m, _, _, count) in enumerate(UPPER_TABLES)])
 def test_graded_tables_hold_no_constant_factor_pairs(m, cap, top, count):
     # a recurrence takes a constant factor's term into its init, so its
     # table pairs only non-constant factors
-    cap = BidegreeCap(*cap)
     graded = jets._pairs(m, cap, _box_key(m, cap, top), False)
     assert _table_pairs(graded) == count
     support, _, _, _, degrees = graded
@@ -521,8 +567,8 @@ def test_contracted_tables_keep_the_pinned_counts():
     # destinations (on or above the diagonal in the table, all 84^2 in the
     # mask and in _one_block's read), and the cap-(2, 2) table; the lower
     # degrees' chunks are the full table's, array for array
-    key3, key2 = (_box_key(7, cap, cap) for cap in (BidegreeCap(3, 3), BidegreeCap(2, 2)))
-    full, part = (jets._pairs(7, BidegreeCap(3, 3), key3, flag) for flag in (False, True))
+    key3, key2 = (_box_key(7, cap, cap) for cap in (3, 2))
+    full, part = (jets._pairs(7, 3, key3, flag) for flag in (False, True))
     top = [[sum(len(chunk[i]) for chunk in dict(t[4])[6]) for i in (0, 3)]
            for t in (full, part)]
     assert top == [[151_592, 3_570], [31_584, 672]]
@@ -537,7 +583,7 @@ def test_contracted_tables_keep_the_pinned_counts():
     assert jets._contracted_mask(7, 3).reshape(120, 120)[lo:, lo:].sum() == 1_260
     assert [geometry._permanent_index(7, 3, flag)[2].size for flag in (False, True)] == \
         [7_056, 1_260]
-    assert [_table_pairs(jets._pairs(7, BidegreeCap(2, 2), key2, flag))
+    assert [_table_pairs(jets._pairs(7, 2, key2, flag))
             for flag in (False, True)] == [6_083, 3_416]
 
 
@@ -553,7 +599,7 @@ def test_recurrences_on_rank_one_jets_match_horner(m, hermitian):
     block = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     data[1:m + 1, 1:m + 1] = 0.2 * (block + block.conj().T if hermitian else block)
     data[0, 0] = 2.0
-    a = Jet(m, BidegreeCap(3, 3), data)
+    a = Jet(m, 3, data)
     held = np.zeros((size, size), dtype=bool)
     held[0, 0] = held[1:m + 1, 1:m + 1] = True
     assert jets._patterns(a.data.reshape(1, -1)) == jets._patterns(held.reshape(1, -1))
@@ -568,9 +614,7 @@ def test_recurrences_on_rank_one_jets_match_horner(m, hermitian):
 
 def test_log_and_power_guards():
     cap = (1, 1)
-    zero = jet_constant(0.0, 1, cap)
-    neg = jet_constant(-2.0, 1, cap)
-    imag = jet_constant(1j, 1, cap)
+    zero, neg, imag = (to_engine(jet_constant(c, 1, cap)) for c in (0.0, -2.0, 1j))
     with pytest.raises(ValueError):
         jet_log(zero)
     with pytest.raises(ValueError):
@@ -581,7 +625,7 @@ def test_log_and_power_guards():
         jet_real_power(imag, 0.5)
     for mu in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="requires 0 < mu < inf"):
-            jet_real_power(jet_constant(1.0, 1, cap), mu)
+            jet_real_power(to_engine(jet_constant(1.0, 1, cap)), mu)
 
 
 @pytest.mark.parametrize("c", [float("nan"), complex(float("nan"), 0.0),
@@ -593,9 +637,8 @@ def test_log_and_power_guards():
                          ids=["log", "power"])
 def test_log_and_power_reject_non_finite_constant_terms(c, f, stage):
     # point 0 is valid, so the error must name point 1
-    cap = BidegreeCap(1, 1)
-    good, bad = jet_constant(1.0, 1, cap), jet_constant(c, 1, cap)
-    a = Jet(1, cap, np.stack([good.data, bad.data]))
+    good, bad = jet_constant(1.0, 1, (1, 1)), jet_constant(c, 1, (1, 1))
+    a = Jet(1, 1, np.stack([good.data, bad.data]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{stage} at point 1: "):
@@ -606,10 +649,9 @@ def test_log_rejects_a_complex_constant_term():
     # log and power share one guard: an exactly Hermitian coefficient
     # array, whose constant term is then real, so the log takes no complex
     # one
-    cap = BidegreeCap(1, 1)
-    good, bad = jet_constant(1.0, 1, cap), jet_constant(1 + 1j, 1, cap)
+    good, bad = jet_constant(1.0, 1, (1, 1)), jet_constant(1 + 1j, 1, (1, 1))
     with pytest.raises(ValueError, match="^jet_log at point 1: "):
-        jet_log(Jet(1, cap, np.stack([good.data, bad.data])))
+        jet_log(Jet(1, 1, np.stack([good.data, bad.data])))
 
 
 def test_cofactor_det_on_constants_matches_numpy():
@@ -655,7 +697,7 @@ STACK_RECURRENCES = [jet_log, lambda a: jet_real_power(a, 0.8),
 def test_stacked_recurrences_match_per_jet_calls(m, monkeypatch):
     # one table and one pass per _CHUNK of pairs times points for the
     # whole stack: every point keeps its own sums
-    cap, tables = BidegreeCap(3, 3), []
+    cap, tables = 3, []
     pairs = jets._pairs
     monkeypatch.setattr(jets, "_pairs",
                         lambda *args: tables.append(args) or pairs(*args))
@@ -683,7 +725,7 @@ def test_interleaved_patterns_match_per_jet_calls(contracted, monkeypatch):
     # and 2 share a table but no run of consecutive rows, so each of the
     # three runs in place on its own row and keeps the bits of its batch of
     # one
-    cap, stack = BidegreeCap(3, 3), _hermitian_stack(3, 3)
+    cap, stack = 3, _hermitian_stack(3, 3)
     stack[1, 2, 5] = stack[1, 5, 2] = 0.0
     calls, _ = _spy_tables(monkeypatch)
     for f in (jet_log, lambda a: jet_real_power(a, 0.8)):
@@ -702,7 +744,7 @@ def test_operands_that_differ_only_at_the_top_degree_share_a_table():
     # cap), so the table's key leaves those bits out: an operand with its
     # top block zeroed, as a contracted power leaves its dropped entries,
     # reads the full operand's table, and both keep their batch-of-one bits
-    cap, stack = BidegreeCap(3, 3), _hermitian_stack(3, 2)
+    cap, stack = 3, _hermitian_stack(3, 2)
     top = jets._total_degrees(3, cap).reshape(stack.shape[1:]) == 6
     stack[1][top] = 0.0
     jets._pairs.cache_clear()
@@ -719,14 +761,14 @@ def test_operands_that_differ_only_at_the_top_degree_share_a_table():
 
 def test_stacked_jets_keep_their_batch_axes():
     data = _hermitian_stack(2, 6).reshape(2, 3, 10, 10)
-    a = Jet(2, BidegreeCap(3, 3), data)
+    a = Jet(2, 3, data)
     assert constant_term(a).tolist() == [[2.0, 3.0, 4.0], [5.0, 6.0, 7.0]]
     assert a.partials(2, 1).shape == (2, 3, 2, 2, 2)
     assert np.array_equal(a.partials(1, 1)[1, 2],
-                          Jet(2, BidegreeCap(3, 3), data[1, 2].copy()).partials(1, 1))
+                          Jet(2, 3, data[1, 2].copy()).partials(1, 1))
     assert jet_log(a).data.shape == data.shape
     assert np.array_equal(jet_log(a).data[1, 0], jet_log(Jet(2, a.cap, data[1, 0].copy())).data)
-    b = add(a, 1.0)
+    b = add(reference(a), 1.0)
     assert constant_term(b).tolist() == [[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]
     bad = data.copy()
     bad[1, 1, 0, 0] = -1.0
@@ -739,14 +781,6 @@ def test_stacked_jets_keep_their_batch_axes():
 STAGES = list(zip(STACK_RECURRENCES, ["jet_log", "jet_real_power", "jet_real_power"]))
 
 
-@pytest.mark.parametrize("f,stage", STAGES, ids=["log", "power-0.8", "power-3"])
-def test_recurrences_refuse_an_unequal_cap(f, stage):
-    # a real function's jet has a square cap; no point is named
-    a = jet_constant(1.0, 2, (2, 1))
-    with pytest.raises(ValueError, match=rf"^{stage} requires a square cap, got \(2, 1\)$"):
-        f(a)
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("f,stage", STAGES, ids=["log", "power-0.8", "power-3"])
 def test_recurrences_refuse_a_point_off_hermitian(f, stage, m):
@@ -755,4 +789,4 @@ def test_recurrences_refuse_a_point_off_hermitian(f, stage, m):
     data = _hermitian_stack(m, 3)
     data[1, 1, 2] += 1e-3
     with pytest.raises(ValueError, match=f"^{stage} at point 1: requires an exactly Hermitian"):
-        f(Jet(m, BidegreeCap(3, 3), data))
+        f(Jet(m, 3, data))
