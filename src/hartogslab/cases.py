@@ -12,9 +12,9 @@ genus^4 * baseR2 is an integer for every irreducible bounded symmetric domain
 while genus^4 * 2d/(d+1) fails to be one.
 
 Everything in this module is exact integer or Fraction arithmetic, with no
-floating point anywhere. Case 1 alone runs in int64 arrays: its scan, which is
-exact for n_max <= CASE1_N_MAX = 55,108 (above that bound it refuses to run),
-and its certificate on a fixed 80 x 80 grid.
+floating point anywhere. Case 1 alone runs in int64 arrays: its scan, exact
+for n_max <= CASE1_N_MAX = 55,108 (it refuses a larger n_max), and its
+certificate on a fixed 80 x 80 grid. Cases 2-4 scan whole arrays of Python ints.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class CaseVerdict:
 
     def to_json_dict(self) -> dict:
         # shallow: dataclasses.asdict deep-copies case 1's survivor pairs,
-        # about 5 ms of a 35 ms case analysis at n_max = 2000
+        # about 5 ms of a 21 ms case-analysis command at n_max = 2000
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -168,7 +168,8 @@ def _certify_polynomial(case_id: int, poly, factors, lo: int, n_max: int,
                 raise RuntimeError(f"case {case_id}: unexpected factor root")
             evidence["quartic_integer_root_check"] = {
                 "factor": f, "candidates": cands, "all_nonzero": True}
-    roots = [n for n in range(lo, n_max + 1) if _poly_eval(poly, n) == 0]
+    ns = np.arange(lo, n_max + 1).astype(object)  # Python ints: exact
+    roots = ns[_poly_eval(poly, ns) == 0].tolist()
     return evidence, roots, all(r < lo for r in evidence["linear_factor_roots"])
 
 
@@ -257,7 +258,7 @@ def _case1(n_max: int) -> CaseVerdict:
 
     Every pair 1 <= m <= n <= n_max is evaluated exactly, one row of fixed m
     at a time as an int64 array: n_max(n_max+1)/2 pairs in O(n_max^2) work,
-    about 30 ms at n_max = 2000 on a 2-core Xeon. int64 holds (mn+1)^2
+    about 17 ms at n_max = 2000 on a 2-core Xeon. int64 holds (mn+1)^2
     exactly only for n_max <= CASE1_N_MAX, so a larger n_max raises
     ValueError."""
     if n_max > CASE1_N_MAX:

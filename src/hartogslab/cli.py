@@ -13,6 +13,7 @@ handler takes the parsed namespace.
 
 All output is deterministic for a fixed argument vector: reports embed the
 domain spec, mu, seed, tolerances and package version, never timestamps.
+JSON is one line with sorted keys and the ", " and ": " separators.
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage error (a bad
 or out-of-range option value, or an --out path that cannot be written).
 An exit-1 error line names the failing stage and point, then the command
@@ -124,13 +125,25 @@ def _rel_err(value, target):
     return abs(value - target) / scale
 
 
+def _non_finite(obj, path=""):
+    """(value, key path) of obj's first nan or infinity in sorted-key order."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return obj, path[1:]
+    items = (sorted(obj.items()) if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, (list, tuple)) else ())
+    return next(filter(None, (_non_finite(v, f"{path}.{k}") for k, v in items)), None)
+
+
 def _finish(args, obj, header, rows):
     """Write obj as JSON, or header and rows as CSV, to --out or stdout; the
-    exit code is 0 when obj["status"] is "ok", else 1. JSON has no nan or
-    infinity: a document that holds one raises ValueError, and nothing is
-    written."""
+    exit code is 0 when obj["status"] is "ok", else 1. JSON refuses nan and
+    infinity: ValueError names the first one, and nothing is written."""
     if args.format == "json":
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        try:
+            text = json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            raise ValueError("Out of range float values are not JSON compliant: "
+                             "%r at %s" % _non_finite(obj)) from None
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -89,6 +89,39 @@ def test_case4_scan():
     assert "no admissible integer solution" in v.conclusion
 
 
+def test_root_scan_is_exact_past_int64():
+    # (n - 40000) n^4 (n + 1) passes 2^63 early in [2, 50000]; in int64 it
+    # would wrap, and n = 2^15 would read as a root (p(2^15) is 0 mod 2^64)
+    factors = [[-40000, 1], [0, 1], [0, 1], [0, 1], [0, 1], [1, 1]]
+    poly = cases._expand_factors(factors)
+    assert cases._poly_eval(poly, 50000) > 3 * 10 ** 27
+    assert cases._poly_eval(poly, 2 ** 15) % 2 ** 64 == 0
+    _, roots, complete = cases._certify_polynomial(0, poly, factors, 2, 50000)
+    assert roots == [40000] and type(roots[0]) is int
+    assert not complete
+
+
+@pytest.mark.parametrize("n_max", [5, 97, 2000])
+@pytest.mark.parametrize("case_id", [2, 3, 4])
+def test_root_scan_matches_scalar_scan(case_id, n_max):
+    # the whole-array scan against a scalar Horner loop, on every case
+    # polynomial (case 3's sextic passes 2^63 before n = 2000)
+    case = cases._CASES[case_id]
+    lo = case["min_n"]
+
+    def scalar_roots(poly):
+        return [n for n in range(lo, n_max + 1) if cases._poly_eval(poly, n) == 0]
+
+    v = integer_root_scan(case_id, n_max)
+    roots = scalar_roots(case["poly"])
+    if "constraint_poly" in case:
+        croots = scalar_roots(case["constraint_poly"])
+        assert v.evidence["closed_form_constraint"]["roots_in_range"] == croots
+        roots += croots
+    assert v.surviving_parameters == roots
+    assert "no admissible integer solution" in v.conclusion
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         integer_root_scan(1, 100)

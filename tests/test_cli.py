@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,10 +167,37 @@ def test_non_finite_values_write_no_json(capsys, tmp_path):
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err.endswith(": inf at identities.laplacian_identity.max_rel_err "
+                        "[verify-lemmas type3(2), mu = 3]\n")
     assert err.count("\n") == 1
     path = tmp_path / "identities.json"
     assert run(capsys, [*argv, "--out", str(path)])[0] == 1
     assert not path.exists()
+
+
+def test_non_finite_names_the_first_in_sorted_key_order():
+    doc = {"b": [1.0, {"y": float("nan")}], "a": {"z": -math.inf, "c": "inf"}}
+    assert cli._non_finite(doc) == (-math.inf, "a.z")
+    value, path = cli._non_finite(doc["b"])
+    assert math.isnan(value) and path == "1.y"
+    assert cli._non_finite({"a": [1, "nan", None, True, (2.0,)]}) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", *DISK, "--samples", "2"],
+    ["verify-lemmas", *DISK, "--samples", "2"],
+    ["scan-a2", *BALL2_HYP, "--samples", "2"],
+    ["appendix-table", "--max-d", "2"],
+    ["case-analysis", "--n-max", "5"],
+])
+def test_json_is_one_line_from_the_c_encoder(capsys, tmp_path, argv):
+    # no indent: json.dumps with indent runs the pure-Python encoder
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, allow_nan=False) + "\n"
+    path = tmp_path / "out.json"
+    assert run(capsys, [*argv, "--out", str(path)])[0] == 0
+    assert path.read_text() == out
 
 
 def test_verify_lemmas_csv(capsys):
