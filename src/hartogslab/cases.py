@@ -12,9 +12,11 @@ genus^4 * baseR2 is an integer for every irreducible bounded symmetric domain
 while genus^4 * 2d/(d+1) fails to be one.
 
 Everything in this module is exact integer or Fraction arithmetic, with no
-floating point anywhere. Case 1 alone runs in int64 arrays: its scan, exact
-for n_max <= CASE1_N_MAX = 55,108 (it refuses a larger n_max), and its
-certificate on a fixed 80 x 80 grid. Cases 2-4 scan whole arrays of Python ints.
+floating point anywhere. Case 1's scan runs in int64 arrays, exact for
+n_max <= CASE1_N_MAX = 55,108 (it refuses a larger n_max); cases 2-4 scan
+whole arrays of Python ints. One int64 routine certifies all four
+reductions: case 1's on a fixed 80 x 80 grid, those of cases 2-4 on
+[lo, lo + 96].
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import type2, type3, type4
-from .oracles import OracleInputs, a2_quadratic_coeffs, appendix_R2_base, type1_R2_parts
+from .domains import FAMILIES
+from .oracles import OracleInputs, R2_parts, a2_quadratic_coeffs
 
 F = Fraction
 
@@ -94,7 +96,6 @@ _CASES = {
     2: {
         "description": "antisymmetric matrices, n >= 4: baseR2 = 2d/(d+1) "
                        "reduces to a quintic in n",
-        "min_n": 4,
         "poly": [0, -6, 5, 5, -5, 1],  # n^5 - 5n^4 + 5n^3 + 5n^2 - 6n
         "factors": [[0, 1], [-1, 1], [-2, 1], [1, 1], [-3, 1]],
     },
@@ -102,7 +103,6 @@ _CASES = {
         "description": "symmetric matrices, n >= 2: baseR2 = 2d/(d+1) clears "
                        "to a sextic in n, which the reduction certificate "
                        "reads; the prescribed quintic is scanned beside it",
-        "min_n": 2,
         # prescribed route (n-1)(n^4 + 22n^3 - 5n^2 + 6n - 64): not the
         # constancy condition, with which it shares only the root n = 1
         "poly": [64, -70, 11, -27, 21, 1],
@@ -116,33 +116,24 @@ _CASES = {
     4: {
         "description": "Lie ball, n >= 5: baseR2 = 2d/(d+1) reduces to a "
                        "quadratic in n",
-        "min_n": 5,
         "poly": [-2, 1, 1],  # n^2 + n - 2
         "factors": [[-1, 1], [2, 1]],
     },
 }
 
 
-_FAMILY = {2: type2, 3: type3, 4: type4}
-
-
-def _certify_reduction(case_id: int, lo: int, hi: int) -> dict:
-    """Pointwise certificate that the case's cleared constancy condition
-    (case 3's constraint_poly, else poly) vanishes over [lo, hi] exactly where
-    the closed-form baseR2 equals 2d/(d+1), compared in integers."""
-    case = _CASES[case_id]
-    poly = case.get("constraint_poly", case["poly"])
-    maker = _FAMILY[case_id]
-    for n in range(lo, hi + 1):
-        dom = maker(n)
-        r = appendix_R2_base(dom)
-        hit = r.numerator * (dom.d + 1) == 2 * dom.d * r.denominator
-        if hit != (_poly_eval(poly, n) == 0):
-            raise RuntimeError(
-                f"case {case_id}: reduction certificate failed at n={n}")
-    return {"range": [lo, hi],
-            "statement": "closed-form baseR2 equals 2d/(d+1) exactly where "
-                         "the constraint polynomial vanishes"}
+def _certify_reduction(case_id: int, cleared, m, n) -> None:
+    """Pointwise certificate over int64 arrays of sizes n (and m, type 1's
+    alone; else None): the closed-form baseR2 = num/den of the case's family
+    equals 2d/(d+1), num (d+1) == 2d den, exactly where cleared, the values
+    of the case's cleared constancy polynomial, is 0."""
+    kind = f"type{case_id}"
+    d = FAMILIES[kind].d(m, n)
+    num, den = R2_parts(kind, m, n)
+    bad = np.flatnonzero((num * (d + 1) == 2 * d * den) != (cleared == 0))
+    if bad.size:
+        at = f"n={n[bad[0]]}" if m is None else f"m={m[bad[0]]}, n={n[bad[0]]}"
+        raise RuntimeError(f"case {case_id}: reduction certificate failed at {at}")
 
 
 def _certify_polynomial(case_id: int, poly, factors, lo: int, n_max: int,
@@ -184,7 +175,7 @@ def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
     if case_id not in _CASES:
         raise ValueError("integer_root_scan handles case ids 2, 3, 4")
     case = _CASES[case_id]
-    lo = case["min_n"]
+    lo = FAMILIES[f"type{case_id}"].least_n
     if n_max < lo:
         raise ValueError(f"n_max must be >= {lo} for case {case_id}")
     poly = case["poly"]
@@ -200,8 +191,14 @@ def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
             n_max, "constraint ")
         complete = complete and ccomplete
         evidence["closed_form_constraint"] = dict(cevidence, roots_in_range=croots)
-    evidence["reduction_certificate"] = _certify_reduction(
-        case_id, lo, min(n_max, lo + 96))
+    hi = min(n_max, lo + 96)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    _certify_reduction(case_id, _poly_eval(case.get("constraint_poly", poly), ns),
+                       None, ns)
+    evidence["reduction_certificate"] = {
+        "range": [lo, hi],
+        "statement": "closed-form baseR2 equals 2d/(d+1) exactly where the "
+                     "constraint polynomial vanishes"}
 
     empty = not roots_in_range and not croots
     conclusion = ("no admissible integer solution; factor roots all lie below "
@@ -277,19 +274,15 @@ def _case1(n_max: int) -> CaseVerdict:
     if [p for p in survivors if p[0] == 1] != ball:
         raise RuntimeError("case 1 scan does not return the ball family m = 1")
     bad = [p for p in survivors if p[0] != 1]
-    # certify the two reductions on a subgrid: the constancy condition on
-    # the closed form that the appendix table and the oracles read,
-    # cross-multiplied in integers, and the factorization identity, on the
-    # pairs 1 <= m <= n <= 80 as int64 arrays: the largest product,
-    # 2mn(mn+1) (mn+1) at m = n = 80, is about 5.2e11
+    # certify the two reductions on a subgrid, the pairs 1 <= m <= n <= 80:
+    # the constancy condition on the closed form that the appendix table and
+    # the oracles read (the largest product, 2mn(mn+1) (mn+1) at m = n = 80,
+    # is about 5.2e11), and the factorization identity
     cert = 80
     mm, nn = np.add(np.triu_indices(cert), 1, dtype=np.int64)
-    d = mm * nn
-    num, den = type1_R2_parts(mm, nn)
-    if ((num * (d + 1) == 2 * d * den) != ((d + 1) ** 2 == (mm + nn) ** 2)).any():
-        raise RuntimeError("case 1 reduction certificate failed")
-    if ((d + 1) ** 2 - (mm + nn) ** 2
-            != (mm - 1) * (nn - 1) * (mm + 1) * (nn + 1)).any():
+    cleared = (mm * nn + 1) ** 2 - (mm + nn) ** 2
+    _certify_reduction(1, cleared, mm, nn)
+    if (cleared != (mm - 1) * (nn - 1) * (mm + 1) * (nn + 1)).any():
         raise RuntimeError("case 1 factorization identity failed")
     evidence = {
         "pairs_checked": checked,

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import __version__
 from .cases import CASE1_N_MAX, classify_all, constancy_constraints
-from .domains import DomainSpec, generic_norm_value, type1, type2, type3, type4
+from .domains import (FAMILIES, DomainSpec, generic_norm_value, type1, type2,
+                      type3, type4)
 from .geometry import (HartogsSpec, base_curvature_report, curvature_reports,
                        origin_fiber_points, sample_hartogs, scalar_curvatures)
 from .oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
@@ -369,8 +370,7 @@ def build_parser():
                         help="refuse bases with d above this (cost guard)")
 
     domain = argparse.ArgumentParser(add_help=False)
-    domain.add_argument("--domain", required=True,
-                        choices=["type1", "type2", "type3", "type4"],
+    domain.add_argument("--domain", required=True, choices=list(FAMILIES),
                         help="classical base domain family")
     domain.add_argument("--m", type=int, help="first size parameter (type1 only)")
     domain.add_argument("--n", type=int, help="size parameter")
@@ -395,8 +395,10 @@ def build_parser():
                            "check closed-form curvature identities by AD")
     p_ver.add_argument("--debug-laplace-scale", type=_finite("--debug-laplace-scale"),
                        default=1.0,
-                       help="negative control: scale the AD Laplacian; any "
-                            "value other than 1 must make the check fail")
+                       help="negative control: scale the AD Laplacian; a "
+                            "value farther from 1 than --tol must make the "
+                            "check fail unless mu = genus/(d+1), where Delta "
+                            "k is 0 on the origin fiber")
     domain_command("scan-a2", cmd_scan_a2, 12, "constancy test and fiber profile of a2")
 
     p_app = sub.add_parser("appendix-table", parents=[checks, output],

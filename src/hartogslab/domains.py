@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -33,7 +34,16 @@ import numpy as np
 
 from .jets import Jet, _affine, _affine_product, _as_cap, _raise_where
 
-_KINDS = ("type1", "type2", "type3", "type4")
+# each family's least n, and its d and genus from the sizes (m, n), in
+# integer arithmetic that runs on ints and on int64 arrays alike; only type1
+# has an m, whose least value is its least n
+Family = namedtuple("Family", "least_n d genus")
+FAMILIES = {
+    "type1": Family(1, lambda m, n: m * n, lambda m, n: m + n),
+    "type2": Family(4, lambda m, n: n * (n - 1) // 2, lambda m, n: 2 * (n - 1)),
+    "type3": Family(2, lambda m, n: n * (n + 1) // 2, lambda m, n: n + 1),
+    "type4": Family(5, lambda m, n: n, lambda m, n: n),
+}
 
 
 @dataclass(frozen=True)
@@ -43,48 +53,31 @@ class DomainSpec:
     n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown domain kind {self.kind!r}; exc5 and exc6 "
                              "appear only in the case analysis")
         try:  # sizes are integers, numpy's too; any other value fails below
             m, n = (x if x is None else operator.index(x) for x in (self.m, self.n))
         except TypeError:
             m = n = 0
+        lo = FAMILIES[self.kind].least_n
         if self.kind == "type1":
-            if m is None or n is None or m < 1 or n < 1:
-                raise ValueError("type1 requires m >= 1 and n >= 1")
+            if m is None or n is None or min(m, n) < lo:
+                raise ValueError(f"type1 requires m >= {lo} and n >= {lo}")
             # transpose biholomorphism; canonical form has m <= n
             m, n = min(m, n), max(m, n)
-        elif self.kind == "type2":
-            if n is None or n < 4 or m is not None:
-                raise ValueError("type2 requires n >= 4 (and no m)")
-        elif self.kind == "type3":
-            if n is None or n < 2 or m is not None:
-                raise ValueError("type3 requires n >= 2 (and no m)")
-        elif n is None or n < 5 or m is not None:  # type4
-            raise ValueError("type4 requires n >= 5 (and no m)")
+        elif n is None or n < lo or m is not None:
+            raise ValueError(f"{self.kind} requires n >= {lo} (and no m)")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
 
     @property
     def d(self) -> int:
-        if self.kind == "type1":
-            return self.m * self.n
-        if self.kind == "type2":
-            return self.n * (self.n - 1) // 2
-        if self.kind == "type3":
-            return self.n * (self.n + 1) // 2
-        return self.n  # type4
+        return FAMILIES[self.kind].d(self.m, self.n)
 
     @property
     def genus(self) -> int:
-        if self.kind == "type1":
-            return self.m + self.n
-        if self.kind == "type2":
-            return 2 * (self.n - 1)
-        if self.kind == "type3":
-            return self.n + 1
-        return self.n  # type4
+        return FAMILIES[self.kind].genus(self.m, self.n)
 
     def label(self) -> str:
         if self.kind == "type1":

@@ -111,11 +111,18 @@ def a2_quadratic_coeffs(inp: OracleInputs):
     return c0, c1, c2
 
 
-def type1_R2_parts(m, n):
-    """The unreduced numerator and denominator (2mn(mn+1), (m+n)^2) of
-    type1(m, n)'s appendix_R2_base, in plain arithmetic: the case analysis
-    reads them on whole int64 arrays."""
-    return 2 * m * n * (m * n + 1), (m + n) ** 2
+def R2_parts(kind: str, m, n):
+    """The unreduced numerator and denominator of the family kind's
+    appendix_R2_base at sizes (m, n), in integer arithmetic that runs on
+    ints and on the case analysis's int64 arrays alike."""
+    if kind == "type1":
+        return 2 * m * n * (m * n + 1), (m + n) ** 2
+    if kind == "type2":
+        # numerator equals n(n-1)(n^2-3n+4), the n -> -n mirror of type3
+        return n * (n + 1) * (n ** 2 - 5 * n + 12) - 16 * n, 4 * (n - 1) ** 2
+    if kind == "type3":
+        return n * (n + 1) * (n ** 2 + 3 * n + 4), 4 * (n + 1) ** 2
+    return 3 * n - 2, n
 
 
 def appendix_R2_base(spec: DomainSpec) -> Fraction:
@@ -125,12 +132,4 @@ def appendix_R2_base(spec: DomainSpec) -> Fraction:
     the jet engine on the full log-det potential, and a direct trace-form
     contraction of the quartic term of the potential (curvature at the origin
     only sees that term)."""
-    n = spec.n
-    if spec.kind == "type1":
-        return F(*type1_R2_parts(spec.m, n))
-    if spec.kind == "type2":
-        # numerator equals n(n-1)(n^2-3n+4), the n -> -n mirror of type3
-        return F(n * (n + 1) * (n ** 2 - 5 * n + 12) - 16 * n, 4 * (n - 1) ** 2)
-    if spec.kind == "type3":
-        return F(n * (n + 1) * (n ** 2 + 3 * n + 4), 4 * (n + 1) ** 2)
-    return F(3 * n - 2, n)
+    return F(*R2_parts(spec.kind, spec.m, spec.n))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -9,7 +10,7 @@ from hartogslab import cases, oracles
 from hartogslab.cases import (CASE1_N_MAX, CaseVerdict, _case1, classify_all,
                               constancy_constraints, exceptional_integrality,
                               integer_root_scan)
-from hartogslab.domains import type1
+from hartogslab.domains import FAMILIES, DomainSpec, type1
 from hartogslab.oracles import OracleInputs, a2_quadratic_coeffs
 
 
@@ -107,7 +108,7 @@ def test_root_scan_matches_scalar_scan(case_id, n_max):
     # the whole-array scan against a scalar Horner loop, on every case
     # polynomial (case 3's sextic passes 2^63 before n = 2000)
     case = cases._CASES[case_id]
-    lo = case["min_n"]
+    lo = FAMILIES[f"type{case_id}"].least_n
 
     def scalar_roots(poly):
         return [n for n in range(lo, n_max + 1) if cases._poly_eval(poly, n) == 0]
@@ -227,16 +228,45 @@ def test_rank_one_survivors_match_ball_constraint():
 def test_case1_certificate_reads_the_catalog_closed_form(monkeypatch):
     # case 1 certifies its reduction on type 1's |R|^2(0) as the oracles
     # and the appendix table state it, so a wrong closed form fails there
-    assert cases.type1_R2_parts is oracles.type1_R2_parts
-    assert oracles.appendix_R2_base(type1(2, 3)) == F(*oracles.type1_R2_parts(2, 3))
+    assert cases.R2_parts is oracles.R2_parts
+    assert oracles.appendix_R2_base(type1(2, 3)) == F(*oracles.R2_parts("type1", 2, 3))
 
-    def shifted(m, n):  # the closed form plus 1e-6
-        num, den = oracles.type1_R2_parts(m, n)
+    def shifted(kind, m, n):  # the closed form plus 1e-6
+        num, den = oracles.R2_parts(kind, m, n)
         return num * 10 ** 6 + den, den * 10 ** 6
 
-    monkeypatch.setattr(cases, "type1_R2_parts", shifted)
-    with pytest.raises(RuntimeError, match="case 1 reduction certificate failed"):
+    monkeypatch.setattr(cases, "R2_parts", shifted)
+    with pytest.raises(RuntimeError,
+                       match=r"^case 1: reduction certificate failed at m=1, n=1$"):
         _case1(60)
+
+
+# the sizes of each family's reduction certificate: case 1's 80 x 80 grid of
+# pairs m <= n, and [lo, lo + 96] for cases 2-4
+_CERTIFICATE_SIZES = {
+    "type1": tuple(np.add(np.triu_indices(80), 1, dtype=np.int64)),
+    **{kind: (None, np.arange(f.least_n, f.least_n + 97, dtype=np.int64))
+       for kind, f in FAMILIES.items() if kind != "type1"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_closed_form_parts_on_int64_arrays(kind):
+    # R2_parts over the certificate's int64 sizes equals its Python-int
+    # parts size by size, appendix_R2_base is their quotient, and the
+    # certificate's cross-multiplied products fit in int64
+    m, n = _CERTIFICATE_SIZES[kind]
+    num, den = oracles.R2_parts(kind, m, n)
+    assert num.dtype == den.dtype == np.int64
+    ms = [None] * n.size if m is None else m.tolist()
+    largest = 0
+    for a, b, x, y in zip(ms, n.tolist(), num.tolist(), den.tolist()):
+        parts = oracles.R2_parts(kind, a, b)
+        assert (x, y) == parts and type(parts[0]) is type(parts[1]) is int
+        assert oracles.appendix_R2_base(DomainSpec(kind, a, b)) == F(*parts)
+        d = FAMILIES[kind].d(a, b)
+        largest = max(largest, x * (d + 1), 2 * d * y)
+    assert largest < 2 ** 63  # about 5.2e11 for type 1, 4.8e11 for types 2-3
 
 
 # -- every n: the reductions as polynomial identities (sympy, tests only) -----
@@ -254,8 +284,9 @@ _CLOSED_FORMS = {
         _n * (_n + 1) / 2, 6),
     4: ((3 * _n - 2, _n), _n, 2),
 }
-# (numerator of baseR2 - 2d/(d+1)) * ratio is the polynomial that
-# _certify_reduction reads; neither side of ratio has a root >= min_n
+# (numerator of baseR2 - 2d/(d+1)) * ratio is the polynomial whose values
+# _certify_reduction reads; neither side of ratio has a root >= the family's
+# least n
 _RATIOS = {2: (_n - 1) / _n, 3: _n + 1, 4: sp.Integer(1)}
 
 
@@ -269,29 +300,39 @@ def _from_coeffs(coeffs, var):
     return sum(c * var ** k for k, c in enumerate(coeffs))
 
 
-def _reduction_poly(case_id, lo):
-    """The coefficients that _certify_reduction evaluates, seen by a spy."""
-    seen, evaluate = [], cases._poly_eval
+def _certificate_reads(case_id, n_max):
+    """The sizes and the polynomial values that _certify_reduction
+    compares, seen by a spy."""
+    seen, certify = [], cases._certify_reduction
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cases, "_poly_eval", lambda c, k: seen.append(c) or evaluate(c, k))
-        cases._certify_reduction(case_id, lo, lo)
+        mp.setattr(cases, "_certify_reduction",
+                   lambda *args: seen.append(args) or certify(*args))
+        integer_root_scan(case_id, n_max)
     assert len(seen) == 1
-    return seen[0]
+    (_, cleared, m, n), = seen
+    assert m is None and n.dtype == cleared.dtype == np.int64
+    return n.tolist(), cleared.tolist()
 
 
 @pytest.mark.parametrize("case_id", [2, 3, 4])
 def test_reduction_is_a_polynomial_identity(case_id):
     (num, den), d, degree = _CLOSED_FORMS[case_id]
     case = cases._CASES[case_id]
-    lo = case["min_n"]
+    lo = FAMILIES[f"type{case_id}"].least_n
     for k in range(lo, lo + degree + 3):
         exact = sp.Rational(num.subs(_n, k), den.subs(_n, k))
-        spec = cases._FAMILY[case_id](k)
+        spec = DomainSpec(f"type{case_id}", n=k)
         assert oracles.appendix_R2_base(spec) == F(int(exact.p), int(exact.q))
     top, bottom = sp.fraction(sp.cancel(num / den - 2 * d / (d + 1)))
     assert _roots_below(bottom, _n, lo)
-    read = _from_coeffs(_reduction_poly(case_id, lo), _n)
-    assert sp.cancel(read / top - _RATIOS[case_id]) == 0
+    cleared = sp.expand(top * _RATIOS[case_id])
+    # the certificate reads the values of that polynomial at each of its n,
+    # and the scan reads its coefficients
+    ns, values = _certificate_reads(case_id, 2000)
+    assert ns == list(range(lo, lo + 97))
+    assert values == [cleared.subs(_n, k) for k in ns]
+    read = _from_coeffs(case.get("constraint_poly", case["poly"]), _n)
+    assert sp.expand(read - cleared) == 0
     p, q = sp.fraction(sp.cancel(_RATIOS[case_id]))
     assert _roots_below(p, _n, lo) and _roots_below(q, _n, lo)
 
@@ -307,13 +348,13 @@ def test_case3_quintic_is_not_the_constancy_condition():
 
 
 def test_case1_reduction_is_a_polynomial_identity():
-    # type1_R2_parts(m, n) = (2mn(mn+1), (m+n)^2), unreduced: each side has
-    # degree <= 4 in each of m and n, so a 7 x 7 grid proves it
+    # R2_parts("type1", m, n) = (2mn(mn+1), (m+n)^2), unreduced: each side
+    # has degree <= 4 in each of m and n, so a 7 x 7 grid proves it
     num, den = 2 * _m * _n * (_m * _n + 1), (_m + _n) ** 2
     for a in range(1, 8):
         for b in range(1, 8):
             at = {_m: a, _n: b}
-            assert cases.type1_R2_parts(a, b) == (num.subs(at), den.subs(at))
+            assert cases.R2_parts("type1", a, b) == (num.subs(at), den.subs(at))
     d = _m * _n
     top, bottom = sp.fraction(sp.cancel(num / den - 2 * d / (d + 1)))
     assert sp.expand(bottom - (_m + _n) ** 2 * (_m * _n + 1)) == 0
@@ -363,9 +404,12 @@ def test_reduction_mismatch_fails(monkeypatch, case_id):
     # a closed form that meets 2d/(d+1) where the polynomial does not vanish;
     # a form that misses it everywhere would pass, as no polynomial here has
     # an admissible root
-    monkeypatch.setattr(cases, "appendix_R2_base",
-                        lambda spec: F(2 * spec.d, spec.d + 1))
-    lo = cases._CASES[case_id]["min_n"]
+    def required(kind, m, n):
+        d = FAMILIES[kind].d(m, n)
+        return 2 * d, d + 1
+
+    monkeypatch.setattr(cases, "R2_parts", required)
+    lo = FAMILIES[f"type{case_id}"].least_n
     with pytest.raises(RuntimeError, match=f"case {case_id}: reduction "
                                            f"certificate failed at n={lo}"):
         integer_root_scan(case_id, 50)

@@ -146,6 +146,21 @@ def test_verify_lemmas_negative_control(capsys):
     assert obj["status"] == "fail"
 
 
+@pytest.mark.parametrize("argv", [["--domain", "type1", "--m", "1", "--n", "1", "--mu", "1",
+                                   "--debug-laplace-scale", "2"],
+                                  ["--domain", "type3", "--n", "2", "--mu", "3/4",
+                                   "--debug-laplace-scale", "1.07"]],
+                         ids=["type1(1,1)-mu1", "type3(2)-mu3_4"])
+def test_negative_control_passes_where_laplacian_vanishes(capsys, argv):
+    # at mu = genus/(d+1), c = 0 and Delta k is 0 on the origin fiber, where
+    # the Laplacian identity is checked: no scale can fail it there
+    code, out, _ = run(capsys, ["verify-lemmas", *argv])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["identities"]["laplacian_identity"]["pass"] is True
+    assert obj["status"] == "ok"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_laplace_scale_must_be_finite(capsys, value):
     # a scale of either sign is a negative control, but a non-finite one

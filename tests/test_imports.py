@@ -1,6 +1,7 @@
 """Import hygiene: every name a module of the package imports is used there,
 and every private name and public function it defines is read by the package.
-No module takes a determinant with linalg.det.
+No module takes a determinant with linalg.det. Every third-party module the
+tests import is declared in pyproject.toml.
 
 No linter ships with the project, so this test stands in for the unused-import
 check. `__init__.py` is exempt, since its imports are the package's
@@ -8,6 +9,8 @@ re-exports, and so is `from __future__ import annotations`.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,33 @@ def test_no_linalg_det(path):
     # generic_norm_value reads N from the eigenvalues that contains reads
     lines = list(_linalg_det(ast.parse(path.read_text(), filename=str(path))))
     assert not lines, f"{path.name} calls linalg.det (lines {lines})"
+
+
+TESTS = Path(__file__).parent
+
+
+def _top_level_modules(tree):
+    """The top-level module of each absolute import, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_test_imports_are_declared():
+    # `pip install .[test]` must give a suite that collects: every
+    # third-party module that tests/*.py imports is a dependency of the
+    # package (numpy) or named in its test extra
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+    local = {p.stem for p in TESTS.glob("*.py")} | {"hartogslab"}
+    imported = {name for p in TESTS.glob("*.py")
+                for name in _top_level_modules(ast.parse(p.read_text()))}
+    third_party = imported - local - set(sys.stdlib_module_names)
+    assert {"numpy", "pytest", "sympy"} <= third_party
+    assert third_party <= declared, \
+        f"tests import modules pyproject.toml does not declare: {third_party - declared}"
