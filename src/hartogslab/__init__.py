@@ -8,6 +8,8 @@ base, mu = 1) has constant second expansion coefficient a2.
 
 __version__ = "1.0.0"
 
+from types import ModuleType as _ModuleType
+
 from .jets import Jet, basis_exponents, jet_log, jet_real_power
 from .domains import (DomainSpec, contains, generic_norm_jet,
                       generic_norm_value, matrix_model, sample_interior,
@@ -25,4 +27,6 @@ from .oracles import (OracleInputs, R2_formula, a2_quadratic_coeffs,
 from .cases import (CaseVerdict, classify_all, constancy_constraints,
                     exceptional_integrality, integer_root_scan)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, not the submodules that importing them binds
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -15,8 +15,9 @@ Everything in this module is exact integer or Fraction arithmetic, with no
 floating point anywhere. Case 1's scan runs in int64 arrays, exact for
 n_max <= CASE1_N_MAX = 55,108 (it refuses a larger n_max); cases 2-4 scan
 whole arrays of Python ints. One int64 routine certifies all four
-reductions: case 1's on a fixed 80 x 80 grid, those of cases 2-4 on
-[lo, lo + 96].
+reductions for every size, as polynomial identities checked on more points
+than their degree: case 1's on a fixed 80 x 80 grid, those of cases 2-4 on
+[lo, lo + 96]. A failed certificate raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def constancy_constraints(d: int, genus: int):
     c0, c1, _ = a2_quadratic_coeffs(
         OracleInputs(d=d, genus=genus, mu=mu_star, base_r2=base_r2_star))
     if c0 != 0 or c1 != 0:
-        raise RuntimeError(f"constraint substitution failed: c0={c0}, c1={c1}")
+        raise ArithmeticError(f"constraint substitution failed: c0={c0}, c1={c1}")
     return mu_star, base_r2_star
 
 
@@ -122,18 +123,31 @@ _CASES = {
 }
 
 
-def _certify_reduction(case_id: int, cleared, m, n) -> None:
-    """Pointwise certificate over int64 arrays of sizes n (and m, type 1's
-    alone; else None): the closed-form baseR2 = num/den of the case's family
-    equals 2d/(d+1), num (d+1) == 2d den, exactly where cleared, the values
-    of the case's cleared constancy polynomial, is 0."""
+# w of case i's reduction identity 2 (num (d+1) - 2d den) = w P, as text and
+# at sizes (m, n), and a bound on the degree of both sides in each size
+_WEIGHTS = {1: ("4mn", lambda m, n: 4 * m * n, 3), 2: ("n", lambda m, n: n, 6),
+            3: ("1", lambda m, n: 1, 6), 4: ("2", lambda m, n: 2, 6)}
+
+
+def _certify_reduction(case_id: int, cleared, m, n) -> dict:
+    """Certify, over int64 arrays of sizes n (and m, type 1's alone; else
+    None), that the closed-form baseR2 = num/den of the case's family and
+    cleared, the values of its constancy polynomial P, satisfy
+    2 (num (d+1) - 2d den) = w P. Both sides are polynomials in the sizes,
+    so agreement on more points than their degree, on a product grid for
+    case 1 (Alon, Combin. Probab. Comput. 8, 1999, Lemma 2.1), makes this an
+    identity; as w is nonzero, baseR2 = 2d/(d+1) exactly where P vanishes,
+    for every size. Returns the evidence."""
     kind = f"type{case_id}"
     d = FAMILIES[kind].d(m, n)
     num, den = R2_parts(kind, m, n)
-    bad = np.flatnonzero((num * (d + 1) == 2 * d * den) != (cleared == 0))
+    weight, w, degree = _WEIGHTS[case_id]
+    bad = np.flatnonzero(2 * (num * (d + 1) - 2 * d * den) != w(m, n) * cleared)
     if bad.size:
         at = f"n={n[bad[0]]}" if m is None else f"m={m[bad[0]]}, n={n[bad[0]]}"
-        raise RuntimeError(f"case {case_id}: reduction certificate failed at {at}")
+        raise ArithmeticError(f"case {case_id}: reduction certificate failed at {at}")
+    return {"identity": "2 (num (d+1) - 2d den) = w P", "weight": weight,
+            "degree_bound": degree}
 
 
 def _certify_polynomial(case_id: int, poly, factors, lo: int, n_max: int,
@@ -144,7 +158,7 @@ def _certify_polynomial(case_id: int, poly, factors, lo: int, n_max: int,
     in [lo, n_max], and whether every linear factor's root lies below lo,
     which makes the verdict hold for ANY n, not only n <= n_max."""
     if _expand_factors(factors) != poly:
-        raise RuntimeError(
+        raise ArithmeticError(
             f"case {case_id}: {name}factorization certificate failed")
     evidence = {"polynomial_low_to_high": poly, "factors_low_to_high": factors,
                 # a linear factor [a, 1] is n + a, with root -a
@@ -156,7 +170,7 @@ def _certify_polynomial(case_id: int, poly, factors, lo: int, n_max: int,
             cands = sorted({s * t for t in range(1, const + 1) if const % t == 0
                             for s in (1, -1)}) or [0]
             if any(_poly_eval(f, n) == 0 for n in cands):
-                raise RuntimeError(f"case {case_id}: unexpected factor root")
+                raise ArithmeticError(f"case {case_id}: unexpected factor root")
             evidence["quartic_integer_root_check"] = {
                 "factor": f, "candidates": cands, "all_nonzero": True}
     ns = np.arange(lo, n_max + 1).astype(object)  # Python ints: exact
@@ -191,14 +205,14 @@ def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
             n_max, "constraint ")
         complete = complete and ccomplete
         evidence["closed_form_constraint"] = dict(cevidence, roots_in_range=croots)
-    hi = min(n_max, lo + 96)
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    _certify_reduction(case_id, _poly_eval(case.get("constraint_poly", poly), ns),
-                       None, ns)
+    # 97 sizes at every n_max, more than the identity's degree bound
+    ns = np.arange(lo, lo + 97, dtype=np.int64)
     evidence["reduction_certificate"] = {
-        "range": [lo, hi],
+        "range": [lo, lo + 96],
         "statement": "closed-form baseR2 equals 2d/(d+1) exactly where the "
-                     "constraint polynomial vanishes"}
+                     "constraint polynomial vanishes",
+        **_certify_reduction(case_id, _poly_eval(case.get("constraint_poly", poly), ns),
+                             None, ns)}
 
     empty = not roots_in_range and not croots
     conclusion = ("no admissible integer solution; factor roots all lie below "
@@ -272,22 +286,25 @@ def _case1(n_max: int) -> CaseVerdict:
     # ball family is a fault of the scan; any other survivor is a verdict
     ball = [[1, nn] for nn in range(1, n_max + 1)]
     if [p for p in survivors if p[0] == 1] != ball:
-        raise RuntimeError("case 1 scan does not return the ball family m = 1")
+        raise ArithmeticError("case 1 scan does not return the ball family m = 1")
     bad = [p for p in survivors if p[0] != 1]
-    # certify the two reductions on a subgrid, the pairs 1 <= m <= n <= 80:
-    # the constancy condition on the closed form that the appendix table and
-    # the oracles read (the largest product, 2mn(mn+1) (mn+1) at m = n = 80,
-    # is about 5.2e11), and the factorization identity
+    # certify the two reductions on a subgrid, the pairs 1 <= m <= n <= 80,
+    # which holds the product grid {1..40} x {41..80}: the constancy
+    # condition on the closed form that the appendix table and the oracles
+    # read (the largest value, 2 (2mn(mn+1) (mn+1) - ...) at m = n = 80, is
+    # about 1.05e12), and the factorization identity
     cert = 80
     mm, nn = np.add(np.triu_indices(cert), 1, dtype=np.int64)
     cleared = (mm * nn + 1) ** 2 - (mm + nn) ** 2
-    _certify_reduction(1, cleared, mm, nn)
+    reduction = _certify_reduction(1, cleared, mm, nn)
     if (cleared != (mm - 1) * (nn - 1) * (mm + 1) * (nn + 1)).any():
-        raise RuntimeError("case 1 factorization identity failed")
+        raise ArithmeticError("case 1 factorization identity failed")
     evidence = {
         "pairs_checked": checked,
         "identity": "(mn+1)^2 - (m+n)^2 = (m-1)(n-1)(m+1)(n+1)",
         "identity_certified_upto": cert,
+        "reduction_certificate": dict(
+            reduction, grid="1 <= m <= n <= 80, which holds {1..40} x {41..80}"),
         "survivor_family": {"m": 1, "n_range": [1, n_max], "mu_star": "1"},
         "non_ball_survivors": bad,
     }

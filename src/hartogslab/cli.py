@@ -8,8 +8,8 @@ Subcommands:
   appendix-table  base-domain |R|^2(0) catalog: closed form vs AD
   case-analysis   exact-rational classification of constant-a2 domains
 
-build_parser declares each option once, in parent parsers; each cmd_*
-handler takes the parsed namespace.
+build_parser declares each option once, in parent parsers; a command takes
+only the tolerance it reads, and its cmd_* handler the parsed namespace.
 
 All output is deterministic for a fixed argument vector: reports embed the
 domain spec, mu, seed, tolerances and package version, never timestamps.
@@ -98,7 +98,8 @@ def _hartogs_spec(args, min_samples=0):
 
 
 def _config(args, hspec):
-    config = {key: getattr(args, key) for key in ("samples", "seed", "tol", "fit_tol")}
+    config = {key: value for key, value in vars(args).items()
+              if key in ("samples", "seed", "tol", "fit_tol")}  # tol or fit_tol, not both
     return dict(config, domain=hspec.base.to_json_dict(), mu=str(args.mu),
                 version=__version__)
 
@@ -135,10 +136,11 @@ def _non_finite(obj, path=""):
     return next(filter(None, (_non_finite(v, f"{path}.{k}") for k, v in items)), None)
 
 
-def _finish(args, obj, header, rows):
-    """Write obj as JSON, or header and rows as CSV, to --out or stdout; the
-    exit code is 0 when obj["status"] is "ok", else 1. JSON refuses nan and
-    infinity: ValueError names the first one, and nothing is written."""
+def _finish(args, obj, rows):
+    """Write obj as JSON, or rows (dicts with the same keys, in column order)
+    as CSV under a header of those keys, to --out or stdout; the exit code is
+    0 when obj["status"] is "ok", else 1. JSON refuses nan and infinity:
+    ValueError names the first one, and nothing is written."""
     if args.format == "json":
         try:
             text = json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
@@ -148,9 +150,8 @@ def _finish(args, obj, header, rows):
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else str(x) for x in row])
+        writer.writerow(rows[0].keys())
+        writer.writerows(row.values() for row in rows)  # floats as repr
         text = buf.getvalue()
     if args.out is None:
         sys.stdout.write(text)
@@ -203,9 +204,8 @@ def cmd_report(args):
 
     obj = {"command": "report", "config": _config(args, hspec), "points": entries,
            "max_rel_err": worst, "status": "ok" if worst <= args.tol else "fail"}
-    header = ["index", "point_kind", "t", "scalar_curvature", "laplacian_scalar",
-              "norm_R_sq", "norm_Ric_sq", "a1", "a2", "max_rel_err"]
-    return _finish(args, obj, header, [[e[h] for h in header] for e in entries])
+    return _finish(args, obj, [{key: value for key, value in e.items()
+                                if key not in ("rel_err", "tensors")} for e in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,7 @@ def cmd_verify_lemmas(args):
     obj = {"command": "verify-lemmas", "config": _config(args, hspec),
            "laplace_scale": args.debug_laplace_scale, "identities": table,
            "status": status}
-    rows = [[name, table[name]["max_rel_err"], table[name]["pass"]]
-            for name in sorted(table)]
-    return _finish(args, obj, ["identity", "max_rel_err", "pass"], rows)
+    return _finish(args, obj, [dict(identity=name, **table[name]) for name in sorted(table)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +275,10 @@ def cmd_scan_a2(args):
         "fit_max_abs_err": fit_err,
         "status": "ok" if constant == expected else "fail",
     }
-    header = ["a2_min", "a2_max", "spread", "constant_measured",
-              "constant_expected", "fit_c0", "fit_c1", "fit_c2", "fit_max_abs_err"]
-    rows = [[obj["a2_min"], obj["a2_max"], spread, constant, expected,
-             *fit, fit_err]]
-    return _finish(args, obj, header, rows)
+    row = {key: obj[key] for key in ("a2_min", "a2_max", "spread",
+                                     "constant_measured", "constant_expected")}
+    row.update(("fit_" + name, c) for name, c in obj["fit"].items())
+    return _finish(args, obj, [dict(row, fit_max_abs_err=fit_err)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +308,7 @@ def cmd_appendix_table(args):
     obj = {"command": "appendix-table",
            "config": {"tol": args.tol, "version": __version__}, "rows": rows,
            "max_rel_err": worst, "status": "ok" if worst <= args.tol else "fail"}
-    header = ["domain", "closed_form", "closed_form_float", "ad_value",
-              "abs_diff", "rel_err"]
-    return _finish(args, obj, header, [[r[h] for h in header] for r in rows])
+    return _finish(args, obj, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +331,9 @@ def cmd_case_analysis(args):
         "matches_expected": matches,
         "status": "ok" if matches else "fail",
     }
-    rows = [[v.case_id, v.conclusion,
-             ";".join(str(p) for p in v.surviving_parameters)]
-            for v in result["verdicts"]]
-    code = _finish(args, obj, ["case_id", "conclusion", "surviving_parameters"], rows)
+    rows = [{"case_id": v.case_id, "conclusion": v.conclusion, "surviving_parameters":
+             ";".join(str(p) for p in v.surviving_parameters)} for v in result["verdicts"]]
+    code = _finish(args, obj, rows)
     # the verdict line goes to the console; with JSON on stdout it is already
     # embedded, so the stream stays parseable
     if not (args.format == "json" and args.out is None):
@@ -363,11 +357,15 @@ def build_parser():
     output.add_argument("--format", choices=["json", "csv"], default="json")
     output.add_argument("--out", help="write the report here instead of stdout")
 
-    checks = argparse.ArgumentParser(add_help=False)
-    checks.add_argument("--tol", type=_finite("--tol", non_negative=True), default=1e-8,
-                        help="relative tolerance for identity checks")
-    checks.add_argument("--max-d", type=int, default=DEFAULT_MAX_D,
-                        help="refuse bases with d above this (cost guard)")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_finite("--tol", non_negative=True), default=1e-8,
+                     help="relative tolerance for identity checks")
+    fit_tol = argparse.ArgumentParser(add_help=False)
+    fit_tol.add_argument("--fit-tol", type=_finite("--fit-tol", non_negative=True),
+                         default=1e-7, help="absolute tolerance for constancy")
+    max_d = argparse.ArgumentParser(add_help=False)
+    max_d.add_argument("--max-d", type=int, default=DEFAULT_MAX_D,
+                       help="refuse bases with d above this (cost guard)")
 
     domain = argparse.ArgumentParser(add_help=False)
     domain.add_argument("--domain", required=True, choices=list(FAMILIES),
@@ -377,31 +375,30 @@ def build_parser():
     domain.add_argument("--mu", type=_parse_mu, default="1",
                         help="fiber exponent, a positive rational like 4/5 or 0.8")
     domain.add_argument("--seed", type=int, default=0, help="RNG seed")
-    domain.add_argument("--fit-tol", type=_finite("--fit-tol", non_negative=True),
-                        default=1e-7, help="absolute tolerance for constancy / fits")
 
-    def domain_command(name, run, samples, help_text):
-        p = sub.add_parser(name, parents=[domain, checks, output], help=help_text)
+    def domain_command(name, run, samples, help_text, tolerance):
+        p = sub.add_parser(name, parents=[domain, tolerance, max_d, output], help=help_text)
         p.add_argument("--samples", type=int, default=samples,
                        help="number of random interior points")
         p.set_defaults(run=run)
         return p
 
     p_rep = domain_command("report", cmd_report, 6,
-                           "curvature report over sampled points")
+                           "curvature report over sampled points", tol)
     p_rep.add_argument("--tensors", action="store_true",
                        help="embed full curvature tensors in JSON output")
     p_ver = domain_command("verify-lemmas", cmd_verify_lemmas, 20,
-                           "check closed-form curvature identities by AD")
+                           "check closed-form curvature identities by AD", tol)
     p_ver.add_argument("--debug-laplace-scale", type=_finite("--debug-laplace-scale"),
                        default=1.0,
                        help="negative control: scale the AD Laplacian; a "
                             "value farther from 1 than --tol must make the "
                             "check fail unless mu = genus/(d+1), where Delta "
                             "k is 0 on the origin fiber")
-    domain_command("scan-a2", cmd_scan_a2, 12, "constancy test and fiber profile of a2")
+    domain_command("scan-a2", cmd_scan_a2, 12, "constancy test and fiber profile of a2",
+                   fit_tol)
 
-    p_app = sub.add_parser("appendix-table", parents=[checks, output],
+    p_app = sub.add_parser("appendix-table", parents=[tol, max_d, output],
                            help="base |R|^2(0) catalog: closed form vs AD")
     p_app.set_defaults(run=cmd_appendix_table)
 

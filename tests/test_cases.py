@@ -56,7 +56,11 @@ def test_case2_scan():
     assert sorted(v.evidence["linear_factor_roots"]) == [-1, 0, 1, 2, 3]
     assert max(v.evidence["linear_factor_roots"]) < 4  # admissible range starts at 4
     assert v.evidence["scanned_range"] == [4, 1000]
-    assert v.evidence["reduction_certificate"]["range"] == [4, 100]
+    assert v.evidence["reduction_certificate"] == {
+        "range": [4, 100],
+        "statement": "closed-form baseR2 equals 2d/(d+1) exactly where the "
+                     "constraint polynomial vanishes",
+        "identity": "2 (num (d+1) - 2d den) = w P", "weight": "n", "degree_bound": 6}
     assert "no admissible integer solution" in v.conclusion
 
 
@@ -170,6 +174,9 @@ def test_classify_all():
     case1 = out["verdicts"][0]
     assert case1.surviving_parameters == [[1, n] for n in range(1, 61)]
     assert case1.evidence["non_ball_survivors"] == []
+    assert case1.evidence["reduction_certificate"] == {
+        "identity": "2 (num (d+1) - 2d den) = w P", "weight": "4mn", "degree_bound": 3,
+        "grid": "1 <= m <= n <= 80, which holds {1..40} x {41..80}"}
     for v in out["verdicts"][1:]:
         assert v.surviving_parameters == []
     with pytest.raises(ValueError):
@@ -236,7 +243,7 @@ def test_case1_certificate_reads_the_catalog_closed_form(monkeypatch):
         return num * 10 ** 6 + den, den * 10 ** 6
 
     monkeypatch.setattr(cases, "R2_parts", shifted)
-    with pytest.raises(RuntimeError,
+    with pytest.raises(ArithmeticError,
                        match=r"^case 1: reduction certificate failed at m=1, n=1$"):
         _case1(60)
 
@@ -253,8 +260,8 @@ _CERTIFICATE_SIZES = {
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 def test_closed_form_parts_on_int64_arrays(kind):
     # R2_parts over the certificate's int64 sizes equals its Python-int
-    # parts size by size, appendix_R2_base is their quotient, and the
-    # certificate's cross-multiplied products fit in int64
+    # parts size by size, appendix_R2_base is their quotient, and every
+    # value the certificate forms fits in int64
     m, n = _CERTIFICATE_SIZES[kind]
     num, den = oracles.R2_parts(kind, m, n)
     assert num.dtype == den.dtype == np.int64
@@ -265,8 +272,8 @@ def test_closed_form_parts_on_int64_arrays(kind):
         assert (x, y) == parts and type(parts[0]) is type(parts[1]) is int
         assert oracles.appendix_R2_base(DomainSpec(kind, a, b)) == F(*parts)
         d = FAMILIES[kind].d(a, b)
-        largest = max(largest, x * (d + 1), 2 * d * y)
-    assert largest < 2 ** 63  # about 5.2e11 for type 1, 4.8e11 for types 2-3
+        largest = max(largest, x * (d + 1), 2 * d * y, abs(2 * (x * (d + 1) - 2 * d * y)))
+    assert largest < 2 ** 63  # about 1.05e12 for type 1
 
 
 # -- every n: the reductions as polynomial identities (sympy, tests only) -----
@@ -338,13 +345,44 @@ def test_reduction_is_a_polynomial_identity(case_id):
 
 
 def test_case3_quintic_is_not_the_constancy_condition():
-    # the quintic shares only the root n = 1 with the cleared condition, and
-    # the pointwise certificate cannot see it: neither has a root in [2, 98]
+    # the quintic shares only the root n = 1 with the cleared condition, so
+    # a pointwise comparison of their roots cannot tell them apart: neither
+    # has a root in [2, 98] (the certificate's identity can, see
+    # test_reduction_certificate_refuses_the_quintic)
     (num, den), d, _ = _CLOSED_FORMS[3]
     top, _ = sp.fraction(sp.cancel(num / den - 2 * d / (d + 1)))
     quintic = _from_coeffs(cases._CASES[3]["poly"], _n)
     assert sp.gcd(sp.Poly(quintic, _n), sp.Poly(top, _n)).as_expr() == _n - 1
     assert sp.cancel(quintic / top - _RATIOS[3]) != 0
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_certificate_identity_holds_for_every_size(case_id):
+    # 2 (num (d+1) - 2d den) = w P as polynomials, with w read from the
+    # certificate's own table, and both sides within the degree bound that
+    # its evidence states, which the certificate's sizes exceed
+    kind = f"type{case_id}"
+    num, den = cases.R2_parts(kind, _m, _n)
+    if case_id == 1:
+        d, poly, names = _m * _n, (_m * _n + 1) ** 2 - (_m + _n) ** 2, (_m, _n)
+    else:
+        case = cases._CASES[case_id]
+        d, names = _CLOSED_FORMS[case_id][1], (_n,)
+        poly = _from_coeffs(case.get("constraint_poly", case["poly"]), _n)
+    weight = cases._WEIGHTS[case_id][1](_m, _n)
+    left, right = 2 * (num * (d + 1) - 2 * d * den), weight * poly
+    assert sp.expand(left - right) == 0
+    verdict = _case1(5) if case_id == 1 else integer_root_scan(case_id, 5)
+    bound = verdict.evidence["reduction_certificate"]["degree_bound"]
+    for side in (left, right):
+        assert max(sp.Poly(sp.expand(side), *names).degree_list()) <= bound
+    m, n = _CERTIFICATE_SIZES[kind]
+    if m is None:  # the same sizes at any n_max, here 5
+        assert n.size > bound
+        assert verdict.evidence["reduction_certificate"]["range"] == [n[0], n[-1]]
+    else:  # the grid holds {1..40} x {41..80}, 40 > bound values of each size
+        pairs = set(zip(m.tolist(), n.tolist()))
+        assert {(a, b) for a in range(1, 41) for b in range(41, 81)} <= pairs
 
 
 def test_case1_reduction_is_a_polynomial_identity():
@@ -369,7 +407,7 @@ def test_case1_reduction_is_a_polynomial_identity():
 def test_scanned_factorization_must_reexpand(monkeypatch):
     monkeypatch.setitem(cases._CASES, 2, dict(cases._CASES[2],
                                               factors=[[0, 1], [-1, 1]]))
-    with pytest.raises(RuntimeError,
+    with pytest.raises(ArithmeticError,
                        match=r"^case 2: factorization certificate failed$"):
         integer_root_scan(2, 50)
 
@@ -377,7 +415,7 @@ def test_scanned_factorization_must_reexpand(monkeypatch):
 def test_constraint_factorization_must_reexpand(monkeypatch):
     monkeypatch.setitem(cases._CASES, 3, dict(cases._CASES[3],
                                               constraint_factors=[[0, 1], [1, 1]]))
-    with pytest.raises(RuntimeError,
+    with pytest.raises(ArithmeticError,
                        match="case 3: constraint factorization certificate failed"):
         integer_root_scan(3, 50)
 
@@ -386,7 +424,7 @@ def test_nonlinear_factor_with_an_integer_root_fails(monkeypatch):
     # (n - 1)(n^2 - 4): the quadratic has the root 2, a divisor of 4
     monkeypatch.setitem(cases._CASES, 4, dict(cases._CASES[4], poly=[4, -4, -1, 1],
                                               factors=[[-1, 1], [-4, 0, 1]]))
-    with pytest.raises(RuntimeError, match="case 4: unexpected factor root"):
+    with pytest.raises(ArithmeticError, match="case 4: unexpected factor root"):
         integer_root_scan(4, 50)
 
 
@@ -395,21 +433,45 @@ def test_nonlinear_factor_with_zero_constant_term_fails(monkeypatch):
     # divides the constant term 0, so only the candidate 0 can expose it
     monkeypatch.setitem(cases._CASES, 4, dict(cases._CASES[4], poly=[0, 3000, -3001, 1],
                                               factors=[[-1, 1], [0, -3000, 1]]))
-    with pytest.raises(RuntimeError, match="case 4: unexpected factor root"):
+    with pytest.raises(ArithmeticError, match="case 4: unexpected factor root"):
         integer_root_scan(4, 50)
 
 
 @pytest.mark.parametrize("case_id", [2, 3, 4])
 def test_reduction_mismatch_fails(monkeypatch, case_id):
-    # a closed form that meets 2d/(d+1) where the polynomial does not vanish;
-    # a form that misses it everywhere would pass, as no polynomial here has
-    # an admissible root
+    # a closed form that meets 2d/(d+1) where the polynomial does not vanish
     def required(kind, m, n):
         d = FAMILIES[kind].d(m, n)
         return 2 * d, d + 1
 
     monkeypatch.setattr(cases, "R2_parts", required)
     lo = FAMILIES[f"type{case_id}"].least_n
-    with pytest.raises(RuntimeError, match=f"case {case_id}: reduction "
+    with pytest.raises(ArithmeticError, match=f"case {case_id}: reduction "
                                            f"certificate failed at n={lo}"):
         integer_root_scan(case_id, 50)
+
+
+@pytest.mark.parametrize("case_id", [2, 3, 4])
+def test_reduction_certificate_refuses_a_shifted_closed_form(monkeypatch, case_id):
+    # (num 1000 + den) / (den 1000) meets 2d/(d+1) at no admissible n, as
+    # the closed form does not either: only the identity tells them apart
+    def shifted(kind, m, n):
+        num, den = oracles.R2_parts(kind, m, n)
+        return num * 1000 + den, den * 1000
+
+    monkeypatch.setattr(cases, "R2_parts", shifted)
+    lo = FAMILIES[f"type{case_id}"].least_n
+    with pytest.raises(ArithmeticError, match=f"^case {case_id}: reduction "
+                                              f"certificate failed at n={lo}$"):
+        integer_root_scan(case_id, 50)
+
+
+def test_reduction_certificate_refuses_the_quintic(monkeypatch):
+    # case 3's prescribed quintic in place of the cleared sextic: no root in
+    # the admissible range either, but not the closed form's identity
+    case = cases._CASES[3]
+    monkeypatch.setitem(cases._CASES, 3, dict(case, constraint_poly=case["poly"],
+                                              constraint_factors=case["factors"]))
+    with pytest.raises(ArithmeticError,
+                       match="^case 3: reduction certificate failed at n=2$"):
+        integer_root_scan(3, 50)

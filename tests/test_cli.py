@@ -13,7 +13,7 @@ import pytest
 
 import helpers
 import hartogslab
-from hartogslab import __version__, cli, geometry, jets
+from hartogslab import __version__, cases, cli, geometry, jets
 from hartogslab.cli import main
 from hartogslab.domains import (DomainSpec, generic_norm_value, type1, type2,
                                 type3, type4)
@@ -339,6 +339,22 @@ def test_case_analysis_csv_appends_verdict_line(capsys):
     assert lines[-1] == "survivors: ball family, mu = 1"
 
 
+def test_failed_certificate_is_an_exit_1_line(capsys, monkeypatch):
+    # a closed form off by one in case 1's numerator fails the reduction
+    # certificate: one error line and exit 1, not a traceback
+    parts = cases.R2_parts
+
+    def off_by_one(kind, m, n):
+        num, den = parts(kind, m, n)
+        return num + (kind == "type1"), den
+
+    monkeypatch.setattr(cases, "R2_parts", off_by_one)
+    code, out, err = run(capsys, ["case-analysis", "--n-max", "5"])
+    assert (code, out) == (1, "")
+    assert err == ("error: case 1: reduction certificate failed at m=1, n=1 "
+                   "[case-analysis]\n")
+
+
 def test_case_analysis_out_still_prints_line(tmp_path, capsys):
     target = tmp_path / "cases.json"
     code, out, _ = run(capsys, ["case-analysis", "--n-max", "50",
@@ -396,6 +412,18 @@ def test_out_of_range_values_name_the_option(capsys, argv, option):
     assert option in err
 
 
+# the settable options of each command: the keys of its parsed namespace,
+# less command and run, with only the tolerance that the command reads
+OPTIONS = {
+    "report": {"domain", "m", "n", "mu", "seed", "samples", "tol", "max_d", "format",
+               "out", "tensors"},
+    "verify-lemmas": {"domain", "m", "n", "mu", "seed", "samples", "tol", "max_d",
+                      "format", "out", "debug_laplace_scale"},
+    "scan-a2": {"domain", "m", "n", "mu", "seed", "samples", "fit_tol", "max_d",
+                "format", "out"},
+    "appendix-table": {"tol", "max_d", "format", "out"},
+    "case-analysis": {"n_max", "format", "out"},
+}
 TOLERANCE_CASES = [(command, option, value)
                    for command in ("report", "verify-lemmas", "scan-a2", "appendix-table")
                    for option in ("--tol", "--fit-tol")
@@ -403,16 +431,45 @@ TOLERANCE_CASES = [(command, option, value)
                    for value in ("-1", "nan", "inf", "-inf")]
 
 
+def test_each_command_takes_the_options_it_reads():
+    for command, options in OPTIONS.items():
+        argv = [command, *DISK] if "domain" in options else [command]
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert set(parsed) - {"command", "run"} == options, command
+
+
 @pytest.mark.parametrize("command,option,value", TOLERANCE_CASES,
                          ids=["%s%s=%s" % c for c in TOLERANCE_CASES])
 def test_tolerances_must_be_finite_and_non_negative(capsys, command, option, value):
     # a negative or nan tolerance fails every check, and an infinite one
     # passes every check: both are usage errors that name the option
-    # (option=value, as argparse reads "-inf" alone as an option)
+    # (option=value, as argparse reads "-inf" alone as an option). A
+    # tolerance that the command does not read is refused at any value.
     argv = [command, *DISK, "--samples", "1"] if command != "appendix-table" else [command]
     code, out, err = run(capsys, [*argv, "%s=%s" % (option, value)])
     assert (code, out) == (2, "")
-    assert err == "error: %s must be finite and non-negative, got %s\n" % (option, value)
+    if option[2:].replace("-", "_") in OPTIONS[command]:
+        assert err == "error: %s must be finite and non-negative, got %s\n" % (option, value)
+    else:
+        assert err.endswith("error: unrecognized arguments: %s=%s\n" % (option, value))
+
+
+@pytest.mark.parametrize("command", ["report", "verify-lemmas", "scan-a2",
+                                     "appendix-table"])
+def test_every_tolerance_can_flip_the_status(capsys, command):
+    # at 0, each tolerance that the command takes fails a run that passes at
+    # its default (on the ball at mu = 1, where a2 is constant, for the
+    # domain commands): the tolerance recorded in its config governs the run
+    argv = [command, *BALL2_HYP, "--samples", "2"] if command != "appendix-table" else [
+        command, "--max-d", "3"]
+    assert run(capsys, argv)[0] == 0
+    taken = set(vars(cli.build_parser().parse_args(argv))) & {"tol", "fit_tol"}
+    assert taken
+    for key in taken:
+        code, out, _ = run(capsys, [*argv, "--%s=0" % key.replace("_", "-")])
+        obj = json.loads(out)
+        assert (code, obj["status"]) == (1, "fail")
+        assert obj["config"][key] == 0.0
 
 
 @pytest.mark.parametrize("argv", [["report", *DISK, "--samples", "1"],

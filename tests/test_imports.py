@@ -1,7 +1,8 @@
 """Import hygiene: every name a module of the package imports is used there,
 and every private name and public function it defines is read by the package.
 No module takes a determinant with linalg.det. Every third-party module the
-tests import is declared in pyproject.toml.
+tests import is declared in pyproject.toml. The package's __all__ holds its
+exports and no submodule.
 
 No linter ships with the project, so this test stands in for the unused-import
 check. `__init__.py` is exempt, since its imports are the package's
@@ -12,6 +13,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -115,6 +117,17 @@ def test_no_linalg_det(path):
     # generic_norm_value reads N from the eigenvalues that contains reads
     lines = list(_linalg_det(ast.parse(path.read_text(), filename=str(path))))
     assert not lines, f"{path.name} calls linalg.det (lines {lines})"
+
+
+def test_all_lists_the_exports_and_no_submodule():
+    # importing the exports binds hartogslab.cases and its siblings as
+    # attributes too; `from hartogslab import *` takes only the exports
+    assert not [name for name in hartogslab.__all__
+                if isinstance(getattr(hartogslab, name), ModuleType)]
+    names = {}
+    exec("from hartogslab import *", names)
+    assert {"cases", "cli", "domains", "geometry", "jets", "oracles"}.isdisjoint(names)
+    assert {"DomainSpec", "classify_all", "curvature_report", "jet_log"} <= set(names)
 
 
 TESTS = Path(__file__).parent
