@@ -6,10 +6,11 @@ linear coefficients) mu = genus/(d+1) and baseR2 = 2d/(d+1). The analysis then
 walks the catalog: for each family, compare the exact closed-form baseR2
 against 2d/(d+1). The classical families reduce to integer polynomial
 equations whose admissible roots are enumerated; the two exceptional domains,
-which enter only through their (d, genus) in EXCEPTIONAL, are excluded because
-genus^4 * baseR2 is an integer for every irreducible bounded symmetric domain
-(a root-lattice integrality fact imported here as an arithmetic premise),
-while genus^4 * 2d/(d+1) fails to be one.
+which enter only through their rank data (domains.EXCEPTIONAL_RANKS), are
+excluded because genus^4 * baseR2 is an integer for every irreducible bounded
+symmetric domain (a root-lattice integrality fact imported here as an
+arithmetic premise), while genus^4 * 2d/(d+1) fails to be one. Every d and
+genus here is domains.d_and_genus of rank data.
 
 Everything in this module is exact integer or Fraction arithmetic, with no
 floating point anywhere. Case 1's scan runs in int64 arrays, exact for
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import FAMILIES
+from .domains import EXCEPTIONAL_RANKS, FAMILIES, d_and_genus
 from .oracles import OracleInputs, R2_parts, a2_quadratic_coeffs
 
 F = Fraction
@@ -139,7 +140,7 @@ def _certify_reduction(case_id: int, cleared, m, n) -> dict:
     identity; as w is nonzero, baseR2 = 2d/(d+1) exactly where P vanishes,
     for every size. Returns the evidence."""
     kind = f"type{case_id}"
-    d = FAMILIES[kind].d(m, n)
+    d = d_and_genus(*FAMILIES[kind].rank(m, n))[0]
     num, den = R2_parts(kind, m, n)
     weight, w, degree = _WEIGHTS[case_id]
     bad = np.flatnonzero(2 * (num * (d + 1) - 2 * d * den) != w(m, n) * cleared)
@@ -224,18 +225,16 @@ def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
                        evidence=evidence, conclusion=conclusion)
 
 
-# (d, genus) of the exceptional domains of types V (E6) and VI (E7): the only
-# data of theirs that the classification uses
-EXCEPTIONAL = {"exc5": (16, 12), "exc6": (27, 18)}
-
-
 def exceptional_integrality(kind: str) -> CaseVerdict:
-    """Exclude an exceptional domain, "exc5" or "exc6": genus^4 * 2d/(d+1)
-    must be an integer for constancy to be possible, and it is not."""
-    if kind not in EXCEPTIONAL:
+    """Exclude an exceptional domain, "exc5" or "exc6", by the (d, genus) of
+    its rank data, the only data of its that the classification uses:
+    genus^4 * 2d/(d+1) must be an integer for constancy to be possible, and
+    it is not."""
+    if kind not in EXCEPTIONAL_RANKS:
         raise ValueError("exceptional_integrality expects exc5 or exc6")
     case_id = 5 if kind == "exc5" else 6
-    d, genus = EXCEPTIONAL[kind]
+    rank = EXCEPTIONAL_RANKS[kind]
+    d, genus = d_and_genus(*rank)
     base = F(2 * d, d + 1)
     # witness presented as (reduced baseR2 numerator * genus^4) / denominator,
     # without re-reducing, so the displayed remainder matches hand arithmetic
@@ -243,6 +242,7 @@ def exceptional_integrality(kind: str) -> CaseVerdict:
     den = base.denominator
     is_integer = num % den == 0
     evidence = {
+        "rank_data": list(rank),
         "d": d,
         "genus": genus,
         "base_r2_required": str(base),

@@ -109,16 +109,21 @@ def _oracle_targets(hspec, points):
     Base automorphisms lift to the Hartogs domain and fix tau = |w|^2 /
     N(z)^mu (Ahn, Byun, Park, Int. J. Math. 23, 2012), so each fiber-slice
     form, called once on the array t of every point's tau, is every
-    point's oracle."""
+    point's oracle. a2 = c0 t^2 + c1 t + c2 cancels near t = 1 at small
+    mu, so its coefficients are taken exactly at Fraction mu, in powers of
+    s = 1 - t, and only then rounded."""
     base, mu = hspec.base, float(hspec.mu)
     norms = generic_norm_value(base, [pt.base for pt in points])
     t = np.abs([pt.fiber for pt in points]) ** 2 / norms ** mu
-    inp = OracleInputs(d=base.d, genus=base.genus, mu=mu, t=t,
-                       base_r2=float(appendix_R2_base(base)))
-    c0, c1, c2 = (float(c) for c in a2_quadratic_coeffs(inp))
+    base_r2 = appendix_R2_base(base)
+    inp = OracleInputs(d=base.d, genus=base.genus, mu=mu, t=t, base_r2=float(base_r2))
+    c0, c1, c2 = a2_quadratic_coeffs(OracleInputs(
+        d=base.d, genus=base.genus, mu=Fraction(hspec.mu), base_r2=base_r2))
+    e0, e1, e2 = (float(e) for e in (c0 + c1 + c2, -(2 * c0 + c1), c0))
+    s = 1.0 - t
     table = {"k": scalar_curvature_formula(inp), "lap_k": lap_k_formula(inp),
              "norm_R_sq": R2_formula(inp), "norm_Ric_sq": ric2_formula(inp),
-             "a2": c0 * t * t + c1 * t + c2}
+             "a2": e0 + s * (e1 + s * e2)}
     return [dict(zip(table, row)) for row in zip(*(v.tolist() for v in table.values()))]
 
 

@@ -1,18 +1,26 @@
 """Catalog of irreducible bounded symmetric domains in their matrix models.
 
+Each family is stated by its rank data (r, a, b), the rank and the root
+multiplicities (Faraut and Koranyi, J. Funct. Anal. 88, 1990); d_and_genus
+alone derives d = r + a r(r-1)/2 + r b and genus = (r-1) a + b + 2.
+
 Classical families:
 
-  type1(m, n): m x n complex matrices z with I - z zb^t > 0; dimension mn,
-               genus m + n. Coordinates are the matrix entries, row-major.
-  type2(n):    antisymmetric n x n matrices (n >= 4); dimension n(n-1)/2,
-               genus 2(n-1). Coordinates are the strict upper triangle.
-  type3(n):    symmetric n x n matrices (n >= 2); dimension n(n+1)/2, genus
-               n + 1. Coordinates are the upper triangle including the diagonal.
+  type1(m, n): m x n complex matrices z with I - z zb^t > 0, m <= n; rank
+               data (m, 2, n - m): dimension mn, genus m + n. Coordinates are
+               the matrix entries, row-major.
+  type2(n):    antisymmetric n x n matrices (n >= 4); rank data (n // 2, 4,
+               2 (n mod 2)): dimension n(n-1)/2, genus 2(n-1). Coordinates
+               are the strict upper triangle.
+  type3(n):    symmetric n x n matrices (n >= 2); rank data (n, 1, 0):
+               dimension n(n+1)/2, genus n + 1. Coordinates are the upper
+               triangle including the diagonal.
   type4(n):    the Lie ball in C^n (n >= 5): 1 - 2 z zb^t + |z z^t|^2 > 0 and
-               z zb^t < 1; dimension n, genus n.
+               z zb^t < 1; rank data (2, n - 2, 0): dimension n, genus n.
 
-The two exceptional domains have no coordinates here; the case analysis
-(cases.py) holds their (d, genus).
+The exceptional domains exc5 (E6) and exc6 (E7) are rank data only, in
+EXCEPTIONAL_RANKS, which the case analysis (cases.py) reads; they have no
+coordinates and no DomainSpec.
 
 The generic norm N(z, zb) is det(I - z zb^t) for types 1 and 3, its square
 root for type 2, and 1 - 2 z zb^t + |z z^t|^2 for type 4; N(0, 0) = 1 and
@@ -34,16 +42,24 @@ import numpy as np
 
 from .jets import Jet, _affine, _affine_product, _as_cap, _raise_where
 
-# each family's least n, and its d and genus from the sizes (m, n), in
-# integer arithmetic that runs on ints and on int64 arrays alike; only type1
-# has an m, whose least value is its least n
-Family = namedtuple("Family", "least_n d genus")
+# each family's least n, and its rank data (r, a, b) from the sizes (m, n),
+# in integer arithmetic that runs on ints and on int64 arrays alike; only
+# type1 has an m, whose least value is its least n
+Family = namedtuple("Family", "least_n rank")
 FAMILIES = {
-    "type1": Family(1, lambda m, n: m * n, lambda m, n: m + n),
-    "type2": Family(4, lambda m, n: n * (n - 1) // 2, lambda m, n: 2 * (n - 1)),
-    "type3": Family(2, lambda m, n: n * (n + 1) // 2, lambda m, n: n + 1),
-    "type4": Family(5, lambda m, n: n, lambda m, n: n),
+    "type1": Family(1, lambda m, n: (m, 2, n - m)),
+    "type2": Family(4, lambda m, n: (n // 2, 4, 2 * (n % 2))),
+    "type3": Family(2, lambda m, n: (n, 1, 0)),
+    "type4": Family(5, lambda m, n: (2, n - 2, 0)),
 }
+# the rank data of the exceptional domains of types V (E6) and VI (E7)
+EXCEPTIONAL_RANKS = {"exc5": (2, 6, 4), "exc6": (3, 8, 0)}
+
+
+def d_and_genus(r, a, b):
+    """Dimension and genus from rank data, exact on ints and int64 arrays:
+    r (r - 1) is even."""
+    return r + a * r * (r - 1) // 2 + r * b, (r - 1) * a + b + 2
 
 
 @dataclass(frozen=True)
@@ -72,12 +88,16 @@ class DomainSpec:
         object.__setattr__(self, "n", n)
 
     @property
+    def rank(self) -> tuple:
+        return FAMILIES[self.kind].rank(self.m, self.n)
+
+    @property
     def d(self) -> int:
-        return FAMILIES[self.kind].d(self.m, self.n)
+        return d_and_genus(*self.rank)[0]
 
     @property
     def genus(self) -> int:
-        return FAMILIES[self.kind].genus(self.m, self.n)
+        return d_and_genus(*self.rank)[1]
 
     def label(self) -> str:
         if self.kind == "type1":

@@ -10,7 +10,7 @@ from hartogslab import cases, oracles
 from hartogslab.cases import (CASE1_N_MAX, CaseVerdict, _case1, classify_all,
                               constancy_constraints, exceptional_integrality,
                               integer_root_scan)
-from hartogslab.domains import FAMILIES, DomainSpec, type1
+from hartogslab.domains import EXCEPTIONAL_RANKS, FAMILIES, DomainSpec, d_and_genus, type1
 from hartogslab.oracles import OracleInputs, a2_quadratic_coeffs
 
 
@@ -141,6 +141,7 @@ def test_exceptional_witnesses():
     assert v5.case_id == 5
     assert v5.surviving_parameters == []
     e = v5.evidence
+    assert e["rank_data"] == [2, 6, 4]
     assert (e["d"], e["genus"]) == (16, 12)
     assert e["base_r2_required"] == "32/17"
     assert e["genus4_times_base_r2"] == "663552/17"
@@ -151,6 +152,7 @@ def test_exceptional_witnesses():
     v6 = exceptional_integrality("exc6")
     assert v6.case_id == 6
     e = v6.evidence
+    assert e["rank_data"] == [3, 8, 0]
     assert (e["d"], e["genus"]) == (27, 18)
     assert e["base_r2_required"] == "27/14"
     assert e["genus4_times_base_r2"] == "2834352/14"
@@ -271,7 +273,7 @@ def test_closed_form_parts_on_int64_arrays(kind):
         parts = oracles.R2_parts(kind, a, b)
         assert (x, y) == parts and type(parts[0]) is type(parts[1]) is int
         assert oracles.appendix_R2_base(DomainSpec(kind, a, b)) == F(*parts)
-        d = FAMILIES[kind].d(a, b)
+        d = d_and_genus(*FAMILIES[kind].rank(a, b))[0]
         largest = max(largest, x * (d + 1), 2 * d * y, abs(2 * (x * (d + 1) - 2 * d * y)))
     assert largest < 2 ** 63  # about 1.05e12 for type 1
 
@@ -441,7 +443,7 @@ def test_nonlinear_factor_with_zero_constant_term_fails(monkeypatch):
 def test_reduction_mismatch_fails(monkeypatch, case_id):
     # a closed form that meets 2d/(d+1) where the polynomial does not vanish
     def required(kind, m, n):
-        d = FAMILIES[kind].d(m, n)
+        d = d_and_genus(*FAMILIES[kind].rank(m, n))[0]
         return 2 * d, d + 1
 
     monkeypatch.setattr(cases, "R2_parts", required)
@@ -475,3 +477,130 @@ def test_reduction_certificate_refuses_the_quintic(monkeypatch):
     with pytest.raises(ArithmeticError,
                        match="^case 3: reduction certificate failed at n=2$"):
         integer_root_scan(3, 50)
+
+
+# -- rank data: the one family fact (sympy, tests only) -----------------------
+
+_k = sp.Symbol("k", integer=True)
+_mi = sp.Symbol("m", integer=True)
+
+# each family's (d, genus) as the domains docstring states it, in (m, n)
+_STATED = {"type1": lambda m, n: (m * n, m + n),
+           "type2": lambda m, n: (n * (n - 1) // 2, 2 * (n - 1)),
+           "type3": lambda m, n: (n * (n + 1) // 2, n + 1),
+           "type4": lambda m, n: (n, n)}
+
+
+def _per_parity(kind):
+    """(m, n, rank data) of kind with n = 2k + p for each parity p: type 2's
+    rank data carry n // 2 and n % 2, which sympy resolves per parity, and
+    d's r (r - 1) // 2 then resolves for every family."""
+    for p in (0, 1):
+        n = 2 * _k + p
+        yield _mi, n, FAMILIES[kind].rank(_mi, n)
+
+
+def _rank_identities_hold(kind, derive=d_and_genus):
+    return all(sp.expand(got - want) == 0
+               for m, n, rank in _per_parity(kind)
+               for got, want in zip(derive(*rank), _STATED[kind](m, n)))
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_rank_data_give_each_family_d_and_genus(kind):
+    # as polynomials in the sizes, and on the certificate's int64 arrays
+    assert _rank_identities_hold(kind)
+    m, n = _CERTIFICATE_SIZES[kind]
+    for got, want in zip(d_and_genus(*FAMILIES[kind].rank(m, n)), _STATED[kind](m, n)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_rank_identities_refuse_a_perturbed_derivation(kind):
+    def genus_plus_one(r, a, b):
+        d, genus = d_and_genus(r, a, b)
+        return d, genus + 1
+
+    def d_with_rb_as_b(r, a, b):
+        d, genus = d_and_genus(r, a, b)
+        return d - r * b + b, genus
+
+    assert not _rank_identities_hold(kind, genus_plus_one)
+    # type 3 and type 4 have b = 0, where this perturbation is no change
+    assert _rank_identities_hold(kind, d_with_rb_as_b) == (kind in ("type3", "type4"))
+
+
+def _twice_x(r, a, b, const=4):
+    """2 X, with X = a^2 r^2/2 - 3a(a-2) r/2 + a^2 - 3a + 4 + b(ar - a + 2):
+    genus^2 baseR2 = d X for every family, in integers."""
+    return (a * a * r * r - 3 * a * (a - 2) * r + 2 * (a * a - 3 * a + const)
+            + 2 * b * (a * r - a + 2))
+
+
+def _x_identity_holds(kind, const=4):
+    """d X den = genus^2 num against R2_parts, as polynomials per parity."""
+    for m, n, rank in _per_parity(kind):
+        d, genus = d_and_genus(*rank)
+        num, den = oracles.R2_parts(kind, m, n)
+        if sp.expand(d * _twice_x(*rank, const) * den - 2 * genus ** 2 * num) != 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_rank_data_formula_is_the_closed_form(kind):
+    # the rank-data form of baseR2 is the independent check of R2_parts; the
+    # identity holds with symbolic sizes, on the certificate's int64 sizes,
+    # and fails once X's constant 4 is 5
+    assert _x_identity_holds(kind)
+    assert not _x_identity_holds(kind, const=5)
+    m, n = _CERTIFICATE_SIZES[kind]
+    rank = FAMILIES[kind].rank(m, n)
+    d, genus = d_and_genus(*rank)
+    num, den = oracles.R2_parts(kind, m, n)
+    assert np.array_equal(d * _twice_x(*rank) * den, 2 * genus ** 2 * num)
+
+
+def test_exceptional_rank_data():
+    # E6 and E7: their (d, genus), and the baseR2 that the rank-data form
+    # gives them, 6 and 29/3, with genus^4 baseR2 an integer for both. X
+    # was fitted on types 1-3 and checked on type 4 and odd type 2; terms
+    # such as (a-2) b (b-2) vanish on every classical family, so these two
+    # values rest on X, not on the classical identities
+    assert set(EXCEPTIONAL_RANKS) == {"exc5", "exc6"} and not hasattr(cases, "EXCEPTIONAL")
+    want = {"exc5": (16, 12, F(6), 124416), "exc6": (27, 18, F(29, 3), 1014768)}
+    for kind, rank in EXCEPTIONAL_RANKS.items():
+        d, genus = d_and_genus(*rank)
+        base_r2 = F(d * _twice_x(*rank), 2 * genus ** 2)
+        assert (d, genus, base_r2, genus ** 4 * base_r2) == want[kind]
+
+
+# the binomial-basis coefficients of type 3's genus^4 baseR2, j = 0..6
+_TYPE3_BINOMIAL = [0, 16, 157, 537, 846, 630, 180]
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_integrality_premise_holds_for_every_n(kind):
+    # genus^4 baseR2 is an integer at every size of every classical family,
+    # the premise that excludes exc5 and exc6: for types 1, 2 and 4 R2_parts'
+    # denominator divides genus^2 as polynomials; for type 3 genus^4 baseR2
+    # = Q(n) = (n+1)^3 n (n^2+3n+4)/4 has integer coefficients in the
+    # binomial basis C(n, j), so it is integer-valued (Polya, 1915)
+    for m, n, rank in _per_parity(kind):
+        genus = d_and_genus(*rank)[1]
+        num, den = oracles.R2_parts(kind, m, n)
+        ratio = sp.Poly(sp.cancel(genus ** 2 / den), m, _k)
+        assert all(c.is_integer for c in ratio.coeffs()) == (kind != "type3")
+        if kind == "type3":
+            Q = sp.cancel(genus ** 4 * num / den)
+            assert sp.expand(Q - (n + 1) ** 3 * n * (n ** 2 + 3 * n + 4) / 4) == 0
+    if kind == "type3":
+        n = sp.Symbol("n")
+        Q = (n + 1) ** 3 * n * (n ** 2 + 3 * n + 4) / 4
+        values = [Q.subs(n, j) for j in range(7)]
+        # the forward differences of Q at 0
+        coeffs = [sum((-1) ** (j - i) * sp.binomial(j, i) * values[i] for i in range(j + 1))
+                  for j in range(7)]
+        assert coeffs == _TYPE3_BINOMIAL
+        assert sp.expand(sum(c * sp.expand_func(sp.binomial(n, j))
+                             for j, c in enumerate(coeffs)) - Q) == 0

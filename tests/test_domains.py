@@ -254,7 +254,8 @@ def test_norm_jet_requires_interior_base_point():
 
 @pytest.mark.parametrize("kind", ["exc5", "exc6"])
 def test_exceptional_kinds_are_not_domain_specs(kind):
-    # the exceptional pair lives in the case analysis as (d, genus) only
+    # the exceptional pair enters the catalog as rank data only, which the
+    # case analysis reads
     with pytest.raises(ValueError, match="only in the case analysis"):
         DomainSpec(kind)
 
@@ -262,6 +263,18 @@ def test_exceptional_kinds_are_not_domain_specs(kind):
 CLASSICAL_UP_TO_D6 = [type1(1, 1), type1(1, 2), type1(1, 3), type1(1, 4),
                       type1(2, 2), type1(1, 5), type1(1, 6), type1(2, 3),
                       type2(4), type3(2), type3(3), type4(5), type4(6)]
+
+
+def test_one_rank_coincidence_among_the_sweep_bases():
+    # the CLI sweep's bases have pairwise distinct rank data apart from
+    # type2(4) and type4(6), both (2, 4, 0): the isomorphism that
+    # test_geometry.py::test_type2_4_is_type4_6 checks
+    by_rank = {}
+    for spec in CLASSICAL_UP_TO_D6:
+        by_rank.setdefault(spec.rank, []).append(spec.label())
+    assert {r: s for r, s in by_rank.items() if len(s) > 1} == {
+        (2, 4, 0): ["type2(4)", "type4(6)"]}
+    assert len(by_rank) == len(CLASSICAL_UP_TO_D6) - 1
 
 
 @pytest.mark.parametrize("spec", [s for s in CLASSICAL_UP_TO_D6 if s.kind != "type4"],

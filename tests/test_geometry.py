@@ -1022,3 +1022,48 @@ def test_imaginary_residue_in_a_batch_names_the_point_and_cond_g():
     cond = np.linalg.cond(metric_at(P).g[1])
     assert cond > 1e3
     assert float(match.group(1)) == pytest.approx(cond, rel=0.05)
+
+
+# u in C^6 -> type 2's coordinates (z01, z02, z03, z12, z13, z23): the sum
+# of |z_ij|^2 is 2|u|^2 and Pf z = u^t u, so N_II(L u) = N_IV(u)
+_TYPE4_TO_TYPE2 = np.array([[1, 1j, 0, 0, 0, 0], [0, 0, 1, 1j, 0, 0],
+                            [0, 0, 0, 0, 1, 1j], [0, 0, 0, 0, 1, -1j],
+                            [0, 0, -1, 1j, 0, 0], [1, -1j, 0, 0, 0, 0]])
+
+
+def test_type2_4_is_type4_6():
+    # the one rank-data coincidence of the catalog, (2, 4, 0): F(u, w) =
+    # (L u, w) is an isometry of the Hartogs domains over type4(6) and
+    # type2(4) at every mu, so the Lie ball's closed-form norm and the
+    # Pfaffian path give one geometry. With J = L (+) 1, g, Ric and R pull
+    # back with J on holomorphic and conj(J) on antiholomorphic indices, and
+    # the scalars agree. About 0.5 s per mu cold
+    assert type4(6).rank == type2(4).rank == (2, 4, 0)
+    L = _TYPE4_TO_TYPE2
+    J = np.zeros((7, 7), dtype=complex)
+    J[:6, :6], J[6, 6] = L, 1.0
+    Jc = J.conj()
+    for mu in (1.0, 0.8, 3.0):
+        points = sample_hartogs(HartogsSpec(type4(6), mu), 0, 4)
+        u = np.array([pt.base for pt in points])
+        assert np.abs(generic_norm_value(type2(4), u @ L.T)
+                      - generic_norm_value(type4(6), u)).max() <= 1e-15
+        mapped = [HartogsPoint(tuple(L @ pt.base), pt.fiber) for pt in points]
+        for rep4, rep2 in zip(curvature_reports(HartogsSpec(type4(6), mu), points),
+                              curvature_reports(HartogsSpec(type2(4), mu), mapped)):
+            pulled = {"g": J.T @ rep2.metric.g @ Jc, "Ric": J.T @ rep2.Ric @ Jc,
+                      "R": np.einsum("pi,qj,rk,sl,pqrs->ijkl", J, Jc, J, Jc, rep2.R)}
+            for key, want in (("g", rep4.metric.g), ("Ric", rep4.Ric), ("R", rep4.R)):
+                err = np.abs(pulled[key] - want).max() / np.abs(want).max()
+                assert err <= 1e-12, (mu, key, err)
+            # negative control: J in place of conj(J) on g's second index
+            miss = np.abs(J.T @ rep2.metric.g @ J - rep4.metric.g).max()
+            assert miss > 0.1 * np.abs(rep4.metric.g).max()
+            for key in ("k", "norm_R_sq", "norm_Ric_sq", "lap_k", "a2"):
+                want = getattr(rep4, key)
+                assert abs(getattr(rep2, key) - want) <= 1e-12 * max(1.0, abs(want)), key
+    # negative control: with z03 = u5 - i u6, N misses by about 0.15
+    wrong = L.copy()
+    wrong[2] = [0, 0, 0, 0, 1, -1j]
+    assert np.abs(generic_norm_value(type2(4), u @ wrong.T)
+                  - generic_norm_value(type4(6), u)).max() > 0.1
