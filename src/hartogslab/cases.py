@@ -5,12 +5,14 @@ Constancy of a2 forces (via the vanishing of the fiber-slice quadratic and
 linear coefficients) mu = genus/(d+1) and baseR2 = 2d/(d+1). The analysis then
 walks the catalog: for each family, compare the exact closed-form baseR2
 against 2d/(d+1). The classical families reduce to integer polynomial
-equations whose admissible roots are enumerated; the two exceptional domains,
-which enter only through their rank data (domains.EXCEPTIONAL_RANKS), are
-excluded because genus^4 * baseR2 is an integer for every irreducible bounded
-symmetric domain (a root-lattice integrality fact imported here as an
-arithmetic premise), while genus^4 * 2d/(d+1) fails to be one. Every d and
-genus here is domains.d_and_genus of rank data.
+equations, each a product of monic linear factors whose roots are
+enumerated (case 3's is not the paper's prescribed quintic, see _CASES);
+the two exceptional domains, which enter only through their rank data
+(domains.EXCEPTIONAL_RANKS), are excluded because genus^4 * baseR2 is an
+integer for every irreducible bounded symmetric domain (a root-lattice
+integrality fact imported here as an arithmetic premise), while genus^4 *
+2d/(d+1) fails to be one. Every d and genus here is domains.d_and_genus of
+rank data.
 
 Everything in this module is exact integer or Fraction arithmetic, with no
 floating point anywhere. Case 1's scan runs in int64 arrays, exact for
@@ -103,17 +105,12 @@ _CASES = {
     },
     3: {
         "description": "symmetric matrices, n >= 2: baseR2 = 2d/(d+1) clears "
-                       "to a sextic in n, which the reduction certificate "
-                       "reads; the prescribed quintic is scanned beside it",
-        # prescribed route (n-1)(n^4 + 22n^3 - 5n^2 + 6n - 64): not the
-        # constancy condition, with which it shares only the root n = 1
-        "poly": [64, -70, 11, -27, 21, 1],
-        "factors": [[-1, 1], [-64, 6, -5, 22, 1]],
-        # the cleared constancy condition n^2 (n-1)(n+1)(n+2)(n+3), which
-        # _certify_reduction reads: the numerator of baseR2 - 2d/(d+1) times
-        # n + 1
-        "constraint_poly": [0, 0, -6, -5, 5, 5, 1],
-        "constraint_factors": [[0, 1], [0, 1], [-1, 1], [1, 1], [2, 1], [3, 1]],
+                       "to a sextic in n; the prescribed quintic route "
+                       "(n-1)(n^4 + 22n^3 - 5n^2 + 6n - 64) is not this condition",
+        # n^2 (n-1)(n+1)(n+2)(n+3): (n + 1) times the numerator of
+        # baseR2 - 2d/(d+1)
+        "poly": [0, 0, -6, -5, 5, 5, 1],
+        "factors": [[0, 1], [0, 1], [-1, 1], [1, 1], [2, 1], [3, 1]],
     },
     4: {
         "description": "Lie ball, n >= 5: baseR2 = 2d/(d+1) reduces to a "
@@ -151,42 +148,32 @@ def _certify_reduction(case_id: int, cleared, m, n) -> dict:
             "degree_bound": degree}
 
 
-def _certify_polynomial(case_id: int, poly, factors, lo: int, n_max: int,
-                        name: str = ""):
-    """Certify a case polynomial: its factors re-expand to it, and no factor
-    of degree > 1 has an integer root (any such root divides the factor's
-    constant term, and is 0 if that term is). Returns the evidence, the roots
-    in [lo, n_max], and whether every linear factor's root lies below lo,
-    which makes the verdict hold for ANY n, not only n <= n_max."""
-    if _expand_factors(factors) != poly:
-        raise ArithmeticError(
-            f"case {case_id}: {name}factorization certificate failed")
-    evidence = {"polynomial_low_to_high": poly, "factors_low_to_high": factors,
-                # a linear factor [a, 1] is n + a, with root -a
-                "linear_factor_roots": sorted(-f[0] for f in factors if len(f) == 2),
-                "factorization_reexpanded": True}
+def _certify_polynomial(case_id: int, poly, factors, lo: int, n_max: int):
+    """Certify a case polynomial: it is the product of its factors, each
+    monic linear, so its roots are exactly theirs. Returns the evidence, the
+    roots in [lo, n_max], and whether every root lies below lo, which makes
+    the verdict hold for ANY n, not only n <= n_max."""
     for f in factors:
-        if len(f) > 2:
-            const = abs(f[0])
-            cands = sorted({s * t for t in range(1, const + 1) if const % t == 0
-                            for s in (1, -1)}) or [0]
-            if any(_poly_eval(f, n) == 0 for n in cands):
-                raise ArithmeticError(f"case {case_id}: unexpected factor root")
-            evidence["quartic_integer_root_check"] = {
-                "factor": f, "candidates": cands, "all_nonzero": True}
+        if len(f) != 2 or f[1] != 1:
+            raise ArithmeticError(f"case {case_id}: factor {f} is not monic linear")
+    if _expand_factors(factors) != poly:
+        raise ArithmeticError(f"case {case_id}: factorization certificate failed")
+    linear_roots = sorted(-a for a, _ in factors)  # [a, 1] is n + a, with root -a
+    evidence = {"polynomial_low_to_high": poly, "factors_low_to_high": factors,
+                "linear_factor_roots": linear_roots, "factorization_reexpanded": True}
     ns = np.arange(lo, n_max + 1).astype(object)  # Python ints: exact
     roots = ns[_poly_eval(poly, ns) == 0].tolist()
-    return evidence, roots, all(r < lo for r in evidence["linear_factor_roots"])
+    return evidence, roots, all(r < lo for r in linear_roots)
 
 
 def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
-    """Certify one case polynomial and scan it over the admissible range.
+    """Certify the constancy polynomial of case 2, 3 or 4 and scan it over
+    the admissible range.
 
-    The verdict is complete, not just range-limited: linear factors expose
-    all their roots, and any integer root of case 3's quartic would divide 64.
-    Case 3's quintic is the prescribed route, not the constancy condition:
-    the reduction certificate reads the cleared sextic, certified beside it
-    by the same routine, which factors into linear terms outright."""
+    The verdict is complete, not just range-limited: the polynomial is a
+    product of monic linear factors, which expose all its roots, and the
+    reduction certificate proves that baseR2 = 2d/(d+1) exactly where it
+    vanishes."""
     if case_id not in _CASES:
         raise ValueError("integer_root_scan handles case ids 2, 3, 4")
     case = _CASES[case_id]
@@ -199,29 +186,20 @@ def integer_root_scan(case_id: int, n_max: int) -> CaseVerdict:
     evidence["scanned_range"] = [lo, n_max]
     evidence["sample_values"] = {str(n): _poly_eval(poly, n)
                                  for n in range(lo, min(lo + 3, n_max) + 1)}
-    croots = []
-    if "constraint_poly" in case:
-        cevidence, croots, ccomplete = _certify_polynomial(
-            case_id, case["constraint_poly"], case["constraint_factors"], lo,
-            n_max, "constraint ")
-        complete = complete and ccomplete
-        evidence["closed_form_constraint"] = dict(cevidence, roots_in_range=croots)
     # 97 sizes at every n_max, more than the identity's degree bound
     ns = np.arange(lo, lo + 97, dtype=np.int64)
     evidence["reduction_certificate"] = {
         "range": [lo, lo + 96],
         "statement": "closed-form baseR2 equals 2d/(d+1) exactly where the "
                      "constraint polynomial vanishes",
-        **_certify_reduction(case_id, _poly_eval(case.get("constraint_poly", poly), ns),
-                             None, ns)}
+        **_certify_reduction(case_id, _poly_eval(poly, ns), None, ns)}
 
-    empty = not roots_in_range and not croots
     conclusion = ("no admissible integer solution; factor roots all lie below "
                   "the admissible range and the certificate covers every n"
-                  if complete and empty else "UNEXPECTED SURVIVOR")
+                  if complete and not roots_in_range else "UNEXPECTED SURVIVOR")
     return CaseVerdict(case_id=case_id, description=case["description"],
                        parameter_range=f"{lo} <= n <= {n_max} (certificate: all n)",
-                       surviving_parameters=roots_in_range + croots,
+                       surviving_parameters=roots_in_range,
                        evidence=evidence, conclusion=conclusion)
 
 

@@ -94,13 +94,13 @@ def _hartogs_spec(args, min_samples=0):
         raise _UsageError(
             "base dimension d=%d exceeds --max-d %d; raise --max-d to override"
             % (base.d, args.max_d))
-    return HartogsSpec(base, float(args.mu))
+    return HartogsSpec(base, args.mu)  # exact: the engine floats it, the oracles do not
 
 
 def _config(args, hspec):
     config = {key: value for key, value in vars(args).items()
               if key in ("samples", "seed", "tol", "fit_tol")}  # tol or fit_tol, not both
-    return dict(config, domain=hspec.base.to_json_dict(), mu=str(args.mu),
+    return dict(config, domain=hspec.base.to_json_dict(), mu=str(hspec.mu),
                 version=__version__)
 
 
@@ -110,8 +110,10 @@ def _oracle_targets(hspec, points):
     N(z)^mu (Ahn, Byun, Park, Int. J. Math. 23, 2012), so each fiber-slice
     form, called once on the array t of every point's tau, is every
     point's oracle. a2 = c0 t^2 + c1 t + c2 cancels near t = 1 at small
-    mu, so its coefficients are taken exactly at Fraction mu, in powers of
-    s = 1 - t, and only then rounded."""
+    mu, and in powers of s = 1 - t near t = 0 at large mu, so its
+    coefficients are taken exactly at Fraction mu in both bases, rounded,
+    and each point reads c2 + t (c1 + t c0) where t < 1/2 and
+    e0 + s (e1 + s e2) elsewhere (s exact there)."""
     base, mu = hspec.base, float(hspec.mu)
     norms = generic_norm_value(base, [pt.base for pt in points])
     t = np.abs([pt.fiber for pt in points]) ** 2 / norms ** mu
@@ -119,11 +121,12 @@ def _oracle_targets(hspec, points):
     inp = OracleInputs(d=base.d, genus=base.genus, mu=mu, t=t, base_r2=float(base_r2))
     c0, c1, c2 = a2_quadratic_coeffs(OracleInputs(
         d=base.d, genus=base.genus, mu=Fraction(hspec.mu), base_r2=base_r2))
-    e0, e1, e2 = (float(e) for e in (c0 + c1 + c2, -(2 * c0 + c1), c0))
+    f0, f1, f2, e0, e1, e2 = (float(c) for c in (c0, c1, c2, c0 + c1 + c2,
+                                                 -(2 * c0 + c1), c0))
     s = 1.0 - t
     table = {"k": scalar_curvature_formula(inp), "lap_k": lap_k_formula(inp),
              "norm_R_sq": R2_formula(inp), "norm_Ric_sq": ric2_formula(inp),
-             "a2": e0 + s * (e1 + s * e2)}
+             "a2": np.where(t < 0.5, f2 + t * (f1 + t * f0), e0 + s * (e1 + s * e2))}
     return [dict(zip(table, row)) for row in zip(*(v.tolist() for v in table.values()))]
 
 
@@ -261,12 +264,12 @@ def cmd_scan_a2(args):
     fit = [float(c) for c in np.polyfit(ts, a2_grid, 2)]
     base_r2 = appendix_R2_base(base)
     oracle = a2_quadratic_coeffs(OracleInputs(
-        d=base.d, genus=base.genus, mu=args.mu, base_r2=base_r2))
+        d=base.d, genus=base.genus, mu=hspec.mu, base_r2=base_r2))
     fit_err = max(abs(f - float(c)) for f, c in zip(fit, oracle))
 
     # Exact prediction: a2 is fiber-independent iff (mu, |R|^2(0)) is the
     # unique pair that zeroes both curvature corrections.
-    expected = (args.mu, base_r2) == constancy_constraints(base.d, base.genus)
+    expected = (hspec.mu, base_r2) == constancy_constraints(base.d, base.genus)
     obj = {
         "command": "scan-a2",
         "config": _config(args, hspec),

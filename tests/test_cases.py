@@ -65,25 +65,42 @@ def test_case2_scan():
 
 
 def test_case3_scan_dual_certificates():
+    # the factorization and the reduction certificate read one polynomial,
+    # the cleared constancy condition n^2 (n-1)(n+1)(n+2)(n+3), with the
+    # evidence keys of cases 2 and 4
     v = integer_root_scan(3, 1000)
     assert v.surviving_parameters == []
-    # prescribed quintic route: one linear factor plus a quartic whose integer
-    # roots must divide 64; all candidates checked nonzero
-    assert v.evidence["polynomial_low_to_high"] == [64, -70, 11, -27, 21, 1]
-    assert v.evidence["linear_factor_roots"] == [1]
-    q = v.evidence["quartic_integer_root_check"]
-    assert q["factor"] == [-64, 6, -5, 22, 1]
-    assert q["all_nonzero"] is True
-    assert set(q["candidates"]) == {s * t for t in (1, 2, 4, 8, 16, 32, 64)
-                                    for s in (1, -1)}
-    # cleared closed-form constraint route: fully linear factorization
-    cc = v.evidence["closed_form_constraint"]
-    assert cc["polynomial_low_to_high"] == [0, 0, -6, -5, 5, 5, 1]
-    assert cc["factors_low_to_high"] == [[0, 1], [0, 1], [-1, 1], [1, 1],
-                                         [2, 1], [3, 1]]
-    assert sorted(cc["linear_factor_roots"]) == [-3, -2, -1, 0, 0, 1]
-    assert cc["roots_in_range"] == []
-    assert v.evidence["reduction_certificate"]["range"] == [2, 98]
+    e = v.evidence
+    assert set(e) == set(integer_root_scan(2, 1000).evidence) == set(
+        integer_root_scan(4, 1000).evidence)
+    assert e["polynomial_low_to_high"] == [0, 0, -6, -5, 5, 5, 1]
+    assert e["factors_low_to_high"] == [[0, 1], [0, 1], [-1, 1], [1, 1], [2, 1], [3, 1]]
+    assert e["linear_factor_roots"] == [-3, -2, -1, 0, 0, 1]
+    assert e["factorization_reexpanded"] is True
+    assert e["sample_values"] == {"2": 240, "3": 2160, "4": 10080, "5": 33600}
+    assert e["scanned_range"] == [2, 1000]
+    assert e["reduction_certificate"]["range"] == [2, 98]
+    assert e["reduction_certificate"]["weight"] == "1"
+    assert "no admissible integer solution" in v.conclusion
+
+
+# the paper's prescribed route for case 3, (n-1)(n^4 + 22n^3 - 5n^2 + 6n - 64):
+# not the constancy condition, so the case analysis does not carry it
+_QUINTIC = [64, -70, 11, -27, 21, 1]
+_QUINTIC_FACTORS = [[-1, 1], [-64, 6, -5, 22, 1]]
+
+
+def test_case3_prescribed_quintic_route():
+    # the route still holds on its own terms: its factors re-expand to it,
+    # the quartic's integer roots would divide 64 and none of the 14 does,
+    # and the linear factor's root 1 lies below case 3's least n
+    assert cases._expand_factors(_QUINTIC_FACTORS) == _QUINTIC
+    linear, quartic = _QUINTIC_FACTORS
+    candidates = {s * 2 ** j for j in range(7) for s in (1, -1)}
+    assert len(candidates) == 14 and all(64 % c == 0 for c in candidates)
+    assert all(cases._poly_eval(quartic, c) != 0 for c in candidates)
+    assert -linear[0] == 1 < FAMILIES["type3"].least_n == 2
+    assert all(cases._poly_eval(_QUINTIC, n) != 0 for n in range(2, 2001))
 
 
 def test_case4_scan():
@@ -118,12 +135,7 @@ def test_root_scan_matches_scalar_scan(case_id, n_max):
         return [n for n in range(lo, n_max + 1) if cases._poly_eval(poly, n) == 0]
 
     v = integer_root_scan(case_id, n_max)
-    roots = scalar_roots(case["poly"])
-    if "constraint_poly" in case:
-        croots = scalar_roots(case["constraint_poly"])
-        assert v.evidence["closed_form_constraint"]["roots_in_range"] == croots
-        roots += croots
-    assert v.surviving_parameters == roots
+    assert v.surviving_parameters == scalar_roots(case["poly"])
     assert "no admissible integer solution" in v.conclusion
 
 
@@ -340,7 +352,7 @@ def test_reduction_is_a_polynomial_identity(case_id):
     ns, values = _certificate_reads(case_id, 2000)
     assert ns == list(range(lo, lo + 97))
     assert values == [cleared.subs(_n, k) for k in ns]
-    read = _from_coeffs(case.get("constraint_poly", case["poly"]), _n)
+    read = _from_coeffs(case["poly"], _n)
     assert sp.expand(read - cleared) == 0
     p, q = sp.fraction(sp.cancel(_RATIOS[case_id]))
     assert _roots_below(p, _n, lo) and _roots_below(q, _n, lo)
@@ -353,7 +365,7 @@ def test_case3_quintic_is_not_the_constancy_condition():
     # test_reduction_certificate_refuses_the_quintic)
     (num, den), d, _ = _CLOSED_FORMS[3]
     top, _ = sp.fraction(sp.cancel(num / den - 2 * d / (d + 1)))
-    quintic = _from_coeffs(cases._CASES[3]["poly"], _n)
+    quintic = _from_coeffs(_QUINTIC, _n)
     assert sp.gcd(sp.Poly(quintic, _n), sp.Poly(top, _n)).as_expr() == _n - 1
     assert sp.cancel(quintic / top - _RATIOS[3]) != 0
 
@@ -370,7 +382,7 @@ def test_certificate_identity_holds_for_every_size(case_id):
     else:
         case = cases._CASES[case_id]
         d, names = _CLOSED_FORMS[case_id][1], (_n,)
-        poly = _from_coeffs(case.get("constraint_poly", case["poly"]), _n)
+        poly = _from_coeffs(case["poly"], _n)
     weight = cases._WEIGHTS[case_id][1](_m, _n)
     left, right = 2 * (num * (d + 1) - 2 * d * den), weight * poly
     assert sp.expand(left - right) == 0
@@ -406,37 +418,49 @@ def test_case1_reduction_is_a_polynomial_identity():
 
 # -- certificate failure paths ------------------------------------------------
 
-def test_scanned_factorization_must_reexpand(monkeypatch):
-    monkeypatch.setitem(cases._CASES, 2, dict(cases._CASES[2],
-                                              factors=[[0, 1], [-1, 1]]))
+@pytest.mark.parametrize("case_id", [2, 3, 4])
+def test_scanned_factorization_must_reexpand(monkeypatch, case_id):
+    # the factors without the last one multiply to another polynomial
+    case = cases._CASES[case_id]
+    monkeypatch.setitem(cases._CASES, case_id, dict(case, factors=case["factors"][:-1]))
     with pytest.raises(ArithmeticError,
-                       match=r"^case 2: factorization certificate failed$"):
-        integer_root_scan(2, 50)
+                       match=f"^case {case_id}: factorization certificate failed$"):
+        integer_root_scan(case_id, 50)
 
 
-def test_constraint_factorization_must_reexpand(monkeypatch):
-    monkeypatch.setitem(cases._CASES, 3, dict(cases._CASES[3],
-                                              constraint_factors=[[0, 1], [1, 1]]))
-    with pytest.raises(ArithmeticError,
-                       match="case 3: constraint factorization certificate failed"):
-        integer_root_scan(3, 50)
+def _refused_factor(monkeypatch, case_id, poly, factors, refused):
+    """With poly and factors in case_id's entry, integer_root_scan raises
+    on the factor written refused. factors do re-expand to poly, so the
+    only check that can refuse them is the monic-linear one."""
+    assert cases._expand_factors(factors) == poly
+    monkeypatch.setitem(cases._CASES, case_id, dict(cases._CASES[case_id], poly=poly,
+                                                    factors=factors))
+    with pytest.raises(ArithmeticError, match=rf"^case {case_id}: factor "
+                                              rf"\[{refused}\] is not monic linear$"):
+        integer_root_scan(case_id, 50)
 
 
 def test_nonlinear_factor_with_an_integer_root_fails(monkeypatch):
-    # (n - 1)(n^2 - 4): the quadratic has the root 2, a divisor of 4
-    monkeypatch.setitem(cases._CASES, 4, dict(cases._CASES[4], poly=[4, -4, -1, 1],
-                                              factors=[[-1, 1], [-4, 0, 1]]))
-    with pytest.raises(ArithmeticError, match="case 4: unexpected factor root"):
-        integer_root_scan(4, 50)
+    # (n - 1)(n^2 - 4): the quadratic has the root 2, in the scanned range
+    _refused_factor(monkeypatch, 4, [4, -4, -1, 1], [[-1, 1], [-4, 0, 1]], "-4, 0, 1")
 
 
 def test_nonlinear_factor_with_zero_constant_term_fails(monkeypatch):
-    # (n - 1)(n^2 - 3000n): its root 3000 lies beyond n_max, and every integer
-    # divides the constant term 0, so only the candidate 0 can expose it
-    monkeypatch.setitem(cases._CASES, 4, dict(cases._CASES[4], poly=[0, 3000, -3001, 1],
-                                              factors=[[-1, 1], [0, -3000, 1]]))
-    with pytest.raises(ArithmeticError, match="case 4: unexpected factor root"):
-        integer_root_scan(4, 50)
+    # (n - 1)(n^2 - 3000n): its root 3000 lies beyond n_max, where the scan
+    # cannot see it
+    _refused_factor(monkeypatch, 4, [0, 3000, -3001, 1], [[-1, 1], [0, -3000, 1]],
+                    "0, -3000, 1")
+
+
+def test_nonlinear_factor_without_an_integer_root_fails(monkeypatch):
+    # case 3's prescribed quintic: its quartic has no integer root, but the
+    # verdict for every n reads only monic linear factors
+    _refused_factor(monkeypatch, 3, _QUINTIC, _QUINTIC_FACTORS, "-64, 6, -5, 22, 1")
+
+
+def test_non_monic_linear_factor_fails(monkeypatch):
+    # (2n - 2)(n + 2): 2n - 2 has the root 1, but not as n + a
+    _refused_factor(monkeypatch, 4, [-4, 2, 2], [[-2, 2], [2, 1]], "-2, 2")
 
 
 @pytest.mark.parametrize("case_id", [2, 3, 4])
@@ -468,15 +492,14 @@ def test_reduction_certificate_refuses_a_shifted_closed_form(monkeypatch, case_i
         integer_root_scan(case_id, 50)
 
 
-def test_reduction_certificate_refuses_the_quintic(monkeypatch):
-    # case 3's prescribed quintic in place of the cleared sextic: no root in
-    # the admissible range either, but not the closed form's identity
-    case = cases._CASES[3]
-    monkeypatch.setitem(cases._CASES, 3, dict(case, constraint_poly=case["poly"],
-                                              constraint_factors=case["factors"]))
+def test_reduction_certificate_refuses_the_quintic():
+    # case 3's prescribed quintic in place of the cleared sextic, on the
+    # certificate's sizes [2, 98]: no root in the admissible range either,
+    # but not the closed form's identity
+    ns = np.arange(2, 99, dtype=np.int64)
     with pytest.raises(ArithmeticError,
                        match="^case 3: reduction certificate failed at n=2$"):
-        integer_root_scan(3, 50)
+        cases._certify_reduction(3, cases._poly_eval(_QUINTIC, ns), None, ns)
 
 
 # -- rank data: the one family fact (sympy, tests only) -----------------------

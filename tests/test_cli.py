@@ -714,21 +714,36 @@ def test_oracle_targets_are_the_exact_forms_rounded(capsys, monkeypatch, base):
 def test_a2_target_keeps_its_digits_near_the_fiber_boundary(base):
     # a2 = c0 t^2 + c1 t + c2 cancels near t = 1 at small mu: in float64 on
     # float coefficients it missed by 1.1e-6 at type3(3), mu = 1e-6, t =
-    # 0.999999; the exact coefficients in powers of 1 - t keep 6e-14
+    # 0.999999; in powers of 1 - t alone it missed by 6.0e-14 at type3(3),
+    # mu = 1000, t = 0; with the basis taken per point, 4.6e-16
     spec = DomainSpec(*base)
     base_r2 = appendix_R2_base(spec)
-    ts = [0.0, 0.5, 0.9, 0.99, 0.9999, 0.999999]
+    ts = [0.0, 0.1, 0.25, 0.4999, 0.5, 0.5001, 0.75, 0.9, 0.99, 0.9999, 0.999999]
     points = [HartogsPoint((0.0,) * spec.d, math.sqrt(t)) for t in ts]
     norms = generic_norm_value(spec, [pt.base for pt in points]).tolist()
-    for mu in (F(1, 10 ** 6), F(1, 10 ** 4), F(1, 100), F(4, 5), F(1), F(3), F(100),
-               F(1000)):
+    for mu in (F(1, 10 ** 6), F(1, 10 ** 4), F(1, 100), F(4, 5), F(1), F(3), F(50),
+               F(100), F(1000)):
         c0, c1, c2 = a2_quadratic_coeffs(OracleInputs(
             d=spec.d, genus=spec.genus, mu=mu, base_r2=base_r2))
         targets = cli._oracle_targets(HartogsSpec(spec, mu), points)
         for pt, norm, got in zip(points, norms, targets, strict=True):
             t = F(abs(pt.fiber) ** 2 / norm ** float(mu))
             want = (c0 * t + c1) * t + c2
-            assert abs(F(got["a2"]) - want) <= F(1e-13) * max(abs(want), 1), (mu, t)
+            assert abs(F(got["a2"]) - want) <= F(1e-15) * max(abs(want), 1), (mu, t)
+
+
+@pytest.mark.parametrize("command", ["report", "verify-lemmas", "scan-a2"])
+def test_a2_oracle_reads_the_exact_mu(capsys, monkeypatch, command):
+    # --mu 4/5 and --mu 0.8 both give a2's coefficients at Fraction(4, 5),
+    # not at the float 0.8 = 3602879701896397 / 2^52
+    seen, coeffs = [], cli.a2_quadratic_coeffs
+    monkeypatch.setattr(cli, "a2_quadratic_coeffs",
+                        lambda inp: seen.append(inp.mu) or coeffs(inp))
+    for mu in ("4/5", "0.8"):
+        seen.clear()
+        argv = [command, "--domain", "type3", "--n", "2", "--mu", mu, "--samples", "2"]
+        assert run(capsys, argv)[0] == 0
+        assert seen == [F(4, 5)] and type(seen[0]) is F, (command, mu)
 
 
 def test_one_oracle_table_per_command(capsys, monkeypatch):

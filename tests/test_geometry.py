@@ -16,7 +16,7 @@ import pytest
 import hartogslab
 import helpers
 from helpers import add, jet_variable, reference, sub, to_engine
-from hartogslab import geometry, jets
+from hartogslab import domains, geometry, jets
 from hartogslab.domains import contains, generic_norm_jet, generic_norm_value, \
     type1, type2, type3, type4
 from hartogslab.geometry import (FULL_CAP, HartogsPoint, HartogsSpec,
@@ -1067,3 +1067,70 @@ def test_type2_4_is_type4_6():
     wrong[2] = [0, 0, 0, 0, 1, -1j]
     assert np.abs(generic_norm_value(type2(4), u @ wrong.T)
                   - generic_norm_value(type4(6), u)).max() > 0.1
+
+
+def _entries(spec):
+    """The matrix entry (row, column) of each base coordinate, in the order
+    domains lays them out (type 4: (index,))."""
+    if spec.kind == "type1":
+        return [(r, c) for r in range(spec.m) for c in range(spec.n)]
+    if spec.kind == "type4":
+        return [(i,) for i in range(spec.n)]
+    rows, cols = domains._triu(spec.n, 1 if spec.kind == "type2" else 0)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+# each d <= 6 base, and type2(5), over its next smaller base of the family
+# (a smaller type 1 is stored with m <= n): setting the entries the smaller
+# one lacks to 0 keeps N, and the sign flip of the entries that an
+# involution D1 Z D2 (type 1), D Z D (types 2, 3) or z_n -> -z_n (type 4)
+# moves fixes exactly that image, so it is totally geodesic
+_RESTRICTIONS = ([(type1(1, n), type1(1, n - 1)) for n in range(2, 7)]
+                 + [(type1(2, 2), type1(1, 2)), (type1(2, 3), type1(2, 2)),
+                    (type1(2, 3), type1(1, 3)), (type3(3), type3(2)),
+                    (type4(6), type4(5)), (type2(5), type2(4))])
+
+
+@pytest.mark.parametrize("large,small", _RESTRICTIONS,
+                         ids=[f"{a.label()}>{b.label()}" for a, b in _RESTRICTIONS])
+def test_totally_geodesic_restriction(large, small):
+    # at 4 seed-0 samples of the smaller base, embedded, the larger report's
+    # g and R restricted to the smaller base's indices and the fiber are
+    # the smaller report's, and R's entries odd in the flipped coordinates
+    # are 0; k is not a restriction. For type 3, D Z D with D = diag(1, ..,
+    # 1, -1) moves the removed row's off-diagonal entries, not z_nn: counting
+    # z_nn as flipped leaves odd entries at every point (1.3e-8 to 2.3e-2 of
+    # max |R|). type2(5) (d = 10) takes about 1.6 s cold for its three mu,
+    # the others 0.6 s together
+    entries = _entries(large)
+    keep = [entries.index(e) for e in _entries(small)] + [large.d]
+    flipped = [j for j, e in enumerate(entries) if e not in _entries(small)
+               and not (large.kind == "type3" and e[0] == e[1])]
+
+    def odd(flips, ndim):
+        sign = np.ones(large.d + 1)
+        sign[flips] = -1.0
+        parity = sign
+        for _ in range(ndim - 1):
+            parity = np.multiply.outer(parity, sign)
+        return parity < 0
+
+    for mu in (1.0, 0.8, 3.0):
+        points = sample_hartogs(HartogsSpec(small, mu), 0, 4)
+        z = np.zeros((len(points), large.d), dtype=complex)
+        z[:, keep[:-1]] = [pt.base for pt in points]
+        assert np.abs(generic_norm_value(large, z) - generic_norm_value(
+            small, [pt.base for pt in points])).max() <= 1e-15
+        embedded = [HartogsPoint(tuple(row), pt.fiber) for row, pt in zip(z, points)]
+        for rep, want in zip(curvature_reports(HartogsSpec(large, mu), embedded),
+                             curvature_reports(HartogsSpec(small, mu), points),
+                             strict=True):
+            for got, ref in ((rep.metric.g, want.metric.g), (rep.R, want.R)):
+                scale = np.abs(got).max()
+                err = np.abs(got[np.ix_(*[keep] * got.ndim)] - ref).max() / scale
+                assert err <= 1e-13, (mu, got.ndim, err)
+                assert np.abs(got[odd(flipped, got.ndim)]).max(initial=0.0) <= 1e-15 * scale
+            assert abs(rep.k - want.k) > 0.1 * abs(want.k)
+            if large.kind == "type3":  # negative control: z_nn flipped too
+                wrong = flipped + [entries.index((large.n - 1, large.n - 1))]
+                assert np.abs(rep.R[odd(wrong, 4)]).max() > 1e-9 * np.abs(rep.R).max()
